@@ -12,6 +12,10 @@ the effective combination is non-negative but otherwise unconstrained.
 An optional mode rescales each activated weight vector to a fixed sum;
 it is off by default. The decoder can be applied repeatedly; with shared
 parameters the stack size does not change the parameter count.
+
+Both fusers start from the same one-step max-pool downsamplings (p3->p4,
+p4->p5, p5->p6); a decode stage computes each of them once and passes them
+to both, so a stage runs 7 poolings instead of 10.
 """
 
 from dataclasses import dataclass
@@ -192,25 +196,39 @@ def _up(x: Tensor, target: Tensor) -> Tensor:
     return ops.nearest_resize(x, target.dims[1], target.dims[2])
 
 
-def fuse_code_map(pyramid: Pyramid, a: Tensor) -> Tensor:
+def _downsample_steps(pyramid: Pyramid):
+    """The one-step downsamplings p3->p4, p4->p5 and p5->p6 that both fusers
+    start from; a decode stage computes them once and shares them."""
+    p3, p4, p5, p6, _ = pyramid.levels()
+    return _down(p3, p4), _down(p4, p5), _down(p5, p6)
+
+
+def fuse_code_map(pyramid: Pyramid, a: Tensor, steps=None) -> Tensor:
     """Weighted sum of all five levels on the second-coarsest grid.
 
     Coefficient order: up(p7), p6, down(p5), down^2(p4), down^3(p3).
     `a` is expected to be non-negative already (see activate_coeffs).
+    `steps` optionally supplies the one-step downsamplings
+    (p3->p4, p4->p5, p5->p6) when the caller already has them.
     """
-    p3, p4, p5, p6, p7 = pyramid.levels()
-    d5 = _down(p5, p6)
-    d4 = _down(_down(p4, p5), p6)
-    d3 = _down(_down(_down(p3, p4), p5), p6)
-    return ops.weighted_sum(a, [_up(p7, p6), p6, d5, d4, d3])
+    _, _, p5, p6, p7 = pyramid.levels()
+    d34, d45, d56 = _downsample_steps(pyramid) if steps is None else steps
+    d4 = _down(d45, p6)
+    d3 = _down(_down(d34, p5), p6)
+    return ops.weighted_sum(a, [_up(p7, p6), p6, d56, d4, d3])
 
 
-def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor):
-    """Per-scale three-level fusions (coarser neighbor up, self, finer down)."""
-    p3, p4, p5, p6, p7 = pyramid.levels()
-    m4 = ops.weighted_sum(r, [_up(p5, p4), p4, _down(p3, p4)])
-    m5 = ops.weighted_sum(s, [_up(p6, p5), p5, _down(p4, p5)])
-    m6 = ops.weighted_sum(t, [_up(p7, p6), p6, _down(p5, p6)])
+def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps=None):
+    """Per-scale three-level fusions (coarser neighbor up, self, finer down).
+
+    `steps` optionally supplies the one-step downsamplings
+    (p3->p4, p4->p5, p5->p6) when the caller already has them.
+    """
+    _, p4, p5, p6, p7 = pyramid.levels()
+    d34, d45, d56 = _downsample_steps(pyramid) if steps is None else steps
+    m4 = ops.weighted_sum(r, [_up(p5, p4), p4, d34])
+    m5 = ops.weighted_sum(s, [_up(p6, p5), p5, d45])
+    m6 = ops.weighted_sum(t, [_up(p7, p6), p6, d56])
     return m4, m5, m6
 
 
@@ -243,12 +261,13 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams,
             f"{pyramid.channels} != {config.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs, config.normalized_fusion)
-    m_code = fuse_code_map(pyramid, coeffs.a)
+    steps = _downsample_steps(pyramid)
+    m_code = fuse_code_map(pyramid, coeffs.a, steps)
     basis_map = _conv(m_code, params.bases)
     attention = ops.softmax_spatial(_conv(m_code, params.weighting))
     codewords = codewords_from(basis_map, attention)
 
-    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t)
+    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
     fused = {4: m4, 5: m5, 6: m6}
     guidance = {}
     refined = {}

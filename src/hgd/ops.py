@@ -8,10 +8,14 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
-- nearest_resize picks src = floor(dst*in/out);
+- nearest_resize picks src = floor(dst*in/out) and is a gather, so a
+  non-finite input value appears only at its own copies;
 - maxpool2x2 uses stride-2 windows clipped at the edges (ceil-mode sizes by
-  default, explicit target dims allowed) and routes the gradient to the
-  first maximal element in row-major window order;
+  default, explicit target dims allowed). Each window's winner is its first
+  maximal element in row-major window order, a NaN counting as larger than
+  any number (np.argmax's rule): ties go to the first element, the first NaN
+  wins, and the output is the winner itself, sign of zero included. The
+  gradient goes to the winner only;
 - relu's gradient at exactly 0 is 0;
 - softmax_spatial subtracts the per-channel spatial max before exponentiating.
 """
@@ -227,41 +231,80 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     return m
 
 
+def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
+    return (np.arange(n_out) * n_in) // n_out
+
+
 def _nearest_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     key = ("nearest", n_in, n_out, np.dtype(dtype).str)
     cached = _RESIZE_CACHE.get(key)
     if cached is not None:
         return cached
-    idx = (np.arange(n_out) * n_in) // n_out
     m = np.zeros((n_out, n_in), dtype=dtype)
-    m[np.arange(n_out), idx] = 1
+    m[np.arange(n_out), _nearest_index(n_in, n_out)] = 1
     _RESIZE_CACHE[key] = m
     return m
 
 
-def _resize_with(matrix_fn, x: Tensor, out_h: int, out_w: int, op: str) -> Tensor:
+def _check_resize(x: Tensor, out_h: int, out_w: int, op: str):
     _check_rank(x, 3, f"{op} input")
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"{op} target must be at least 1x1, got {out_h}x{out_w}")
+
+
+def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Separable bilinear resampling (half-pixel centers, edge clamp)."""
+    _check_resize(x, out_h, out_w, "bilinear_resize")
     _, h, w = x.dims
-    rh = matrix_fn(h, out_h, x.dtype)
-    rw = matrix_fn(w, out_w, x.dtype)
-    out = rh @ x.data @ rw.T
+    rh = _bilinear_matrix(h, out_h, x.dtype)
+    rw = _bilinear_matrix(w, out_w, x.dtype)
 
     def bwd(g):
         if _need(x):
             _acc(x, rh.T @ g @ rw)
 
-    return _make(out, (x,), op, bwd)
-
-
-def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Separable bilinear resampling (half-pixel centers, edge clamp)."""
-    return _resize_with(_bilinear_matrix, x, out_h, out_w, "bilinear_resize")
+    return _make(rh @ x.data @ rw.T, (x,), "bilinear_resize", bwd)
 
 
 def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    return _resize_with(_nearest_matrix, x, out_h, out_w, "nearest_resize")
+    """Nearest-neighbour resampling, src = floor(dst * in / out) per axis."""
+    _check_resize(x, out_h, out_w, "nearest_resize")
+    _, h, w = x.dims
+    # a gather, so a non-finite input reaches only its own copies; take keeps
+    # the result C-contiguous
+    out = x.data.take(_nearest_index(h, out_h), axis=1).take(_nearest_index(w, out_w), axis=2)
+
+    def bwd(g):
+        if _need(x):
+            _acc(x, _nearest_matrix(h, out_h, x.dtype).T @ g @ _nearest_matrix(w, out_w, x.dtype))
+
+    return _make(out, (x,), "nearest_resize", bwd)
+
+
+def _window_argmax(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Index 0..3 of the first maximal element of each 2x2 window, in
+    row-major window order; a NaN counts as larger than any number.
+
+    This is np.argmax's rule, scanned over the four strided tap views with a
+    running maximum. At an odd edge the second row or column view is one
+    shorter; the clipped window's missing taps would repeat taps already
+    scanned, and a repeat can never be strictly larger, so they are skipped.
+    """
+    taps = [x[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)]
+    best = taps[0].copy()
+    k = np.zeros(best.shape, dtype=np.int8)
+    for j, v in enumerate(taps[1:], start=1):
+        rows, cols = v.shape[1:]
+        b = best[:, :rows, :cols]
+        # larger, or NaN over non-NaN; a NaN best is final
+        take = ~(v <= b) & (b == b)
+        kj = k[:, :rows, :cols]
+        # taps come in increasing j, so a win always raises k
+        np.maximum(kj, take.view(np.int8) * np.int8(j), out=kj)
+        # np.maximum propagates NaN; only comparisons read best, so which
+        # zero or NaN payload it keeps does not matter
+        np.maximum(b, v, out=b)
+    return k
 
 
 def maxpool2x2(x: Tensor, out_h: int | None = None, out_w: int | None = None) -> Tensor:
@@ -282,28 +325,19 @@ def maxpool2x2(x: Tensor, out_h: int | None = None, out_w: int | None = None) ->
         raise DimensionError(
             f"maxpool2x2 target {out_h}x{out_w} too large for input {h}x{w}")
 
-    r0 = 2 * np.arange(out_h)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c0 = 2 * np.arange(out_w)
-    c1 = np.minimum(c0 + 1, w - 1)
-    # candidates in row-major window order so argmax ties pick the first
-    cand = np.stack([
-        x.data[:, r0[:, None], c0[None, :]],
-        x.data[:, r0[:, None], c1[None, :]],
-        x.data[:, r1[:, None], c0[None, :]],
-        x.data[:, r1[:, None], c1[None, :]],
-    ])
-    k = np.argmax(cand, axis=0)
-    out = np.take_along_axis(cand, k[None], axis=0)[0]
-    rows = np.where(k < 2, r0[None, :, None], r1[None, :, None])
-    cols = np.where(k % 2 == 0, c0[None, None, :], c1[None, None, :])
+    k = _window_argmax(x.data, out_h, out_w)
+    # flat index of each window's winner; windows are disjoint and a clipped
+    # window's duplicate row or column never wins, so the indices are unique
+    # and the backward pass needs no np.add.at
+    idx = np.array([0, 1, w, w + 1])[k]
+    idx += (np.arange(0, c * h * w, h * w)[:, None, None]
+            + np.arange(0, 2 * out_h * w, 2 * w)[:, None] + np.arange(0, 2 * out_w, 2))
+    out = x.data.take(idx)
 
     def bwd(g):
         if _need(x):
-            gx = np.zeros_like(x.data)
-            ch = np.arange(c)[:, None, None]
-            np.add.at(gx, (np.broadcast_to(ch, k.shape), rows, cols), g)
-            _acc(x, gx)
+            # grad buffers are C-contiguous, so reshape(-1) is a view
+            x.ensure_grad().reshape(-1)[idx] += g
 
     return _make(out, (x,), "maxpool2x2", bwd)
 

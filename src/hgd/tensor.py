@@ -53,8 +53,10 @@ class Tensor:
         return self.data.dtype
 
     def ensure_grad(self) -> np.ndarray:
+        """The gradient buffer, allocated C-contiguous on first use so an op
+        may scatter into it through a flat view."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros_like(self.data, order="C")
         return self.grad
 
     def zero_grad(self):

@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
+from hgd import fpn as fpn_module
 from hgd import ops
 from hgd.decoder import ConfigError
 from hgd.fpn import (FpnConfig, FusionCoeffs, Pyramid, activate_coeffs,
@@ -12,7 +14,7 @@ from hgd.fpn import (FpnConfig, FusionCoeffs, Pyramid, activate_coeffs,
                      stack_named_parameters, tiny_fpn_config)
 from hgd.gradcheck import gradcheck
 from hgd.params import parameter_count
-from hgd.tensor import Tensor
+from hgd.tensor import ComputeGraph, Tensor
 
 
 def chain_dims(h, w, levels=5):
@@ -273,6 +275,56 @@ def test_outer_levels_are_resampled_inner_refinements():
     want7 = maxpool_oracle(hat6, *pyr.p7.dims[1:])
     assert np.max(np.abs(out.p3.data - (pyr.p3.data + want3))) <= 1e-12
     assert np.max(np.abs(out.p7.data - (pyr.p7.data + want7))) <= 1e-12
+
+
+def count_ops(levels, op):
+    total = None
+    for level in levels:
+        s = ops.sum_all(level)
+        total = s if total is None else ops.add(total, s)
+    return sum(1 for node in ComputeGraph.trace(total).nodes if node._op == op)
+
+
+def down(x, like):
+    return ops.maxpool2x2(x, *like.dims[1:])
+
+
+def up(x, like):
+    return ops.nearest_resize(x, *like.dims[1:])
+
+
+def unshared_code_map(pyramid, a, steps=None):
+    p3, p4, p5, p6, p7 = pyramid.levels()
+    return ops.weighted_sum(a, [up(p7, p6), p6, down(p5, p6), down(down(p4, p5), p6),
+                                down(down(down(p3, p4), p5), p6)])
+
+
+def unshared_scale_maps(pyramid, r, s, t, steps=None):
+    p3, p4, p5, p6, p7 = pyramid.levels()
+    return (ops.weighted_sum(r, [up(p5, p4), p4, down(p3, p4)]),
+            ops.weighted_sum(s, [up(p6, p5), p5, down(p4, p5)]),
+            ops.weighted_sum(t, [up(p7, p6), p6, down(p5, p6)]))
+
+
+def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
+    params = tiny_params()
+    pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
+    out, trace = fpn_decode_once_full(pyr, params)
+    # p3->p4, p4->p5, p5->p6 once each, two more steps for p3 and one for
+    # p4 on the code-map grid, and refined p6 -> p7
+    assert count_ops(out.levels(), "maxpool2x2") == 7
+    params.config = dataclasses.replace(params.config, k_recurrence=4)
+    assert count_ops(fpn_decode(pyr, params).levels(), "maxpool2x2") == 28
+
+    monkeypatch.setattr(fpn_module, "fuse_code_map", unshared_code_map)
+    monkeypatch.setattr(fpn_module, "fuse_scale_maps", unshared_scale_maps)
+    ref_out, ref_trace = fpn_decode_once_full(pyr, params)
+    assert count_ops(ref_out.levels(), "maxpool2x2") == 10
+    assert np.array_equal(trace.m_code.data, ref_trace.m_code.data)
+    for level in (4, 5, 6):
+        assert np.array_equal(trace.fused[level].data, ref_trace.fused[level].data)
+    for got, want in zip(out.levels(), ref_out.levels()):
+        assert np.array_equal(got.data, want.data)
 
 
 def ancestor_ids(t):

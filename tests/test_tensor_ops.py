@@ -7,7 +7,7 @@ library twice.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgd import Tensor, DimensionError
@@ -286,6 +286,108 @@ def test_mul_and_sum_all():
     s = ops.sum_all(prod)
     assert s.dims == ()
     assert s.data == 20.0
+
+
+# ------------------------------------------------------- pooling, nearest
+
+def maxpool_window_loop(x, oh, ow):
+    """(values, winner coordinates) of clipped 2x2 windows, scanning each
+    window in row-major order: a later element wins only when it is strictly
+    larger, or NaN while the best so far is not."""
+    c, h, w = x.shape
+    out = np.empty((c, oh, ow))
+    winners = {}
+    for ch in range(c):
+        for i in range(oh):
+            for j in range(ow):
+                best = None
+                for r in (2 * i, min(2 * i + 1, h - 1)):
+                    for q in (2 * j, min(2 * j + 1, w - 1)):
+                        v, b = x[ch, r, q], None if best is None else x[(ch, *best)]
+                        if best is None or (not np.isnan(b) and (v > b or np.isnan(v))):
+                            best = (r, q)
+                out[ch, i, j] = x[(ch, *best)]
+                winners[ch, i, j] = (ch, *best)
+    return out, winners
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
+       shrink_h=st.integers(0, 3), shrink_w=st.integers(0, 3),
+       nan_share=st.sampled_from([0.0, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1),
+       fortran=st.booleans())
+@example(c=1, h=1, w=1, shrink_h=0, shrink_w=0, nan_share=0.0, seed=0, fortran=False)
+@example(c=2, h=1, w=6, shrink_h=0, shrink_w=0, nan_share=0.2, seed=1, fortran=False)
+@example(c=1, h=5, w=1, shrink_h=0, shrink_w=0, nan_share=0.2, seed=2, fortran=True)
+def test_maxpool2x2_matches_window_loop(c, h, w, shrink_h, shrink_w, nan_share, seed, fortran):
+    """Values (sign of zero included), gradient routing with ties to the
+    first element in window order, and NaN: the first NaN wins and takes
+    the gradient. Integer-rounded data makes ties common. A nonzero shrink
+    passes an explicit target smaller than the ceil size; `fortran` feeds
+    a non-C-contiguous input."""
+    oh = max(1, (h + 1) // 2 - shrink_h)
+    ow = max(1, (w + 1) // 2 - shrink_w)
+    explicit = {"out_h": oh, "out_w": ow} if shrink_h or shrink_w else {}
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(c, h, w)).astype(np.float64)
+    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    x[rng.random(x.shape) < nan_share] = np.nan
+
+    want, winners = maxpool_window_loop(x, oh, ow)
+    xt = t(np.asfortranarray(x) if fortran else x, grad=True)
+    out = ops.maxpool2x2(xt, **explicit)
+    assert np.array_equal(bits(out.data), bits(want))
+
+    probe = rng.integers(1, 100, size=(c, oh, ow)).astype(np.float64)
+    ops.sum_all(ops.mul(out, t(probe))).backward()
+    want_grad = np.zeros_like(x)
+    for (ch, i, j), src in winners.items():
+        want_grad[src] += probe[ch, i, j]
+    assert np.array_equal(bits(xt.grad), bits(want_grad))
+
+
+def nearest_loop(x, oh, ow):
+    c, h, w = x.shape
+    out = np.empty((c, oh, ow))
+    for y in range(oh):
+        for q in range(ow):
+            out[:, y, q] = x[:, y * h // oh, q * w // ow]
+    return out
+
+
+def nearest_grad_loop(g, h, w):
+    c, oh, ow = g.shape
+    gx = np.zeros((c, h, w))
+    for y in range(oh):
+        for q in range(ow):
+            gx[:, y * h // oh, q * w // ow] += g[:, y, q]
+    return gx
+
+
+@pytest.mark.parametrize("h,w,oh,ow", [(3, 4, 5, 7), (7, 3, 4, 5), (4, 7, 7, 4), (5, 5, 5, 5)])
+def test_nearest_resize_matches_loop_oracle(h, w, oh, ow):
+    rng = np.random.default_rng(h * 1000 + w * 100 + oh * 10 + ow)
+    x = t(rng.normal(size=(2, h, w)), grad=True)
+    out = ops.nearest_resize(x, oh, ow)
+    assert np.array_equal(out.data, nearest_loop(x.data, oh, ow))
+    # integer upstream gradients keep every sum exact in any order
+    probe = rng.integers(-50, 50, size=(2, oh, ow)).astype(np.float64)
+    ops.sum_all(ops.mul(out, t(probe))).backward()
+    assert np.array_equal(x.grad, nearest_grad_loop(probe, h, w))
+
+
+def test_nearest_resize_non_finite_input_stays_local():
+    x = np.arange(6, dtype=np.float64).reshape(1, 2, 3)
+    x[0, 1, 2] = np.inf
+    x[0, 0, 0] = -np.inf
+    out = ops.nearest_resize(t(x), 4, 6)
+    assert not np.isnan(out.data).any()
+    assert np.array_equal(out.data, nearest_loop(x, 4, 6))
+    assert np.isposinf(out.data).sum() == 4 and np.isneginf(out.data).sum() == 4
 
 
 # ------------------------------------------------------ cross entropy
