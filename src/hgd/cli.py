@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .config import (RunConfig, default_run_config, dtype_of, load_run_config,
-                     to_fpn_config, to_hgd_config, to_train_config)
+from .config import RunConfig, dtype_of, load_run_config
 from .costmodel import (DETECTION_INPUT, efficientfcn_spec, emit_report,
                         fpn_spec, report_csv, resnet_spec, unet_spec)
 from .decoder import hgd_forward_full
@@ -40,9 +39,8 @@ from .fpn import (Pyramid, fpn_decode_once_full, init_fpn_params, init_fpn_stack
                   tiny_fpn_config)
 from .gradcheck import gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor
-from .ops import GradcheckError
 from .synthdata import synth_dataset
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, GradcheckError, Tensor
 
 _LEVEL_STRIDES = (("p3", 4), ("p4", 8), ("p5", 16), ("p6", 32), ("p7", 64))
 
@@ -209,9 +207,9 @@ def cmd_demo_seg(args) -> int:
         dt = dtype_of(run)
         samples = synth_dataset(seed=run.seed, count=32, size=run.input_size,
                                 num_classes=run.num_classes, dtype=dt)
-        params = init_seg_params(ToyBackboneConfig(), to_hgd_config(run),
+        params = init_seg_params(ToyBackboneConfig(), run.hgd,
                                  run.num_classes, np.random.default_rng(run.seed + 1), dt)
-        train_cfg = to_train_config(run)
+        train_cfg = run.train
         order = np.random.default_rng(run.seed + 2)
         num_classes = run.num_classes
     else:
@@ -251,7 +249,7 @@ def cmd_demo_fpn(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.config:
         run = load_run_config(args.config)
-        cfg = to_fpn_config(run)
+        cfg = run.fpn
         dt = dtype_of(run)
         base = run.input_size // 4
         seed = run.seed

@@ -1,15 +1,21 @@
 """Run configuration for the command-line tools.
 
-One JSON document drives every command. Unknown keys anywhere in the
-document are rejected so typos fail loudly instead of silently falling
-back to defaults. Defaults describe the full-size reference networks
-(256 codewords for segmentation; 128 codewords of dimension 512 and
-four recurrence stages for the pyramid decoder); the demos substitute
-their own tiny presets when no config file is given.
+One JSON document drives every command and parses straight into the
+library's own dataclasses: `hgd` into HgdConfig, `fpn` into FpnConfig,
+`train` into TrainConfig, the rest into RunConfig. One key map per
+section names the field each JSON key sets; a missing key takes the
+field's default, the full-size reference setting (the demos use their
+own tiny presets when no config file is given).
+
+The parser checks JSON types (a value must have the type of its field's
+default; numbers must be finite) and rejects unknown keys anywhere, so
+typos fail loudly. Ranges and cross-field rules live once, in each
+dataclass's __post_init__. Every error names its JSON path.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +25,8 @@ from .efficientfcn import TrainConfig
 from .fpn import FpnConfig
 from .tensor import ConfigError
 
-
-@dataclass(frozen=True)
-class HgdSettings:
-    n: int = 256
-    codeword_dim: int = 1024
-    compressed: int = 512
-    guidance: int = 1024
-    transfer: bool = True
-
-
-@dataclass(frozen=True)
-class FpnSettings:
-    n: int = 128
-    c: int = 512
-    k: int = 4
-    share_params: bool = True
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    base_lr: float = 0.001
-    power: float = 0.9
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    max_iter: int = 500
-    batch: int = 8
+_TASKS = ("seg", "fpn")
+_PRECISIONS = ("f32", "f64")
 
 
 @dataclass(frozen=True)
@@ -53,17 +35,59 @@ class RunConfig:
     seed: int = 0
     input_size: int = 512
     num_classes: int = 60
-    hgd: HgdSettings = field(default_factory=HgdSettings)
-    fpn: FpnSettings = field(default_factory=FpnSettings)
-    train: TrainSettings = field(default_factory=TrainSettings)
+    hgd: HgdConfig = field(default_factory=HgdConfig)
+    fpn: FpnConfig = field(default_factory=FpnConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     precision: str = "f32"
 
+    def __post_init__(self):
+        if self.task not in _TASKS:
+            raise ConfigError(f"task must be one of {list(_TASKS)}, got {self.task!r}")
+        if self.precision not in _PRECISIONS:
+            raise ConfigError(
+                f"precision must be one of {list(_PRECISIONS)}, got {self.precision!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
+        if self.input_size < 32:
+            raise ConfigError(f"input_size must be at least 32, got {self.input_size}")
+        if self.input_size % 32:
+            raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
 
-def default_run_config() -> RunConfig:
-    return RunConfig()
+
+# JSON key -> dataclass field, one map per section
+_RUN_KEYS = {k: k for k in ("task", "seed", "input_size", "num_classes", "precision")}
+_HGD_KEYS = {"n": "n_codewords", "codeword_dim": "codeword_dim",
+             "compressed": "compressed_channels", "guidance": "guidance_channels",
+             "transfer": "transfer_enabled"}
+_FPN_KEYS = {"n": "n_codewords", "c": "codeword_dim", "k": "k_recurrence",
+             "share_params": "share_params"}
+_TRAIN_KEYS = {k: k for k in ("base_lr", "power", "momentum", "weight_decay",
+                              "max_iter", "batch")}
+_SECTIONS = {"hgd": (HgdConfig, _HGD_KEYS), "fpn": (FpnConfig, _FPN_KEYS),
+             "train": (TrainConfig, _TRAIN_KEYS)}
 
 
 # ---------------------------------------------------------------- parsing
+
+_NOUNS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string"}
+
+
+def _typed(value, kind, path):
+    """`value` checked against `kind`, the type of its field's default."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:           # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path} must be {_NOUNS[kind]}, got {value!r}")
+
 
 def _check_keys(section, allowed, path):
     if not isinstance(section, dict):
@@ -73,87 +97,25 @@ def _check_keys(section, allowed, path):
         raise ConfigError(f"{path}: unknown keys {unknown}")
 
 
-def _get_int(section, key, default, path, minimum=None):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key} must be at least {minimum}, got {value}")
-    return value
-
-
-def _get_float(section, key, default, path):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _get_bool(section, key, default, path):
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _get_choice(section, key, default, path, choices):
-    value = section.get(key, default)
-    if value not in choices:
-        raise ConfigError(f"{path}.{key} must be one of {sorted(choices)}, got {value!r}")
-    return value
+def _build(cls, section, keys, path, **nested):
+    """`cls` from the JSON object `section`, whose keys `keys` maps to fields."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {keys[key]: _typed(value, type(defaults[keys[key]]), f"{path}.{key}")
+              for key, value in section.items() if key in keys}
+    try:
+        return cls(**values, **nested)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    _check_keys(doc, {"task", "seed", "input_size", "num_classes",
-                      "hgd", "fpn", "train", "precision"}, "config")
-
-    hgd_doc = doc.get("hgd", {})
-    _check_keys(hgd_doc, {"n", "codeword_dim", "compressed", "guidance", "transfer"},
-                "config.hgd")
-    hgd = HgdSettings(
-        n=_get_int(hgd_doc, "n", 256, "config.hgd", minimum=1),
-        codeword_dim=_get_int(hgd_doc, "codeword_dim", 1024, "config.hgd", minimum=1),
-        compressed=_get_int(hgd_doc, "compressed", 512, "config.hgd", minimum=1),
-        guidance=_get_int(hgd_doc, "guidance", 1024, "config.hgd", minimum=1),
-        transfer=_get_bool(hgd_doc, "transfer", True, "config.hgd"),
-    )
-    if hgd.transfer and hgd.guidance != hgd.codeword_dim:
-        raise ConfigError("config.hgd: transfer needs guidance == codeword_dim "
-                          f"(got {hgd.guidance} vs {hgd.codeword_dim})")
-
-    fpn_doc = doc.get("fpn", {})
-    _check_keys(fpn_doc, {"n", "c", "k", "share_params"}, "config.fpn")
-    fpn = FpnSettings(
-        n=_get_int(fpn_doc, "n", 128, "config.fpn", minimum=1),
-        c=_get_int(fpn_doc, "c", 512, "config.fpn", minimum=1),
-        k=_get_int(fpn_doc, "k", 4, "config.fpn", minimum=1),
-        share_params=_get_bool(fpn_doc, "share_params", True, "config.fpn"),
-    )
-
-    train_doc = doc.get("train", {})
-    _check_keys(train_doc, {"base_lr", "power", "momentum", "weight_decay",
-                            "max_iter", "batch"}, "config.train")
-    train = TrainSettings(
-        base_lr=_get_float(train_doc, "base_lr", 0.001, "config.train"),
-        power=_get_float(train_doc, "power", 0.9, "config.train"),
-        momentum=_get_float(train_doc, "momentum", 0.9, "config.train"),
-        weight_decay=_get_float(train_doc, "weight_decay", 1e-4, "config.train"),
-        max_iter=_get_int(train_doc, "max_iter", 500, "config.train", minimum=1),
-        batch=_get_int(train_doc, "batch", 8, "config.train", minimum=1),
-    )
-
-    run = RunConfig(
-        task=_get_choice(doc, "task", "seg", "config", {"seg", "fpn"}),
-        seed=_get_int(doc, "seed", 0, "config", minimum=0),
-        input_size=_get_int(doc, "input_size", 512, "config", minimum=32),
-        num_classes=_get_int(doc, "num_classes", 60, "config", minimum=2),
-        hgd=hgd, fpn=fpn, train=train,
-        precision=_get_choice(doc, "precision", "f32", "config", {"f32", "f64"}),
-    )
-    if run.input_size % 32:
-        raise ConfigError(f"config.input_size must be divisible by 32, got {run.input_size}")
-    to_train_config(run)   # fires the trainer's own range validation early
-    return run
+    _check_keys(doc, {*_RUN_KEYS, *_SECTIONS}, "config")
+    nested = {}
+    for name, (cls, keys) in _SECTIONS.items():
+        section = doc.get(name, {})
+        _check_keys(section, keys, f"config.{name}")
+        nested[name] = _build(cls, section, keys, f"config.{name}")
+    return _build(RunConfig, doc, _RUN_KEYS, "config", **nested)
 
 
 def load_run_config(path) -> RunConfig:
@@ -165,28 +127,6 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return parse_run_config(doc)
-
-
-# ------------------------------------------------------------- converters
-
-def to_hgd_config(run: RunConfig) -> HgdConfig:
-    return HgdConfig(n_codewords=run.hgd.n, codeword_dim=run.hgd.codeword_dim,
-                     compressed_channels=run.hgd.compressed,
-                     guidance_channels=run.hgd.guidance,
-                     transfer_enabled=run.hgd.transfer)
-
-
-def to_fpn_config(run: RunConfig, output_channels: int = 256) -> FpnConfig:
-    return FpnConfig(n_codewords=run.fpn.n, codeword_dim=run.fpn.c,
-                     k_recurrence=run.fpn.k, share_params=run.fpn.share_params,
-                     output_channels=output_channels)
-
-
-def to_train_config(run: RunConfig) -> TrainConfig:
-    t = run.train
-    return TrainConfig(base_lr=t.base_lr, power=t.power, momentum=t.momentum,
-                       weight_decay=t.weight_decay, max_iter=t.max_iter,
-                       batch=t.batch)
 
 
 def dtype_of(run: RunConfig):

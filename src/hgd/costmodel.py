@@ -24,6 +24,8 @@ tightly from those rows.
 
 from dataclasses import dataclass, field
 
+from .efficientfcn import tiny_backbone_config, tiny_hgd_config
+from .fpn import tiny_fpn_config
 from .tensor import ConfigError
 
 CONVENTION_NOTE = ("1 MAC = 1 FLOP; resize/pool/activation/elementwise = 0 MACs; "
@@ -344,7 +346,8 @@ def fpn_spec(variant, n=None, c=None, k=4, input_hw=None,
     decoder stages alone, 1x1 convs and no smoothing, mirroring this
     package's executable pyramid decoder layer for layer so parameter
     totals can be compared exactly. Defaults per variant: full n=128,
-    c=512, 256 pyramid channels; toy n=4, c=8, 8 channels.
+    c=512, 256 pyramid channels; toy n, c and channels from
+    tiny_fpn_config().
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -366,8 +369,9 @@ def fpn_spec(variant, n=None, c=None, k=4, input_hw=None,
                         tags={"n": n, "c": c, "k": k, "share_params": share_params,
                               "detail": "full"})
     if variant == "hgd-fpn-toy":
-        n = 4 if n is None else n
-        c = 8 if c is None else c
+        toy = tiny_fpn_config()
+        n = toy.n_codewords if n is None else n
+        c = toy.codeword_dim if c is None else c
         input_hw = input_hw or (16, 16)
         # toy pyramid levels run from the input size down, not from stride 4
         h, w = input_hw
@@ -377,7 +381,7 @@ def fpn_spec(variant, n=None, c=None, k=4, input_hw=None,
             h, w = (h + 1) // 2, (w + 1) // 2
         rows = []
         for stage in range(k):
-            rows += _decoder_stage_rows(stage, grids, 8, n, c, kernel=1,
+            rows += _decoder_stage_rows(stage, grids, toy.output_channels, n, c, kernel=1,
                                         smoothing=False,
                                         tied=share_params and stage > 0)
         return ArchSpec(name=f"hgd-fpn-toy-k{k}", input_hw=tuple(input_hw),
@@ -390,13 +394,17 @@ def fpn_spec(variant, n=None, c=None, k=4, input_hw=None,
 # ------------------------------------------------------------- toy mirror
 
 def toy_seg_spec(num_classes=5, input_hw=(64, 64)) -> ArchSpec:
-    """Layer-for-layer mirror of the executable tiny segmentation stack,
-    so its analytic parameter total can be checked against the real
-    parameter records exactly."""
+    """Layer-for-layer mirror of the executable tiny segmentation stack
+    (tiny_backbone_config, one conv per stage, and tiny_hgd_config), so its
+    analytic parameter total can be checked against the real parameter
+    records exactly."""
     h, w = input_hw
     if h % 32 or w % 32:
         raise ConfigError(f"input dims must be divisible by 32, got {input_hw}")
-    chans = (8, 8, 16, 24, 32)
+    backbone = tiny_backbone_config()
+    hgd = tiny_hgd_config()
+    # the first two stride-2 convs both have the stride-4 width
+    chans = backbone.stage_channels[:1] + backbone.stage_channels
     rows = []
     c_in = 3
     gh, gw = h, w
@@ -407,16 +415,17 @@ def toy_seg_spec(num_classes=5, input_hw=(64, 64)) -> ArchSpec:
     g8 = (h // 8, w // 8)
     g16 = (h // 16, w // 16)
     g32 = (h // 32, w // 32)
-    comp, n, c, guid = 16, 8, 32, 32
-    for os_, ch, grid in ((8, 16, g8), (16, 24, g16), (32, 32, g32)):
+    comp, n, c = hgd.compressed_channels, hgd.n_codewords, hgd.codeword_dim
+    guid = hgd.guidance_channels
+    for os_, ch, grid in zip((8, 16, 32), backbone.tap_channels, (g8, g16, g32)):
         rows.append(LayerSpec(f"decoder.compress{os_}", "conv", 1, ch, comp, *grid))
-    fused = 3 * comp
+    code_in = len(hgd.fused_scales) * comp
     rows += [
-        LayerSpec("decoder.bases", "conv", 1, fused, c, *g32),
-        LayerSpec("decoder.weighting", "conv", 1, fused, n, *g32),
+        LayerSpec("decoder.bases", "conv", 1, code_in, c, *g32),
+        LayerSpec("decoder.weighting", "conv", 1, code_in, n, *g32),
         LayerSpec("decoder.codeword_matmul", "assembly", c_in=c, c_out=n,
                   out_h=g32[0], out_w=g32[1]),
-        LayerSpec("decoder.guidance", "conv", 1, fused, guid, *g8),
+        LayerSpec("decoder.guidance", "conv", 1, 3 * comp, guid, *g8),
         LayerSpec("decoder.assembly_conv", "conv", 1, guid, n, *g8),
         LayerSpec("decoder.assembly_matmul", "assembly", c_in=c, c_out=n,
                   out_h=g8[0], out_w=g8[1]),

@@ -34,10 +34,10 @@ _KNOWN_SCALES = (8, 16, 32)
 
 @dataclass(frozen=True)
 class HgdConfig:
-    n_codewords: int
-    codeword_dim: int
-    compressed_channels: int
-    guidance_channels: int
+    n_codewords: int = 256
+    codeword_dim: int = 1024
+    compressed_channels: int = 512
+    guidance_channels: int = 1024
     transfer_enabled: bool = True
     fused_scales: tuple = (8, 16, 32)
 
@@ -45,6 +45,10 @@ class HgdConfig:
         for name in ("n_codewords", "codeword_dim", "compressed_channels", "guidance_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.transfer_enabled and self.guidance_channels != self.codeword_dim:
+            raise ConfigError(
+                "transfer needs guidance == codeword_dim (guidance_channels "
+                f"{self.guidance_channels} vs codeword_dim {self.codeword_dim})")
         scales = tuple(self.fused_scales)
         object.__setattr__(self, "fused_scales", scales)
         if not scales:
@@ -81,10 +85,6 @@ class HgdParams:
 def init_hgd_params(in_channels, config: HgdConfig, rng, dtype=np.float64) -> HgdParams:
     """Build all decoder kernels for encoder taps with the given channel counts."""
     c8, c16, c32 = in_channels
-    if config.transfer_enabled and config.guidance_channels != config.codeword_dim:
-        raise ConfigError(
-            "transfer needs guidance_channels == codeword_dim "
-            f"(got {config.guidance_channels} vs {config.codeword_dim})")
     code_in = len(config.fused_scales) * config.compressed_channels
     fine_in = 3 * config.compressed_channels
     return HgdParams(
@@ -193,11 +193,11 @@ class HgdTrace:
     m32: Tensor
 
 
-def hgd_forward_full(e8, e16, e32, params: HgdParams, config: HgdConfig | None = None) -> HgdTrace:
-    cfg = config if config is not None else params.config
+def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
     m8, m32 = fuse_multiscale(e8, e16, e32, params)
     codewords, bases, weights = generate_codewords(m32, params)
-    guidance, guidance_fused = build_guidance(m8, bases, params, cfg.transfer_enabled)
+    guidance, guidance_fused = build_guidance(m8, bases, params,
+                                              params.config.transfer_enabled)
     coeffs = _conv(guidance_fused, params.assembly)
     assembled = assemble_from(coeffs, codewords)
     fused = ops.concat_channels([assembled, guidance])
@@ -206,5 +206,5 @@ def hgd_forward_full(e8, e16, e32, params: HgdParams, config: HgdConfig | None =
                     bases=bases, weights=weights, m8=m8, m32=m32)
 
 
-def hgd_forward(e8, e16, e32, params: HgdParams, config: HgdConfig | None = None) -> Tensor:
-    return hgd_forward_full(e8, e16, e32, params, config).fused
+def hgd_forward(e8, e16, e32, params: HgdParams) -> Tensor:
+    return hgd_forward_full(e8, e16, e32, params).fused

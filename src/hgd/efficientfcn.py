@@ -166,6 +166,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.power <= 0:
             raise ConfigError(f"power must be positive, got {self.power}")
+        if self.base_lr < 0 or self.weight_decay < 0:
+            raise ConfigError("base_lr and weight_decay must be non-negative, got "
+                              f"{self.base_lr} and {self.weight_decay}")
         if self.batch < 1 or self.max_iter < 1:
             raise ConfigError("batch and max_iter must be at least 1")
 

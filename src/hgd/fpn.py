@@ -9,9 +9,8 @@ the decoder refines the pyramid rather than replacing it.
 
 The level fusion weights are learned scalars passed through a ReLU, so
 the effective combination is non-negative but otherwise unconstrained.
-An optional mode rescales each activated weight vector to a fixed sum;
-it is off by default. The decoder can be applied repeatedly; with shared
-parameters the stack size does not change the parameter count.
+The decoder can be applied repeatedly; with shared parameters the stack
+size does not change the parameter count.
 
 Both fusers start from the same one-step max-pool downsamplings (p3->p4,
 p4->p5, p5->p6); a decode stage computes each of them once and passes them
@@ -93,7 +92,6 @@ class FpnConfig:
     k_recurrence: int = 4
     share_params: bool = True
     output_channels: int = 256
-    normalized_fusion: bool = False
 
     def __post_init__(self):
         if self.k_recurrence < 1:
@@ -175,17 +173,10 @@ def stack_named_parameters(stack):
 
 # ------------------------------------------------------------------ fusion
 
-def activate_coeffs(raw: FusionCoeffs, normalized: bool = False) -> FusionCoeffs:
-    """ReLU the raw fusion scalars; optionally rescale each vector's sum
-    back to its length (5 or 3). The default applies no rescaling."""
-
-    def act(v: Tensor) -> Tensor:
-        out = ops.relu(v)
-        if normalized:
-            out = ops.scale_to_sum(out, float(v.dims[0]))
-        return out
-
-    return FusionCoeffs(a=act(raw.a), r=act(raw.r), s=act(raw.s), t=act(raw.t))
+def activate_coeffs(raw: FusionCoeffs) -> FusionCoeffs:
+    """ReLU the raw fusion scalars."""
+    return FusionCoeffs(a=ops.relu(raw.a), r=ops.relu(raw.r), s=ops.relu(raw.s),
+                        t=ops.relu(raw.t))
 
 
 def _down(x: Tensor, target: Tensor) -> Tensor:
@@ -250,17 +241,14 @@ def _conv(x: Tensor, p: ConvParams) -> Tensor:
     return ops.conv1x1(x, p.weight, p.bias)
 
 
-def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams,
-                         config: FpnConfig | None = None):
+def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     """One refinement pass; returns the new pyramid plus intermediates."""
-    if config is None:
-        config = params.config
-    if pyramid.channels != config.output_channels:
+    if pyramid.channels != params.config.output_channels:
         raise ConfigError(
             f"residual add needs pyramid channels == output_channels: "
-            f"{pyramid.channels} != {config.output_channels}")
+            f"{pyramid.channels} != {params.config.output_channels}")
 
-    coeffs = activate_coeffs(params.coeffs, config.normalized_fusion)
+    coeffs = activate_coeffs(params.coeffs)
     steps = _downsample_steps(pyramid)
     m_code = fuse_code_map(pyramid, coeffs.a, steps)
     basis_map = _conv(m_code, params.bases)
@@ -286,20 +274,19 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams,
                          refined=refined, out=out)
 
 
-def fpn_decode_once(pyramid: Pyramid, params: FpnParams,
-                    config: FpnConfig | None = None) -> Pyramid:
-    out, _ = fpn_decode_once_full(pyramid, params, config)
+def fpn_decode_once(pyramid: Pyramid, params: FpnParams) -> Pyramid:
+    out, _ = fpn_decode_once_full(pyramid, params)
     return out
 
 
-def fpn_decode(pyramid: Pyramid, params, config: FpnConfig | None = None) -> Pyramid:
+def fpn_decode(pyramid: Pyramid, params) -> Pyramid:
     """Apply the decoder k times.
 
     With share_params, `params` is a single record reused by every stage;
-    otherwise it must be a sequence of exactly k records.
+    otherwise it must be a sequence of exactly k records. The stage count
+    and sharing mode come from the config of the (first) record.
     """
-    if config is None:
-        config = params.config if isinstance(params, FpnParams) else params[0].config
+    config = params.config if isinstance(params, FpnParams) else params[0].config
 
     if config.share_params:
         if not isinstance(params, FpnParams):
@@ -316,5 +303,5 @@ def fpn_decode(pyramid: Pyramid, params, config: FpnConfig | None = None) -> Pyr
 
     out = pyramid
     for stage_params in stages:
-        out = fpn_decode_once(out, stage_params, config)
+        out = fpn_decode_once(out, stage_params)
     return out

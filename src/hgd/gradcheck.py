@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import GradcheckError
-from .tensor import Tensor
+from .tensor import GradcheckError, Tensor
 
 
 @dataclass

@@ -101,11 +101,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(np.asarray(x.data.sum(), dtype=x.dtype), (x,), "sum_all", bwd)
 
 
-class GradcheckError(RuntimeError):
-    """Raised when gradient verification cannot proceed (non-finite loss,
-    unsupported dtype) as opposed to merely reporting a mismatch."""
-
-
 # ReLU backward scale; != 1.0 only inside broken_relu_gradient() below.
 _RELU_GRAD_SCALE = 1.0
 
@@ -429,23 +424,6 @@ def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
     return _make(out, (coeffs, *tensors), "weighted_sum", bwd)
 
 
-def scale_to_sum(x: Tensor, total: float) -> Tensor:
-    """Rescale a vector so its entries sum to `total`.
-
-    The current sum must be positive; out = x * total / sum(x).
-    """
-    _check_rank(x, 1, "scale_to_sum input")
-    s = float(np.sum(x.data))
-    if s <= 0.0:
-        raise ValueError(f"scale_to_sum needs a positive current sum, got {s}")
-    factor = total / s
-
-    def bwd(g):
-        if _need(x):
-            inner = np.sum(g * x.data)
-            _acc(x, factor * g - (total / (s * s)) * inner)
-
-    return _make(x.data * factor, (x,), "scale_to_sum", bwd)
 
 
 # ----------------------------------------------------------- reductions etc.

@@ -28,6 +28,11 @@ class ConfigError(ValueError):
     """Inconsistent configuration (channel widths, scale ratios, flags)."""
 
 
+class GradcheckError(RuntimeError):
+    """Raised when gradient verification cannot proceed (non-finite loss,
+    unsupported dtype) as opposed to merely reporting a mismatch."""
+
+
 class Tensor:
     """N-dimensional float array with an optional gradient buffer."""
 

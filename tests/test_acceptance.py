@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from hgd import ops
-from hgd.config import default_run_config, to_hgd_config
+from hgd.config import RunConfig
 from hgd.costmodel import emit_report, efficientfcn_spec, fpn_spec, resnet_spec
 from hgd.decoder import (Codewords, HgdConfig, assemble_from, codewords_from,
                          hgd_forward, hgd_forward_full, init_hgd_params)
@@ -134,7 +134,7 @@ def test_criterion_03_gradient_checks_every_group():
 def test_criterion_04_default_config_shape_contract():
     """A 512x512 input under the default decoder settings yields a fused
     map of 2048 channels (1024 codeword + 1024 guidance) on the x8 grid."""
-    cfg = to_hgd_config(default_run_config())
+    cfg = RunConfig().hgd
     rng = np.random.default_rng(44)
     params = init_hgd_params((512, 1024, 2048), cfg, rng, dtype=np.float32)
     e8 = Tensor(rng.standard_normal((512, 64, 64)).astype(np.float32))

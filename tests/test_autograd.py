@@ -6,6 +6,7 @@ import pytest
 from hgd import Tensor, ComputeGraph, backward
 from hgd import ops
 from hgd.gradcheck import gradcheck, finite_difference
+from hgd.tensor import GradcheckError
 
 
 def t(arr, grad=True):
@@ -268,7 +269,7 @@ def test_gradcheck_aborts_on_nonfinite_loss():
         bad = Tensor(np.array([np.inf]))
         return ops.sum_all(ops.mul(x, bad))
 
-    with pytest.raises(ops.GradcheckError):
+    with pytest.raises(GradcheckError):
         gradcheck(build, [("x", x)], step=1e-6, tol=1e-5)
 
 

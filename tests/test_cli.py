@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -253,3 +254,26 @@ def test_config_error_surfaces_as_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "demo-seg", "--config", cfg, "--out", str(tmp_path / "x"))
     assert code == 2
     assert "unknown keys" in err
+
+
+@pytest.mark.parametrize("path,value", [("task", []), ("precision", {}),
+                                        ("train.base_lr", float("nan")),
+                                        ("train.base_lr", -1),
+                                        ("train.weight_decay", -1e-4)],
+                         ids=["task-list", "precision-object", "lr-nan", "lr-negative",
+                              "decay-negative"])
+@pytest.mark.parametrize("command", ["demo-seg", "gradcheck"])
+def test_malformed_config_value_is_exit_two(tmp_path, capsys, command, path, value):
+    doc = copy.deepcopy(TINY_SEG)
+    *sections, key = path.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    if command == "demo-seg":
+        argv += ["--out", str(tmp_path / "x")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"config error: config.{path.split('.')[0]}" in err
+    assert out == ""

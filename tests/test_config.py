@@ -1,28 +1,47 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgd.config import (RunConfig, default_run_config, dtype_of, load_run_config,
-                        parse_run_config, to_fpn_config, to_hgd_config,
-                        to_train_config)
+from hgd.config import RunConfig, dtype_of, load_run_config, parse_run_config
+from hgd.decoder import HgdConfig
+from hgd.efficientfcn import TrainConfig
+from hgd.fpn import FpnConfig
 from hgd.tensor import ConfigError
+
+# the documented JSON key -> dataclass field map, per section
+KEY_FIELDS = {
+    None: {k: k for k in ("task", "seed", "input_size", "num_classes", "precision")},
+    "hgd": {"n": "n_codewords", "codeword_dim": "codeword_dim",
+            "compressed": "compressed_channels", "guidance": "guidance_channels",
+            "transfer": "transfer_enabled"},
+    "fpn": {"n": "n_codewords", "c": "codeword_dim", "k": "k_recurrence",
+            "share_params": "share_params"},
+    "train": {k: k for k in ("base_lr", "power", "momentum", "weight_decay",
+                             "max_iter", "batch")},
+}
 
 
 def test_defaults_mirror_reference_settings():
-    run = default_run_config()
+    run = RunConfig()
     assert run.task == "seg"
     assert run.precision == "f32"
     assert run.input_size == 512
     assert run.num_classes == 60
-    assert (run.hgd.n, run.hgd.codeword_dim) == (256, 1024)
-    assert (run.hgd.compressed, run.hgd.guidance, run.hgd.transfer) == (512, 1024, True)
-    assert (run.fpn.n, run.fpn.c, run.fpn.k, run.fpn.share_params) == (128, 512, 4, True)
+    assert (run.hgd.n_codewords, run.hgd.codeword_dim) == (256, 1024)
+    assert (run.hgd.compressed_channels, run.hgd.guidance_channels,
+            run.hgd.transfer_enabled) == (512, 1024, True)
+    assert (run.fpn.n_codewords, run.fpn.codeword_dim, run.fpn.k_recurrence,
+            run.fpn.share_params) == (128, 512, 4, True)
     assert run.train.max_iter == 500
 
 
 def test_empty_document_gives_defaults():
-    assert parse_run_config({}) == default_run_config()
+    assert parse_run_config({}) == RunConfig()
 
 
 def test_unknown_top_level_key_rejected():
@@ -42,6 +61,13 @@ def test_bad_enum_values_rejected():
         parse_run_config({"task": "detection"})
     with pytest.raises(ConfigError, match="precision"):
         parse_run_config({"precision": "f16"})
+
+
+@pytest.mark.parametrize("doc", [{"task": []}, {"precision": {}}, {"task": 1}])
+def test_non_string_enum_values_rejected(doc):
+    key = next(iter(doc))
+    with pytest.raises(ConfigError, match=f"config.{key} must be a string"):
+        parse_run_config(doc)
 
 
 def test_range_validation():
@@ -72,29 +98,122 @@ def test_float_fields_accept_integers():
     assert run.train.base_lr == 1.0
 
 
+@pytest.mark.parametrize("key,value", [("base_lr", math.nan), ("power", math.inf),
+                                       ("momentum", -math.inf), ("weight_decay", 10 ** 400)],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+def test_float_fields_reject_non_finite(key, value):
+    with pytest.raises(ConfigError, match=f"config.train.{key} must be a finite number"):
+        parse_run_config({"train": {key: value}})
+
+
+@pytest.mark.parametrize("key", ["base_lr", "weight_decay"])
+def test_negative_learning_rate_and_decay_rejected(key):
+    with pytest.raises(ConfigError, match=f"config.train: .*{key}"):
+        parse_run_config({"train": {key: -1}})
+    assert getattr(parse_run_config({"train": {key: 0}}).train, key) == 0.0
+
+
 def test_transfer_needs_matching_dims():
-    with pytest.raises(ConfigError, match="guidance == codeword_dim"):
+    with pytest.raises(ConfigError, match="config.hgd: transfer needs guidance == codeword_dim"):
         parse_run_config({"hgd": {"guidance": 512}})
     run = parse_run_config({"hgd": {"guidance": 512, "transfer": False}})
-    assert run.hgd.guidance == 512
+    assert run.hgd.guidance_channels == 512
 
 
-def test_converters_map_every_field():
-    run = parse_run_config({
-        "hgd": {"n": 4, "codeword_dim": 16, "compressed": 8, "guidance": 16},
-        "fpn": {"n": 3, "c": 7, "k": 2, "share_params": False},
-        "train": {"base_lr": 0.5, "power": 0.8, "momentum": 0.7,
-                  "weight_decay": 0.0, "max_iter": 9, "batch": 2},
-    })
-    h = to_hgd_config(run)
-    assert (h.n_codewords, h.codeword_dim) == (4, 16)
-    assert (h.compressed_channels, h.guidance_channels, h.transfer_enabled) == (8, 16, True)
-    f = to_fpn_config(run, output_channels=6)
-    assert (f.n_codewords, f.codeword_dim, f.k_recurrence) == (3, 7, 2)
-    assert (f.share_params, f.output_channels) == (False, 6)
-    t = to_train_config(run)
-    assert (t.base_lr, t.power, t.momentum) == (0.5, 0.8, 0.7)
-    assert (t.weight_decay, t.max_iter, t.batch) == (0.0, 9, 2)
+def test_dataclass_rules_hold_outside_the_parser():
+    with pytest.raises(ConfigError, match="base_lr"):
+        TrainConfig(base_lr=-0.1)
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1)
+
+
+# ------------------------------------------------------- property tests
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_counts = st.integers(1, 4096)
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid document: each key present or not, values inside the ranges."""
+    values = {
+        None: {"task": st.sampled_from(["seg", "fpn"]), "seed": st.integers(0, 2 ** 40),
+               "input_size": st.integers(1, 64).map(lambda m: 32 * m),
+               "num_classes": st.integers(2, 300),
+               "precision": st.sampled_from(["f32", "f64"])},
+        "hgd": {"n": _counts, "codeword_dim": _counts, "compressed": _counts,
+                "guidance": _counts, "transfer": st.booleans()},
+        "fpn": {"n": _counts, "c": _counts, "k": st.integers(1, 16),
+                "share_params": st.booleans()},
+        "train": {"base_lr": st.floats(0, 10) | st.integers(0, 10),
+                  "power": st.floats(1e-3, 5), "momentum": _finite,
+                  "weight_decay": st.floats(0, 1), "max_iter": st.integers(1, 10 ** 6),
+                  "batch": st.integers(1, 64)},
+    }
+    doc = {}
+    for section, keys in values.items():
+        target = doc if section is None else {}
+        for key, strategy in keys.items():
+            if draw(st.booleans()):
+                target[key] = draw(strategy)
+        if section is not None and (target or draw(st.booleans())):
+            doc[section] = target
+    hgd = doc.get("hgd", {})
+    if hgd.get("transfer", True) and ("codeword_dim" in hgd or "guidance" in hgd):
+        # transfer needs both widths equal: set both to one drawn width
+        hgd["codeword_dim"] = hgd["guidance"] = draw(_counts)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_documents())
+def test_key_map_round_trips_every_field(doc):
+    run = parse_run_config(doc)
+    defaults = {None: RunConfig(), "hgd": HgdConfig(), "fpn": FpnConfig(),
+                "train": TrainConfig()}
+    for section, key_fields in KEY_FIELDS.items():
+        built = run if section is None else getattr(run, section)
+        given_values = doc if section is None else doc.get(section, {})
+        for key, name in key_fields.items():
+            want = given_values.get(key, getattr(defaults[section], name))
+            got = getattr(built, name)
+            assert got == want and type(got) is type(getattr(defaults[section], name))
+    # fields without a JSON key keep their defaults
+    assert run.fpn.output_channels == FpnConfig().output_channels
+    assert run.hgd.fused_scales == HgdConfig().fused_scales
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2, 600)
+                | st.floats() | st.text(max_size=6)
+                | st.sampled_from(["seg", "fpn", "f32", "f64"]))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _with_unknown(keys):
+    return st.sampled_from(sorted(keys)) | st.text(max_size=6)
+
+
+_fuzz_documents = st.dictionaries(
+    _with_unknown([*KEY_FIELDS[None], "hgd", "fpn", "train"]),
+    _json_values | st.one_of(*[st.dictionaries(_with_unknown(KEY_FIELDS[s]), _json_values,
+                                               max_size=5)
+                               for s in ("hgd", "fpn", "train")]),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_documents)
+def test_parse_returns_run_config_or_raises_config_error(doc):
+    try:
+        run = parse_run_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(run, RunConfig)
+    assert all(math.isfinite(v) for v in dataclasses.astuple(run.train))
 
 
 def test_dtype_selection():

@@ -255,10 +255,10 @@ def test_hgd_forward_output_shape_and_composition():
     cfg = toy_config()
     params = init_hgd_params((6, 7, 9), cfg, rng)
     e8, e16, e32 = toy_inputs(rng)
-    out = hgd_forward(e8, e16, e32, params, cfg)
+    out = hgd_forward(e8, e16, e32, params)
     assert out.dims == (cfg.codeword_dim + cfg.guidance_channels, 8, 8)
 
-    trace = hgd_forward_full(e8, e16, e32, params, cfg)
+    trace = hgd_forward_full(e8, e16, e32, params)
     assert np.array_equal(trace.fused.data, out.data)
     assert np.array_equal(trace.fused.data[:cfg.codeword_dim], trace.assembled.data)
     assert np.array_equal(trace.fused.data[cfg.codeword_dim:], trace.guidance.data)
@@ -272,7 +272,7 @@ def test_hgd_forward_spatial_contract_follows_finest_input():
         e8 = t(rng.normal(size=(3, h8, w8)))
         e16 = t(rng.normal(size=(4, h8 // 2, w8 // 2)))
         e32 = t(rng.normal(size=(5, h8 // 4, w8 // 4)))
-        out = hgd_forward(e8, e16, e32, params, cfg)
+        out = hgd_forward(e8, e16, e32, params)
         assert out.dims[1:] == (h8, w8)
 
 
@@ -281,14 +281,14 @@ def test_codeword_permutation_equivariance():
     cfg = toy_config(n_codewords=5)
     params = init_hgd_params((6, 7, 9), cfg, rng)
     e8, e16, e32 = toy_inputs(rng)
-    base = hgd_forward(e8, e16, e32, params, cfg).data.copy()
+    base = hgd_forward(e8, e16, e32, params).data.copy()
 
     perm = rng.permutation(5)
     params.weighting.weight.data[:] = params.weighting.weight.data[perm]
     params.weighting.bias.data[:] = params.weighting.bias.data[perm]
     params.assembly.weight.data[:] = params.assembly.weight.data[perm]
     params.assembly.bias.data[:] = params.assembly.bias.data[perm]
-    permuted = hgd_forward(e8, e16, e32, params, cfg).data
+    permuted = hgd_forward(e8, e16, e32, params).data
     assert np.max(np.abs(permuted - base)) <= 1e-10
 
 
@@ -297,9 +297,9 @@ def test_weighting_bias_shift_leaves_codewords_unchanged():
     cfg = toy_config()
     params = init_hgd_params((6, 7, 9), cfg, rng)
     e8, e16, e32 = toy_inputs(rng)
-    first = hgd_forward_full(e8, e16, e32, params, cfg)
+    first = hgd_forward_full(e8, e16, e32, params)
     params.weighting.bias.data[:] += 3.7
-    second = hgd_forward_full(e8, e16, e32, params, cfg)
+    second = hgd_forward_full(e8, e16, e32, params)
     assert np.max(np.abs(first.codewords.matrix.data - second.codewords.matrix.data)) <= 1e-10
     assert np.max(np.abs(first.fused.data - second.fused.data)) <= 1e-10
 
@@ -315,7 +315,7 @@ def test_hgd_forward_gradcheck_all_kernels():
     probe = Tensor(rng.normal(size=(8, 8, 8)))
 
     def build():
-        return ops.sum_all(ops.mul(hgd_forward(e8, e16, e32, params, cfg), probe))
+        return ops.sum_all(ops.mul(hgd_forward(e8, e16, e32, params), probe))
 
     reports = gradcheck(build, list(params.named_parameters()), step=1e-6, tol=1e-5,
                         max_per_param=8)

@@ -126,29 +126,7 @@ def test_activate_coeffs_keeps_unit_init():
         assert np.array_equal(v.data, np.ones(3))
 
 
-def test_activate_coeffs_normalized_sums_to_length():
-    raw = FusionCoeffs(a=vec([2.0, -1.0, 3.0, 0.5, 0.0]),
-                       r=vec([1.0, 2.0, 3.0]),
-                       s=vec([0.5, 0.5, 0.5]),
-                       t=vec([4.0, -2.0, 1.0]))
-    act = activate_coeffs(raw, normalized=True)
-    assert abs(float(np.sum(act.a.data)) - 5.0) <= 1e-12
-    for v in (act.r, act.s, act.t):
-        assert abs(float(np.sum(v.data)) - 3.0) <= 1e-12
-    assert np.min(act.a.data) >= 0.0
-    # proportions preserved: 1:2:3 stays 1:2:3
-    assert np.allclose(act.r.data, [0.5, 1.0, 1.5], atol=1e-15)
-
-
-def test_activate_coeffs_normalized_rejects_nonpositive_sum():
-    raw = init_fusion_coeffs()
-    raw.a.data[:] = [-1.0, -2.0, 0.0, -0.5, 0.0]
-    with pytest.raises(ValueError, match="positive"):
-        activate_coeffs(raw, normalized=True)
-
-
-@pytest.mark.parametrize("normalized", [False, True])
-def test_activate_coeffs_gradient(normalized):
+def test_activate_coeffs_gradient():
     rng = np.random.default_rng(3)
     raw = init_fusion_coeffs()
     for v in (raw.a, raw.r, raw.s, raw.t):
@@ -158,7 +136,7 @@ def test_activate_coeffs_gradient(normalized):
                for name, t in raw.named("coeffs")}
 
     def build():
-        act = activate_coeffs(raw, normalized=normalized)
+        act = activate_coeffs(raw)
         total = None
         for name, t in act.named("coeffs"):
             term = ops.sum_all(ops.mul(t, weights[name]))
@@ -393,26 +371,26 @@ def test_unshared_stack_composes_independent_records():
     stack = init_fpn_stack(cfg, np.random.default_rng(27))
     assert len(stack) == 3
     pyr = rand_pyramid(np.random.default_rng(28), channels=8)
-    out = fpn_decode(pyr, stack, cfg)
+    out = fpn_decode(pyr, stack)
     manual = pyr
     for record in stack:
-        manual = fpn_decode_once(manual, record, cfg)
+        manual = fpn_decode_once(manual, record)
     for got, want in zip(out.levels(), manual.levels()):
         assert np.array_equal(got.data, want.data)
 
 
 def test_decode_rejects_mismatched_parameter_form():
-    shared_cfg = tiny_fpn_config()
-    params = init_fpn_params(shared_cfg, np.random.default_rng(29))
+    params = init_fpn_params(tiny_fpn_config(), np.random.default_rng(29))
     pyr = rand_pyramid(np.random.default_rng(30), channels=8)
     with pytest.raises(ConfigError):
-        fpn_decode(pyr, [params, params], shared_cfg)
+        fpn_decode(pyr, [params, params])
     unshared = FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=2,
                          share_params=False, output_channels=8)
+    record = init_fpn_params(unshared, np.random.default_rng(29))
     with pytest.raises(ConfigError):
-        fpn_decode(pyr, params, unshared)
+        fpn_decode(pyr, record)
     with pytest.raises(ConfigError, match="stage"):
-        fpn_decode(pyr, [params], unshared)
+        fpn_decode(pyr, [record])
 
 
 def test_shared_parameter_count_is_k_independent():
