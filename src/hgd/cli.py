@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ops
+from . import ops, parse_thread_cap
 from .config import RunConfig, dtype_of, load_run_config
 from .costmodel import (DETECTION_INPUT, efficientfcn_spec, emit_report,
                         fpn_spec, report_csv, resnet_spec, unet_spec)
@@ -35,8 +35,8 @@ from .decoder import hgd_forward_full
 from .efficientfcn import (ToyBackboneConfig, backbone_forward, init_seg_params,
                            segment_forward, tiny_backbone_config, tiny_hgd_config,
                            tiny_train_config, train_segmenter)
-from .fpn import (Pyramid, fpn_decode_once_full, init_fpn_params, init_fpn_stack,
-                  tiny_fpn_config)
+from .fpn import (Pyramid, fpn_decode_once_full, fpn_stages, init_fpn_params,
+                  init_fpn_stack, level_grids, tiny_fpn_config)
 from .gradcheck import gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor
 from .synthdata import synth_dataset
@@ -47,14 +47,11 @@ _LEVEL_STRIDES = (("p3", 4), ("p4", 8), ("p5", 16), ("p6", 32), ("p7", 64))
 
 def _check_thread_cap():
     raw = os.environ.get("HGD_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"HGD_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"HGD_THREADS must be at least 1, got {cap}")
+    if raw is not None:
+        try:
+            parse_thread_cap(raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- gradcheck
@@ -88,13 +85,9 @@ def cmd_gradcheck(args) -> int:
 
     fpn_cfg = tiny_fpn_config()
     fpn_params = init_fpn_params(fpn_cfg, rng)
-    levels = []
-    h = w = 16
-    for _ in range(5):
-        # moderate magnitudes keep the central differences well conditioned
-        levels.append(Tensor(0.5 * rng.standard_normal((fpn_cfg.output_channels, h, w))))
-        h, w = (h + 1) // 2, (w + 1) // 2
-    pyramid = Pyramid(*levels)
+    # moderate magnitudes keep the central differences well conditioned
+    pyramid = Pyramid(*[Tensor(0.5 * rng.standard_normal((fpn_cfg.output_channels, h, w)))
+                        for h, w in level_grids((16, 16))])
 
     count = sum(lvl.data.size for lvl in pyramid.levels())
 
@@ -260,22 +253,10 @@ def cmd_demo_fpn(args) -> int:
         seed = 0
 
     rng = np.random.default_rng(seed)
-    levels = []
-    h = w = base
-    for _ in range(5):
-        levels.append(Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt)))
-        h, w = (h + 1) // 2, (w + 1) // 2
-    pyramid = Pyramid(*levels)
-
-    init_rng = np.random.default_rng(seed + 1)
-    if cfg.share_params:
-        stack = [init_fpn_params(cfg, init_rng, dt)] * cfg.k_recurrence
-    else:
-        stack = list(init_fpn_stack(cfg, init_rng, dt))
-
-    current = pyramid
-    trace = None
-    for stage_params in stack:
+    current = Pyramid(*[Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt))
+                        for h, w in level_grids((base, base))])
+    params = init_fpn_stack(cfg, np.random.default_rng(seed + 1), dt)
+    for stage_params in fpn_stages(params):
         current, trace = fpn_decode_once_full(current, stage_params)
 
     entries = {}

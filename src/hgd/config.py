@@ -122,7 +122,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON, not UTF-8, or an over-long integer
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

@@ -25,7 +25,7 @@ tightly from those rows.
 from dataclasses import dataclass, field
 
 from .efficientfcn import tiny_backbone_config, tiny_hgd_config
-from .fpn import tiny_fpn_config
+from .fpn import level_grids, tiny_fpn_config
 from .tensor import ConfigError
 
 CONVENTION_NOTE = ("1 MAC = 1 FLOP; resize/pool/activation/elementwise = 0 MACs; "
@@ -266,16 +266,7 @@ DETECTION_INPUT = (896, 1408)
 
 def _pyramid_grids(input_hw):
     """Level grids at output strides 4..64, ceil division per halving."""
-    h, w = input_hw
-    grids = {}
-    for level, stride in zip(range(3, 8), (4, 8, 16, 32, 64)):
-        gh, gw = h, w
-        s = stride
-        while s > 1:
-            gh, gw = (gh + 1) // 2, (gw + 1) // 2
-            s //= 2
-        grids[level] = (gh, gw)
-    return grids
+    return dict(zip(range(3, 8), level_grids(level_grids(input_hw)[2])))
 
 
 def fpn_baseline_spec(input_hw=DETECTION_INPUT, proposals=1000,
@@ -374,11 +365,7 @@ def fpn_spec(variant, n=None, c=None, k=4, input_hw=None,
         c = toy.codeword_dim if c is None else c
         input_hw = input_hw or (16, 16)
         # toy pyramid levels run from the input size down, not from stride 4
-        h, w = input_hw
-        grids = {}
-        for level in range(3, 8):
-            grids[level] = (h, w)
-            h, w = (h + 1) // 2, (w + 1) // 2
+        grids = dict(zip(range(3, 8), level_grids(input_hw)))
         rows = []
         for stage in range(k):
             rows += _decoder_stage_rows(stage, grids, toy.output_channels, n, c, kernel=1,

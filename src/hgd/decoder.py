@@ -21,7 +21,7 @@ activation inside the decoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class HgdConfig:
                 or tuple(sorted(scales)) != scales:
             raise ConfigError(
                 f"fused_scales must be an ascending subset of {_KNOWN_SCALES}, got {scales}")
-
-
-@dataclass
-class Codewords:
-    """Matrix of codeword column vectors, codeword_dim x n_codewords."""
-    matrix: Tensor
 
 
 @dataclass
@@ -105,23 +99,23 @@ def _conv(x: Tensor, p: ConvParams) -> Tensor:
 
 # --------------------------------------------------------------- the math
 
-def codewords_from(bases: Tensor, weights: Tensor) -> Codewords:
-    """Codeword i = sum over positions of weights_i(p,q) * bases(p,q)."""
+def codewords_from(bases: Tensor, weights: Tensor) -> Tensor:
+    """Codeword matrix (dim x n): codeword i = sum over positions of weights_i(p,q) * bases(p,q)."""
     dim, h, w = bases.dims
     n = weights.dims[0]
     if weights.dims[1:] != (h, w):
         raise ConfigError(f"weighting grid {weights.dims[1:]} != bases grid {(h, w)}")
     bases_mat = ops.reshape(bases, (dim, h * w))
     weights_mat = ops.reshape(weights, (n, h * w))
-    return Codewords(matrix=ops.matmul(bases_mat, ops.transpose(weights_mat)))
+    return ops.matmul(bases_mat, ops.transpose(weights_mat))
 
 
-def assemble_from(coeffs: Tensor, codewords: Codewords) -> Tensor:
+def assemble_from(coeffs: Tensor, codewords: Tensor) -> Tensor:
     """Per-pixel linear combination: out(x,y) = sum_i coeffs_i(x,y) * codeword_i."""
     n, h, w = coeffs.dims
-    dim = codewords.matrix.dims[0]
+    dim = codewords.dims[0]
     coeffs_mat = ops.reshape(coeffs, (n, h * w))
-    return ops.reshape(ops.matmul(codewords.matrix, coeffs_mat), (dim, h, w))
+    return ops.reshape(ops.matmul(codewords, coeffs_mat), (dim, h, w))
 
 
 # ----------------------------------------------------------- the pipeline
@@ -154,8 +148,9 @@ def fuse_multiscale(e8: Tensor, e16: Tensor, e32: Tensor, params: HgdParams):
     return m8, m32
 
 
-def generate_codewords(m32: Tensor, params: HgdParams):
-    """Bases map, softmax weighting map, and the codeword matrix from m32."""
+def generate_codewords(m32: Tensor, params):
+    """Codeword matrix, bases map and softmax weighting map from m32, by the
+    `bases` and `weighting` convs of `params` (HgdParams or FpnParams)."""
     bases = _conv(m32, params.bases)
     weights = ops.softmax_spatial(_conv(m32, params.weighting))
     return codewords_from(bases, weights), bases, weights
@@ -173,9 +168,11 @@ def build_guidance(m8: Tensor, bases: Tensor, params: HgdParams, transfer_enable
     return g, ops.broadcast_add_channel(g, ops.global_avg_spatial(bases))
 
 
-def assemble(g_fused: Tensor, codewords: Codewords, params: HgdParams) -> Tensor:
-    """Predict per-codeword coefficients from the guidance and reconstruct."""
-    return assemble_from(_conv(g_fused, params.assembly), codewords)
+def assemble(g_fused: Tensor, codewords: Tensor, params):
+    """Reconstructed map and the per-pixel codeword coefficients that the
+    `assembly` conv of `params` (HgdParams or a ScaleBranch) predicts."""
+    coeffs = _conv(g_fused, params.assembly)
+    return assemble_from(coeffs, codewords), coeffs
 
 
 @dataclass
@@ -186,7 +183,7 @@ class HgdTrace:
     guidance: Tensor         # G
     guidance_fused: Tensor   # G plus mean bases vector (or G itself)
     coeffs: Tensor           # per-pixel codeword coefficients
-    codewords: Codewords
+    codewords: Tensor        # codeword_dim x n_codewords
     bases: Tensor
     weights: Tensor          # softmax weighting maps
     m8: Tensor
@@ -198,8 +195,7 @@ def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
     codewords, bases, weights = generate_codewords(m32, params)
     guidance, guidance_fused = build_guidance(m8, bases, params,
                                               params.config.transfer_enabled)
-    coeffs = _conv(guidance_fused, params.assembly)
-    assembled = assemble_from(coeffs, codewords)
+    assembled, coeffs = assemble(guidance_fused, codewords, params)
     fused = ops.concat_channels([assembled, guidance])
     return HgdTrace(fused=fused, assembled=assembled, guidance=guidance,
                     guidance_fused=guidance_fused, coeffs=coeffs, codewords=codewords,

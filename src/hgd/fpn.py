@@ -12,9 +12,9 @@ the effective combination is non-negative but otherwise unconstrained.
 The decoder can be applied repeatedly; with shared parameters the stack
 size does not change the parameter count.
 
-Both fusers start from the same one-step max-pool downsamplings (p3->p4,
-p4->p5, p5->p6); a decode stage computes each of them once and passes them
-to both, so a stage runs 7 poolings instead of 10.
+A stage generates and assembles codewords with the segmentation decoder's
+own blocks. Both fusers take the one-step max-pool downsamplings (p3->p4,
+p4->p5, p5->p6) that a stage computes once, so it runs 7 poolings, not 10.
 """
 
 from dataclasses import dataclass
@@ -22,11 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .decoder import Codewords, ConfigError, assemble_from, codewords_from
+from .decoder import _conv, assemble, generate_codewords
 from .params import ConvParams, conv1x1_params
-from .tensor import Tensor
+from .tensor import ConfigError, Tensor
 
 _LEVEL_NAMES = ("p3", "p4", "p5", "p6", "p7")
+
+
+def level_grids(finest):
+    """Five level grids (h, w) from the finest, each the last halved rounding up."""
+    grids = [tuple(finest)]
+    while len(grids) < 5:
+        h, w = grids[-1]
+        grids.append(((h + 1) // 2, (w + 1) // 2))
+    return grids
 
 
 @dataclass
@@ -48,11 +57,10 @@ class Pyramid:
             if level.dims[0] != channels:
                 raise ConfigError(
                     f"pyramid channels differ: {name} has {level.dims[0]}, p3 has {channels}")
-        for (na, a), (nb, b) in zip(zip(_LEVEL_NAMES, maps), list(zip(_LEVEL_NAMES, maps))[1:]):
-            eh, ew = (a.dims[1] + 1) // 2, (a.dims[2] + 1) // 2
-            if b.dims[1:] != (eh, ew):
-                raise ConfigError(
-                    f"{nb} must be {na} halved to ({eh},{ew}), got {b.dims[1:]}")
+        for i, (eh, ew) in enumerate(level_grids(maps[0].dims[1:])[1:], 1):
+            if maps[i].dims[1:] != (eh, ew):
+                raise ConfigError(f"{_LEVEL_NAMES[i]} must be {_LEVEL_NAMES[i - 1]} "
+                                  f"halved to ({eh},{ew}), got {maps[i].dims[1:]}")
 
     def levels(self):
         return (self.p3, self.p4, self.p5, self.p6, self.p7)
@@ -160,7 +168,9 @@ def init_fpn_params(config: FpnConfig, rng, dtype=np.float64) -> FpnParams:
 
 
 def init_fpn_stack(config: FpnConfig, rng, dtype=np.float64):
-    """Independent parameter records for an unshared stack of k stages."""
+    """One record every stage reuses with share_params, else k independent ones."""
+    if config.share_params:
+        return init_fpn_params(config, rng, dtype)
     return tuple(init_fpn_params(config, rng, dtype)
                  for _ in range(config.k_recurrence))
 
@@ -187,36 +197,27 @@ def _up(x: Tensor, target: Tensor) -> Tensor:
     return ops.nearest_resize(x, target.dims[1], target.dims[2])
 
 
-def _downsample_steps(pyramid: Pyramid):
-    """The one-step downsamplings p3->p4, p4->p5 and p5->p6 that both fusers
-    start from; a decode stage computes them once and shares them."""
-    p3, p4, p5, p6, _ = pyramid.levels()
-    return _down(p3, p4), _down(p4, p5), _down(p5, p6)
-
-
-def fuse_code_map(pyramid: Pyramid, a: Tensor, steps=None) -> Tensor:
+def fuse_code_map(pyramid: Pyramid, a: Tensor, steps) -> Tensor:
     """Weighted sum of all five levels on the second-coarsest grid.
 
     Coefficient order: up(p7), p6, down(p5), down^2(p4), down^3(p3).
     `a` is expected to be non-negative already (see activate_coeffs).
-    `steps` optionally supplies the one-step downsamplings
-    (p3->p4, p4->p5, p5->p6) when the caller already has them.
+    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6).
     """
     _, _, p5, p6, p7 = pyramid.levels()
-    d34, d45, d56 = _downsample_steps(pyramid) if steps is None else steps
+    d34, d45, d56 = steps
     d4 = _down(d45, p6)
     d3 = _down(_down(d34, p5), p6)
     return ops.weighted_sum(a, [_up(p7, p6), p6, d56, d4, d3])
 
 
-def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps=None):
+def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
     """Per-scale three-level fusions (coarser neighbor up, self, finer down).
 
-    `steps` optionally supplies the one-step downsamplings
-    (p3->p4, p4->p5, p5->p6) when the caller already has them.
+    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6).
     """
     _, p4, p5, p6, p7 = pyramid.levels()
-    d34, d45, d56 = _downsample_steps(pyramid) if steps is None else steps
+    d34, d45, d56 = steps
     m4 = ops.weighted_sum(r, [_up(p5, p4), p4, d34])
     m5 = ops.weighted_sum(s, [_up(p6, p5), p5, d45])
     m6 = ops.weighted_sum(t, [_up(p7, p6), p6, d56])
@@ -230,15 +231,11 @@ class FpnTrace:
     m_code: Tensor
     basis_map: Tensor
     attention: Tensor
-    codewords: Codewords
+    codewords: Tensor
     fused: dict
     guidance: dict
     refined: dict
     out: Pyramid
-
-
-def _conv(x: Tensor, p: ConvParams) -> Tensor:
-    return ops.conv1x1(x, p.weight, p.bias)
 
 
 def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
@@ -249,23 +246,21 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
             f"{pyramid.channels} != {params.config.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
-    steps = _downsample_steps(pyramid)
+    p3, p4, p5, p6, p7 = pyramid.levels()
+    steps = (_down(p3, p4), _down(p4, p5), _down(p5, p6))
     m_code = fuse_code_map(pyramid, coeffs.a, steps)
-    basis_map = _conv(m_code, params.bases)
-    attention = ops.softmax_spatial(_conv(m_code, params.weighting))
-    codewords = codewords_from(basis_map, attention)
+    codewords, basis_map, attention = generate_codewords(m_code, params)
 
     m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
     fused = {4: m4, 5: m5, 6: m6}
-    guidance = {}
-    refined = {}
+    guidance, refined = {}, {}
     for level, branch in zip((4, 5, 6), params.branches()):
         g = _conv(fused[level], branch.guidance)
-        assembled = assemble_from(_conv(g, branch.assembly), codewords)
+        assembled, _ = assemble(g, codewords, branch)
         refined[level] = _conv(ops.concat_channels([assembled, g]), branch.project)
         guidance[level] = g
-    refined[3] = _up(refined[4], pyramid.p3)
-    refined[7] = _down(refined[6], pyramid.p7)
+    refined[3] = _up(refined[4], p3)
+    refined[7] = _down(refined[6], p7)
 
     out = Pyramid(*[ops.add(level, refined[idx])
                     for idx, level in zip(range(3, 8), pyramid.levels())])
@@ -279,29 +274,28 @@ def fpn_decode_once(pyramid: Pyramid, params: FpnParams) -> Pyramid:
     return out
 
 
+def fpn_stages(params) -> list:
+    """The record of each decode stage: `params` is one record with
+    share_params, else a sequence of exactly k (the form init_fpn_stack
+    builds); k and the sharing mode come from the (first) record's config."""
+    if isinstance(params, FpnParams):
+        if not params.config.share_params:
+            raise ConfigError("share_params=False expects one parameter record per stage")
+        return [params] * params.config.k_recurrence
+    stages = list(params)
+    if not stages:
+        raise ConfigError("expected one parameter record per stage, got none")
+    if stages[0].config.share_params:
+        raise ConfigError("share_params=True expects a single parameter record")
+    if len(stages) != stages[0].config.k_recurrence:
+        raise ConfigError(
+            f"expected {stages[0].config.k_recurrence} stage records, got {len(stages)}")
+    return stages
+
+
 def fpn_decode(pyramid: Pyramid, params) -> Pyramid:
-    """Apply the decoder k times.
-
-    With share_params, `params` is a single record reused by every stage;
-    otherwise it must be a sequence of exactly k records. The stage count
-    and sharing mode come from the config of the (first) record.
-    """
-    config = params.config if isinstance(params, FpnParams) else params[0].config
-
-    if config.share_params:
-        if not isinstance(params, FpnParams):
-            raise ConfigError("share_params=True expects a single parameter record")
-        stages = [params] * config.k_recurrence
-    else:
-        if isinstance(params, FpnParams):
-            raise ConfigError(
-                "share_params=False expects one parameter record per stage")
-        stages = list(params)
-        if len(stages) != config.k_recurrence:
-            raise ConfigError(
-                f"expected {config.k_recurrence} stage records, got {len(stages)}")
-
+    """Apply the decoder k times (see fpn_stages for the form of `params`)."""
     out = pyramid
-    for stage_params in stages:
+    for stage_params in fpn_stages(params):
         out = fpn_decode_once(out, stage_params)
     return out

@@ -27,6 +27,10 @@ _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
+def _dtype_name(arr: np.ndarray) -> str:
+    return "f32" if arr.dtype == np.float32 else "f64"
+
+
 def _as_array(tensor_or_array) -> np.ndarray:
     if isinstance(tensor_or_array, Tensor):
         return tensor_or_array.data
@@ -109,7 +113,7 @@ def save_checkpoint(directory, named_tensors, meta: dict | None = None) -> None:
         entries[name] = {
             "file": f"{stem}.hgdt",
             "dims": list(arr.shape),
-            "dtype": "f32" if arr.dtype == np.float32 else "f64",
+            "dtype": _dtype_name(arr),
         }
     manifest = {"tensors": entries}
     if meta is not None:
@@ -118,13 +122,25 @@ def save_checkpoint(directory, named_tensors, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(directory) -> dict:
+    """Tensors by name; ValueError for a malformed manifest, a file outside
+    `directory`, or a file whose dims or dtype differ from its entry."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
+    try:
+        entries = [(name, (directory / e["file"]).resolve(), e["dims"], e["dtype"])
+                   for name, e in manifest["tensors"].items()]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{directory}: malformed manifest ({exc!r})") from None
+    root = directory.resolve()
     out = {}
-    for name, entry in manifest["tensors"].items():
-        arr = load_tensor(directory / entry["file"])
-        if list(arr.shape) != entry["dims"]:
-            raise ValueError(f"{name}: manifest dims {entry['dims']} != file dims {list(arr.shape)}")
+    for name, path, dims, dtype in entries:
+        if root not in path.parents:
+            raise ValueError(f"{name}: file {path} is outside {directory}")
+        arr = load_tensor(path)
+        if list(arr.shape) != dims:
+            raise ValueError(f"{name}: manifest dims {dims} != file dims {list(arr.shape)}")
+        if _dtype_name(arr) != dtype:
+            raise ValueError(f"{name}: manifest dtype {dtype!r} != file dtype {_dtype_name(arr)}")
         out[name] = arr
     return out
 

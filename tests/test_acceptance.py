@@ -14,7 +14,7 @@ import numpy as np
 from hgd import ops
 from hgd.config import RunConfig
 from hgd.costmodel import emit_report, efficientfcn_spec, fpn_spec, resnet_spec
-from hgd.decoder import (Codewords, HgdConfig, assemble_from, codewords_from,
+from hgd.decoder import (HgdConfig, assemble_from, codewords_from,
                          hgd_forward, hgd_forward_full, init_hgd_params)
 from hgd.efficientfcn import (init_seg_params, segment_forward, tiny_backbone_config,
                               tiny_hgd_config, tiny_train_config, train_segmenter)
@@ -70,7 +70,7 @@ def test_criterion_02_matmul_paths_equal_loop_oracles():
         w = int(rng.integers(1, 9))
         bases = rng.standard_normal((dim, h, w))
         weights = rng.standard_normal((n, h, w))
-        fast = codewords_from(Tensor(bases), Tensor(weights)).matrix.data
+        fast = codewords_from(Tensor(bases), Tensor(weights)).data
         oracle = np.zeros((dim, n))
         for i in range(n):
             for p in range(h):
@@ -81,8 +81,7 @@ def test_criterion_02_matmul_paths_equal_loop_oracles():
         h2 = int(rng.integers(1, 9))
         w2 = int(rng.integers(1, 9))
         coeffs = rng.standard_normal((n, h2, w2))
-        assembled = assemble_from(Tensor(coeffs),
-                                  Codewords(Tensor(oracle))).data
+        assembled = assemble_from(Tensor(coeffs), Tensor(oracle)).data
         loop = np.zeros((dim, h2, w2))
         for i in range(n):
             loop += coeffs[i] * oracle[:, i][:, None, None]

@@ -2,12 +2,18 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hgd.cli import main
 from hgd.hgdt import load_checkpoint, load_tensor, save_tensor
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +253,28 @@ def test_zero_thread_cap_rejected(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "cost", "resnet101")
     assert code == 2
     assert "HGD_THREADS" in err
+
+
+def test_invalid_thread_cap_sets_no_blas_variable():
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = SRC
+    probe = "import os, hgd; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    for raw, want in (("abc", "None"), ("0", "None"), ("3", "3")):
+        env["HGD_THREADS"] = raw
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == want, raw
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "huge-integer"])
+def test_unreadable_config_is_exit_two(tmp_path, capsys, raw):
+    path = tmp_path / "run.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "gradcheck", "--config", str(path))
+    assert code == 2
+    assert err.startswith("config error:")
+    assert out == ""
 
 
 def test_config_error_surfaces_as_exit_two(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from hgd import ops
 from hgd.tensor import Tensor, ConfigError
-from hgd import decoder
 from hgd.decoder import (HgdConfig, codewords_from, assemble_from, fuse_multiscale,
                          generate_codewords, build_guidance, assemble, hgd_forward,
                          hgd_forward_full, init_hgd_params)
@@ -44,9 +43,9 @@ def test_codewords_delta_weights_pick_one_bases_column():
     for i, (p, q) in enumerate(picks):
         weights[i, p, q] = 1.0
     cw = codewords_from(bases, t(weights))
-    assert cw.matrix.dims == (5, 3)
+    assert cw.dims == (5, 3)
     for i, (p, q) in enumerate(picks):
-        assert np.array_equal(cw.matrix.data[:, i], bases.data[:, p, q])
+        assert np.array_equal(cw.data[:, i], bases.data[:, p, q])
 
 
 def test_codewords_uniform_weights_give_spatial_mean():
@@ -56,7 +55,7 @@ def test_codewords_uniform_weights_give_spatial_mean():
     cw = codewords_from(bases, weights)
     mean = bases.data.mean(axis=(1, 2))
     for i in range(2):
-        assert np.max(np.abs(cw.matrix.data[:, i] - mean)) <= 1e-12
+        assert np.max(np.abs(cw.data[:, i] - mean)) <= 1e-12
 
 
 def codeword_loop_oracle(bases, weights):
@@ -79,7 +78,7 @@ def test_generate_codewords_matches_loop_oracle():
     assert bases.dims == (5, 4, 6)
     assert weights.dims == (3, 4, 6)
     expect = codeword_loop_oracle(bases.data, weights.data)
-    assert np.max(np.abs(cw.matrix.data - expect)) <= 1e-12
+    assert np.max(np.abs(cw.data - expect)) <= 1e-12
 
 
 def test_codeword_convexity_bound():
@@ -91,26 +90,26 @@ def test_codeword_convexity_bound():
     lo = bases.data.min(axis=(1, 2))
     hi = bases.data.max(axis=(1, 2))
     for i in range(4):
-        assert np.all(cw.matrix.data[:, i] >= lo - 1e-12)
-        assert np.all(cw.matrix.data[:, i] <= hi + 1e-12)
+        assert np.all(cw.data[:, i] >= lo - 1e-12)
+        assert np.all(cw.data[:, i] <= hi + 1e-12)
 
 
 # -------------------------------------------------------------- assembly
 
 def test_assemble_single_codeword_broadcasts_it():
     rng = np.random.default_rng(4)
-    cw = decoder.Codewords(matrix=t(rng.normal(size=(8, 1))))
+    cw = t(rng.normal(size=(8, 1)))
     coeffs = t(np.ones((1, 6, 6)))
     out = assemble_from(coeffs, cw)
     assert out.dims == (8, 6, 6)
     for x in range(6):
         for y in range(6):
-            assert np.array_equal(out.data[:, x, y], cw.matrix.data[:, 0])
+            assert np.array_equal(out.data[:, x, y], cw.data[:, 0])
 
 
 def test_assemble_one_hot_coeffs_select_codewords():
     rng = np.random.default_rng(5)
-    cw = decoder.Codewords(matrix=t(rng.normal(size=(8, 4))))
+    cw = t(rng.normal(size=(8, 4)))
     picks = rng.integers(0, 4, size=(3, 5))
     coeffs = np.zeros((4, 3, 5))
     for x in range(3):
@@ -119,7 +118,7 @@ def test_assemble_one_hot_coeffs_select_codewords():
     out = assemble_from(t(coeffs), cw)
     for x in range(3):
         for y in range(5):
-            assert np.array_equal(out.data[:, x, y], cw.matrix.data[:, picks[x, y]])
+            assert np.array_equal(out.data[:, x, y], cw.data[:, picks[x, y]])
 
 
 def assembly_loop_oracle(coeffs, matrix):
@@ -135,10 +134,10 @@ def assembly_loop_oracle(coeffs, matrix):
 
 def test_assemble_matches_loop_oracle():
     rng = np.random.default_rng(6)
-    cw = decoder.Codewords(matrix=t(rng.normal(size=(8, 4))))
+    cw = t(rng.normal(size=(8, 4)))
     coeffs = t(rng.normal(size=(4, 6, 6)))
     out = assemble_from(coeffs, cw)
-    expect = assembly_loop_oracle(coeffs.data, cw.matrix.data)
+    expect = assembly_loop_oracle(coeffs.data, cw.data)
     assert np.max(np.abs(out.data - expect)) <= 1e-12
 
 
@@ -300,7 +299,7 @@ def test_weighting_bias_shift_leaves_codewords_unchanged():
     first = hgd_forward_full(e8, e16, e32, params)
     params.weighting.bias.data[:] += 3.7
     second = hgd_forward_full(e8, e16, e32, params)
-    assert np.max(np.abs(first.codewords.matrix.data - second.codewords.matrix.data)) <= 1e-10
+    assert np.max(np.abs(first.codewords.data - second.codewords.data)) <= 1e-10
     assert np.max(np.abs(first.fused.data - second.fused.data)) <= 1e-10
 
 

@@ -68,6 +68,12 @@ def to_grid(x, oh, ow):
     return cur
 
 
+def one_steps(pyr):
+    """The one-step downsamplings p3->p4, p4->p5, p5->p6 the fusers take."""
+    levels = pyr.levels()
+    return tuple(ops.maxpool2x2(x, *like.dims[1:]) for x, like in zip(levels[:3], levels[1:4]))
+
+
 # --------------------------------------------------------------- structure
 
 def test_pyramid_rejects_wrong_level_ratio():
@@ -151,14 +157,14 @@ def test_activate_coeffs_gradient():
 
 def test_fuse_code_map_selector_picks_p6():
     pyr = rand_pyramid(np.random.default_rng(5))
-    m = fuse_code_map(pyr, vec([0.0, 1.0, 0.0, 0.0, 0.0]))
+    m = fuse_code_map(pyr, vec([0.0, 1.0, 0.0, 0.0, 0.0]), one_steps(pyr))
     assert np.array_equal(m.data, pyr.p6.data)
 
 
 def test_fuse_code_map_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.5)) for h, w in dims])
-    m = fuse_code_map(pyr, vec([1.0] * 5))
+    m = fuse_code_map(pyr, vec([1.0] * 5), one_steps(pyr))
     assert np.array_equal(m.data, np.full((2, 2, 2), 2.5))
 
 
@@ -167,7 +173,7 @@ def test_fuse_code_map_matches_loop_oracle(h, w):
     rng = np.random.default_rng(7)
     pyr = rand_pyramid(rng, channels=3, h=h, w=w)
     a = rng.uniform(0.0, 2.0, 5)
-    m = fuse_code_map(pyr, vec(a))
+    m = fuse_code_map(pyr, vec(a), one_steps(pyr))
     oh, ow = pyr.p6.dims[1:]
     levels = [pyr.p7.data, pyr.p6.data, pyr.p5.data, pyr.p4.data, pyr.p3.data]
     want = sum(coef * to_grid(x, oh, ow) for coef, x in zip(a, levels))
@@ -177,7 +183,7 @@ def test_fuse_code_map_matches_loop_oracle(h, w):
 def test_fuse_scale_maps_selectors():
     pyr = rand_pyramid(np.random.default_rng(9))
     one = vec([0.0, 1.0, 0.0])
-    m4, m5, m6 = fuse_scale_maps(pyr, one, one, one)
+    m4, m5, m6 = fuse_scale_maps(pyr, one, one, one, one_steps(pyr))
     assert np.array_equal(m4.data, pyr.p4.data)
     assert np.array_equal(m5.data, pyr.p5.data)
     assert np.array_equal(m6.data, pyr.p6.data)
@@ -187,7 +193,7 @@ def test_fuse_scale_maps_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.25)) for h, w in dims])
     ones = vec([1.0, 1.0, 1.0])
-    for m, (h, w) in zip(fuse_scale_maps(pyr, ones, ones, ones), dims[1:4]):
+    for m, (h, w) in zip(fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr)), dims[1:4]):
         assert np.array_equal(m.data, np.full((2, h, w), 0.75))
 
 
@@ -196,7 +202,7 @@ def test_fuse_scale_maps_match_loop_oracle(h, w):
     rng = np.random.default_rng(11)
     pyr = rand_pyramid(rng, channels=3, h=h, w=w)
     r, s, t = (rng.uniform(0.0, 2.0, 3) for _ in range(3))
-    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t))
+    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t), one_steps(pyr))
     p3, p4, p5, p6, p7 = [lvl.data for lvl in pyr.levels()]
 
     def fused(coefs, up_src, mid, down_src):
@@ -271,13 +277,13 @@ def up(x, like):
     return ops.nearest_resize(x, *like.dims[1:])
 
 
-def unshared_code_map(pyramid, a, steps=None):
+def unshared_code_map(pyramid, a, steps):
     p3, p4, p5, p6, p7 = pyramid.levels()
     return ops.weighted_sum(a, [up(p7, p6), p6, down(p5, p6), down(down(p4, p5), p6),
                                 down(down(down(p3, p4), p5), p6)])
 
 
-def unshared_scale_maps(pyramid, r, s, t, steps=None):
+def unshared_scale_maps(pyramid, r, s, t, steps):
     p3, p4, p5, p6, p7 = pyramid.levels()
     return (ops.weighted_sum(r, [up(p5, p4), p4, down(p3, p4)]),
             ops.weighted_sum(s, [up(p6, p5), p5, down(p4, p5)]),
@@ -321,7 +327,7 @@ def test_one_codeword_set_feeds_all_three_scales():
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(17), channels=8)
     _, trace = fpn_decode_once_full(pyr, params)
-    cw = id(trace.codewords.matrix)
+    cw = id(trace.codewords)
     for level in (4, 5, 6):
         assert cw in ancestor_ids(trace.refined[level])
 
@@ -379,6 +385,16 @@ def test_unshared_stack_composes_independent_records():
         assert np.array_equal(got.data, want.data)
 
 
+def test_shared_stack_is_one_record_from_one_draw():
+    cfg = tiny_fpn_config()
+    assert cfg.share_params
+    stack = init_fpn_stack(cfg, np.random.default_rng(26))
+    single = init_fpn_params(cfg, np.random.default_rng(26))
+    assert isinstance(stack, fpn_module.FpnParams)
+    for (name, got), (_, want) in zip(stack.named_parameters(), single.named_parameters()):
+        assert np.array_equal(got.data, want.data), name
+
+
 def test_decode_rejects_mismatched_parameter_form():
     params = init_fpn_params(tiny_fpn_config(), np.random.default_rng(29))
     pyr = rand_pyramid(np.random.default_rng(30), channels=8)
@@ -391,6 +407,8 @@ def test_decode_rejects_mismatched_parameter_form():
         fpn_decode(pyr, record)
     with pytest.raises(ConfigError, match="stage"):
         fpn_decode(pyr, [record])
+    with pytest.raises(ConfigError, match="stage"):
+        fpn_decode(pyr, [])
 
 
 def test_shared_parameter_count_is_k_independent():

@@ -147,3 +147,40 @@ def test_checkpoint_name_to_file_mapping_is_safe(tmp_path):
     assert all("/" not in f for f in files)
     back = hgdt.load_checkpoint(ckpt)
     assert np.array_equal(back["a/b.w"], np.ones(1))
+
+
+def rewrite_manifest(ckpt, edit):
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def test_checkpoint_rejects_file_outside_directory(tmp_path):
+    hgdt.save_tensor(tmp_path / "x.hgdt", np.ones(2))
+    ckpt = tmp_path / "ckpt"
+    hgdt.save_checkpoint(ckpt, {"p": np.ones(2)})
+    rewrite_manifest(ckpt, lambda m: m["tensors"]["p"].update(file="../x.hgdt"))
+    with pytest.raises(ValueError, match="outside"):
+        hgdt.load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(tensors=[]),
+    lambda m: m["tensors"]["p"].pop("dims"),
+    lambda m: m["tensors"].update(p="p.hgdt"),
+], ids=["tensors-list", "missing-dims", "entry-string"])
+def test_checkpoint_malformed_manifest_is_value_error(tmp_path, edit):
+    ckpt = tmp_path / "ckpt"
+    hgdt.save_checkpoint(ckpt, {"p": np.ones(2)})
+    rewrite_manifest(ckpt, edit)
+    with pytest.raises(ValueError, match="manifest"):
+        hgdt.load_checkpoint(ckpt)
+
+
+def test_checkpoint_rejects_dtype_mismatch(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    hgdt.save_checkpoint(ckpt, {"p": np.ones(2, dtype=np.float32)})
+    rewrite_manifest(ckpt, lambda m: m["tensors"]["p"].update(dtype="f64"))
+    with pytest.raises(ValueError, match="dtype"):
+        hgdt.load_checkpoint(ckpt)
