@@ -139,21 +139,19 @@ _ARCHS = ("resnet101", "resnet101-dilated", "resnet101-backbone", "efficientfcn"
 def _parse_input_hw(text, default):
     if text is None:
         return default
-    parts = text.lower().split("x")
     try:
-        dims = [int(p) for p in parts]
+        dims = [int(p) for p in text.lower().split("x")]
     except ValueError:
+        dims = []
+    if len(dims) not in (1, 2):
         raise ConfigError(f"--input expects SIZE or HxW, got {text!r}")
-    if len(dims) == 1:
-        return (dims[0], dims[0])
-    if len(dims) == 2:
-        return tuple(dims)
-    raise ConfigError(f"--input expects SIZE or HxW, got {text!r}")
+    if min(dims) < 1:
+        raise ConfigError(f"--input extents must be at least 1, got {text!r}")
+    return (dims[0], dims[-1])
 
 
 def cmd_cost(args) -> int:
     arch = args.arch
-    k = 4 if args.k is None else args.k
     if arch == "resnet101":
         spec = resnet_spec(101, _parse_input_hw(args.input, (512, 512)))
     elif arch == "resnet101-dilated":
@@ -163,8 +161,7 @@ def cmd_cost(args) -> int:
         spec = resnet_spec(101, _parse_input_hw(args.input, (512, 512)),
                            include_head=False)
     elif arch == "efficientfcn":
-        spec = efficientfcn_spec(n=256 if args.n is None else args.n,
-                                 c=1024 if args.c is None else args.c,
+        spec = efficientfcn_spec(n=args.n, c=args.c,
                                  input_hw=_parse_input_hw(args.input, (512, 512)))
     elif arch == "unet":
         spec = unet_spec(_parse_input_hw(args.input, (512, 512)))
@@ -172,10 +169,10 @@ def cmd_cost(args) -> int:
         spec = fpn_spec("fpn-baseline",
                         input_hw=_parse_input_hw(args.input, DETECTION_INPUT))
     elif arch == "hgd-fpn":
-        spec = fpn_spec("hgd-fpn", n=args.n, c=args.c, k=k,
+        spec = fpn_spec("hgd-fpn", n=args.n, c=args.c, k=args.k,
                         input_hw=_parse_input_hw(args.input, DETECTION_INPUT))
     else:
-        spec = fpn_spec("hgd-fpn-toy", n=args.n, c=args.c, k=k,
+        spec = fpn_spec("hgd-fpn-toy", n=args.n, c=args.c, k=args.k,
                         input_hw=_parse_input_hw(args.input, (16, 16)))
     sys.stdout.write(report_csv(emit_report(spec)))
     return 0

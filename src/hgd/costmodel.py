@@ -1,7 +1,7 @@
 """Analytic multiply-accumulate and parameter counts for whole networks.
 
 Counts are produced from layer descriptions alone, no tensors are ever
-allocated. Conventions, documented once here and repeated in reports:
+allocated. Conventions, documented once here:
 
 - one multiply-accumulate (MAC) is counted as one FLOP;
 - convolutions dominate: resizes, pooling, activations, concatenation,
@@ -22,16 +22,12 @@ relative quantities (per-stage increments, ratios) should be read
 tightly from those rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from .efficientfcn import tiny_backbone_config, tiny_hgd_config
-from .fpn import level_grids, tiny_fpn_config
+from .decoder import HgdConfig
+from .efficientfcn import backbone_layout, tiny_backbone_config, tiny_hgd_config
+from .fpn import FpnConfig, level_grids, tiny_fpn_config
 from .tensor import ConfigError
-
-CONVENTION_NOTE = ("1 MAC = 1 FLOP; resize/pool/activation/elementwise = 0 MACs; "
-                   "conv params = k^2*c_in*c_out + c_out; dilation never changes params")
-
-_KINDS = ("conv", "pool", "resize", "assembly", "elementwise", "coeffs")
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,6 @@ class ArchSpec:
     name: str
     input_hw: tuple
     layers: tuple
-    tags: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,6 @@ class CostReport:
     rows: tuple            # (layer name, macs, params)
     total_macs: int
     total_params: int
-    note: str = CONVENTION_NOTE
 
 
 def count_layer(spec: LayerSpec):
@@ -97,20 +91,6 @@ def report_csv(report: CostReport) -> str:
     lines = ["layer,macs,params"]
     lines.extend(f"{name},{macs},{params}" for name, macs, params in report.rows)
     lines.append(f"total,{report.total_macs},{report.total_params}")
-    return "\n".join(lines) + "\n"
-
-
-def report_text(report: CostReport) -> str:
-    width = max([len("total")] + [len(name) for name, _, _ in report.rows])
-    lines = [report.name]
-    header = f"{'layer'.ljust(width)}  {'macs':>16}  {'params':>12}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, macs, params in report.rows:
-        lines.append(f"{name.ljust(width)}  {macs:>16,}  {params:>12,}")
-    lines.append("-" * len(header))
-    lines.append(f"{'total'.ljust(width)}  {report.total_macs:>16,}  {report.total_params:>12,}")
-    lines.append(f"note: {report.note}")
     return "\n".join(lines) + "\n"
 
 
@@ -183,52 +163,70 @@ def resnet_spec(depth, input_hw=(512, 512), dilated_last_two=False,
                  LayerSpec("head.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     else:
         name += "-backbone"
-    return ArchSpec(name=name, input_hw=tuple(input_hw), layers=tuple(rows),
-                    tags={"depth": depth, "dilated": dilated_last_two,
-                          "head": include_head})
+    return ArchSpec(name=name, input_hw=tuple(input_hw), layers=tuple(rows))
 
 
 # ------------------------------------------------------------ segmentation
 
-def efficientfcn_spec(n=256, c=1024, input_hw=(512, 512), num_classes=60,
-                      refined=True) -> ArchSpec:
-    """Codeword decoder on a standard stride-32 backbone.
+def _with(config, **fields):
+    """`config` with every field that is not None replaced (and re-checked)."""
+    return replace(config, **{k: v for k, v in fields.items() if v is not None})
 
-    `refined` adds one 3x3 conv per compressed scale, the configuration
-    the reference totals describe; the executable toy decoder in this
-    package omits those convs, so cross-checks against it pass
-    refined=False.
-    """
-    rows, grids = _resnet_rows(101, input_hw, False)
-    g8, g16, g32 = grids[3], grids[4], grids[5]
-    taps = {8: (512, g8), 16: (1024, g16), 32: (2048, g32)}
-    comp = 512
-    for os_, (ch, grid) in taps.items():
+
+def _decoder_rows(config: HgdConfig, tap_channels, input_hw, num_classes, refined=False):
+    """Codeword decoder and classifier rows, in forward order, on the
+    stride-8/16/32 taps of the given widths (`refined`: see efficientfcn_spec)."""
+    h, w = input_hw
+    grids = [(h // s, w // s) for s in (8, 16, 32)]
+    g8, g32 = grids[0], grids[2]
+    comp, n, c = config.compressed_channels, config.n_codewords, config.codeword_dim
+    guid = config.guidance_channels
+    rows = []
+    for os_, ch, grid in zip((8, 16, 32), tap_channels, grids):
         rows.append(LayerSpec(f"decoder.compress{os_}", "conv", 1, ch, comp, *grid))
         if refined:
             rows.append(LayerSpec(f"decoder.refine{os_}", "conv", 3, comp, comp, *grid))
-    fused = 3 * comp
+    code_in = len(config.fused_scales) * comp
     rows += [
         LayerSpec("decoder.resample_to_coarse", "resize", out_h=g32[0], out_w=g32[1]),
         LayerSpec("decoder.concat_coarse", "elementwise"),
-        LayerSpec("decoder.bases", "conv", 1, fused, c, *g32),
-        LayerSpec("decoder.weighting", "conv", 1, fused, n, *g32),
+        LayerSpec("decoder.bases", "conv", 1, code_in, c, *g32),
+        LayerSpec("decoder.weighting", "conv", 1, code_in, n, *g32),
         LayerSpec("decoder.attention_softmax", "elementwise"),
         LayerSpec("decoder.codeword_matmul", "assembly", c_in=c, c_out=n,
                   out_h=g32[0], out_w=g32[1]),
         LayerSpec("decoder.resample_to_fine", "resize", out_h=g8[0], out_w=g8[1]),
         LayerSpec("decoder.concat_fine", "elementwise"),
-        LayerSpec("decoder.guidance", "conv", 1, fused, c, *g8),
-        LayerSpec("decoder.transfer_add", "elementwise"),
-        LayerSpec("decoder.assembly_conv", "conv", 1, c, n, *g8),
+        LayerSpec("decoder.guidance", "conv", 1, 3 * comp, guid, *g8),
+    ]
+    if config.transfer_enabled:
+        rows.append(LayerSpec("decoder.transfer_add", "elementwise"))
+    rows += [
+        LayerSpec("decoder.assembly_conv", "conv", 1, guid, n, *g8),
         LayerSpec("decoder.assembly_matmul", "assembly", c_in=c, c_out=n,
                   out_h=g8[0], out_w=g8[1]),
         LayerSpec("decoder.concat_output", "elementwise"),
-        LayerSpec("decoder.classifier", "conv", 1, 2 * c, num_classes, *g8),
-        LayerSpec("decoder.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1]),
+        LayerSpec("decoder.classifier", "conv", 1, c + guid, num_classes, *g8),
+        LayerSpec("decoder.upsample", "resize", out_h=h, out_w=w),
     ]
-    return ArchSpec(name=f"efficientfcn-n{n}", input_hw=tuple(input_hw),
-                    layers=tuple(rows), tags={"n": n, "c": c, "refined": refined})
+    return rows
+
+
+def efficientfcn_spec(n=None, c=None, input_hw=(512, 512), num_classes=60,
+                      refined=True) -> ArchSpec:
+    """Codeword decoder on a standard stride-32 backbone.
+
+    Widths default to HgdConfig(); `c` sets both the codeword and the
+    guidance width. `refined` adds one 3x3 conv per compressed scale, the
+    configuration the reference totals describe; the executable toy
+    decoder in this package omits those convs, so cross-checks against it
+    pass refined=False.
+    """
+    config = _with(HgdConfig(), n_codewords=n, codeword_dim=c, guidance_channels=c)
+    rows, _ = _resnet_rows(101, input_hw, False)
+    rows += _decoder_rows(config, (512, 1024, 2048), input_hw, num_classes, refined)
+    return ArchSpec(name=f"efficientfcn-n{config.n_codewords}", input_hw=tuple(input_hw),
+                    layers=tuple(rows))
 
 
 def unet_spec(input_hw=(512, 512), num_classes=60, deconv=False) -> ArchSpec:
@@ -255,8 +253,7 @@ def unet_spec(input_hw=(512, 512), num_classes=60, deconv=False) -> ArchSpec:
              LayerSpec("decoder.classifier", "conv", 1, 512, num_classes, *g8),
              LayerSpec("decoder.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     kind = "deconv" if deconv else "bilinear"
-    return ArchSpec(name=f"unet-{kind}", input_hw=tuple(input_hw),
-                    layers=tuple(rows), tags={"deconv": deconv})
+    return ArchSpec(name=f"unet-{kind}", input_hw=tuple(input_hw), layers=tuple(rows))
 
 
 # --------------------------------------------------------------- detection
@@ -272,7 +269,7 @@ def _pyramid_grids(input_hw):
 def fpn_baseline_spec(input_hw=DETECTION_INPUT, proposals=1000,
                       num_classes=81) -> ArchSpec:
     """Two-stage detector with a lateral pyramid (no tolerance claimed)."""
-    rows, stage_grids = _resnet_rows(50, input_hw, False)
+    rows, _ = _resnet_rows(50, input_hw, False)
     grids = _pyramid_grids(input_hw)
     laterals = {3: 256, 4: 512, 5: 1024, 6: 2048}
     for level, c_in in laterals.items():
@@ -292,13 +289,17 @@ def fpn_baseline_spec(input_hw=DETECTION_INPUT, proposals=1000,
              LayerSpec("roi.fc2", "conv", 1, 1024, 1024, proposals, 1),
              LayerSpec("roi.cls", "conv", 1, 1024, num_classes, proposals, 1),
              LayerSpec("roi.reg", "conv", 1, 1024, 4 * (num_classes - 1), proposals, 1)]
-    return ArchSpec(name="fpn-baseline", input_hw=tuple(input_hw),
-                    layers=tuple(rows), tags={"proposals": proposals})
+    return ArchSpec(name="fpn-baseline", input_hw=tuple(input_hw), layers=tuple(rows))
 
 
-def _decoder_stage_rows(stage, grids, channels, n, c, kernel, smoothing, tied):
-    """One pyramid-decoder stage. `tied` marks parameters as reused."""
+def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
+    """One pyramid-decoder stage. `full` uses 3x3 convs plus one smoothing
+    conv per fused scale map; otherwise 1x1 convs and no smoothing. Shared
+    parameters count once, at stage 0."""
     p = f"stage{stage}"
+    kernel = 3 if full else 1
+    channels, n, c = config.output_channels, config.n_codewords, config.codeword_dim
+    tied = config.share_params and stage > 0
     rows = [LayerSpec(f"{p}.fusion_coeffs", "coeffs", param_count=14, tied=tied)]
     code = grids[6]
     rows.append(LayerSpec(f"{p}.code_resample", "resize", out_h=code[0], out_w=code[1]))
@@ -310,7 +311,7 @@ def _decoder_stage_rows(stage, grids, channels, n, c, kernel, smoothing, tied):
         g = grids[level]
         q = f"{p}.scale{level}"
         rows.append(LayerSpec(f"{q}.fuse", "elementwise"))
-        if smoothing:
+        if full:
             rows.append(LayerSpec(f"{q}.smooth", "conv", 3, channels, channels, *g,
                                   tied=tied))
         rows.append(LayerSpec(f"{q}.guidance", "conv", kernel, channels, channels, *g,
@@ -328,96 +329,54 @@ def _decoder_stage_rows(stage, grids, channels, n, c, kernel, smoothing, tied):
     return rows
 
 
-def fpn_spec(variant, n=None, c=None, k=4, input_hw=None,
+def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
              share_params=True) -> ArchSpec:
     """Pyramid decoder cost specs.
 
-    hgd-fpn: full-scale stages (3x3 convs plus one smoothing conv per
-    fused scale map) on top of the baseline detector. hgd-fpn-toy:
-    decoder stages alone, 1x1 convs and no smoothing, mirroring this
-    package's executable pyramid decoder layer for layer so parameter
-    totals can be compared exactly. Defaults per variant: full n=128,
-    c=512, 256 pyramid channels; toy n, c and channels from
-    tiny_fpn_config().
+    hgd-fpn: full-scale stages on top of the baseline detector, widths
+    from FpnConfig(). hgd-fpn-toy: decoder stages alone, the layers of
+    this package's executable pyramid decoder at tiny_fpn_config() widths,
+    so parameter totals can be compared exactly. Both run
+    FpnConfig().k_recurrence stages unless `k` is given.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     if variant == "fpn-baseline":
         return fpn_baseline_spec(input_hw or DETECTION_INPUT)
     if variant == "hgd-fpn":
-        n = 128 if n is None else n
-        c = 512 if c is None else c
         input_hw = input_hw or DETECTION_INPUT
-        base = fpn_baseline_spec(input_hw)
+        rows = list(fpn_baseline_spec(input_hw).layers)
         grids = _pyramid_grids(input_hw)
-        rows = list(base.layers)
-        for stage in range(k):
-            rows += _decoder_stage_rows(stage, grids, 256, n, c, kernel=3,
-                                        smoothing=True,
-                                        tied=share_params and stage > 0)
-        return ArchSpec(name=f"hgd-fpn-k{k}", input_hw=tuple(input_hw),
-                        layers=tuple(rows),
-                        tags={"n": n, "c": c, "k": k, "share_params": share_params,
-                              "detail": "full"})
-    if variant == "hgd-fpn-toy":
-        toy = tiny_fpn_config()
-        n = toy.n_codewords if n is None else n
-        c = toy.codeword_dim if c is None else c
+        config = FpnConfig()
+    elif variant == "hgd-fpn-toy":
         input_hw = input_hw or (16, 16)
+        rows = []
         # toy pyramid levels run from the input size down, not from stride 4
         grids = dict(zip(range(3, 8), level_grids(input_hw)))
-        rows = []
-        for stage in range(k):
-            rows += _decoder_stage_rows(stage, grids, toy.output_channels, n, c, kernel=1,
-                                        smoothing=False,
-                                        tied=share_params and stage > 0)
-        return ArchSpec(name=f"hgd-fpn-toy-k{k}", input_hw=tuple(input_hw),
-                        layers=tuple(rows),
-                        tags={"n": n, "c": c, "k": k, "share_params": share_params,
-                              "detail": "toy"})
-    raise ConfigError(f"unknown fpn variant {variant!r}")
+        config = tiny_fpn_config()
+    else:
+        raise ConfigError(f"unknown fpn variant {variant!r}")
+    config = _with(config, n_codewords=n, codeword_dim=c,
+                   k_recurrence=FpnConfig().k_recurrence if k is None else k,
+                   share_params=share_params)
+    for stage in range(config.k_recurrence):
+        rows += _decoder_stage_rows(stage, grids, config, full=variant == "hgd-fpn")
+    return ArchSpec(name=f"{variant}-k{config.k_recurrence}", input_hw=tuple(input_hw),
+                    layers=tuple(rows))
 
 
 # ------------------------------------------------------------- toy mirror
 
 def toy_seg_spec(num_classes=5, input_hw=(64, 64)) -> ArchSpec:
-    """Layer-for-layer mirror of the executable tiny segmentation stack
-    (tiny_backbone_config, one conv per stage, and tiny_hgd_config), so its
-    analytic parameter total can be checked against the real parameter
-    records exactly."""
+    """The executable tiny segmentation stack (tiny_backbone_config and
+    tiny_hgd_config) layer for layer, built from the same conv layout and
+    decoder rows as the full-scale specs, so its analytic parameter total
+    can be checked against the real parameter records exactly."""
     h, w = input_hw
     if h % 32 or w % 32:
         raise ConfigError(f"input dims must be divisible by 32, got {input_hw}")
     backbone = tiny_backbone_config()
-    hgd = tiny_hgd_config()
-    # the first two stride-2 convs both have the stride-4 width
-    chans = backbone.stage_channels[:1] + backbone.stage_channels
     rows = []
-    c_in = 3
-    gh, gw = h, w
-    for i, c_out in enumerate(chans):
-        gh, gw = gh // 2, gw // 2
-        rows.append(LayerSpec(f"backbone.conv{i + 1}", "conv", 3, c_in, c_out, gh, gw))
-        c_in = c_out
-    g8 = (h // 8, w // 8)
-    g16 = (h // 16, w // 16)
-    g32 = (h // 32, w // 32)
-    comp, n, c = hgd.compressed_channels, hgd.n_codewords, hgd.codeword_dim
-    guid = hgd.guidance_channels
-    for os_, ch, grid in zip((8, 16, 32), backbone.tap_channels, (g8, g16, g32)):
-        rows.append(LayerSpec(f"decoder.compress{os_}", "conv", 1, ch, comp, *grid))
-    code_in = len(hgd.fused_scales) * comp
-    rows += [
-        LayerSpec("decoder.bases", "conv", 1, code_in, c, *g32),
-        LayerSpec("decoder.weighting", "conv", 1, code_in, n, *g32),
-        LayerSpec("decoder.codeword_matmul", "assembly", c_in=c, c_out=n,
-                  out_h=g32[0], out_w=g32[1]),
-        LayerSpec("decoder.guidance", "conv", 1, 3 * comp, guid, *g8),
-        LayerSpec("decoder.assembly_conv", "conv", 1, guid, n, *g8),
-        LayerSpec("decoder.assembly_matmul", "assembly", c_in=c, c_out=n,
-                  out_h=g8[0], out_w=g8[1]),
-        LayerSpec("decoder.classifier", "conv", 1, c + guid, num_classes, *g8),
-        LayerSpec("decoder.upsample", "resize", out_h=h, out_w=w),
-    ]
-    return ArchSpec(name="toy-seg", input_hw=tuple(input_hw), layers=tuple(rows),
-                    tags={"n": n, "c": c})
+    for i, (c_in, c_out, _) in enumerate(backbone_layout(backbone)):
+        h, w = h // 2, w // 2
+        rows.append(LayerSpec(f"backbone.conv{i + 1}", "conv", 3, c_in, c_out, h, w))
+    rows += _decoder_rows(tiny_hgd_config(), backbone.tap_channels, input_hw, num_classes)
+    return ArchSpec(name="toy-seg", input_hw=tuple(input_hw), layers=tuple(rows))

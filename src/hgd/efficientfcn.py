@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .decoder import HgdConfig, HgdParams, hgd_forward, init_hgd_params
-from .metrics import metrics
+from .metrics import IGNORE_ID, metrics
 from .params import ConvParams, conv1x1_params, conv3x3_params
 from .tensor import ConfigError, Tensor
 
@@ -31,13 +31,10 @@ from .tensor import ConfigError, Tensor
 @dataclass(frozen=True)
 class ToyBackboneConfig:
     stage_channels: tuple = (32, 64, 96, 128)   # at strides 4, 8, 16, 32
-    blocks_per_stage: int = 1
 
     def __post_init__(self):
         if len(self.stage_channels) != 4 or any(c < 1 for c in self.stage_channels):
             raise ConfigError(f"need four positive stage channel counts, got {self.stage_channels}")
-        if self.blocks_per_stage < 1:
-            raise ConfigError("blocks_per_stage must be at least 1")
 
     @property
     def tap_channels(self):
@@ -61,23 +58,16 @@ class BackboneParams:
             yield from layer.conv.named(f"conv{i:02d}")
 
 
-def init_backbone_params(config: ToyBackboneConfig, rng, dtype=np.float64) -> BackboneParams:
+def backbone_layout(config: ToyBackboneConfig):
+    """The encoder's five stride-2 3x3 convs as (c_in, c_out, tap), input first."""
     c4, c8, c16, c32 = config.stage_channels
-    blocks = config.blocks_per_stage
-    layers = []
+    return ((3, c4, None), (c4, c4, None), (c4, c8, "e8"), (c8, c16, "e16"),
+            (c16, c32, "e32"))
 
-    def stage(c_in, c_out, tap=None):
-        layers.append(BackboneLayer(conv3x3_params(c_in, c_out, rng, dtype), stride=2))
-        for _ in range(blocks - 1):
-            layers.append(BackboneLayer(conv3x3_params(c_out, c_out, rng, dtype), stride=1))
-        if tap:
-            layers[-1].tap = tap
 
-    stage(3, c4)          # stride 2
-    stage(c4, c4)         # stride 4
-    stage(c4, c8, "e8")
-    stage(c8, c16, "e16")
-    stage(c16, c32, "e32")
+def init_backbone_params(config: ToyBackboneConfig, rng, dtype=np.float64) -> BackboneParams:
+    layers = [BackboneLayer(conv3x3_params(c_in, c_out, rng, dtype), stride=2, tap=tap)
+              for c_in, c_out, tap in backbone_layout(config)]
     return BackboneParams(config=config, layers=layers)
 
 
@@ -245,7 +235,7 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
             ops.scalar_scale(loss, 1.0 / len(picks)).backward()
             loss_sum += float(loss.data)
             pred = predict_labels(logits)
-            mask = sample.label != 255
+            mask = sample.label != IGNORE_ID
             correct += int((pred[mask] == sample.label[mask]).sum())
             valid += int(mask.sum())
         grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]

@@ -121,11 +121,19 @@ def save_checkpoint(directory, named_tensors, meta: dict | None = None) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _read_manifest(directory: Path) -> dict:
+    manifest = json.loads((directory / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{directory}: malformed manifest (top level is "
+                         f"{type(manifest).__name__}, not an object)")
+    return manifest
+
+
 def load_checkpoint(directory) -> dict:
     """Tensors by name; ValueError for a malformed manifest, a file outside
     `directory`, or a file whose dims or dtype differ from its entry."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = _read_manifest(directory)
     try:
         entries = [(name, (directory / e["file"]).resolve(), e["dims"], e["dtype"])
                    for name, e in manifest["tensors"].items()]
@@ -146,5 +154,5 @@ def load_checkpoint(directory) -> dict:
 
 
 def load_checkpoint_meta(directory) -> dict | None:
-    manifest = json.loads((Path(directory) / "manifest.json").read_text())
-    return manifest.get("meta")
+    """The manifest's "meta" entry; ValueError when the manifest is not an object."""
+    return _read_manifest(Path(directory)).get("meta")

@@ -27,6 +27,7 @@ import contextlib
 import numpy as np
 
 from . import tensor as _t
+from .metrics import IGNORE_ID
 from .tensor import Tensor, DimensionError
 
 
@@ -471,10 +472,11 @@ def softmax_spatial(logits: Tensor) -> Tensor:
     return _make(out, (logits,), "softmax_spatial", bwd)
 
 
-def cross_entropy_logits(logits: Tensor, labels: np.ndarray, ignore_id: int = 255) -> Tensor:
+def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross entropy of (classes, h, w) logits against integer labels.
 
-    Pixels labelled ignore_id contribute nothing to the loss or gradient.
+    Pixels labelled metrics.IGNORE_ID (255) contribute nothing to the loss or
+    gradient.
     """
     _check_rank(logits, 3, "cross_entropy input")
     labels = np.asarray(labels)
@@ -482,7 +484,7 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray, ignore_id: int = 25
     if labels.shape != (h, w):
         raise DimensionError(
             f"cross_entropy label grid {labels.shape} does not match logits {h}x{w}")
-    valid = labels != ignore_id
+    valid = labels != IGNORE_ID
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("cross_entropy: every pixel is ignored")

@@ -90,10 +90,34 @@ def test_cost_rectangular_input(capsys):
     assert total_from_csv(out)[0] > 0
 
 
-def test_cost_bad_input_flag(capsys):
-    code, _, err = run_cli(capsys, "cost", "resnet101", "--input", "tiny")
+@pytest.mark.parametrize("argv, named", [
+    (("resnet101", "--input", "tiny"), "--input"),
+    (("resnet101", "--input", "0"), "--input"),
+    (("unet", "--input", "32x-32"), "--input"),
+    (("efficientfcn", "--n", "-5"), "n_codewords"),
+    (("hgd-fpn-toy", "--c", "-2"), "codeword_dim"),
+], ids=["input-word", "input-zero", "input-negative", "efficientfcn-n", "toy-c"])
+def test_cost_bad_input_flag(capsys, argv, named):
+    code, out, err = run_cli(capsys, "cost", *argv)
     assert code == 2
-    assert "--input" in err
+    assert err.startswith("config error:") and named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("arch, macs, params", [
+    ("resnet101", 43775426560, 54275772),
+    ("resnet101-dilated", 225691303936, 54275772),
+    ("resnet101-backbone", 40747663360, 42447488),
+    ("efficientfcn", 64973963264, 55290044),
+    ("unet", 98855550976, 77869244),
+    ("fpn-baseline", 250953754624, 41727267),
+    ("hgd-fpn", 601043920896, 52937265),
+    ("hgd-fpn-toy", 88064, 854),
+])
+def test_cost_totals_at_defaults(capsys, arch, macs, params):
+    code, out, _ = run_cli(capsys, "cost", arch)
+    assert code == 0
+    assert total_from_csv(out) == (macs, params)
 
 
 # --------------------------------------------------------------------- dump

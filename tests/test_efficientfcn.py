@@ -213,13 +213,6 @@ def test_backbone_deterministic_given_seed():
         assert np.array_equal(ta.data, tb.data)
 
 
-def test_backbone_extra_blocks_keep_shapes():
-    cfg = ToyBackboneConfig(stage_channels=(4, 6, 8, 10), blocks_per_stage=2)
-    params = init_backbone_params(cfg, np.random.default_rng(0))
-    e8, e16, e32 = backbone_forward(Tensor(np.zeros((3, 32, 32))), params)
-    assert e8.dims == (6, 4, 4) and e16.dims == (8, 2, 2) and e32.dims == (10, 1, 1)
-
-
 # ------------------------------------------------------------ segmentation
 
 def tiny_seg_params(rng, num_classes=5):

@@ -178,6 +178,16 @@ def test_checkpoint_malformed_manifest_is_value_error(tmp_path, edit):
         hgdt.load_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize("load", [hgdt.load_checkpoint, hgdt.load_checkpoint_meta],
+                         ids=["tensors", "meta"])
+def test_checkpoint_manifest_must_be_an_object(tmp_path, load):
+    ckpt = tmp_path / "ckpt"
+    hgdt.save_checkpoint(ckpt, {"p": np.ones(2)})
+    (ckpt / "manifest.json").write_text("[]")
+    with pytest.raises(ValueError, match="manifest"):
+        load(ckpt)
+
+
 def test_checkpoint_rejects_dtype_mismatch(tmp_path):
     ckpt = tmp_path / "ckpt"
     hgdt.save_checkpoint(ckpt, {"p": np.ones(2, dtype=np.float32)})
