@@ -38,7 +38,7 @@ from .efficientfcn import (ToyBackboneConfig, backbone_forward, init_seg_params,
 from .fpn import (Pyramid, fpn_decode_once_full, fpn_stages, init_fpn_params,
                   init_fpn_stack, level_grids, tiny_fpn_config)
 from .gradcheck import gradcheck
-from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor
+from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor, write_atomic
 from .synthdata import synth_dataset
 from .tensor import ConfigError, GradcheckError, Tensor
 
@@ -134,6 +134,9 @@ def _cmd_gradcheck_entry(args) -> int:
 
 _ARCHS = ("resnet101", "resnet101-dilated", "resnet101-backbone", "efficientfcn",
           "unet", "fpn-baseline", "hgd-fpn", "hgd-fpn-toy")
+# the width/stage knobs each architecture reads; every one reads --input
+_ARCH_KNOBS = {"efficientfcn": ("n", "c"), "hgd-fpn": ("n", "c", "k"),
+               "hgd-fpn-toy": ("n", "c", "k")}
 
 
 def _parse_input_hw(text, default):
@@ -152,6 +155,11 @@ def _parse_input_hw(text, default):
 
 def cmd_cost(args) -> int:
     arch = args.arch
+    reads = _ARCH_KNOBS.get(arch, ())
+    for knob in ("n", "c", "k"):
+        if getattr(args, knob) is not None and knob not in reads:
+            takes = ", ".join(f"--{k}" for k in (*reads, "input"))
+            raise ConfigError(f"--{knob} is not read by {arch} (it takes {takes})")
     if arch == "resnet101":
         spec = resnet_spec(101, _parse_input_hw(args.input, (512, 512)))
     elif arch == "resnet101-dilated":
@@ -217,7 +225,7 @@ def cmd_demo_seg(args) -> int:
 
     summary = {"pixAcc": result.final_pixacc, "mIoU": result.final_miou,
                "steps": result.steps}
-    (out / "metrics.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    write_atomic(out / "metrics.json", json.dumps(summary, indent=2, sort_keys=True).encode())
 
     e8, e16, e32 = backbone_forward(samples[0].image, params.backbone)
     trace = hgd_forward_full(e8, e16, e32, params.hgd)
@@ -263,7 +271,7 @@ def cmd_demo_fpn(args) -> int:
                          "dims": list(tensor.dims)}
     manifest = {"levels": entries, "stages": cfg.k_recurrence,
                 "share_params": cfg.share_params}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
 
     render_h, render_w = current.p3.dims[1], current.p3.dims[2]
     n = _dump_weighting_maps(out, trace.attention, render_h, render_w)
@@ -304,7 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("arch", choices=_ARCHS)
     p.add_argument("--n", type=int, help="codeword count")
     p.add_argument("--c", type=int, help="codeword dimension")
-    p.add_argument("--k", type=int, help="recurrence stages (pyramid variants)")
+    p.add_argument("--k", type=int,
+                   help="recurrence stages (pyramid variants, default 4; the "
+                        "demo-fpn/gradcheck preset tiny_fpn_config() runs 2, so "
+                        "hgd-fpn-toy needs --k 2 to describe it)")
     p.add_argument("--input", help="input size: SIZE or HxW")
     p.set_defaults(func=cmd_cost)
 

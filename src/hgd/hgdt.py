@@ -10,11 +10,15 @@ visual dumps, so the normalization is documented rather than invertible.
 
 A checkpoint is a directory of HGDT files plus manifest.json mapping each
 tensor name to its file, dims, and dtype.
+
+Every file is written atomically (write_atomic): a write that fails leaves
+the target as it was, never a partial file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -37,6 +41,18 @@ def _as_array(tensor_or_array) -> np.ndarray:
     return np.asarray(tensor_or_array)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then os.replace it
+    into place; on any failure the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_tensor(path, tensor_or_array) -> None:
     arr = _as_array(tensor_or_array)
     code = _DTYPE_TO_CODE.get(arr.dtype)
@@ -47,7 +63,7 @@ def save_tensor(path, tensor_or_array) -> None:
     header = _MAGIC + bytes([code, arr.ndim])
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
-    Path(path).write_bytes(header + payload.tobytes())
+    write_atomic(path, header + payload.tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
@@ -85,7 +101,7 @@ def save_pgm(path, array2d) -> None:
         scaled = np.zeros_like(arr, dtype=np.float64)
     pix = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
     h, w = arr.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + pix.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pix.tobytes())
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -118,7 +134,8 @@ def save_checkpoint(directory, named_tensors, meta: dict | None = None) -> None:
     manifest = {"tensors": entries}
     if meta is not None:
         manifest["meta"] = meta
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_atomic(directory / "manifest.json",
+                 json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 def _read_manifest(directory: Path) -> dict:

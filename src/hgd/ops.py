@@ -17,7 +17,16 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   wins, and the output is the winner itself, sign of zero included. The
   gradient goes to the winner only;
 - relu's gradient at exactly 0 is 0;
-- softmax_spatial subtracts the per-channel spatial max before exponentiating.
+- softmax_spatial subtracts the per-channel spatial max before exponentiating;
+- conv3x3 is lowered with im2col: one strided (c_in, 3, 3, oh, ow) view of
+  the zero-padded input, reshaped to a (9 * c_in, oh * ow) column matrix
+  whose rows follow the weight's own (c_in, dy, dx) order, so each
+  direction is one GEMM (forward W @ cols, weight gradient g @ cols.T,
+  input gradient W.T @ g folded back by nine strided slice-adds). The
+  backward pass keeps only the padded input and rebuilds the columns;
+- cross_entropy_logits scatters the true-class term of its gradient by flat
+  index: each pixel has one label, so the indices are unique and the result
+  equals np.subtract.at's bit for bit.
 """
 
 from __future__ import annotations
@@ -159,6 +168,19 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (x, weight, bias), "conv1x1", bwd)
 
 
+def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:
+    """(9 * c_in, oh * ow) column matrix of a padded (c_in, h + 2, w + 2) map.
+
+    Row (c, dy, dx), in the weight's own order, holds the tap
+    xp[c, stride * i + dy, stride * j + dx] at column (i, j).
+    """
+    sc, sh, sw = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (xp.shape[0], 3, 3, oh, ow), (sc, sh, sw, stride * sh, stride * sw),
+        writeable=False)
+    return taps.reshape(9 * xp.shape[0], oh * ow)
+
+
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """3x3 convolution, padding 1, stride 1 or 2 (the toy encoder's kernel)."""
     _check_rank(x, 3, "conv3x3 input")
@@ -171,37 +193,35 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if stride not in (1, 2):
         raise DimensionError(f"conv3x3 stride must be 1 or 2, got {stride}")
 
+    c_out = weight.dims[0]
     c_in, h, w = x.dims
     oh = (h + 2 - 3) // stride + 1
     ow = (w + 2 - 3) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((c_in, h + 2, w + 2), dtype=x.dtype)
+    xp[:, 1:h + 1, 1:w + 1] = x.data
+    w2 = weight.data.reshape(c_out, 9 * c_in)
 
-    def tap_slice(arr, dy, dx):
-        return arr[:, dy:dy + stride * (oh - 1) + 1:stride, dx:dx + stride * (ow - 1) + 1:stride]
-
-    out = np.broadcast_to(bias.data[:, None, None], (weight.dims[0], oh, ow)).copy()
-    for dy in range(3):
-        for dx in range(3):
-            out += np.tensordot(weight.data[:, :, dy, dx], tap_slice(xp, dy, dx), axes=([1], [0]))
+    out = w2 @ _im2col(xp, oh, ow, stride)
+    out += bias.data[:, None]
 
     def bwd(g):
+        g2 = g.reshape(c_out, oh * ow)
         if _need(x):
+            taps = (w2.T @ g2).reshape(c_in, 3, 3, oh, ow)
             gxp = np.zeros_like(xp)
             for dy in range(3):
                 for dx in range(3):
-                    tap_slice(gxp, dy, dx)[...] += np.tensordot(
-                        weight.data[:, :, dy, dx], g, axes=([0], [0]))
+                    gxp[:, dy:dy + stride * (oh - 1) + 1:stride,
+                        dx:dx + stride * (ow - 1) + 1:stride] += taps[:, dy, dx]
             _acc(x, gxp[:, 1:h + 1, 1:w + 1])
         if _need(weight):
-            gw = np.empty_like(weight.data)
-            for dy in range(3):
-                for dx in range(3):
-                    gw[:, :, dy, dx] = np.tensordot(g, tap_slice(xp, dy, dx), axes=([1, 2], [1, 2]))
-            _acc(weight, gw)
+            # the columns are rebuilt rather than kept, so the tape holds
+            # only the padded input
+            _acc(weight, (g2 @ _im2col(xp, oh, ow, stride).T).reshape(weight.dims))
         if _need(bias):
             _acc(bias, g.sum(axis=(1, 2)))
 
-    return _make(out, (x, weight, bias), "conv3x3", bwd)
+    return _make(out.reshape(c_out, oh, ow), (x, weight, bias), "conv3x3", bwd)
 
 
 # ----------------------------------------------------------------- resizing
@@ -502,8 +522,10 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
             p = np.exp(shifted - lse[None])
             scale = (valid.astype(logits.dtype) * g) / n_valid
             gl = p * scale[None]
-            ii, jj = np.indices((h, w))
-            np.subtract.at(gl, (safe, ii, jj), scale)
+            # one true-class index per pixel, so the flat indices are unique
+            # and a plain fancy-index subtract needs no np.subtract.at
+            flat = safe.ravel().astype(np.intp) * (h * w) + np.arange(h * w)
+            gl.reshape(-1)[flat] -= scale.ravel()
             _acc(logits, gl)
 
     return _make(np.asarray(loss, dtype=logits.dtype), (logits,), "cross_entropy", bwd)

@@ -96,7 +96,12 @@ def test_cost_rectangular_input(capsys):
     (("unet", "--input", "32x-32"), "--input"),
     (("efficientfcn", "--n", "-5"), "n_codewords"),
     (("hgd-fpn-toy", "--c", "-2"), "codeword_dim"),
-], ids=["input-word", "input-zero", "input-negative", "efficientfcn-n", "toy-c"])
+    (("resnet101", "--n", "-5"), "--n"),
+    (("efficientfcn", "--k", "0"), "--k"),
+    (("fpn-baseline", "--c", "-3"), "--c"),
+    (("unet", "--k", "2"), "--k"),
+], ids=["input-word", "input-zero", "input-negative", "efficientfcn-n", "toy-c",
+        "resnet-unread-n", "efficientfcn-unread-k", "fpn-baseline-unread-c", "unet-unread-k"])
 def test_cost_bad_input_flag(capsys, argv, named):
     code, out, err = run_cli(capsys, "cost", *argv)
     assert code == 2

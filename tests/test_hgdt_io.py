@@ -194,3 +194,27 @@ def test_checkpoint_rejects_dtype_mismatch(tmp_path):
     rewrite_manifest(ckpt, lambda m: m["tensors"]["p"].update(dtype="f64"))
     with pytest.raises(ValueError, match="dtype"):
         hgdt.load_checkpoint(ckpt)
+
+
+def _failing_write_bytes(self, data):
+    """Path.write_bytes that stops halfway, as on a full disk."""
+    with open(self, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("save", [
+    lambda d: hgdt.save_tensor(d / "t.hgdt", np.ones(64)),
+    lambda d: hgdt.save_pgm(d / "m.pgm", np.eye(8)),
+    lambda d: hgdt.save_checkpoint(d / "ckpt", {"p": np.ones(8)}),
+], ids=["tensor", "pgm", "checkpoint"])
+def test_failing_write_leaves_no_partial_file(tmp_path, monkeypatch, save):
+    (tmp_path / "ckpt").mkdir()
+    (tmp_path / "t.hgdt").write_bytes(b"old")
+    monkeypatch.setattr(hgdt.Path, "write_bytes", _failing_write_bytes)
+    with pytest.raises(OSError):
+        save(tmp_path)
+    # the old file is untouched, no new one appears, no temp file is left
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert left == ["ckpt", "t.hgdt"]
+    assert (tmp_path / "t.hgdt").read_bytes() == b"old"

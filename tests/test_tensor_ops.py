@@ -413,6 +413,33 @@ def test_cross_entropy_all_ignored_raises():
         ops.cross_entropy_logits(logits, labels)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), h=st.integers(1, 9), w=st.integers(1, 9),
+       ignore_share=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_cross_entropy_gradient_equals_subtract_at_form(k, h, w, ignore_share, seed, dtype):
+    """The flat-index scatter of the true-class term is bit-identical to
+    np.subtract.at over (label, row, column), ignored pixels included."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, h, w)).astype(dtype)
+    labels = rng.integers(0, k, size=(h, w))
+    labels[rng.random((h, w)) < ignore_share] = 255
+    labels[0, 0] = k - 1
+    logits = Tensor(x, requires_grad=True)
+    ops.cross_entropy_logits(logits, labels).backward()
+
+    valid = labels != 255
+    safe = np.where(valid, labels, 0)
+    shifted = x - x.max(axis=0, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=0))
+    scale = (valid.astype(dtype) * np.ones((), dtype)) / int(valid.sum())
+    want = np.exp(shifted - lse[None]) * scale[None]
+    ii, jj = np.indices((h, w))
+    np.subtract.at(want, (safe, ii, jj), scale)
+    assert logits.grad.dtype == dtype
+    assert np.array_equal(logits.grad, want)
+
+
 # ----------------------------------------------------------- conv3x3
 
 def conv3x3_loop(x, w, b, stride):
@@ -434,6 +461,27 @@ def conv3x3_loop(x, w, b, stride):
     return out
 
 
+def conv3x3_adjoint_loop(x, w, g, stride):
+    """Adjoints of conv3x3_loop for an output adjoint g: (input, weight, bias)."""
+    c_out, c_in, _, _ = w.shape
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros(w.shape)
+    gb = np.zeros(c_out)
+    for o in range(c_out):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                gb[o] += g[o, i, j]
+                for c in range(c_in):
+                    for dy in range(3):
+                        for dx in range(3):
+                            r, q = i * stride + dy, j * stride + dx
+                            gw[o, c, dy, dx] += g[o, i, j] * xp[c, r, q]
+                            gxp[c, r, q] += g[o, i, j] * w[o, c, dy, dx]
+    return gxp[:, 1:h + 1, 1:wd + 1], gw, gb
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv3x3_matches_loop_oracle(stride):
     rng = np.random.default_rng(8 + stride)
@@ -444,3 +492,48 @@ def test_conv3x3_matches_loop_oracle(stride):
     expect = conv3x3_loop(x.data, w.data, b.data, stride)
     assert out.data.shape == expect.shape
     assert np.max(np.abs(out.data - expect)) <= 1e-12
+
+
+# f64 keeps the fixed oracle bound above; f32 gets a bound fixed from its
+# machine epsilon and the size of the longest sum (Higham's gamma_n times the
+# sum of absolute terms, which the loop oracle computes on |inputs|)
+@settings(max_examples=80, deadline=None)
+@given(c_in=st.integers(1, 6), c_out=st.integers(1, 6), h=st.integers(1, 9),
+       w=st.integers(1, 9), stride=st.sampled_from([1, 2]),
+       dtype=st.sampled_from([np.float32, np.float64]), transposed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(c_in=2, c_out=3, h=1, w=9, stride=1, dtype=np.float64, transposed=False, seed=0)
+@example(c_in=3, c_out=2, h=9, w=1, stride=2, dtype=np.float32, transposed=True, seed=1)
+def test_conv3x3_and_gradients_match_loop_oracles(c_in, c_out, h, w, stride, dtype,
+                                                  transposed, seed):
+    """Forward and the input, weight and bias gradients against loop oracles,
+    from 1xN and Nx1 maps up, for a C-ordered or a transposed-view input."""
+    rng = np.random.default_rng(seed)
+    xa = (rng.standard_normal((c_in, w, h)).swapaxes(1, 2) if transposed
+          else rng.standard_normal((c_in, h, w))).astype(dtype)
+    wa = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
+    ba = rng.standard_normal(c_out).astype(dtype)
+    x, wt, b = (Tensor(a, requires_grad=True) for a in (xa, wa, ba))
+    out = ops.conv3x3(x, wt, b, stride=stride)
+    assert out.data.ndim == 3 and out.data.flags.c_contiguous
+    assert out.dtype == dtype
+
+    g = rng.standard_normal(out.dims).astype(dtype)
+    ops.sum_all(ops.mul(out, Tensor(g))).backward()
+    x64, w64, b64, g64 = (np.asarray(a, np.float64) for a in (xa, wa, ba, g))
+    got = (out.data, x.grad, wt.grad, b.grad)
+    want = (conv3x3_loop(x64, w64, b64, stride), *conv3x3_adjoint_loop(x64, w64, g64, stride))
+    if dtype == np.float64:
+        bounds = [1e-12] * 4
+    else:
+        # n bounds every sum's length: 9 * c_in taps plus the bias forward,
+        # c_out * 9 taps per input pixel, oh * ow positions per weight entry
+        n = 9 * c_in + 1 + c_out * 9 + out.dims[1] * out.dims[2]
+        gamma = n * np.finfo(np.float32).eps
+        abs_x, abs_w, abs_g = np.abs(x64), np.abs(w64), np.abs(g64)
+        magnitude = (conv3x3_loop(abs_x, abs_w, np.abs(b64), stride),
+                     *conv3x3_adjoint_loop(abs_x, abs_w, abs_g, stride))
+        bounds = [gamma * m for m in magnitude]
+    for name, have, expect, bound in zip(("out", "x", "weight", "bias"), got, want, bounds):
+        assert have.shape == expect.shape, name
+        assert np.all(np.abs(have - expect) <= bound), name
