@@ -23,14 +23,15 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import ops, parse_thread_cap
 from .config import RunConfig, dtype_of, load_run_config
-from .costmodel import (DETECTION_INPUT, efficientfcn_spec, emit_report,
-                        fpn_spec, report_csv, resnet_spec, unet_spec)
+from .costmodel import (efficientfcn_spec, emit_report, fpn_baseline_spec, fpn_spec,
+                        report_csv, resnet_spec, unet_spec)
 from .decoder import hgd_forward_full
 from .efficientfcn import (ToyBackboneConfig, backbone_forward, init_seg_params,
                            segment_forward, tiny_backbone_config, tiny_hgd_config,
@@ -132,16 +133,21 @@ def _cmd_gradcheck_entry(args) -> int:
 
 # --------------------------------------------------------------------- cost
 
-_ARCHS = ("resnet101", "resnet101-dilated", "resnet101-backbone", "efficientfcn",
-          "unet", "fpn-baseline", "hgd-fpn", "hgd-fpn-toy")
-# the width/stage knobs each architecture reads; every one reads --input
-_ARCH_KNOBS = {"efficientfcn": ("n", "c"), "hgd-fpn": ("n", "c", "k"),
-               "hgd-fpn-toy": ("n", "c", "k")}
+# each architecture's spec builder and the width/stage knobs it reads; all
+# read --input, and every default comes from the builder's own signature
+_ARCHS = {
+    "resnet101": (partial(resnet_spec, 101), ()),
+    "resnet101-dilated": (partial(resnet_spec, 101, dilated_last_two=True), ()),
+    "resnet101-backbone": (partial(resnet_spec, 101, include_head=False), ()),
+    "efficientfcn": (efficientfcn_spec, ("n", "c")),
+    "unet": (unet_spec, ()),
+    "fpn-baseline": (fpn_baseline_spec, ()),
+    "hgd-fpn": (partial(fpn_spec, "hgd-fpn"), ("n", "c", "k")),
+    "hgd-fpn-toy": (partial(fpn_spec, "hgd-fpn-toy"), ("n", "c", "k")),
+}
 
 
-def _parse_input_hw(text, default):
-    if text is None:
-        return default
+def _parse_input_hw(text):
     try:
         dims = [int(p) for p in text.lower().split("x")]
     except ValueError:
@@ -154,35 +160,19 @@ def _parse_input_hw(text, default):
 
 
 def cmd_cost(args) -> int:
-    arch = args.arch
-    reads = _ARCH_KNOBS.get(arch, ())
+    build, reads = _ARCHS[args.arch]
+    knobs = {}
     for knob in ("n", "c", "k"):
-        if getattr(args, knob) is not None and knob not in reads:
+        value = getattr(args, knob)
+        if value is None:
+            continue
+        if knob not in reads:
             takes = ", ".join(f"--{k}" for k in (*reads, "input"))
-            raise ConfigError(f"--{knob} is not read by {arch} (it takes {takes})")
-    if arch == "resnet101":
-        spec = resnet_spec(101, _parse_input_hw(args.input, (512, 512)))
-    elif arch == "resnet101-dilated":
-        spec = resnet_spec(101, _parse_input_hw(args.input, (512, 512)),
-                           dilated_last_two=True)
-    elif arch == "resnet101-backbone":
-        spec = resnet_spec(101, _parse_input_hw(args.input, (512, 512)),
-                           include_head=False)
-    elif arch == "efficientfcn":
-        spec = efficientfcn_spec(n=args.n, c=args.c,
-                                 input_hw=_parse_input_hw(args.input, (512, 512)))
-    elif arch == "unet":
-        spec = unet_spec(_parse_input_hw(args.input, (512, 512)))
-    elif arch == "fpn-baseline":
-        spec = fpn_spec("fpn-baseline",
-                        input_hw=_parse_input_hw(args.input, DETECTION_INPUT))
-    elif arch == "hgd-fpn":
-        spec = fpn_spec("hgd-fpn", n=args.n, c=args.c, k=args.k,
-                        input_hw=_parse_input_hw(args.input, DETECTION_INPUT))
-    else:
-        spec = fpn_spec("hgd-fpn-toy", n=args.n, c=args.c, k=args.k,
-                        input_hw=_parse_input_hw(args.input, (16, 16)))
-    sys.stdout.write(report_csv(emit_report(spec)))
+            raise ConfigError(f"--{knob} is not read by {args.arch} (it takes {takes})")
+        knobs[knob] = value
+    if args.input is not None:
+        knobs["input_hw"] = _parse_input_hw(args.input)
+    sys.stdout.write(report_csv(emit_report(build(**knobs))))
     return 0
 
 
@@ -302,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--config", help="RunConfig JSON path (precision must be f64)")
+    p.add_argument("--config", help="RunConfig JSON path; only seed and precision "
+                                    "(which must be f64) are read, the tiny nets are fixed")
     p.add_argument("--break-backward", action="store_true",
                    help="deliberately corrupt one backward rule to exercise "
                         "the failure path")

@@ -29,6 +29,12 @@ from .efficientfcn import backbone_layout, tiny_backbone_config, tiny_hgd_config
 from .fpn import FpnConfig, level_grids, tiny_fpn_config
 from .tensor import ConfigError
 
+SEG_INPUT = (512, 512)
+SEG_CLASSES = 60
+DETECTION_INPUT = (896, 1408)
+DETECTION_CLASSES = 81
+PROPOSALS = 1000
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -145,8 +151,8 @@ def _resnet_rows(depth, input_hw, dilated_last_two, prefix="backbone"):
     return rows, grids
 
 
-def resnet_spec(depth, input_hw=(512, 512), dilated_last_two=False,
-                include_head=True, num_classes=60) -> ArchSpec:
+def resnet_spec(depth, input_hw=SEG_INPUT, dilated_last_two=False,
+                include_head=True) -> ArchSpec:
     """Bottleneck backbone, optionally with the plain two-conv dense head.
 
     The headed variant is what the reference GFLOP totals describe; the
@@ -159,7 +165,7 @@ def resnet_spec(depth, input_hw=(512, 512), dilated_last_two=False,
         gh, gw = grids[5]
         rows += [LayerSpec("head.conv1", "conv", 3, 2048, 512, gh, gw),
                  LayerSpec("head.conv2", "conv", 3, 512, 512, gh, gw),
-                 LayerSpec("head.classifier", "conv", 1, 512, num_classes, gh, gw),
+                 LayerSpec("head.classifier", "conv", 1, 512, SEG_CLASSES, gh, gw),
                  LayerSpec("head.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     else:
         name += "-backbone"
@@ -212,8 +218,7 @@ def _decoder_rows(config: HgdConfig, tap_channels, input_hw, num_classes, refine
     return rows
 
 
-def efficientfcn_spec(n=None, c=None, input_hw=(512, 512), num_classes=60,
-                      refined=True) -> ArchSpec:
+def efficientfcn_spec(n=None, c=None, input_hw=SEG_INPUT, refined=True) -> ArchSpec:
     """Codeword decoder on a standard stride-32 backbone.
 
     Widths default to HgdConfig(); `c` sets both the codeword and the
@@ -224,12 +229,12 @@ def efficientfcn_spec(n=None, c=None, input_hw=(512, 512), num_classes=60,
     """
     config = _with(HgdConfig(), n_codewords=n, codeword_dim=c, guidance_channels=c)
     rows, _ = _resnet_rows(101, input_hw, False)
-    rows += _decoder_rows(config, (512, 1024, 2048), input_hw, num_classes, refined)
+    rows += _decoder_rows(config, (512, 1024, 2048), input_hw, SEG_CLASSES, refined)
     return ArchSpec(name=f"efficientfcn-n{config.n_codewords}", input_hw=tuple(input_hw),
                     layers=tuple(rows))
 
 
-def unet_spec(input_hw=(512, 512), num_classes=60, deconv=False) -> ArchSpec:
+def unet_spec(input_hw=SEG_INPUT, deconv=False) -> ArchSpec:
     """Reference two-merge encoder-decoder on the same backbone (no
     tolerance is claimed for this reconstruction)."""
     rows, grids = _resnet_rows(101, input_hw, False)
@@ -250,7 +255,7 @@ def unet_spec(input_hw=(512, 512), num_classes=60, deconv=False) -> ArchSpec:
         merged2 = 1024 + 512
     rows += [LayerSpec("decoder.concat2", "elementwise"),
              LayerSpec("decoder.merge2", "conv", 3, merged2, 512, *g8),
-             LayerSpec("decoder.classifier", "conv", 1, 512, num_classes, *g8),
+             LayerSpec("decoder.classifier", "conv", 1, 512, SEG_CLASSES, *g8),
              LayerSpec("decoder.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     kind = "deconv" if deconv else "bilinear"
     return ArchSpec(name=f"unet-{kind}", input_hw=tuple(input_hw), layers=tuple(rows))
@@ -258,16 +263,12 @@ def unet_spec(input_hw=(512, 512), num_classes=60, deconv=False) -> ArchSpec:
 
 # --------------------------------------------------------------- detection
 
-DETECTION_INPUT = (896, 1408)
-
-
 def _pyramid_grids(input_hw):
     """Level grids at output strides 4..64, ceil division per halving."""
     return dict(zip(range(3, 8), level_grids(level_grids(input_hw)[2])))
 
 
-def fpn_baseline_spec(input_hw=DETECTION_INPUT, proposals=1000,
-                      num_classes=81) -> ArchSpec:
+def fpn_baseline_spec(input_hw=DETECTION_INPUT) -> ArchSpec:
     """Two-stage detector with a lateral pyramid (no tolerance claimed)."""
     rows, _ = _resnet_rows(50, input_hw, False)
     grids = _pyramid_grids(input_hw)
@@ -285,10 +286,10 @@ def fpn_baseline_spec(input_hw=DETECTION_INPUT, proposals=1000,
         rows.append(LayerSpec(f"rpn.head_p{level}", "conv", 1, 256, 18,
                               *grids[level], tied=level > 3))
     rows += [LayerSpec("roi.pool", "pool", out_h=7, out_w=7),
-             LayerSpec("roi.fc1", "conv", 1, 256 * 7 * 7, 1024, proposals, 1),
-             LayerSpec("roi.fc2", "conv", 1, 1024, 1024, proposals, 1),
-             LayerSpec("roi.cls", "conv", 1, 1024, num_classes, proposals, 1),
-             LayerSpec("roi.reg", "conv", 1, 1024, 4 * (num_classes - 1), proposals, 1)]
+             LayerSpec("roi.fc1", "conv", 1, 256 * 7 * 7, 1024, PROPOSALS, 1),
+             LayerSpec("roi.fc2", "conv", 1, 1024, 1024, PROPOSALS, 1),
+             LayerSpec("roi.cls", "conv", 1, 1024, DETECTION_CLASSES, PROPOSALS, 1),
+             LayerSpec("roi.reg", "conv", 1, 1024, 4 * (DETECTION_CLASSES - 1), PROPOSALS, 1)]
     return ArchSpec(name="fpn-baseline", input_hw=tuple(input_hw), layers=tuple(rows))
 
 
@@ -365,14 +366,14 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
 
 # ------------------------------------------------------------- toy mirror
 
-def toy_seg_spec(num_classes=5, input_hw=(64, 64)) -> ArchSpec:
+def toy_seg_spec(num_classes=5) -> ArchSpec:
     """The executable tiny segmentation stack (tiny_backbone_config and
-    tiny_hgd_config) layer for layer, built from the same conv layout and
-    decoder rows as the full-scale specs, so its analytic parameter total
-    can be checked against the real parameter records exactly."""
+    tiny_hgd_config) layer for layer on the demo-seg preset's 64x64 images,
+    built from the same conv layout and decoder rows as the full-scale
+    specs, so its analytic parameter total can be checked against the real
+    parameter records exactly."""
+    input_hw = (64, 64)
     h, w = input_hw
-    if h % 32 or w % 32:
-        raise ConfigError(f"input dims must be divisible by 32, got {input_hw}")
     backbone = tiny_backbone_config()
     rows = []
     for i, (c_in, c_out, _) in enumerate(backbone_layout(backbone)):

@@ -14,6 +14,7 @@ checks and overfitting smoke tests.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import ops
 from .decoder import HgdConfig, HgdParams, hgd_forward, init_hgd_params
+from .hgdt import write_atomic
 from .metrics import IGNORE_ID, metrics
 from .params import ConvParams, conv1x1_params, conv3x3_params
 from .tensor import ConfigError, Tensor
@@ -250,11 +252,12 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
 
     final_acc, final_miou = evaluate(samples, params, num_classes)
     if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "lr", "loss", "pixAcc"])
-            for row in history:
-                writer.writerow([row["iter"], f"{row['lr']:.8g}",
-                                 f"{row['loss']:.8g}", f"{row['pixAcc']:.6f}"])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["iter", "lr", "loss", "pixAcc"])
+        for row in history:
+            writer.writerow([row["iter"], f"{row['lr']:.8g}",
+                             f"{row['loss']:.8g}", f"{row['pixAcc']:.6f}"])
+        write_atomic(log_path, buf.getvalue().encode())
     return TrainResult(history=history, final_pixacc=final_acc,
                        final_miou=final_miou, steps=steps)

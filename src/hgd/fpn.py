@@ -175,22 +175,12 @@ def init_fpn_stack(config: FpnConfig, rng, dtype=np.float64):
                  for _ in range(config.k_recurrence))
 
 
-def stack_named_parameters(stack):
-    for i, params in enumerate(stack):
-        for name, tensor in params.named_parameters():
-            yield f"stage{i}.{name}", tensor
-
-
 # ------------------------------------------------------------------ fusion
 
 def activate_coeffs(raw: FusionCoeffs) -> FusionCoeffs:
     """ReLU the raw fusion scalars."""
     return FusionCoeffs(a=ops.relu(raw.a), r=ops.relu(raw.r), s=ops.relu(raw.s),
                         t=ops.relu(raw.t))
-
-
-def _down(x: Tensor, target: Tensor) -> Tensor:
-    return ops.maxpool2x2(x, target.dims[1], target.dims[2])
 
 
 def _up(x: Tensor, target: Tensor) -> Tensor:
@@ -204,10 +194,10 @@ def fuse_code_map(pyramid: Pyramid, a: Tensor, steps) -> Tensor:
     `a` is expected to be non-negative already (see activate_coeffs).
     `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6).
     """
-    _, _, p5, p6, p7 = pyramid.levels()
+    _, _, _, p6, p7 = pyramid.levels()
     d34, d45, d56 = steps
-    d4 = _down(d45, p6)
-    d3 = _down(_down(d34, p5), p6)
+    d4 = ops.maxpool2x2(d45)
+    d3 = ops.maxpool2x2(ops.maxpool2x2(d34))
     return ops.weighted_sum(a, [_up(p7, p6), p6, d56, d4, d3])
 
 
@@ -246,8 +236,8 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
             f"{pyramid.channels} != {params.config.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
-    p3, p4, p5, p6, p7 = pyramid.levels()
-    steps = (_down(p3, p4), _down(p4, p5), _down(p5, p6))
+    p3, p4, p5, _, _ = pyramid.levels()
+    steps = (ops.maxpool2x2(p3), ops.maxpool2x2(p4), ops.maxpool2x2(p5))
     m_code = fuse_code_map(pyramid, coeffs.a, steps)
     codewords, basis_map, attention = generate_codewords(m_code, params)
 
@@ -260,7 +250,7 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
         refined[level] = _conv(ops.concat_channels([assembled, g]), branch.project)
         guidance[level] = g
     refined[3] = _up(refined[4], p3)
-    refined[7] = _down(refined[6], p7)
+    refined[7] = ops.maxpool2x2(refined[6])
 
     out = Pyramid(*[ops.add(level, refined[idx])
                     for idx, level in zip(range(3, 8), pyramid.levels())])

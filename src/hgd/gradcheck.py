@@ -23,14 +23,14 @@ class GradReport:
     passed: bool
 
 
-def _scalar_loss(build_fn) -> float:
+def _checked_loss(build_fn) -> Tensor:
+    """build_fn's loss, which must be a finite scalar tensor."""
     loss = build_fn()
     if not isinstance(loss, Tensor) or loss.dims != ():
         raise GradcheckError("build function must return a scalar loss tensor")
-    value = float(loss.data)
-    if not np.isfinite(value):
+    if not np.isfinite(float(loss.data)):
         raise GradcheckError("loss is not finite; cannot difference it")
-    return value
+    return loss
 
 
 def finite_difference(build_fn, param: Tensor, step: float = 1e-6) -> np.ndarray:
@@ -46,9 +46,9 @@ def _probe_element(build_fn, param: Tensor, i: int, step: float) -> float:
     original = param.data.flat[i]
     try:
         param.data.flat[i] = original + step
-        hi = _scalar_loss(build_fn)
+        hi = float(_checked_loss(build_fn).data)
         param.data.flat[i] = original - step
-        lo = _scalar_loss(build_fn)
+        lo = float(_checked_loss(build_fn).data)
     finally:
         param.data.flat[i] = original
     return (hi - lo) / (2.0 * step)
@@ -71,12 +71,7 @@ def gradcheck(build_fn, params, step: float = 1e-6, tol: float = 1e-5,
                 f"parameter {name!r} is {p.dtype}; finite differences need float64")
         p.zero_grad()
 
-    loss = build_fn()
-    if not isinstance(loss, Tensor) or loss.dims != ():
-        raise GradcheckError("build function must return a scalar loss tensor")
-    if not np.isfinite(float(loss.data)):
-        raise GradcheckError("loss is not finite; cannot difference it")
-    loss.backward()
+    _checked_loss(build_fn).backward()
 
     analytic = [p.grad.copy() if p.grad is not None else np.zeros(p.dims)
                 for _, p in params]

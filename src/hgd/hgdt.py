@@ -18,6 +18,7 @@ the target as it was, never a partial file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -80,7 +81,7 @@ def load_tensor(path) -> np.ndarray:
     if len(raw) < body:
         raise ValueError(f"{path}: truncated extents")
     shape = struct.unpack(f"<{rank}I", raw[6:body])
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)
     expected = body + count * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw) - body} bytes, expected {expected - body}")

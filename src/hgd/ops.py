@@ -10,8 +10,9 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   the backward pass is the exact transpose;
 - nearest_resize picks src = floor(dst*in/out) and is a gather, so a
   non-finite input value appears only at its own copies;
-- maxpool2x2 uses stride-2 windows clipped at the edges (ceil-mode sizes by
-  default, explicit target dims allowed). Each window's winner is its first
+- maxpool2x2 uses stride-2 windows clipped at the edges and is ceil-mode
+  only: an h x w map pools to ceil(h/2) x ceil(w/2), the grid every
+  pyramid level already has. Each window's winner is its first
   maximal element in row-major window order, a NaN counting as larger than
   any number (np.argmax's rule): ties go to the first element, the first NaN
   wins, and the output is the winner itself, sign of zero included. The
@@ -32,6 +33,7 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -127,14 +129,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 @contextlib.contextmanager
-def broken_relu_gradient(scale: float = 1.5):
-    """Deliberately mis-scale relu's backward pass.
+def broken_relu_gradient():
+    """Deliberately mis-scale relu's backward pass by 1.5.
 
     Exists solely so the gradient checker's failure path can be exercised;
     see the negative tests and the gradcheck CLI flag.
     """
     global _RELU_GRAD_SCALE
-    _RELU_GRAD_SCALE = float(scale)
+    _RELU_GRAD_SCALE = 1.5
     try:
         yield
     finally:
@@ -226,14 +228,8 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 # ----------------------------------------------------------------- resizing
 
-_RESIZE_CACHE: dict = {}
-
-
+@functools.cache
 def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    key = ("bilinear", n_in, n_out, np.dtype(dtype).str)
-    cached = _RESIZE_CACHE.get(key)
-    if cached is not None:
-        return cached
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     low = np.floor(src)
     frac = src - low
@@ -243,7 +239,6 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), (1.0 - frac).astype(dtype))
     np.add.at(m, (rows, i1), frac.astype(dtype))
-    _RESIZE_CACHE[key] = m
     return m
 
 
@@ -251,14 +246,10 @@ def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
     return (np.arange(n_out) * n_in) // n_out
 
 
+@functools.cache
 def _nearest_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    key = ("nearest", n_in, n_out, np.dtype(dtype).str)
-    cached = _RESIZE_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = np.zeros((n_out, n_in), dtype=dtype)
     m[np.arange(n_out), _nearest_index(n_in, n_out)] = 1
-    _RESIZE_CACHE[key] = m
     return m
 
 
@@ -323,23 +314,14 @@ def _window_argmax(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return k
 
 
-def maxpool2x2(x: Tensor, out_h: int | None = None, out_w: int | None = None) -> Tensor:
-    """2x2 max pooling with stride 2; edge windows are clipped.
-
-    Target dims default to ceil(h/2) x ceil(w/2) and may be passed explicitly
-    when the destination grid is already known (pyramid levels record theirs).
-    """
+def maxpool2x2(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2 to ceil(h/2) x ceil(w/2); edge windows
+    are clipped."""
     _check_rank(x, 3, "maxpool2x2 input")
     c, h, w = x.dims
-    if out_h is None:
-        out_h = (h + 1) // 2
-    if out_w is None:
-        out_w = (w + 1) // 2
-    if out_h < 1 or out_w < 1:
-        raise DimensionError(f"maxpool2x2 target must be at least 1x1, got {out_h}x{out_w}")
-    if 2 * (out_h - 1) > h - 1 or 2 * (out_w - 1) > w - 1:
-        raise DimensionError(
-            f"maxpool2x2 target {out_h}x{out_w} too large for input {h}x{w}")
+    if h < 1 or w < 1:
+        raise DimensionError(f"maxpool2x2 input must be at least 1x1, got {h}x{w}")
+    out_h, out_w = (h + 1) // 2, (w + 1) // 2
 
     k = _window_argmax(x.data, out_h, out_w)
     # flat index of each window's winner; windows are disjoint and a clipped

@@ -24,10 +24,6 @@ class ConvParams:
         yield f"{prefix}.weight", self.weight
         yield f"{prefix}.bias", self.bias
 
-    @property
-    def size(self) -> int:
-        return self.weight.data.size + self.bias.data.size
-
 
 def conv1x1_params(c_in: int, c_out: int, rng, dtype=np.float64, gain: float = 1.0) -> ConvParams:
     bound = gain * math.sqrt(3.0 / c_in)

@@ -67,9 +67,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         backward(ComputeGraph.trace(self), self)
 
@@ -104,9 +101,6 @@ class ComputeGraph:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         return cls(order)
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 def backward(graph: ComputeGraph, loss: Tensor):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgd.cli import main
+from hgd.cli import _ARCHS, main
 from hgd.hgdt import load_checkpoint, load_tensor, save_tensor
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -109,7 +109,7 @@ def test_cost_bad_input_flag(capsys, argv, named):
     assert out == ""
 
 
-@pytest.mark.parametrize("arch, macs, params", [
+DEFAULT_TOTALS = [
     ("resnet101", 43775426560, 54275772),
     ("resnet101-dilated", 225691303936, 54275772),
     ("resnet101-backbone", 40747663360, 42447488),
@@ -118,11 +118,33 @@ def test_cost_bad_input_flag(capsys, argv, named):
     ("fpn-baseline", 250953754624, 41727267),
     ("hgd-fpn", 601043920896, 52937265),
     ("hgd-fpn-toy", 88064, 854),
-])
+]
+
+
+@pytest.mark.parametrize("arch, macs, params", DEFAULT_TOTALS)
 def test_cost_totals_at_defaults(capsys, arch, macs, params):
+    # a new architecture must pin its default totals here
+    assert {a for a, _, _ in DEFAULT_TOTALS} == set(_ARCHS)
     code, out, _ = run_cli(capsys, "cost", arch)
     assert code == 0
     assert total_from_csv(out) == (macs, params)
+
+
+@pytest.mark.parametrize("arch", list(_ARCHS))
+def test_cost_knobs_follow_the_arch_table(capsys, arch):
+    """Every knob an architecture reads reaches its builder; every other
+    one is a config error."""
+    _, reads = _ARCHS[arch]
+    default = run_cli(capsys, "cost", arch)[1]
+    for knob in ("n", "c", "k"):
+        code, out, err = run_cli(capsys, "cost", arch, f"--{knob}", "2")
+        if knob in reads:
+            assert (code, err) == (0, "")
+            assert total_from_csv(out) != total_from_csv(default)
+        else:
+            assert code == 2
+            assert err.startswith(f"config error: --{knob} is not read by {arch}")
+            assert out == ""
 
 
 # --------------------------------------------------------------------- dump

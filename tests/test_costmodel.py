@@ -9,7 +9,7 @@ from hgd.costmodel import (ArchSpec, LayerSpec, count_layer, efficientfcn_spec,
                            emit_report, fpn_spec, report_csv,
                            resnet_spec, toy_seg_spec, unet_spec)
 from hgd.efficientfcn import init_seg_params, tiny_backbone_config, tiny_hgd_config
-from hgd.fpn import init_fpn_params, init_fpn_stack, stack_named_parameters, tiny_fpn_config
+from hgd.fpn import init_fpn_params, init_fpn_stack, tiny_fpn_config
 from hgd.params import parameter_count
 from hgd.tensor import ConfigError
 
@@ -262,7 +262,7 @@ def test_toy_unshared_params_match_executable_stack():
                     k=3, share_params=False)
     rng = np.random.default_rng(1)
     stack = init_fpn_stack(cfg, rng)
-    live = parameter_count(stack_named_parameters(stack))
+    live = sum(parameter_count(p.named_parameters()) for p in stack)
     assert emit_report(spec).total_params == live
 
 

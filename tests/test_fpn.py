@@ -10,8 +10,7 @@ from hgd.decoder import ConfigError
 from hgd.fpn import (FpnConfig, FusionCoeffs, Pyramid, activate_coeffs,
                      fpn_decode, fpn_decode_once, fpn_decode_once_full,
                      fuse_code_map, fuse_scale_maps, init_fpn_params,
-                     init_fpn_stack, init_fusion_coeffs,
-                     stack_named_parameters, tiny_fpn_config)
+                     init_fpn_stack, init_fusion_coeffs, tiny_fpn_config)
 from hgd.gradcheck import gradcheck
 from hgd.params import parameter_count
 from hgd.tensor import ComputeGraph, Tensor
@@ -70,8 +69,7 @@ def to_grid(x, oh, ow):
 
 def one_steps(pyr):
     """The one-step downsamplings p3->p4, p4->p5, p5->p6 the fusers take."""
-    levels = pyr.levels()
-    return tuple(ops.maxpool2x2(x, *like.dims[1:]) for x, like in zip(levels[:3], levels[1:4]))
+    return tuple(ops.maxpool2x2(x) for x in pyr.levels()[:3])
 
 
 # --------------------------------------------------------------- structure
@@ -269,8 +267,8 @@ def count_ops(levels, op):
     return sum(1 for node in ComputeGraph.trace(total).nodes if node._op == op)
 
 
-def down(x, like):
-    return ops.maxpool2x2(x, *like.dims[1:])
+def down(x):
+    return ops.maxpool2x2(x)
 
 
 def up(x, like):
@@ -279,15 +277,15 @@ def up(x, like):
 
 def unshared_code_map(pyramid, a, steps):
     p3, p4, p5, p6, p7 = pyramid.levels()
-    return ops.weighted_sum(a, [up(p7, p6), p6, down(p5, p6), down(down(p4, p5), p6),
-                                down(down(down(p3, p4), p5), p6)])
+    return ops.weighted_sum(a, [up(p7, p6), p6, down(p5), down(down(p4)),
+                                down(down(down(p3)))])
 
 
 def unshared_scale_maps(pyramid, r, s, t, steps):
     p3, p4, p5, p6, p7 = pyramid.levels()
-    return (ops.weighted_sum(r, [up(p5, p4), p4, down(p3, p4)]),
-            ops.weighted_sum(s, [up(p6, p5), p5, down(p4, p5)]),
-            ops.weighted_sum(t, [up(p7, p6), p6, down(p5, p6)]))
+    return (ops.weighted_sum(r, [up(p5, p4), p4, down(p3)]),
+            ops.weighted_sum(s, [up(p6, p5), p5, down(p4)]),
+            ops.weighted_sum(t, [up(p7, p6), p6, down(p5)]))
 
 
 def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
@@ -433,7 +431,7 @@ def test_shared_parameter_count_is_k_independent():
     unshared = FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=3,
                          share_params=False, output_channels=8)
     stack = init_fpn_stack(unshared, np.random.default_rng(32))
-    assert parameter_count(stack_named_parameters(stack)) == 3 * expected
+    assert sum(parameter_count(p.named_parameters()) for p in stack) == 3 * expected
 
 
 def test_gradcheck_every_group_through_tiny_decode():

@@ -1,12 +1,19 @@
 """Byte-level oracles for the HGDT tensor format, PGM export, checkpoints."""
 
 import json
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hgd import hgdt
+from hgd.efficientfcn import (TrainConfig, init_seg_params, tiny_backbone_config,
+                              tiny_hgd_config, train_segmenter)
+from hgd.synthdata import synth_dataset
 
 
 def test_hgdt_header_bytes_frozen(tmp_path):
@@ -80,6 +87,70 @@ def test_hgdt_rejects_truncated_payload(tmp_path):
 def test_hgdt_rejects_integer_input(tmp_path):
     with pytest.raises(ValueError, match="float"):
         hgdt.save_tensor(tmp_path / "i.hgdt", np.arange(3))
+
+
+def load_round_trips_or_value_error(path, raw):
+    """Load `raw` from `path`: either it loads and saving the result writes
+    the same bytes back, or load_tensor raises ValueError and every size
+    its message reports is non-negative."""
+    path.write_bytes(raw)
+    try:
+        arr = hgdt.load_tensor(path)
+    except ValueError as exc:
+        message = str(exc).removeprefix(f"{path}: ")
+        assert all(int(n) >= 0 for n in re.findall(r"-?\d+", message)), message
+        return
+    hgdt.save_tensor(path, arr)
+    assert path.read_bytes() == raw
+
+
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def valid_hgdt_files(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    values = draw(st.lists(st.floats(width=32), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    arr = np.array(values, dtype=dtype).reshape(shape)
+    header = b"HGDT" + bytes([0 if dtype == np.float32 else 1, arr.ndim])
+    header += struct.pack(f"<{arr.ndim}I", *shape)
+    return header + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+
+
+@_FUZZ
+@given(raw=valid_hgdt_files(), cut=st.integers(0, 10**6))
+def test_load_tensor_fuzz_truncation(tmp_path, raw, cut):
+    load_round_trips_or_value_error(tmp_path / "t.hgdt", raw[:cut % (len(raw) + 1)])
+
+
+@_FUZZ
+@given(raw=valid_hgdt_files(), at=st.integers(0, 10**6), mask=st.integers(1, 255))
+def test_load_tensor_fuzz_byte_flip(tmp_path, raw, at, mask):
+    flipped = bytearray(raw)
+    flipped[at % len(raw)] ^= mask
+    load_round_trips_or_value_error(tmp_path / "t.hgdt", bytes(flipped))
+
+
+@st.composite
+def random_headers(draw):
+    code = draw(st.sampled_from([0, 1]) | st.integers(0, 255))
+    extents = draw(st.lists(st.integers(0, 3) | st.sampled_from([2**31, 2**32 - 1])
+                            | st.integers(0, 2**32 - 1), max_size=8))
+    header = b"HGDT" + bytes([code, len(extents)]) + struct.pack(f"<{len(extents)}I", *extents)
+    exact = math.prod(extents) * (4 if code == 0 else 8)
+    if exact <= 256 and draw(st.booleans()):
+        return header + draw(st.binary(min_size=exact, max_size=exact))
+    return header + draw(st.binary(max_size=64))
+
+
+@_FUZZ
+@given(raw=random_headers())
+@example(raw=b"HGDT" + bytes([1, 4]) + struct.pack("<4I", *[2**32 - 1] * 4))
+def test_load_tensor_fuzz_random_header(tmp_path, raw):
+    load_round_trips_or_value_error(tmp_path / "t.hgdt", raw)
 
 
 # ------------------------------------------------------------------- PGM
@@ -165,6 +236,69 @@ def test_checkpoint_rejects_file_outside_directory(tmp_path):
         hgdt.load_checkpoint(ckpt)
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("xyz", max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_checkpoint_fuzz_manifest(tmp_path, data):
+    """A manifest edited into any JSON shape, with file names that leave the
+    directory by `..` or an absolute path, either loads the tensors of the
+    files it names inside the directory or raises ValueError."""
+    ckpt = tmp_path / "ckpt"
+    saved = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(4)}
+    hgdt.save_checkpoint(ckpt, saved)
+    for name, arr in saved.items():
+        # same dims and dtype as the entry, so only the confinement rejects it
+        hgdt.save_tensor(tmp_path / f"{name}.hgdt", arr)
+    inside = {(ckpt / f"{name}.hgdt").resolve(): arr for name, arr in saved.items()}
+    names = st.sampled_from([
+        "a.hgdt", "b.hgdt", "manifest.json", "", ".", "..", "../a.hgdt", "../b.hgdt",
+        "../ckpt/b.hgdt", "/", str(tmp_path / "a.hgdt"), str(tmp_path / "b.hgdt"),
+        str(ckpt / "a.hgdt")])
+
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    for entry in manifest["tensors"].values():
+        if data.draw(st.booleans()):
+            entry["file"] = data.draw(names | json_values.filter(lambda v: not isinstance(v, str)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        target = data.draw(st.sampled_from(["tensors", "a", "b", "new", "field"]))
+        if target == "tensors":
+            manifest["tensors"] = data.draw(json_values)
+            continue
+        entries = manifest.get("tensors")
+        if not isinstance(entries, dict):
+            continue
+        if target != "field":
+            entries[target] = data.draw(json_values)
+            continue
+        entry = entries.get(data.draw(st.sampled_from(["a", "b"])))
+        if not isinstance(entry, dict):
+            continue
+        key = data.draw(st.sampled_from(["file", "dims", "dtype"]))
+        if data.draw(st.booleans()):
+            entry.pop(key, None)
+        elif key != "file":
+            entry[key] = data.draw(json_values | st.sampled_from([[2, 3], [4], "f32", "f64"]))
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+    try:
+        out = hgdt.load_checkpoint(ckpt)
+    except ValueError:
+        return
+    assert set(out) == set(manifest["tensors"])
+    for name, arr in out.items():
+        entry = manifest["tensors"][name]
+        want = inside[(ckpt / entry["file"]).resolve()]
+        assert arr.dtype == want.dtype and np.array_equal(arr, want)
+        assert list(arr.shape) == entry["dims"]
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m.update(tensors=[]),
     lambda m: m["tensors"]["p"].pop("dims"),
@@ -196,6 +330,14 @@ def test_checkpoint_rejects_dtype_mismatch(tmp_path):
         hgdt.load_checkpoint(ckpt)
 
 
+def train_one_step(log_path):
+    samples = synth_dataset(seed=0, count=1, size=32, num_classes=3)
+    params = init_seg_params(tiny_backbone_config(), tiny_hgd_config(), 3,
+                             np.random.default_rng(0))
+    train_segmenter(samples, params, TrainConfig(max_iter=1, batch=1), 3,
+                    np.random.default_rng(1), log_path=log_path)
+
+
 def _failing_write_bytes(self, data):
     """Path.write_bytes that stops halfway, as on a full disk."""
     with open(self, "wb") as fh:
@@ -207,7 +349,8 @@ def _failing_write_bytes(self, data):
     lambda d: hgdt.save_tensor(d / "t.hgdt", np.ones(64)),
     lambda d: hgdt.save_pgm(d / "m.pgm", np.eye(8)),
     lambda d: hgdt.save_checkpoint(d / "ckpt", {"p": np.ones(8)}),
-], ids=["tensor", "pgm", "checkpoint"])
+    lambda d: train_one_step(d / "train_log.csv"),
+], ids=["tensor", "pgm", "checkpoint", "train_log"])
 def test_failing_write_leaves_no_partial_file(tmp_path, monkeypatch, save):
     (tmp_path / "ckpt").mkdir()
     (tmp_path / "t.hgdt").write_bytes(b"old")

@@ -249,10 +249,10 @@ def test_maxpool2x2_values_and_odd_edges():
     assert np.array_equal(out.data, expect)
 
 
-def test_maxpool2x2_explicit_target_dims():
-    x = t(np.arange(16, dtype=np.float64).reshape(1, 4, 4))
-    out = ops.maxpool2x2(x, out_h=2, out_w=2)
-    assert np.array_equal(out.data, [[[5.0, 7.0], [13.0, 15.0]]])
+@pytest.mark.parametrize("dims", [(1, 0, 3), (1, 3, 0)], ids=["zero-rows", "zero-cols"])
+def test_maxpool2x2_rejects_zero_extent(dims):
+    with pytest.raises(DimensionError, match="at least 1x1"):
+        ops.maxpool2x2(t(np.zeros(dims)))
 
 
 def test_global_avg_spatial():
@@ -317,21 +317,17 @@ def bits(a):
 
 @settings(max_examples=150, deadline=None)
 @given(c=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
-       shrink_h=st.integers(0, 3), shrink_w=st.integers(0, 3),
        nan_share=st.sampled_from([0.0, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1),
        fortran=st.booleans())
-@example(c=1, h=1, w=1, shrink_h=0, shrink_w=0, nan_share=0.0, seed=0, fortran=False)
-@example(c=2, h=1, w=6, shrink_h=0, shrink_w=0, nan_share=0.2, seed=1, fortran=False)
-@example(c=1, h=5, w=1, shrink_h=0, shrink_w=0, nan_share=0.2, seed=2, fortran=True)
-def test_maxpool2x2_matches_window_loop(c, h, w, shrink_h, shrink_w, nan_share, seed, fortran):
+@example(c=1, h=1, w=1, nan_share=0.0, seed=0, fortran=False)
+@example(c=2, h=1, w=6, nan_share=0.2, seed=1, fortran=False)
+@example(c=1, h=5, w=1, nan_share=0.2, seed=2, fortran=True)
+def test_maxpool2x2_matches_window_loop(c, h, w, nan_share, seed, fortran):
     """Values (sign of zero included), gradient routing with ties to the
     first element in window order, and NaN: the first NaN wins and takes
-    the gradient. Integer-rounded data makes ties common. A nonzero shrink
-    passes an explicit target smaller than the ceil size; `fortran` feeds
+    the gradient. Integer-rounded data makes ties common; `fortran` feeds
     a non-C-contiguous input."""
-    oh = max(1, (h + 1) // 2 - shrink_h)
-    ow = max(1, (w + 1) // 2 - shrink_w)
-    explicit = {"out_h": oh, "out_w": ow} if shrink_h or shrink_w else {}
+    oh, ow = (h + 1) // 2, (w + 1) // 2
     rng = np.random.default_rng(seed)
     x = rng.integers(-2, 3, size=(c, h, w)).astype(np.float64)
     x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
@@ -339,7 +335,7 @@ def test_maxpool2x2_matches_window_loop(c, h, w, shrink_h, shrink_w, nan_share, 
 
     want, winners = maxpool_window_loop(x, oh, ow)
     xt = t(np.asfortranarray(x) if fortran else x, grad=True)
-    out = ops.maxpool2x2(xt, **explicit)
+    out = ops.maxpool2x2(xt)
     assert np.array_equal(bits(out.data), bits(want))
 
     probe = rng.integers(1, 100, size=(c, oh, ow)).astype(np.float64)
