@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .decoder import HgdConfig
 from .efficientfcn import backbone_layout, tiny_backbone_config, tiny_hgd_config
-from .fpn import FpnConfig, level_grids, tiny_fpn_config
+from .fpn import FUSION_LENGTHS, FpnConfig, level_grids, tiny_fpn_config
 from .tensor import ConfigError
 
 SEG_INPUT = (512, 512)
@@ -52,13 +52,11 @@ class LayerSpec:
 @dataclass(frozen=True)
 class ArchSpec:
     name: str
-    input_hw: tuple
     layers: tuple
 
 
 @dataclass(frozen=True)
 class CostReport:
-    name: str
     rows: tuple            # (layer name, macs, params)
     total_macs: int
     total_params: int
@@ -89,8 +87,7 @@ def emit_report(arch: ArchSpec) -> CostReport:
         rows.append((layer.name, macs, params))
         total_macs += macs
         total_params += params
-    return CostReport(name=arch.name, rows=tuple(rows),
-                      total_macs=total_macs, total_params=total_params)
+    return CostReport(rows=tuple(rows), total_macs=total_macs, total_params=total_params)
 
 
 def report_csv(report: CostReport) -> str:
@@ -114,7 +111,7 @@ def _bottleneck(rows, prefix, c_in, mid, c_out, in_hw, out_hw, project):
     rows.append(LayerSpec(f"{prefix}.add", "elementwise"))
 
 
-def _resnet_rows(depth, input_hw, dilated_last_two, prefix="backbone"):
+def _resnet_rows(depth, input_hw, dilated_last_two):
     """Bottleneck-stage backbone; returns (rows, tap grids by output stride)."""
     if depth not in _RESNET_BLOCKS:
         raise ConfigError(f"unsupported resnet depth {depth}")
@@ -123,8 +120,8 @@ def _resnet_rows(depth, input_hw, dilated_last_two, prefix="backbone"):
         raise ConfigError(f"input dims must be divisible by 32, got {input_hw}")
     blocks = _RESNET_BLOCKS[depth]
 
-    rows = [LayerSpec(f"{prefix}.conv1", "conv", 7, 3, 64, h // 2, w // 2),
-            LayerSpec(f"{prefix}.maxpool", "pool", out_h=h // 4, out_w=w // 4)]
+    rows = [LayerSpec("backbone.conv1", "conv", 7, 3, 64, h // 2, w // 2),
+            LayerSpec("backbone.maxpool", "pool", out_h=h // 4, out_w=w // 4)]
 
     if dilated_last_two:
         strides = (4, 8, 8, 8)      # last two stages hold at stride 8
@@ -141,7 +138,7 @@ def _resnet_rows(depth, input_hw, dilated_last_two, prefix="backbone"):
         out_hw = (h // stride, w // stride)
         first_in_hw = (h // in_stride, w // in_stride)
         for b in range(count):
-            name = f"{prefix}.stage{stage}.block{b:02d}"
+            name = f"backbone.stage{stage}.block{b:02d}"
             if b == 0:
                 _bottleneck(rows, name, c_in, mid, c_out, first_in_hw, out_hw, True)
             else:
@@ -169,7 +166,7 @@ def resnet_spec(depth, input_hw=SEG_INPUT, dilated_last_two=False,
                  LayerSpec("head.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     else:
         name += "-backbone"
-    return ArchSpec(name=name, input_hw=tuple(input_hw), layers=tuple(rows))
+    return ArchSpec(name=name, layers=tuple(rows))
 
 
 # ------------------------------------------------------------ segmentation
@@ -230,35 +227,23 @@ def efficientfcn_spec(n=None, c=None, input_hw=SEG_INPUT, refined=True) -> ArchS
     config = _with(HgdConfig(), n_codewords=n, codeword_dim=c, guidance_channels=c)
     rows, _ = _resnet_rows(101, input_hw, False)
     rows += _decoder_rows(config, (512, 1024, 2048), input_hw, SEG_CLASSES, refined)
-    return ArchSpec(name=f"efficientfcn-n{config.n_codewords}", input_hw=tuple(input_hw),
-                    layers=tuple(rows))
+    return ArchSpec(name=f"efficientfcn-n{config.n_codewords}", layers=tuple(rows))
 
 
-def unet_spec(input_hw=SEG_INPUT, deconv=False) -> ArchSpec:
-    """Reference two-merge encoder-decoder on the same backbone (no
-    tolerance is claimed for this reconstruction)."""
+def unet_spec(input_hw=SEG_INPUT) -> ArchSpec:
+    """Reference two-merge encoder-decoder with bilinear upsampling on the
+    same backbone (no tolerance is claimed for this reconstruction)."""
     rows, grids = _resnet_rows(101, input_hw, False)
     g16, g8 = grids[4], grids[3]
-    if deconv:
-        rows.append(LayerSpec("decoder.up1_deconv", "conv", 2, 2048, 1024, *g16))
-        merged1 = 1024 + 1024
-    else:
-        rows.append(LayerSpec("decoder.up1", "resize", out_h=g16[0], out_w=g16[1]))
-        merged1 = 2048 + 1024
-    rows += [LayerSpec("decoder.concat1", "elementwise"),
-             LayerSpec("decoder.merge1", "conv", 3, merged1, 1024, *g16)]
-    if deconv:
-        rows.append(LayerSpec("decoder.up2_deconv", "conv", 2, 1024, 512, *g8))
-        merged2 = 512 + 512
-    else:
-        rows.append(LayerSpec("decoder.up2", "resize", out_h=g8[0], out_w=g8[1]))
-        merged2 = 1024 + 512
-    rows += [LayerSpec("decoder.concat2", "elementwise"),
-             LayerSpec("decoder.merge2", "conv", 3, merged2, 512, *g8),
+    rows += [LayerSpec("decoder.up1", "resize", out_h=g16[0], out_w=g16[1]),
+             LayerSpec("decoder.concat1", "elementwise"),
+             LayerSpec("decoder.merge1", "conv", 3, 2048 + 1024, 1024, *g16),
+             LayerSpec("decoder.up2", "resize", out_h=g8[0], out_w=g8[1]),
+             LayerSpec("decoder.concat2", "elementwise"),
+             LayerSpec("decoder.merge2", "conv", 3, 1024 + 512, 512, *g8),
              LayerSpec("decoder.classifier", "conv", 1, 512, SEG_CLASSES, *g8),
              LayerSpec("decoder.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
-    kind = "deconv" if deconv else "bilinear"
-    return ArchSpec(name=f"unet-{kind}", input_hw=tuple(input_hw), layers=tuple(rows))
+    return ArchSpec(name="unet-bilinear", layers=tuple(rows))
 
 
 # --------------------------------------------------------------- detection
@@ -290,7 +275,7 @@ def fpn_baseline_spec(input_hw=DETECTION_INPUT) -> ArchSpec:
              LayerSpec("roi.fc2", "conv", 1, 1024, 1024, PROPOSALS, 1),
              LayerSpec("roi.cls", "conv", 1, 1024, DETECTION_CLASSES, PROPOSALS, 1),
              LayerSpec("roi.reg", "conv", 1, 1024, 4 * (DETECTION_CLASSES - 1), PROPOSALS, 1)]
-    return ArchSpec(name="fpn-baseline", input_hw=tuple(input_hw), layers=tuple(rows))
+    return ArchSpec(name="fpn-baseline", layers=tuple(rows))
 
 
 def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
@@ -301,7 +286,8 @@ def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
     kernel = 3 if full else 1
     channels, n, c = config.output_channels, config.n_codewords, config.codeword_dim
     tied = config.share_params and stage > 0
-    rows = [LayerSpec(f"{p}.fusion_coeffs", "coeffs", param_count=14, tied=tied)]
+    rows = [LayerSpec(f"{p}.fusion_coeffs", "coeffs",
+                      param_count=sum(FUSION_LENGTHS.values()), tied=tied)]
     code = grids[6]
     rows.append(LayerSpec(f"{p}.code_resample", "resize", out_h=code[0], out_w=code[1]))
     rows.append(LayerSpec(f"{p}.bases", "conv", kernel, channels, c, *code, tied=tied))
@@ -332,7 +318,8 @@ def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
 
 def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
              share_params=True) -> ArchSpec:
-    """Pyramid decoder cost specs.
+    """Pyramid decoder cost specs for the "hgd-fpn" and "hgd-fpn-toy"
+    variants (the baseline detector alone is fpn_baseline_spec).
 
     hgd-fpn: full-scale stages on top of the baseline detector, widths
     from FpnConfig(). hgd-fpn-toy: decoder stages alone, the layers of
@@ -340,8 +327,6 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
     so parameter totals can be compared exactly. Both run
     FpnConfig().k_recurrence stages unless `k` is given.
     """
-    if variant == "fpn-baseline":
-        return fpn_baseline_spec(input_hw or DETECTION_INPUT)
     if variant == "hgd-fpn":
         input_hw = input_hw or DETECTION_INPUT
         rows = list(fpn_baseline_spec(input_hw).layers)
@@ -360,18 +345,17 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
                    share_params=share_params)
     for stage in range(config.k_recurrence):
         rows += _decoder_stage_rows(stage, grids, config, full=variant == "hgd-fpn")
-    return ArchSpec(name=f"{variant}-k{config.k_recurrence}", input_hw=tuple(input_hw),
-                    layers=tuple(rows))
+    return ArchSpec(name=f"{variant}-k{config.k_recurrence}", layers=tuple(rows))
 
 
 # ------------------------------------------------------------- toy mirror
 
-def toy_seg_spec(num_classes=5) -> ArchSpec:
+def toy_seg_spec() -> ArchSpec:
     """The executable tiny segmentation stack (tiny_backbone_config and
-    tiny_hgd_config) layer for layer on the demo-seg preset's 64x64 images,
-    built from the same conv layout and decoder rows as the full-scale
-    specs, so its analytic parameter total can be checked against the real
-    parameter records exactly."""
+    tiny_hgd_config) layer for layer on the demo-seg preset's 64x64 images
+    and 5 classes, built from the same conv layout and decoder rows as the
+    full-scale specs, so its analytic parameter total can be checked
+    against the real parameter records exactly."""
     input_hw = (64, 64)
     h, w = input_hw
     backbone = tiny_backbone_config()
@@ -379,5 +363,5 @@ def toy_seg_spec(num_classes=5) -> ArchSpec:
     for i, (c_in, c_out, _) in enumerate(backbone_layout(backbone)):
         h, w = h // 2, w // 2
         rows.append(LayerSpec(f"backbone.conv{i + 1}", "conv", 3, c_in, c_out, h, w))
-    rows += _decoder_rows(tiny_hgd_config(), backbone.tap_channels, input_hw, num_classes)
-    return ArchSpec(name="toy-seg", input_hw=tuple(input_hw), layers=tuple(rows))
+    rows += _decoder_rows(tiny_hgd_config(), backbone.tap_channels, input_hw, 5)
+    return ArchSpec(name="toy-seg", layers=tuple(rows))

@@ -172,23 +172,19 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * (1.0 - iteration / cfg.max_iter) ** cfg.power
 
 
-@dataclass
-class SgdState:
-    velocities: list
-
-
-def sgd_step(params, grads, lr: float, cfg: TrainConfig, state: SgdState | None = None) -> SgdState:
-    """v <- momentum*v + grad + weight_decay*param; param <- param - lr*v."""
+def sgd_step(params, grads, lr: float, cfg: TrainConfig, velocities=None) -> list:
+    """v <- momentum*v + grad + weight_decay*param; param <- param - lr*v.
+    Returns the velocities (zeros when None are given) for the next step."""
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
-    if state is None:
-        state = SgdState(velocities=[np.zeros_like(p.data) for p in params])
-    for p, g, v in zip(params, grads, state.velocities):
+    if velocities is None:
+        velocities = [np.zeros_like(p.data) for p in params]
+    for p, g, v in zip(params, grads, velocities):
         v *= cfg.momentum
         v += g
         v += cfg.weight_decay * p.data
         p.data -= lr * v
-    return state
+    return velocities
 
 
 def evaluate(samples, params: SegParams, num_classes: int):
@@ -218,7 +214,7 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
     """
     named = list(params.named_parameters())
     tensors = [t for _, t in named]
-    state = None
+    velocities = None
     history = []
     steps = 0
 
@@ -241,7 +237,7 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
             correct += int((pred[mask] == sample.label[mask]).sum())
             valid += int(mask.sum())
         grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-        state = sgd_step(tensors, grads, lr, cfg, state)
+        velocities = sgd_step(tensors, grads, lr, cfg, velocities)
         history.append({"iter": it, "lr": lr, "loss": loss_sum / len(picks),
                         "pixAcc": correct / max(valid, 1)})
         steps = it + 1

@@ -86,11 +86,13 @@ class FusionCoeffs:
         yield f"{prefix}.t", self.t
 
 
-def init_fusion_coeffs(dtype=np.float64) -> FusionCoeffs:
-    def ones(k):
-        return Tensor(np.ones(k, dtype=dtype), requires_grad=True)
+# the length of each FusionCoeffs field, in one place for the cost model too
+FUSION_LENGTHS = {"a": 5, "r": 3, "s": 3, "t": 3}
 
-    return FusionCoeffs(a=ones(5), r=ones(3), s=ones(3), t=ones(3))
+
+def init_fusion_coeffs(dtype=np.float64) -> FusionCoeffs:
+    return FusionCoeffs(**{name: Tensor(np.ones(k, dtype=dtype), requires_grad=True)
+                           for name, k in FUSION_LENGTHS.items()})
 
 
 @dataclass(frozen=True)
@@ -219,13 +221,10 @@ def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
 @dataclass
 class FpnTrace:
     m_code: Tensor
-    basis_map: Tensor
     attention: Tensor
     codewords: Tensor
     fused: dict
-    guidance: dict
     refined: dict
-    out: Pyramid
 
 
 def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
@@ -239,24 +238,22 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     p3, p4, p5, _, _ = pyramid.levels()
     steps = (ops.maxpool2x2(p3), ops.maxpool2x2(p4), ops.maxpool2x2(p5))
     m_code = fuse_code_map(pyramid, coeffs.a, steps)
-    codewords, basis_map, attention = generate_codewords(m_code, params)
+    codewords, _, attention = generate_codewords(m_code, params)
 
     m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
     fused = {4: m4, 5: m5, 6: m6}
-    guidance, refined = {}, {}
+    refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):
         g = _conv(fused[level], branch.guidance)
         assembled, _ = assemble(g, codewords, branch)
         refined[level] = _conv(ops.concat_channels([assembled, g]), branch.project)
-        guidance[level] = g
     refined[3] = _up(refined[4], p3)
     refined[7] = ops.maxpool2x2(refined[6])
 
     out = Pyramid(*[ops.add(level, refined[idx])
                     for idx, level in zip(range(3, 8), pyramid.levels())])
-    return out, FpnTrace(m_code=m_code, basis_map=basis_map, attention=attention,
-                         codewords=codewords, fused=fused, guidance=guidance,
-                         refined=refined, out=out)
+    return out, FpnTrace(m_code=m_code, attention=attention, codewords=codewords,
+                         fused=fused, refined=refined)
 
 
 def fpn_decode_once(pyramid: Pyramid, params: FpnParams) -> Pyramid:

@@ -9,7 +9,8 @@ normalization; a constant map renders as all black. These are qualitative
 visual dumps, so the normalization is documented rather than invertible.
 
 A checkpoint is a directory of HGDT files plus manifest.json mapping each
-tensor name to its file, dims, and dtype.
+tensor name to its file, dims, and dtype. The optional "meta" entry is
+written for readers of manifest.json; the library does not read it back.
 
 Every file is written atomically (write_atomic): a write that fails leaves
 the target as it was, never a partial file.
@@ -85,7 +86,11 @@ def load_tensor(path) -> np.ndarray:
     expected = body + count * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw) - body} bytes, expected {expected - body}")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=body).reshape(shape)
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=body)
+    try:
+        arr = arr.reshape(shape)
+    except ValueError as exc:   # e.g. a rank numpy cannot hold
+        raise ValueError(f"{path}: {exc}") from None
     # native-order writable copy
     return arr.astype(dtype.newbyteorder("="))
 
@@ -139,19 +144,14 @@ def save_checkpoint(directory, named_tensors, meta: dict | None = None) -> None:
                  json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
-def _read_manifest(directory: Path) -> dict:
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{directory}: malformed manifest (top level is "
-                         f"{type(manifest).__name__}, not an object)")
-    return manifest
-
-
 def load_checkpoint(directory) -> dict:
     """Tensors by name; ValueError for a malformed manifest, a file outside
     `directory`, or a file whose dims or dtype differ from its entry."""
     directory = Path(directory)
-    manifest = _read_manifest(directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{directory}: malformed manifest (top level is "
+                         f"{type(manifest).__name__}, not an object)")
     try:
         entries = [(name, (directory / e["file"]).resolve(), e["dims"], e["dtype"])
                    for name, e in manifest["tensors"].items()]
@@ -169,8 +169,3 @@ def load_checkpoint(directory) -> dict:
             raise ValueError(f"{name}: manifest dtype {dtype!r} != file dtype {_dtype_name(arr)}")
         out[name] = arr
     return out
-
-
-def load_checkpoint_meta(directory) -> dict | None:
-    """The manifest's "meta" entry; ValueError when the manifest is not an object."""
-    return _read_manifest(Path(directory)).get("meta")

@@ -42,13 +42,13 @@ from .metrics import IGNORE_ID
 from .tensor import Tensor, DimensionError
 
 
-def _make(data, parents, op, backward_fn=None):
+def _make(data, parents, op, backward_fn):
     if _t.DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by {op}")
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     out._parents = tuple(parents)
     out._op = op
-    if out.requires_grad and backward_fn is not None:
+    if out.requires_grad:
         out._backward_fn = backward_fn
     return out
 

@@ -1,8 +1,9 @@
 """Parameter containers and initializers shared across the network modules.
 
 Kernels use fan-in scaled uniform initialization (Kaiming-style): bound =
-gain * sqrt(3 / fan_in), gain 1 for purely affine branches and sqrt(2) for
-convolutions followed by relu. Biases start at zero.
+gain * sqrt(3 / fan_in). The gains are fixed: 1 for the 1x1 convs (purely
+affine branches) and sqrt(2) for the 3x3 convs (each followed by relu).
+Biases start at zero.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ class ConvParams:
         yield f"{prefix}.bias", self.bias
 
 
-def conv1x1_params(c_in: int, c_out: int, rng, dtype=np.float64, gain: float = 1.0) -> ConvParams:
-    bound = gain * math.sqrt(3.0 / c_in)
+def conv1x1_params(c_in: int, c_out: int, rng, dtype=np.float64) -> ConvParams:
+    bound = math.sqrt(3.0 / c_in)
     weight = Tensor(rng.uniform(-bound, bound, size=(c_out, c_in)).astype(dtype),
                     requires_grad=True)
     bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
     return ConvParams(weight, bias)
 
 
-def conv3x3_params(c_in: int, c_out: int, rng, dtype=np.float64,
-                   gain: float = math.sqrt(2.0)) -> ConvParams:
-    bound = gain * math.sqrt(3.0 / (9 * c_in))
+def conv3x3_params(c_in: int, c_out: int, rng, dtype=np.float64) -> ConvParams:
+    bound = math.sqrt(2.0) * math.sqrt(3.0 / (9 * c_in))
     weight = Tensor(rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3)).astype(dtype),
                     requires_grad=True)
     bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hgd.costmodel import (ArchSpec, LayerSpec, count_layer, efficientfcn_spec,
-                           emit_report, fpn_spec, report_csv,
-                           resnet_spec, toy_seg_spec, unet_spec)
+                           emit_report, fpn_baseline_spec, fpn_spec, report_csv,
+                           resnet_spec, toy_seg_spec)
 from hgd.efficientfcn import init_seg_params, tiny_backbone_config, tiny_hgd_config
 from hgd.fpn import init_fpn_params, init_fpn_stack, tiny_fpn_config
 from hgd.params import parameter_count
@@ -74,7 +74,7 @@ def test_unknown_kind_rejected():
 # ------------------------------------------------------------ report shape
 
 def test_empty_spec_zero_totals():
-    report = emit_report(ArchSpec("empty", (32, 32), ()))
+    report = emit_report(ArchSpec("empty", ()))
     assert report.rows == ()
     assert report.total_macs == 0
     assert report.total_params == 0
@@ -84,7 +84,7 @@ def test_totals_are_row_sums_in_order():
     layers = (LayerSpec("a", "conv", 1, 4, 4, 2, 2),
               LayerSpec("b", "coeffs", param_count=3),
               LayerSpec("c", "conv", 3, 2, 2, 5, 5))
-    report = emit_report(ArchSpec("demo", (32, 32), layers))
+    report = emit_report(ArchSpec("demo", layers))
     assert [name for name, _, _ in report.rows] == ["a", "b", "c"]
     assert report.total_macs == sum(m for _, m, _ in report.rows)
     assert report.total_params == sum(p for _, _, p in report.rows)
@@ -201,19 +201,13 @@ def test_unrefined_variant_drops_three_convs():
     assert diff == 9 * 512 * 512 * (64 * 64 + 32 * 32 + 16 * 16)
 
 
-def test_unet_variants_build():
-    bilinear = emit_report(unet_spec())
-    deconv = emit_report(unet_spec(deconv=True))
-    assert bilinear.total_macs > 0
-    assert deconv.total_macs != bilinear.total_macs
-    assert deconv.total_params != bilinear.total_params
-
-
 # -------------------------------------------------------------- fpn family
 
 def test_fpn_validation():
     with pytest.raises(ConfigError, match="variant"):
         fpn_spec("hgd-pyramid")
+    with pytest.raises(ConfigError, match="variant"):
+        fpn_spec("fpn-baseline", n=-5)    # the baseline is fpn_baseline_spec alone
     with pytest.raises(ConfigError, match="k"):
         fpn_spec("hgd-fpn", k=0)
 
@@ -223,7 +217,7 @@ def test_fpn_total_affine_in_k():
     totals = [emit_report(fpn_spec("hgd-fpn", k=k)).total_macs for k in range(1, 6)]
     increments = [b - a for a, b in zip(totals, totals[1:])]
     assert len(set(increments)) == 1
-    base = emit_report(fpn_spec("fpn-baseline")).total_macs
+    base = emit_report(fpn_baseline_spec()).total_macs
     assert totals[0] == base + increments[0]
 
 
@@ -267,7 +261,7 @@ def test_toy_unshared_params_match_executable_stack():
 
 
 def test_toy_seg_params_match_executable_stack():
-    spec = toy_seg_spec(num_classes=5)
+    spec = toy_seg_spec()
     rng = np.random.default_rng(2)
     params = init_seg_params(tiny_backbone_config(), tiny_hgd_config(), 5, rng)
     assert emit_report(spec).total_params == parameter_count(params.named_parameters())

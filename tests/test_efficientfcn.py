@@ -75,11 +75,11 @@ def test_sgd_momentum_hand_iteration():
     # step 2: v = 0.9*2 + 1.6 = 3.4, x = 0.8 - 0.34 = 0.46
     x = p([1.0])
     cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
-    state = sgd_step([x], [2.0 * x.data.copy()], 0.1, cfg)
+    velocities = sgd_step([x], [2.0 * x.data.copy()], 0.1, cfg)
     assert abs(x.data[0] - 0.8) <= 1e-15
-    assert abs(state.velocities[0][0] - 2.0) <= 1e-15
-    state = sgd_step([x], [2.0 * x.data.copy()], 0.1, cfg, state)
-    assert abs(state.velocities[0][0] - 3.4) <= 1e-15
+    assert abs(velocities[0][0] - 2.0) <= 1e-15
+    velocities = sgd_step([x], [2.0 * x.data.copy()], 0.1, cfg, velocities)
+    assert abs(velocities[0][0] - 3.4) <= 1e-15
     assert abs(x.data[0] - 0.46) <= 1e-15
 
 

@@ -91,12 +91,13 @@ def test_hgdt_rejects_integer_input(tmp_path):
 
 def load_round_trips_or_value_error(path, raw):
     """Load `raw` from `path`: either it loads and saving the result writes
-    the same bytes back, or load_tensor raises ValueError and every size
-    its message reports is non-negative."""
+    the same bytes back, or load_tensor raises ValueError whose message
+    names the file and reports only non-negative sizes."""
     path.write_bytes(raw)
     try:
         arr = hgdt.load_tensor(path)
     except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
         message = str(exc).removeprefix(f"{path}: ")
         assert all(int(n) >= 0 for n in re.findall(r"-?\d+", message)), message
         return
@@ -149,6 +150,7 @@ def random_headers(draw):
 @_FUZZ
 @given(raw=random_headers())
 @example(raw=b"HGDT" + bytes([1, 4]) + struct.pack("<4I", *[2**32 - 1] * 4))
+@example(raw=b"HGDT" + bytes([1, 70]) + struct.pack("<70I", 0, *[1] * 69))  # numpy's rank cap
 def test_load_tensor_fuzz_random_header(tmp_path, raw):
     load_round_trips_or_value_error(tmp_path / "t.hgdt", raw)
 
@@ -312,14 +314,12 @@ def test_checkpoint_malformed_manifest_is_value_error(tmp_path, edit):
         hgdt.load_checkpoint(ckpt)
 
 
-@pytest.mark.parametrize("load", [hgdt.load_checkpoint, hgdt.load_checkpoint_meta],
-                         ids=["tensors", "meta"])
-def test_checkpoint_manifest_must_be_an_object(tmp_path, load):
+def test_checkpoint_manifest_must_be_an_object(tmp_path):
     ckpt = tmp_path / "ckpt"
     hgdt.save_checkpoint(ckpt, {"p": np.ones(2)})
     (ckpt / "manifest.json").write_text("[]")
     with pytest.raises(ValueError, match="manifest"):
-        load(ckpt)
+        hgdt.load_checkpoint(ckpt)
 
 
 def test_checkpoint_rejects_dtype_mismatch(tmp_path):
