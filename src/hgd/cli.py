@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 verification failure (or unreadable data),
 2 usage/config error. The HGD_THREADS environment variable caps BLAS
 thread pools (applied at package import, default 1 for determinism).
 
-demo-seg and demo-fpn run a pinned tiny preset when no --config is
-given; a config file switches to the settings it names. Weighting-map
-PGMs are min-max normalized per map and upsampled to the rendering
-resolution, one file per codeword.
+Every command that takes --config runs the RunConfig it names, or the
+pinned preset config.tiny_run() without one; the preset is seed 0 of the
+same code path. Weighting-map PGMs are min-max normalized per map and
+upsampled to the rendering resolution, one file per codeword.
 """
 
 import argparse
@@ -29,15 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from . import ops, parse_thread_cap
-from .config import RunConfig, dtype_of, load_run_config
+from .config import dtype_of, load_run_config, tiny_run
 from .costmodel import (efficientfcn_spec, emit_report, fpn_baseline_spec, fpn_spec,
                         report_csv, resnet_spec, unet_spec)
 from .decoder import hgd_forward_full
 from .efficientfcn import (ToyBackboneConfig, backbone_forward, init_seg_params,
-                           segment_forward, tiny_backbone_config, tiny_hgd_config,
-                           tiny_train_config, train_segmenter)
+                           segment_forward, train_segmenter)
 from .fpn import (Pyramid, fpn_decode_once_full, fpn_stages, init_fpn_params,
-                  init_fpn_stack, level_grids, tiny_fpn_config)
+                  init_fpn_stack, level_grids)
 from .gradcheck import gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor, write_atomic
 from .synthdata import synth_dataset
@@ -66,29 +65,27 @@ def _report_lines(section, reports):
 
 
 def cmd_gradcheck(args) -> int:
-    if args.config:
-        run = load_run_config(args.config)
-        if run.precision != "f64":
-            print("gradcheck runs in f64 only; finite differences are meaningless "
-                  "in f32. Set precision to \"f64\".", file=sys.stderr)
-            return 2
-    else:
-        run = RunConfig(precision="f64")
-    seed = run.seed
+    run = load_run_config(args.config) if args.config else tiny_run()
+    if run.precision != "f64":
+        print("gradcheck runs in f64 only; finite differences are meaningless "
+              "in f32. Set precision to \"f64\".", file=sys.stderr)
+        return 2
+    # the nets are the preset's whatever the config says; only the seed varies
+    tiny = tiny_run()
 
-    rng = np.random.default_rng(seed)
-    seg_params = init_seg_params(tiny_backbone_config(), tiny_hgd_config(), 5, rng)
+    rng = np.random.default_rng(run.seed)
+    seg_params = init_seg_params(ToyBackboneConfig(), tiny.hgd, tiny.num_classes, rng)
     image = Tensor(rng.standard_normal((3, 32, 32)))
-    labels = rng.integers(0, 5, size=(32, 32))
+    labels = rng.integers(0, tiny.num_classes, size=(32, 32))
 
     def seg_loss():
         return ops.cross_entropy_logits(segment_forward(image, seg_params), labels)
 
-    fpn_cfg = tiny_fpn_config()
+    fpn_cfg = tiny.fpn
     fpn_params = init_fpn_params(fpn_cfg, rng)
     # moderate magnitudes keep the central differences well conditioned
     pyramid = Pyramid(*[Tensor(0.5 * rng.standard_normal((fpn_cfg.output_channels, h, w)))
-                        for h, w in level_grids((16, 16))])
+                        for h, w in level_grids((tiny.input_size // 4,) * 2)])
 
     count = sum(lvl.data.size for lvl in pyramid.levels())
 
@@ -109,7 +106,7 @@ def cmd_gradcheck(args) -> int:
     reports = []
     for i, (section, loss_fn, params) in enumerate(suites):
         section_reports = gradcheck(loss_fn, params, tol=1e-5, max_per_param=6,
-                                    rng=np.random.default_rng(seed + 100 + i))
+                                    rng=np.random.default_rng(run.seed + 100 + i))
         for line in _report_lines(section, section_reports):
             print(line)
         reports.extend(section_reports)
@@ -190,31 +187,22 @@ def _dump_weighting_maps(out_dir: Path, weights: Tensor, render_h: int, render_w
 def cmd_demo_seg(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.config:
-        run = load_run_config(args.config)
-        dt = dtype_of(run)
-        samples = synth_dataset(seed=run.seed, count=32, size=run.input_size,
-                                num_classes=run.num_classes, dtype=dt)
-        params = init_seg_params(ToyBackboneConfig(), run.hgd,
-                                 run.num_classes, np.random.default_rng(run.seed + 1), dt)
-        train_cfg = run.train
-        order = np.random.default_rng(run.seed + 2)
-        num_classes = run.num_classes
-    else:
-        # pinned preset: 32 samples of the 5-class 64x64 task, tiny net, f64
-        samples = synth_dataset(seed=2024, count=32, size=64, num_classes=5)
-        params = init_seg_params(tiny_backbone_config(), tiny_hgd_config(), 5,
-                                 np.random.default_rng(17))
-        train_cfg = tiny_train_config()
-        order = np.random.default_rng(3)
-        num_classes = 5
+    run = load_run_config(args.config) if args.config else tiny_run()
+    dt = dtype_of(run)
+    # hgdbench's seed rule; RunConfig has no backbone section, so every
+    # run uses the toy backbone at its default (the preset's) widths
+    samples = synth_dataset(seed=2024 + run.seed, count=32, size=run.input_size,
+                            num_classes=run.num_classes, dtype=dt)
+    params = init_seg_params(ToyBackboneConfig(), run.hgd, run.num_classes,
+                             np.random.default_rng(17 + run.seed), dt)
+    order = np.random.default_rng(3 + run.seed)
 
-    result = train_segmenter(samples, params, train_cfg, num_classes, order,
+    result = train_segmenter(samples, params, run.train, run.num_classes, order,
                              log_path=out / "train_log.csv", eval_every=25,
                              target_pixacc=0.99)
 
-    summary = {"pixAcc": result.final_pixacc, "mIoU": result.final_miou,
-               "steps": result.steps}
+    steps = len(result.history)
+    summary = {"pixAcc": result.final_pixacc, "mIoU": result.final_miou, "steps": steps}
     write_atomic(out / "metrics.json", json.dumps(summary, indent=2, sort_keys=True).encode())
 
     e8, e16, e32 = backbone_forward(samples[0].image, params.backbone)
@@ -226,7 +214,7 @@ def cmd_demo_seg(args) -> int:
                     meta=summary)
 
     print(f"pixAcc {result.final_pixacc:.6f}  mIoU {result.final_miou:.6f}  "
-          f"steps {result.steps}")
+          f"steps {steps}")
     print(f"wrote train_log.csv, metrics.json, {n} weighting maps, and a "
           f"checkpoint under {out}")
     return 0
@@ -235,22 +223,14 @@ def cmd_demo_seg(args) -> int:
 def cmd_demo_fpn(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.config:
-        run = load_run_config(args.config)
-        cfg = run.fpn
-        dt = dtype_of(run)
-        base = run.input_size // 4
-        seed = run.seed
-    else:
-        cfg = tiny_fpn_config()
-        dt = np.float64
-        base = 16
-        seed = 0
+    run = load_run_config(args.config) if args.config else tiny_run()
+    cfg = run.fpn
+    dt = dtype_of(run)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(run.seed)
     current = Pyramid(*[Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt))
-                        for h, w in level_grids((base, base))])
-    params = init_fpn_stack(cfg, np.random.default_rng(seed + 1), dt)
+                        for h, w in level_grids((run.input_size // 4,) * 2)])
+    params = init_fpn_stack(cfg, np.random.default_rng(run.seed + 1), dt)
     for stage_params in fpn_stages(params):
         current, trace = fpn_decode_once_full(current, stage_params)
 
@@ -278,6 +258,9 @@ def cmd_dump(args) -> int:
     kind = "f32" if arr.dtype == np.float32 else "f64"
     dims = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
     print(f"HGDT {kind} rank {arr.ndim} dims {dims}")
+    if not arr.size:
+        print("empty")
+        return 0
     print(f"min {arr.min():.6g}  max {arr.max():.6g}  mean {arr.mean():.6g}")
     if arr.size <= 16:
         print("values " + " ".join(f"{v:.6g}" for v in arr.ravel()))
@@ -293,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--config", help="RunConfig JSON path; only seed and precision "
-                                    "(which must be f64) are read, the tiny nets are fixed")
+                                    "(which must be f64) are read, the nets are the "
+                                    "tiny preset's")
     p.add_argument("--break-backward", action="store_true",
                    help="deliberately corrupt one backward rule to exercise "
                         "the failure path")

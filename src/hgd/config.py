@@ -4,8 +4,8 @@ One JSON document drives every command and parses straight into the
 library's own dataclasses: `hgd` into HgdConfig, `fpn` into FpnConfig,
 `train` into TrainConfig, the rest into RunConfig. One key map per
 section names the field each JSON key sets; a missing key takes the
-field's default, the full-size reference setting (the demos use their
-own tiny presets when no config file is given).
+field's default, the full-size reference setting. `tiny_run()` is the
+pinned preset every command runs when no config file is given.
 
 The parser checks JSON types (a value must have the type of its field's
 default; numbers must be finite) and rejects unknown keys anywhere, so
@@ -21,17 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import HgdConfig
-from .efficientfcn import TrainConfig
-from .fpn import FpnConfig
+from .efficientfcn import TrainConfig, tiny_hgd_config, tiny_train_config
+from .fpn import FpnConfig, tiny_fpn_config
 from .tensor import ConfigError
 
-_TASKS = ("seg", "fpn")
 _PRECISIONS = ("f32", "f64")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    task: str = "seg"
     seed: int = 0
     input_size: int = 512
     num_classes: int = 60
@@ -41,8 +39,6 @@ class RunConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ConfigError(f"task must be one of {list(_TASKS)}, got {self.task!r}")
         if self.precision not in _PRECISIONS:
             raise ConfigError(
                 f"precision must be one of {list(_PRECISIONS)}, got {self.precision!r}")
@@ -56,8 +52,16 @@ class RunConfig:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
 
 
+def tiny_run() -> RunConfig:
+    """The pinned preset every command runs without a config file: the
+    synthetic task, the tiny nets and their schedule, in f64. With these
+    values, seed s is hgdbench's seed s (seed rule: cli.cmd_demo_seg)."""
+    return RunConfig(seed=0, input_size=64, num_classes=5, hgd=tiny_hgd_config(),
+                     fpn=tiny_fpn_config(), train=tiny_train_config(), precision="f64")
+
+
 # JSON key -> dataclass field, one map per section
-_RUN_KEYS = {k: k for k in ("task", "seed", "input_size", "num_classes", "precision")}
+_RUN_KEYS = {k: k for k in ("seed", "input_size", "num_classes", "precision")}
 _HGD_KEYS = {"n": "n_codewords", "codeword_dim": "codeword_dim",
              "compressed": "compressed_channels", "guidance": "guidance_channels",
              "transfer": "transfer_enabled"}

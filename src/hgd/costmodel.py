@@ -24,9 +24,10 @@ tightly from those rows.
 
 from dataclasses import dataclass, replace
 
+from .config import tiny_run
 from .decoder import HgdConfig
-from .efficientfcn import backbone_layout, tiny_backbone_config, tiny_hgd_config
-from .fpn import FUSION_LENGTHS, FpnConfig, level_grids, tiny_fpn_config
+from .efficientfcn import ToyBackboneConfig, backbone_layout
+from .fpn import FUSION_LENGTHS, FpnConfig, level_grids
 from .tensor import ConfigError
 
 SEG_INPUT = (512, 512)
@@ -323,8 +324,8 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
 
     hgd-fpn: full-scale stages on top of the baseline detector, widths
     from FpnConfig(). hgd-fpn-toy: decoder stages alone, the layers of
-    this package's executable pyramid decoder at tiny_fpn_config() widths,
-    so parameter totals can be compared exactly. Both run
+    this package's executable pyramid decoder at tiny_run()'s widths and
+    pyramid size, so parameter totals can be compared exactly. Both run
     FpnConfig().k_recurrence stages unless `k` is given.
     """
     if variant == "hgd-fpn":
@@ -333,11 +334,12 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
         grids = _pyramid_grids(input_hw)
         config = FpnConfig()
     elif variant == "hgd-fpn-toy":
-        input_hw = input_hw or (16, 16)
+        tiny = tiny_run()
+        input_hw = input_hw or (tiny.input_size // 4,) * 2
         rows = []
         # toy pyramid levels run from the input size down, not from stride 4
         grids = dict(zip(range(3, 8), level_grids(input_hw)))
-        config = tiny_fpn_config()
+        config = tiny.fpn
     else:
         raise ConfigError(f"unknown fpn variant {variant!r}")
     config = _with(config, n_codewords=n, codeword_dim=c,
@@ -351,17 +353,18 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
 # ------------------------------------------------------------- toy mirror
 
 def toy_seg_spec() -> ArchSpec:
-    """The executable tiny segmentation stack (tiny_backbone_config and
-    tiny_hgd_config) layer for layer on the demo-seg preset's 64x64 images
-    and 5 classes, built from the same conv layout and decoder rows as the
+    """The executable tiny segmentation stack (the toy backbone and
+    tiny_run()'s decoder) layer for layer on the preset's images and
+    classes, built from the same conv layout and decoder rows as the
     full-scale specs, so its analytic parameter total can be checked
     against the real parameter records exactly."""
-    input_hw = (64, 64)
+    tiny = tiny_run()
+    input_hw = (tiny.input_size,) * 2
     h, w = input_hw
-    backbone = tiny_backbone_config()
+    backbone = ToyBackboneConfig()
     rows = []
     for i, (c_in, c_out, _) in enumerate(backbone_layout(backbone)):
         h, w = h // 2, w // 2
         rows.append(LayerSpec(f"backbone.conv{i + 1}", "conv", 3, c_in, c_out, h, w))
-    rows += _decoder_rows(tiny_hgd_config(), backbone.tap_channels, input_hw, 5)
+    rows += _decoder_rows(tiny.hgd, backbone.tap_channels, input_hw, tiny.num_classes)
     return ArchSpec(name="toy-seg", layers=tuple(rows))

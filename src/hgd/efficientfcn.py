@@ -32,7 +32,7 @@ from .tensor import ConfigError, Tensor
 
 @dataclass(frozen=True)
 class ToyBackboneConfig:
-    stage_channels: tuple = (32, 64, 96, 128)   # at strides 4, 8, 16, 32
+    stage_channels: tuple = (8, 16, 24, 32)   # at strides 4, 8, 16, 32
 
     def __post_init__(self):
         if len(self.stage_channels) != 4 or any(c < 1 for c in self.stage_channels):
@@ -125,7 +125,7 @@ def predict_labels(logits: Tensor) -> np.ndarray:
 
 
 def tiny_backbone_config() -> ToyBackboneConfig:
-    return ToyBackboneConfig(stage_channels=(8, 16, 24, 32))
+    return ToyBackboneConfig()
 
 
 def tiny_hgd_config() -> HgdConfig:
@@ -136,10 +136,10 @@ def tiny_hgd_config() -> HgdConfig:
 def tiny_train_config() -> "TrainConfig":
     """Training settings for the tiny demo task.
 
-    With the seeds used by the demo (data 2024, init 17, batch order 3)
-    this overfits the 32-sample synthetic set past 99% pixel accuracy
-    inside the 500-step budget; base_lr much above 0.05 risks divergence
-    at this scale.
+    At the preset's seed (config.tiny_run; cli.cmd_demo_seg derives the
+    data, init and batch-order seeds from it) this overfits the 32-sample
+    synthetic set past 99% pixel accuracy inside the 500-step budget;
+    base_lr much above 0.05 risks divergence at this scale.
     """
     return TrainConfig(base_lr=0.05, max_iter=500, batch=16)
 
@@ -201,7 +201,6 @@ class TrainResult:
     history: list
     final_pixacc: float
     final_miou: float
-    steps: int
 
 
 def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: int,
@@ -216,7 +215,6 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
     tensors = [t for _, t in named]
     velocities = None
     history = []
-    steps = 0
 
     for it in range(cfg.max_iter):
         lr = poly_lr(it, cfg)
@@ -240,7 +238,6 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
         velocities = sgd_step(tensors, grads, lr, cfg, velocities)
         history.append({"iter": it, "lr": lr, "loss": loss_sum / len(picks),
                         "pixAcc": correct / max(valid, 1)})
-        steps = it + 1
         if target_pixacc is not None and (it + 1) % eval_every == 0:
             acc, _ = evaluate(samples, params, num_classes)
             if acc >= target_pixacc:
@@ -256,4 +253,4 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
                              f"{row['loss']:.8g}", f"{row['pixAcc']:.6f}"])
         write_atomic(log_path, buf.getvalue().encode())
     return TrainResult(history=history, final_pixacc=final_acc,
-                       final_miou=final_miou, steps=steps)
+                       final_miou=final_miou)

@@ -3,13 +3,19 @@
 Each hgdbench workload at seed 0 is set up and verified the way a
 benchmark run does before it times anything, without its timing hooks, so
 a change that breaks a library name or figure the benchmark relies on
-fails here as well as in the benchmark.
+fails here as well as in the benchmark. `hgd demo-seg` must also build
+the benchmark's seg-train run for the same seed.
 """
 
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import hgd.cli
+from hgd.efficientfcn import TrainResult
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hgdbench"))
 import workloads  # noqa: E402
@@ -24,3 +30,45 @@ def test_benchmark_workload_verifies(name):
     gated = {key: check["ok"] for key, check in checks.items() if "ok" in check}
     assert gated, checks
     assert all(gated.values()), gated
+
+
+# the preset's seg values as a config file; the train keys left out take
+# TrainConfig defaults equal to tiny_train_config's
+PRESET_SEG = {"input_size": 64, "num_classes": 5, "precision": "f64",
+              "hgd": {"n": 8, "codeword_dim": 32, "compressed": 16, "guidance": 32,
+                      "transfer": True},
+              "train": {"base_lr": 0.05, "batch": 16}}
+
+
+@pytest.mark.parametrize("seed, use_config", [(0, False), (2, True)],
+                         ids=["preset", "config-seed-2"])
+def test_demo_seg_builds_the_benchmark_seg_run(tmp_path, monkeypatch, seed, use_config):
+    seen = {}
+
+    def record(samples, params, cfg, num_classes, rng, **kwargs):
+        seen["images"] = [s.image.data.copy() for s in samples]
+        seen["labels"] = [s.label.copy() for s in samples]
+        seen["params"] = [(name, t.data.copy()) for name, t in params.named_parameters()]
+        seen["cfg"] = cfg
+        seen["rng"] = rng.bit_generator.state
+        return TrainResult(history=[], final_pixacc=0.0, final_miou=0.0)
+
+    monkeypatch.setattr(hgd.cli, "train_segmenter", record)
+    argv = ["demo-seg", "--out", str(tmp_path / "run")]
+    if use_config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**PRESET_SEG, "seed": seed}))
+        argv += ["--config", str(path)]
+    assert hgd.cli.main(argv) == 0
+
+    bench = workloads.SegTrain(seed)
+    bench.setup()
+    assert len(seen["images"]) == len(bench.samples)
+    for image, label, sample in zip(seen["images"], seen["labels"], bench.samples):
+        assert np.array_equal(image, sample.image.data)
+        assert np.array_equal(label, sample.label)
+    want = [(name, t.data) for name, t in bench.params.named_parameters()]
+    assert [name for name, _ in seen["params"]] == [name for name, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen["params"], want))
+    assert seen["cfg"] == bench.cfg
+    assert seen["rng"] == np.random.default_rng(3 + seed).bit_generator.state

@@ -29,13 +29,13 @@ def total_from_csv(text):
     return int(rows[-1][1]), int(rows[-1][2])
 
 
-TINY_SEG = {"task": "seg", "seed": 5, "input_size": 32, "num_classes": 4,
+TINY_SEG = {"seed": 5, "input_size": 32, "num_classes": 4,
             "hgd": {"n": 4, "codeword_dim": 16, "compressed": 8, "guidance": 16,
                     "transfer": True},
             "train": {"base_lr": 0.02, "max_iter": 8, "batch": 4},
             "precision": "f64"}
 
-TINY_FPN = {"task": "fpn", "seed": 3, "input_size": 64,
+TINY_FPN = {"seed": 3, "input_size": 64,
             "fpn": {"n": 4, "c": 8, "k": 2, "share_params": True},
             "precision": "f64"}
 
@@ -156,6 +156,14 @@ def test_dump_describes_tensor(tmp_path, capsys):
     assert code == 0
     assert "HGDT f64 rank 2 dims 2x3" in out
     assert "values 0 1 2 3 4 5" in out
+
+
+def test_dump_empty_tensor(tmp_path, capsys):
+    path = tmp_path / "empty.hgdt"
+    save_tensor(path, np.zeros((0, 3)))
+    code, out, err = run_cli(capsys, "dump", "--tensor", str(path))
+    assert (code, err) == (0, "")
+    assert out == "HGDT f64 rank 2 dims 0x3\nempty\n"
 
 
 def test_dump_missing_file(tmp_path, capsys):
@@ -335,11 +343,11 @@ def test_config_error_surfaces_as_exit_two(tmp_path, capsys):
     assert "unknown keys" in err
 
 
-@pytest.mark.parametrize("path,value", [("task", []), ("precision", {}),
+@pytest.mark.parametrize("path,value", [("precision", {}),
                                         ("train.base_lr", float("nan")),
                                         ("train.base_lr", -1),
                                         ("train.weight_decay", -1e-4)],
-                         ids=["task-list", "precision-object", "lr-nan", "lr-negative",
+                         ids=["precision-object", "lr-nan", "lr-negative",
                               "decay-negative"])
 @pytest.mark.parametrize("command", ["demo-seg", "gradcheck"])
 def test_malformed_config_value_is_exit_two(tmp_path, capsys, command, path, value):

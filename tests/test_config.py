@@ -15,7 +15,7 @@ from hgd.tensor import ConfigError
 
 # the documented JSON key -> dataclass field map, per section
 KEY_FIELDS = {
-    None: {k: k for k in ("task", "seed", "input_size", "num_classes", "precision")},
+    None: {k: k for k in ("seed", "input_size", "num_classes", "precision")},
     "hgd": {"n": "n_codewords", "codeword_dim": "codeword_dim",
             "compressed": "compressed_channels", "guidance": "guidance_channels",
             "transfer": "transfer_enabled"},
@@ -28,7 +28,6 @@ KEY_FIELDS = {
 
 def test_defaults_mirror_reference_settings():
     run = RunConfig()
-    assert run.task == "seg"
     assert run.precision == "f32"
     assert run.input_size == 512
     assert run.num_classes == 60
@@ -49,6 +48,12 @@ def test_unknown_top_level_key_rejected():
         parse_run_config({"lr": 0.1})
 
 
+def test_task_is_an_unknown_key():
+    # the subcommand picks the demo; a config has no task
+    with pytest.raises(ConfigError, match="unknown keys.*task"):
+        parse_run_config({"task": "seg"})
+
+
 @pytest.mark.parametrize("section,key", [("hgd", "codewords"), ("fpn", "stages"),
                                          ("train", "lr")])
 def test_unknown_nested_key_rejected_with_path(section, key):
@@ -57,13 +62,11 @@ def test_unknown_nested_key_rejected_with_path(section, key):
 
 
 def test_bad_enum_values_rejected():
-    with pytest.raises(ConfigError, match="task"):
-        parse_run_config({"task": "detection"})
     with pytest.raises(ConfigError, match="precision"):
         parse_run_config({"precision": "f16"})
 
 
-@pytest.mark.parametrize("doc", [{"task": []}, {"precision": {}}, {"task": 1}])
+@pytest.mark.parametrize("doc", [{"precision": {}}])
 def test_non_string_enum_values_rejected(doc):
     key = next(iter(doc))
     with pytest.raises(ConfigError, match=f"config.{key} must be a string"):
@@ -137,7 +140,7 @@ _counts = st.integers(1, 4096)
 def valid_documents(draw):
     """A valid document: each key present or not, values inside the ranges."""
     values = {
-        None: {"task": st.sampled_from(["seg", "fpn"]), "seed": st.integers(0, 2 ** 40),
+        None: {"seed": st.integers(0, 2 ** 40),
                "input_size": st.integers(1, 64).map(lambda m: 32 * m),
                "num_classes": st.integers(2, 300),
                "precision": st.sampled_from(["f32", "f64"])},
