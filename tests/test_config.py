@@ -66,7 +66,7 @@ def test_bad_enum_values_rejected():
         parse_run_config({"precision": "f16"})
 
 
-@pytest.mark.parametrize("doc", [{"precision": {}}])
+@pytest.mark.parametrize("doc", [{"precision": []}, {"precision": {}}, {"precision": 1}])
 def test_non_string_enum_values_rejected(doc):
     key = next(iter(doc))
     with pytest.raises(ConfigError, match=f"config.{key} must be a string"):
