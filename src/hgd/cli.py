@@ -9,9 +9,10 @@ Subcommands:
   demo-fpn    decode a random pyramid and dump artifacts
   dump        describe one HGDT tensor file
 
-Exit codes: 0 success, 1 verification failure (or unreadable data),
-2 usage/config error. The HGD_THREADS environment variable caps BLAS
-thread pools (applied at package import, default 1 for determinism).
+Exit codes: 0 success, 1 verification failure (or unreadable data, or a
+demo-seg run whose loss or parameters went non-finite), 2 usage/config
+error. The HGD_THREADS environment variable caps BLAS thread pools
+(applied at package import, default 1 for determinism).
 
 Every command that takes --config runs the RunConfig it names, or the
 pinned preset config.tiny_run() without one; the preset is seed 0 of the
@@ -184,6 +185,17 @@ def _dump_weighting_maps(out_dir: Path, weights: Tensor, render_h: int, render_w
     return n
 
 
+def _divergence(history, params):
+    """Where a finished run first went non-finite, or None."""
+    for row in history:
+        if not np.isfinite(row["loss"]):
+            return f"loss {row['loss']} at step {row['iter']}"
+    for name, t in params.named_parameters():
+        if not np.isfinite(t.data).all():
+            return f"parameter {name} is non-finite after the last step"
+    return None
+
+
 def cmd_demo_seg(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,6 +212,11 @@ def cmd_demo_seg(args) -> int:
     result = train_segmenter(samples, params, run.train, run.num_classes, order,
                              log_path=out / "train_log.csv", eval_every=25,
                              target_pixacc=0.99)
+    diverged = _divergence(result.history, params)
+    if diverged:
+        # train_log.csv stays for diagnosis; nothing else is written
+        print(f"error: training diverged: {diverged}", file=sys.stderr)
+        return 1
 
     steps = len(result.history)
     summary = {"pixAcc": result.final_pixacc, "mIoU": result.final_miou, "steps": steps}

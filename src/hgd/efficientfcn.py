@@ -120,8 +120,10 @@ def segment_forward(image: Tensor, params: SegParams) -> Tensor:
 
 
 def predict_labels(logits: Tensor) -> np.ndarray:
-    # argmax picks the first maximum, i.e. ties go to the lowest class id
-    return np.argmax(logits.data, axis=0).astype(np.int64)
+    # np.argmax(axis=0)'s rule (ties go to the lowest class id, the first NaN
+    # wins) as a scan over the class slices; np.argmax itself is slow along
+    # a short leading axis
+    return ops._first_argmax(logits.data).astype(np.int64)
 
 
 def tiny_backbone_config() -> ToyBackboneConfig:

@@ -10,23 +10,31 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   the backward pass is the exact transpose;
 - nearest_resize picks src = floor(dst*in/out) and is a gather, so a
   non-finite input value appears only at its own copies;
+- one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
+  element wins, a NaN counting as larger than any number, so ties go to the
+  first index, the first NaN wins and a NaN best is final. It is a running
+  scan over a sequence of views, which maxpool2x2 feeds its four window taps
+  and efficientfcn.predict_labels the class slices of its logits;
 - maxpool2x2 uses stride-2 windows clipped at the edges and is ceil-mode
   only: an h x w map pools to ceil(h/2) x ceil(w/2), the grid every
   pyramid level already has. Each window's winner is its first
-  maximal element in row-major window order, a NaN counting as larger than
-  any number (np.argmax's rule): ties go to the first element, the first NaN
-  wins, and the output is the winner itself, sign of zero included. The
-  gradient goes to the winner only;
+  maximal element in row-major window order under that rule, and the
+  output is the winner itself, sign of zero included. The gradient goes to
+  the winner only;
 - relu's gradient at exactly 0 is 0;
 - softmax_spatial subtracts the per-channel spatial max before exponentiating;
+- conv1x1 is one 2-D GEMM on the (c_in, h * w) view of its input, the bias
+  added in place; the backward pass is W.T @ g, g @ x.T and g's row sums;
 - conv3x3 is lowered with im2col: one strided (c_in, 3, 3, oh, ow) view of
   the zero-padded input, reshaped to a (9 * c_in, oh * ow) column matrix
   whose rows follow the weight's own (c_in, dy, dx) order, so each
   direction is one GEMM (forward W @ cols, weight gradient g @ cols.T,
   input gradient W.T @ g folded back by nine strided slice-adds). The
   backward pass keeps only the padded input and rebuilds the columns;
-- cross_entropy_logits scatters the true-class term of its gradient by flat
-  index: each pixel has one label, so the indices are unique and the result
+- cross_entropy_logits builds the flat index of each pixel's true-class
+  logit once: the forward gathers the true-class term through it (equal to
+  np.take_along_axis's) and the backward scatters the gradient's through
+  it; each pixel has one label, so the indices are unique and the result
   equals np.subtract.at's bit for bit.
 """
 
@@ -45,7 +53,12 @@ from .tensor import Tensor, DimensionError
 def _make(data, parents, op, backward_fn):
     if _t.DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by {op}")
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    requires_grad = False
+    for p in parents:
+        if p.requires_grad:
+            requires_grad = True
+            break
+    out = Tensor(data, requires_grad=requires_grad)
     out._parents = tuple(parents)
     out._op = op
     if out.requires_grad:
@@ -157,17 +170,22 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"conv1x1 output channel axis: weight makes {weight.dims[0]}, bias has {bias.dims[0]}")
 
-    out = np.tensordot(weight.data, x.data, axes=([1], [0])) + bias.data[:, None, None]
+    c_out = weight.dims[0]
+    c_in, h, w = x.dims
+    x2 = x.data.reshape(c_in, h * w)
+    out = weight.data @ x2
+    out += bias.data[:, None]
 
     def bwd(g):
+        g2 = g.reshape(c_out, h * w)
         if _need(x):
-            _acc(x, np.tensordot(weight.data, g, axes=([0], [0])))
+            _acc(x, (weight.data.T @ g2).reshape(c_in, h, w))
         if _need(weight):
-            _acc(weight, np.tensordot(g, x.data, axes=([1, 2], [1, 2])))
+            _acc(weight, g2 @ x2.T)
         if _need(bias):
-            _acc(bias, g.sum(axis=(1, 2)))
+            _acc(bias, g2.sum(axis=1))
 
-    return _make(out, (x, weight, bias), "conv1x1", bwd)
+    return _make(out.reshape(c_out, h, w), (x, weight, bias), "conv1x1", bwd)
 
 
 def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:
@@ -177,9 +195,11 @@ def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:
     xp[c, stride * i + dy, stride * j + dx] at column (i, j).
     """
     sc, sh, sw = xp.strides
-    taps = np.lib.stride_tricks.as_strided(
-        xp, (xp.shape[0], 3, 3, oh, ow), (sc, sh, sw, stride * sh, stride * sw),
-        writeable=False)
+    # np.ndarray over the buffer builds the same view as as_strided at a
+    # fraction of the call cost; xp is a fresh C-contiguous array
+    taps = np.ndarray((xp.shape[0], 3, 3, oh, ow), xp.dtype, buffer=xp, offset=0,
+                      strides=(sc, sh, sw, stride * sh, stride * sw))
+    taps.flags.writeable = False
     return taps.reshape(9 * xp.shape[0], oh * ow)
 
 
@@ -288,26 +308,25 @@ def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _make(out, (x,), "nearest_resize", bwd)
 
 
-def _window_argmax(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Index 0..3 of the first maximal element of each 2x2 window, in
-    row-major window order; a NaN counts as larger than any number.
+def _first_argmax(views) -> np.ndarray:
+    """Index of the first maximal view at each element, a NaN counting as
+    larger than any number: np.argmax's rule, as a running scan.
 
-    This is np.argmax's rule, scanned over the four strided tap views with a
-    running maximum. At an odd edge the second row or column view is one
-    shorter; the clipped window's missing taps would repeat taps already
-    scanned, and a repeat can never be strictly larger, so they are skipped.
+    Ties go to the first index, the first NaN wins and a NaN best is final.
+    views[0] fixes the result's shape; a later view may be shorter along any
+    axis and then competes over its leading block only. The index type is
+    the smallest signed integer that holds len(views) - 1.
     """
-    taps = [x[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)]
-    best = taps[0].copy()
-    k = np.zeros(best.shape, dtype=np.int8)
-    for j, v in enumerate(taps[1:], start=1):
-        rows, cols = v.shape[1:]
-        b = best[:, :rows, :cols]
+    best = views[0].copy()
+    k = np.zeros(best.shape, dtype=np.min_scalar_type(-len(views)))
+    for j, v in enumerate(views[1:], start=1):
+        block = tuple(map(slice, v.shape))
+        b = best[block]
         # larger, or NaN over non-NaN; a NaN best is final
         take = ~(v <= b) & (b == b)
-        kj = k[:, :rows, :cols]
-        # taps come in increasing j, so a win always raises k
-        np.maximum(kj, take.view(np.int8) * np.int8(j), out=kj)
+        kj = k[block]
+        # views come in increasing j, so a win always raises k
+        np.maximum(kj, take.view(np.int8) * k.dtype.type(j), out=kj)
         # np.maximum propagates NaN; only comparisons read best, so which
         # zero or NaN payload it keeps does not matter
         np.maximum(b, v, out=b)
@@ -323,7 +342,10 @@ def maxpool2x2(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool2x2 input must be at least 1x1, got {h}x{w}")
     out_h, out_w = (h + 1) // 2, (w + 1) // 2
 
-    k = _window_argmax(x.data, out_h, out_w)
+    # the four tap views in row-major window order; at an odd edge the second
+    # row or column view is one shorter, and the clipped window's missing taps
+    # would repeat taps already scanned, which can never be strictly larger
+    k = _first_argmax([x.data[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)])
     # flat index of each window's winner; windows are disjoint and a clipped
     # window's duplicate row or column never wins, so the indices are unique
     # and the backward pass needs no np.add.at
@@ -351,13 +373,15 @@ def concat_channels(tensors) -> Tensor:
         if t.dims[1:] != tensors[0].dims[1:]:
             raise DimensionError(
                 f"concat_channels spatial axes differ: {t.dims[1:]} vs {tensors[0].dims[1:]}")
-    splits = np.cumsum([t.dims[0] for t in tensors])[:-1]
     out = np.concatenate([t.data for t in tensors], axis=0)
 
     def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=0)):
+        start = 0
+        for t in tensors:
+            stop = start + t.dims[0]
             if _need(t):
-                _acc(t, piece)
+                _acc(t, g[start:stop])
+            start = stop
 
     return _make(out, tuple(tensors), "concat_channels", bwd)
 
@@ -494,9 +518,13 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     if safe.min() < 0 or safe.max() >= num_classes:
         raise ValueError("cross_entropy: label id outside [0, num_classes)")
 
+    # flat index of each pixel's true-class logit, for the forward gather and
+    # the backward scatter
+    flat = safe.ravel().astype(np.intp) * (h * w) + np.arange(h * w)
+
     shifted = logits.data - logits.data.max(axis=0, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=0))
-    logp_true = np.take_along_axis(shifted, safe[None], axis=0)[0] - lse
+    logp_true = shifted.reshape(-1)[flat].reshape(h, w) - lse
     loss = -(logp_true[valid].sum()) / n_valid
 
     def bwd(g):
@@ -506,7 +534,6 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
             gl = p * scale[None]
             # one true-class index per pixel, so the flat indices are unique
             # and a plain fancy-index subtract needs no np.subtract.at
-            flat = safe.ravel().astype(np.intp) * (h * w) + np.arange(h * w)
             gl.reshape(-1)[flat] -= scale.ravel()
             _acc(logits, gl)
 

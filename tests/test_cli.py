@@ -251,6 +251,22 @@ def test_demo_seg_default_preset_overfits(tmp_path, capsys):
     assert len(list(out_dir.glob("*.pgm"))) == 8
 
 
+def test_demo_seg_diverged_run_exits_one(tmp_path, capsys):
+    """A run whose loss goes non-finite is an error: exit 1 naming the first
+    NaN step, the training log kept and no metrics, maps or checkpoint."""
+    cfg = write_config(tmp_path, {**TINY_SEG, "train": {"base_lr": 1e6, "max_iter": 6,
+                                                        "batch": 2}})
+    out_dir = tmp_path / "diverged"
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "demo-seg", "--config", cfg, "--out", str(out_dir))
+    assert code == 1
+    assert "error: training diverged: loss nan at step 2" in err
+    log = (out_dir / "train_log.csv").read_text().splitlines()
+    assert log[3].split(",")[2] == "nan"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["train_log.csv"]
+    assert out == ""
+
+
 # ----------------------------------------------------------------- demo-fpn
 
 def test_demo_fpn_writes_levels_and_manifest(tmp_path, capsys):

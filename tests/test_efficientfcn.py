@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgd import ops
 from hgd.tensor import Tensor, ConfigError
@@ -152,6 +154,30 @@ def test_metrics_skips_absent_classes():
 def test_predict_labels_tie_breaks_to_lowest_class():
     logits = Tensor(np.zeros((4, 2, 2)))
     assert np.array_equal(predict_labels(logits), np.zeros((2, 2), dtype=np.int64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(classes=st.sampled_from([1, 2, 5, 127, 128, 300]), h=st.integers(1, 6),
+       w=st.integers(1, 6), dtype=st.sampled_from([np.float32, np.float64]),
+       special_share=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
+@example(classes=128, h=1, w=1, dtype=np.float64, special_share=0.0, seed=0)
+@example(classes=300, h=2, w=3, dtype=np.float32, special_share=0.3, seed=1)
+def test_predict_labels_equals_numpy_argmax(classes, h, w, dtype, special_share, seed):
+    """The class scan gives np.argmax(axis=0) exactly: integer-rounded logits
+    make ties common, and NaN, +-inf and +-0.0 are injected; the last class
+    is made the unique maximum somewhere so a class id above 127 must fit."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(classes, h, w)).astype(dtype)
+    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype=dtype)
+    hit = rng.random(x.shape) < special_share
+    x[hit] = rng.choice(specials, size=int(hit.sum()))
+    x[:, 0, 0] = -1.0
+    x[-1, 0, 0] = 1.0
+    got = predict_labels(Tensor(x))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.argmax(x, axis=0).astype(np.int64))
+    assert got[0, 0] == classes - 1
 
 
 # ------------------------------------------------------------- synth data

@@ -69,6 +69,33 @@ def test_conv1x1_shape_mismatch_names_axis():
         ops.conv1x1(x, w, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(c_out=st.integers(1, 5), c_in=st.integers(1, 6), h=st.integers(1, 7),
+       w=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(c_out=3, c_in=4, h=1, w=1, seed=0, dtype=np.float64)
+@example(c_out=3, c_in=1, h=5, w=6, seed=1, dtype=np.float32)
+@example(c_out=1, c_in=1, h=1, w=1, seed=2, dtype=np.float32)
+def test_conv1x1_equals_tensordot_form(c_out, c_in, h, w, seed, dtype):
+    """The 2-D GEMM lowering is bit-identical to the np.tensordot form in the
+    forward value and in the input, weight and bias gradients."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c_in, h, w)).astype(dtype)
+    wt = rng.standard_normal((c_out, c_in)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    g = rng.standard_normal((c_out, h, w)).astype(dtype)
+    xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, b))
+    out = ops.conv1x1(xt, wtt, bt)
+    ops.sum_all(ops.mul(out, Tensor(g))).backward()
+
+    want = np.tensordot(wt, x, axes=([1], [0])) + b[:, None, None]
+    assert out.data.dtype == dtype
+    assert np.array_equal(bits(out.data), bits(want))
+    assert np.array_equal(bits(xt.grad), bits(np.tensordot(wt, g, axes=([0], [0]))))
+    assert np.array_equal(bits(wtt.grad), bits(np.tensordot(g, x, axes=([1, 2], [1, 2]))))
+    assert np.array_equal(bits(bt.grad), bits(g.sum(axis=(1, 2))))
+
+
 # ---------------------------------------------------------------- bilinear
 
 def test_bilinear_constant_preserved():
@@ -434,6 +461,30 @@ def test_cross_entropy_gradient_equals_subtract_at_form(k, h, w, ignore_share, s
     np.subtract.at(want, (safe, ii, jj), scale)
     assert logits.grad.dtype == dtype
     assert np.array_equal(logits.grad, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), h=st.integers(1, 9), w=st.integers(1, 9),
+       ignore_share=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_cross_entropy_loss_equals_take_along_axis_form(k, h, w, ignore_share, seed, dtype):
+    """The flat-index gather of the true-class logit gives the loss of the
+    np.take_along_axis form bit for bit, ignored pixels included."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, h, w)).astype(dtype)
+    labels = rng.integers(0, k, size=(h, w))
+    labels[rng.random((h, w)) < ignore_share] = 255
+    labels[0, 0] = k - 1
+    loss = ops.cross_entropy_logits(Tensor(x), labels)
+
+    valid = labels != 255
+    safe = np.where(valid, labels, 0)
+    shifted = x - x.max(axis=0, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=0))
+    logp_true = np.take_along_axis(shifted, safe[None], axis=0)[0] - lse
+    want = np.asarray(-(logp_true[valid].sum()) / int(valid.sum()), dtype=dtype)
+    assert loss.data.dtype == dtype
+    assert np.array_equal(bits(loss.data), bits(want))
 
 
 # ----------------------------------------------------------- conv3x3
