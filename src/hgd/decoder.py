@@ -156,15 +156,11 @@ def generate_codewords(m32: Tensor, params):
     return codewords_from(bases, weights), bases, weights
 
 
-def build_guidance(m8: Tensor, bases: Tensor, params: HgdParams, transfer_enabled: bool):
-    """Guidance map G, and its fused form (G plus the mean bases vector) if enabled."""
+def build_guidance(m8: Tensor, bases: Tensor, params: HgdParams):
+    """Guidance map G, and G plus the mean bases vector if the config enables transfer."""
     g = _conv(m8, params.guidance)
-    if not transfer_enabled:
+    if not params.config.transfer_enabled:
         return g, g
-    if g.dims[0] != bases.dims[0]:
-        raise ConfigError(
-            f"transfer needs guidance channels == bases channels, got {g.dims[0]} "
-            f"vs {bases.dims[0]}")
     return g, ops.broadcast_add_channel(g, ops.global_avg_spatial(bases))
 
 
@@ -193,8 +189,7 @@ class HgdTrace:
 def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
     m8, m32 = fuse_multiscale(e8, e16, e32, params)
     codewords, bases, weights = generate_codewords(m32, params)
-    guidance, guidance_fused = build_guidance(m8, bases, params,
-                                              params.config.transfer_enabled)
+    guidance, guidance_fused = build_guidance(m8, bases, params)
     assembled, coeffs = assemble(guidance_fused, codewords, params)
     fused = ops.concat_channels([assembled, guidance])
     return HgdTrace(fused=fused, assembled=assembled, guidance=guidance,

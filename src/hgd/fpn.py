@@ -15,6 +15,7 @@ size does not change the parameter count.
 A stage generates and assembles codewords with the segmentation decoder's
 own blocks. Both fusers take the one-step max-pool downsamplings (p3->p4,
 p4->p5, p5->p6) that a stage computes once, so it runs 7 poolings, not 10.
+ops.nearest_resize and ops.maxpool2x2 are an exact up/down pair between levels.
 """
 
 from dataclasses import dataclass

@@ -148,7 +148,10 @@ def load_checkpoint(directory) -> dict:
     """Tensors by name; ValueError for a malformed manifest, a file outside
     `directory`, or a file whose dims or dtype differ from its entry."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    try:
+        manifest = json.loads((directory / "manifest.json").read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{directory}: malformed manifest ({exc})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{directory}: malformed manifest (top level is "
                          f"{type(manifest).__name__}, not an object)")

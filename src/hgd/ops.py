@@ -8,8 +8,11 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
-- nearest_resize picks src = floor(dst*in/out) and is a gather, so a
-  non-finite input value appears only at its own copies;
+- nearest_resize gathers src = dst // 2 onto the grid that maxpool2x2
+  pools back to the input's; its backward sums each source's one or two
+  copies by strided slices, rows first and then columns, so non-finite
+  values stay local in both directions. It equals the dense one-hot product
+  Mh.T @ g @ Mw bit for bit except for the sign of a zero sum;
 - one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
   element wins, a NaN counting as larger than any number, so ties go to the
   first index, the first NaN wins and a NaN best is final. It is a running
@@ -262,17 +265,6 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     return m
 
 
-def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
-    return (np.arange(n_out) * n_in) // n_out
-
-
-@functools.cache
-def _nearest_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    m = np.zeros((n_out, n_in), dtype=dtype)
-    m[np.arange(n_out), _nearest_index(n_in, n_out)] = 1
-    return m
-
-
 def _check_resize(x: Tensor, out_h: int, out_w: int, op: str):
     _check_rank(x, 3, f"{op} input")
     if out_h < 1 or out_w < 1:
@@ -294,16 +286,24 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbour resampling, src = floor(dst * in / out) per axis."""
+    """Nearest 2x upsampling to a grid that maxpool2x2 pools back to x's,
+    (out + 1) // 2 == in per axis; output pixel dst copies source dst // 2."""
     _check_resize(x, out_h, out_w, "nearest_resize")
     _, h, w = x.dims
+    if ((out_h + 1) // 2, (out_w + 1) // 2) != (h, w):
+        raise DimensionError(f"nearest_resize target {out_h}x{out_w} does not pool back to {h}x{w}")
     # a gather, so a non-finite input reaches only its own copies; take keeps
     # the result C-contiguous
-    out = x.data.take(_nearest_index(h, out_h), axis=1).take(_nearest_index(w, out_w), axis=2)
+    out = x.data.take(np.arange(out_h) // 2, axis=1).take(np.arange(out_w) // 2, axis=2)
 
     def bwd(g):
         if _need(x):
-            _acc(x, _nearest_matrix(h, out_h, x.dtype).T @ g @ _nearest_matrix(w, out_w, x.dtype))
+            # rows then columns, the summation order of Mh.T @ g @ Mw
+            r = g[:, 0::2].copy()
+            r[:, :out_h // 2] += g[:, 1::2]
+            s = r[:, :, 0::2].copy()
+            s[:, :, :out_w // 2] += r[:, :, 1::2]
+            _acc(x, s)
 
     return _make(out, (x,), "nearest_resize", bwd)
 

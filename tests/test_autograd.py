@@ -170,7 +170,7 @@ def _build_weighted_sum(rng):
 
 @_case("nearest_resize")
 def _build_nearest(rng):
-    x = t(rng.normal(size=(2, 3, 3)))
+    x = t(rng.normal(size=(2, 3, 4)))
     probe = Tensor(rng.normal(size=(2, 5, 7)))
     return [("x", x)], lambda: ops.sum_all(ops.mul(ops.nearest_resize(x, 5, 7), probe))
 

@@ -199,28 +199,28 @@ def test_guidance_without_transfer_is_same_object():
     params = init_hgd_params((6, 7, 9), cfg, rng)
     m8 = t(rng.normal(size=(12, 8, 8)))
     bases = t(rng.normal(size=(10, 2, 2)))
-    g, g_fused = build_guidance(m8, bases, params, transfer_enabled=False)
+    g, g_fused = build_guidance(m8, bases, params)
     assert g_fused is g
 
 
 def test_guidance_transfer_adds_constant_bases_mean():
     rng = np.random.default_rng(12)
-    cfg = toy_config()
+    cfg = toy_config(transfer_enabled=True)
     params = init_hgd_params((6, 7, 9), cfg, rng)
     m8 = t(rng.normal(size=(12, 8, 8)))
     v = rng.normal(size=(10,))
     bases = t(np.broadcast_to(v[:, None, None], (10, 4, 4)).copy())
-    g, g_fused = build_guidance(m8, bases, params, transfer_enabled=True)
+    g, g_fused = build_guidance(m8, bases, params)
     assert np.array_equal(g_fused.data, g.data + v[:, None, None])
 
 
 def test_guidance_transfer_matches_loop_oracle():
     rng = np.random.default_rng(13)
-    cfg = toy_config()
+    cfg = toy_config(transfer_enabled=True)
     params = init_hgd_params((6, 7, 9), cfg, rng)
     m8 = t(rng.normal(size=(12, 6, 6)))
     bases = t(rng.normal(size=(10, 3, 3)))
-    g, g_fused = build_guidance(m8, bases, params, transfer_enabled=True)
+    g, g_fused = build_guidance(m8, bases, params)
     for c in range(10):
         mean = 0.0
         for p in range(3):
@@ -228,17 +228,6 @@ def test_guidance_transfer_matches_loop_oracle():
                 mean += bases.data[c, p, q]
         mean /= 9.0
         assert np.max(np.abs(g_fused.data[c] - (g.data[c] + mean))) <= 1e-12
-
-
-def test_guidance_transfer_requires_matching_dims():
-    # params built without transfer, then transfer requested at call time
-    rng = np.random.default_rng(14)
-    cfg = toy_config(guidance_channels=7, transfer_enabled=False)  # != codeword_dim 10
-    params = init_hgd_params((6, 7, 9), cfg, rng)
-    m8 = t(rng.normal(size=(12, 4, 4)))
-    bases = t(rng.normal(size=(10, 2, 2)))
-    with pytest.raises(ConfigError):
-        build_guidance(m8, bases, params, transfer_enabled=True)
 
 
 def test_config_rejects_transfer_dim_conflict_at_construction():

@@ -322,6 +322,15 @@ def test_checkpoint_manifest_must_be_an_object(tmp_path):
         hgdt.load_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize("raw", [b"{bad", b"\xff\xfe", b""], ids=["json", "utf8", "empty"])
+def test_checkpoint_unparsable_manifest_names_it(tmp_path, raw):
+    ckpt = tmp_path / "ckpt"
+    hgdt.save_checkpoint(ckpt, {"p": np.ones(2)})
+    (ckpt / "manifest.json").write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: malformed manifest"):
+        hgdt.load_checkpoint(ckpt)
+
+
 def test_checkpoint_rejects_dtype_mismatch(tmp_path):
     ckpt = tmp_path / "ckpt"
     hgdt.save_checkpoint(ckpt, {"p": np.ones(2, dtype=np.float32)})

@@ -391,7 +391,7 @@ def nearest_grad_loop(g, h, w):
     return gx
 
 
-@pytest.mark.parametrize("h,w,oh,ow", [(3, 4, 5, 7), (7, 3, 4, 5), (4, 7, 7, 4), (5, 5, 5, 5)])
+@pytest.mark.parametrize("h,w,oh,ow", [(3, 4, 5, 7), (4, 3, 8, 5), (2, 4, 3, 8), (1, 1, 1, 2)])
 def test_nearest_resize_matches_loop_oracle(h, w, oh, ow):
     rng = np.random.default_rng(h * 1000 + w * 100 + oh * 10 + ow)
     x = t(rng.normal(size=(2, h, w)), grad=True)
@@ -411,6 +411,48 @@ def test_nearest_resize_non_finite_input_stays_local():
     assert not np.isnan(out.data).any()
     assert np.array_equal(out.data, nearest_loop(x, 4, 6))
     assert np.isposinf(out.data).sum() == 4 and np.isneginf(out.data).sum() == 4
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nearest_resize_non_finite_adjoint_stays_local(bad):
+    x = t(np.arange(1, 7, dtype=np.float64).reshape(1, 2, 3), grad=True)
+    probe = np.zeros((1, 4, 6))
+    probe[0, 0, 0] = bad
+    ops.sum_all(ops.mul(ops.nearest_resize(x, 4, 6), t(probe))).backward()
+    want = np.zeros((1, 2, 3))
+    want[0, 0, 0] = bad
+    assert np.array_equal(x.grad, want, equal_nan=True)
+
+
+def nearest_matrix(n_in, n_out, dtype):
+    """Dense one-hot (n_out, n_in) matrix of src = floor(dst * in / out)."""
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    m[np.arange(n_out), (np.arange(n_out) * n_in) // n_out] = 1
+    return m
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_resize_backward_equals_dense_product(dtype):
+    """The pair sums equal Mh.T @ g @ Mw bit for bit on finite data, on
+    every grid that pools back to its input up to 9x9."""
+    rng = np.random.default_rng(7)
+    for oh in range(1, 10):
+        for ow in range(1, 10):
+            h, w = (oh + 1) // 2, (ow + 1) // 2
+            x = Tensor(rng.normal(size=(3, h, w)).astype(dtype), requires_grad=True)
+            g = rng.normal(size=(3, oh, ow)).astype(dtype)
+            ops.sum_all(ops.mul(ops.nearest_resize(x, oh, ow), Tensor(g))).backward()
+            want = nearest_matrix(h, oh, dtype).T @ g @ nearest_matrix(w, ow, dtype)
+            assert x.grad.dtype == dtype
+            assert np.array_equal(bits(x.grad), bits(want)), (oh, ow)
+
+
+@pytest.mark.parametrize("h,w,oh,ow", [(4, 4, 2, 2), (3, 3, 5, 7), (3, 3, 3, 3)],
+                         ids=["downsample", "non-halving", "same-size"])
+def test_nearest_resize_rejects_targets_that_do_not_pool_back(h, w, oh, ow):
+    x = t(np.zeros((1, h, w)))
+    with pytest.raises(DimensionError, match=f"{oh}x{ow}.*{h}x{w}"):
+        ops.nearest_resize(x, oh, ow)
 
 
 # ------------------------------------------------------ cross entropy
