@@ -7,6 +7,7 @@ MAC/parameter cost model.
 """
 
 import os
+import sys
 
 
 def parse_thread_cap(raw: str) -> int:
@@ -20,17 +21,50 @@ def parse_thread_cap(raw: str) -> int:
     return cap
 
 
-# Cap BLAS/OpenMP thread pools before numpy gets imported anywhere in the
-# package. HGD_THREADS is the single knob; 1 keeps runs deterministic.
+def _set_openblas_threads(raw: str):
+    """Resize the thread pool of numpy's bundled OpenBLAS, which read
+    OPENBLAS_NUM_THREADS once, when numpy loaded; a no-op when raw is not a
+    positive integer, the library is not found or the pool already has that
+    size: calling the setter anyway, with one thread before and after, made
+    the f32 paper-width decoder forward measure ~3% slower (OpenBLAS
+    0.3.31, 2-vCPU Xeon)."""
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+    try:
+        threads = parse_thread_cap(raw)
+    except ValueError:
+        return
+    libdir = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                if getter() != threads:
+                    setter(threads)
+                return
+
+
+# Cap BLAS/OpenMP thread pools. HGD_THREADS is the single knob; 1 keeps runs
+# deterministic. The variables take effect when numpy loads; if it already
+# has, OpenBLAS's pool is resized directly.
 try:
     _threads = str(parse_thread_cap(os.environ.get("HGD_THREADS", "1")))
 except ValueError:      # an invalid cap sets nothing; the CLI exits 2 on it
     _threads = None
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    if _threads is not None:
+if _threads is not None:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
-del os, _var, _threads
+    if "numpy" in sys.modules:
+        _set_openblas_threads(os.environ["OPENBLAS_NUM_THREADS"])
+    del _var
+del os, sys, _threads
 
 from .tensor import Tensor, ComputeGraph, backward, DimensionError, ConfigError
 

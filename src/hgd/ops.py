@@ -5,6 +5,15 @@ computes the forward value with numpy, and attaches a backward closure that
 accumulates adjoints into any parent with requires_grad set.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
+- no first adjoint gets a zero buffer. Closures hand adjoints to _acc: a
+  fresh one (the conv and matmul products, g * mask, s * g, c * g, the
+  nearest pair-sums, softmax's and the cross-entropy's) is adopted as the
+  parent's grad; a passed-through one (add's, reshape's, transpose's,
+  sum_all's broadcast, the concat_channels slices and the x side of
+  broadcast_add_channel) is lent, and the parent shares the buffer
+  copy-on-write: a later accumulation, or ensure_grad() before an in-place
+  write, copies it first. maxpool2x2 scatters into a zero buffer of its
+  own, which it hands over, when its input has no grad yet;
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
@@ -73,9 +82,22 @@ def _need(t: Tensor) -> bool:
     return t.requires_grad
 
 
-def _acc(t: Tensor, value):
-    t.ensure_grad()
-    t.grad += value
+def _acc(t: Tensor, value, lent: bool = False):
+    """Sum the adjoint value into t.grad.
+
+    A fresh value, one the closure computed for t alone, becomes t's first
+    grad as it is. A lent value is the closure's incoming adjoint or a view
+    of it; t's first grad shares it, and any later write copies first.
+    """
+    if t.grad is None:
+        # a 0-d product is a numpy scalar, and a grad keeps its tensor's dtype
+        t.grad = np.asarray(value, dtype=t.data.dtype)
+        t._grad_shared = lent
+    elif t._grad_shared:
+        t.grad = np.add(t.grad, value, out=np.empty_like(t.data, order="C"))
+        t._grad_shared = False
+    else:
+        t.grad += value
 
 
 def _check_rank(t: Tensor, rank: int, what: str):
@@ -91,9 +113,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(a):
-            _acc(a, g)
+            _acc(a, g, lent=True)
         if _need(b):
-            _acc(b, g)
+            _acc(b, g, lent=True)
 
     return _make(a.data + b.data, (a, b), "add", bwd)
 
@@ -124,7 +146,7 @@ def scalar_scale(x: Tensor, s: float) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         if _need(x):
-            _acc(x, np.broadcast_to(g, x.dims))
+            _acc(x, np.broadcast_to(g, x.dims), lent=True)
 
     return _make(np.asarray(x.data.sum(), dtype=x.dtype), (x,), "sum_all", bwd)
 
@@ -356,8 +378,13 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            # grad buffers are C-contiguous, so reshape(-1) is a view
-            x.ensure_grad().reshape(-1)[idx] += g
+            if x.grad is None:
+                gx = np.zeros_like(x.data, order="C")
+                gx.reshape(-1)[idx] = g
+                _acc(x, gx)
+            else:
+                # ensure_grad's buffer is C-contiguous, so reshape(-1) is a view
+                x.ensure_grad().reshape(-1)[idx] += g
 
     return _make(out, (x,), "maxpool2x2", bwd)
 
@@ -380,7 +407,7 @@ def concat_channels(tensors) -> Tensor:
         for t in tensors:
             stop = start + t.dims[0]
             if _need(t):
-                _acc(t, g[start:stop])
+                _acc(t, g[start:stop], lent=True)
             start = stop
 
     return _make(out, tuple(tensors), "concat_channels", bwd)
@@ -391,7 +418,7 @@ def reshape(x: Tensor, dims) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            _acc(x, g.reshape(x.dims))
+            _acc(x, g.reshape(x.dims), lent=True)
 
     return _make(x.data.reshape(dims), (x,), "reshape", bwd)
 
@@ -401,7 +428,7 @@ def transpose(x: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            _acc(x, g.T)
+            _acc(x, g.T, lent=True)
 
     return _make(x.data.T, (x,), "transpose", bwd)
 
@@ -476,7 +503,7 @@ def broadcast_add_channel(x: Tensor, v: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            _acc(x, g)
+            _acc(x, g, lent=True)
         if _need(v):
             _acc(v, g.sum(axis=(1, 2)))
 

@@ -6,8 +6,10 @@ their parents and a backward closure on the output tensor; ComputeGraph
 linearizes that record so one reverse sweep visits each node exactly once,
 summing adjoints into tensors that feed several consumers.
 
-Tensors are treated as immutable after forward construction; only the grad
-buffer is written, by the reverse sweep or an optimizer.
+Tensors are treated as immutable after forward construction. Gradients are
+not copied where they pass through unchanged, so several tensors' grads may
+share one buffer: a grad is written in place only through ensure_grad(),
+which first copies a buffer that may be shared.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class GradcheckError(RuntimeError):
 class Tensor:
     """N-dimensional float array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op",
+                 "_grad_shared")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -44,6 +47,9 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
+        # True when grad may be another tensor's buffer too, so a write into
+        # it must copy first
+        self._grad_shared = False
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
@@ -58,10 +64,16 @@ class Tensor:
         return self.data.dtype
 
     def ensure_grad(self) -> np.ndarray:
-        """The gradient buffer, allocated C-contiguous on first use so an op
-        may scatter into it through a flat view."""
-        if self.grad is None:
+        """The gradient buffer, for writing in place: C-contiguous, so an op
+        may scatter into it through a flat view, and this tensor's alone.
+        It is allocated as zeros on first use, and a buffer that may be
+        shared, or is not C-contiguous, is copied first."""
+        grad = self.grad
+        if grad is None:
             self.grad = np.zeros_like(self.data, order="C")
+        elif self._grad_shared or not grad.flags.c_contiguous:
+            self.grad = np.array(grad, order="C")
+        self._grad_shared = False
         return self.grad
 
     def zero_grad(self):
@@ -107,14 +119,16 @@ def backward(graph: ComputeGraph, loss: Tensor):
     """Populate grad on every requires_grad tensor reachable from loss.
 
     Adjoints from multiple consumers accumulate by summation. The loss must
-    be a scalar (shape ()).
+    be a scalar (shape ()). A node's closure may lend the node's grad buffer
+    to its parents, so once the closure has run the buffer counts as shared,
+    and a later sweep over the same graph copies it before accumulating.
     """
     if loss.dims != ():
         raise ValueError(f"backward needs a scalar loss, got dims {loss.dims}")
     if not graph.nodes or graph.nodes[-1] is not loss:
         raise ValueError("graph was not traced from this loss tensor")
-    loss.ensure_grad()
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node._grad_shared = True

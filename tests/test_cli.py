@@ -341,6 +341,18 @@ def test_invalid_thread_cap_sets_no_blas_variable():
         assert done.stdout.strip() == want, raw
 
 
+@pytest.mark.parametrize("order", ["hgd, numpy", "numpy, hgd"])
+def test_default_thread_cap_reaches_openblas_in_either_import_order(order):
+    # OpenBLAS reads its variable once, when numpy loads; when numpy is
+    # already loaded, importing hgd resizes the pool itself
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, str(Path(SRC).parent / "hgdbench")])
+    probe = f"import {order}; from worker import blas_info; print(blas_info()[0])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "1"
+
+
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"],
                          ids=["not-utf8", "huge-integer"])
 def test_unreadable_config_is_exit_two(tmp_path, capsys, raw):

@@ -1,0 +1,175 @@
+"""Gradient buffer ownership in the reverse sweep.
+
+A closure's fresh adjoint becomes its parent's grad as it is, and a
+passed-through adjoint is shared with the parent copy-on-write. These tests
+hold every grad, of leaves and intermediates alike, to the values of the
+zero-fill-and-add accumulation kept here as the reference, and check that
+no buffer written in place is another tensor's grad.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hgd import Tensor, ops
+
+C, H, W = 2, 3, 4   # H odd, so maxpool2x2 clips its last window row
+
+
+def _zero_fill_acc(t, value, lent=False):
+    """The reference: every first adjoint lands in a fresh zero buffer."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data, order="C")
+    t.grad += value
+
+
+def _pool(x):
+    return ops.nearest_resize(ops.maxpool2x2(x), H, W)
+
+
+def _flat(x):
+    return ops.reshape(ops.reshape(x, (C * H * W,)), (C, H, W))
+
+
+def _twice_transposed(x):
+    m = ops.reshape(x, (C, H * W))
+    return ops.reshape(ops.transpose(ops.transpose(m)), (C, H, W))
+
+
+# op name -> (operand count, builder(operands, params))
+_OPS = {
+    "add": (2, lambda xs, p: ops.add(*xs)),
+    "mul": (2, lambda xs, p: ops.mul(*xs)),
+    "relu": (1, lambda xs, p: ops.relu(*xs)),
+    "scale": (1, lambda xs, p: ops.scalar_scale(*xs, -1.5)),
+    "flat": (1, lambda xs, p: _flat(*xs)),
+    "transpose": (1, lambda xs, p: _twice_transposed(*xs)),
+    "pool": (1, lambda xs, p: _pool(*xs)),
+    "softmax": (1, lambda xs, p: ops.softmax_spatial(*xs)),
+    "bias": (1, lambda xs, p: ops.broadcast_add_channel(*xs, p["v"])),
+    "conv": (1, lambda xs, p: ops.conv1x1(*xs, p["w"], p["b"])),
+    "conv3": (1, lambda xs, p: ops.conv3x3(*xs, p["w3"], p["b"])),
+    "mean": (2, lambda xs, p: ops.broadcast_add_channel(xs[0], ops.global_avg_spatial(xs[1]))),
+    "concat": (2, lambda xs, p: ops.conv1x1(ops.concat_channels(xs), p["w2"], p["b"])),
+    "wsum": (3, lambda xs, p: ops.weighted_sum(p["c"], xs)),
+}
+
+
+@st.composite
+def programs(draw):
+    """(seed, dtype, steps, extra, sweeps): steps are (op, operand indices)
+    into a pool that starts with four maps, the last without grad; the loss
+    reads the last map and, through sum_all, map `extra` as well."""
+    steps = []
+    for n in range(4, 4 + draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(sorted(_OPS)))
+        operands = draw(st.lists(st.integers(0, n - 1), min_size=_OPS[op][0],
+                                 max_size=_OPS[op][0]))
+        steps.append((op, operands))
+    extra = draw(st.integers(0, 3 + len(steps)))
+    return (draw(st.integers(0, 2**16)), draw(st.sampled_from([np.float32, np.float64])),
+            steps, extra, draw(st.integers(1, 2)))
+
+
+def _build(program):
+    """The program's loss."""
+    seed, dtype, steps, extra, _ = program
+    rng = np.random.default_rng(seed)
+
+    def new(*dims, grad=True):
+        return Tensor(rng.standard_normal(dims).astype(dtype), requires_grad=grad)
+
+    params = {"v": new(C), "w": new(C, C), "w2": new(C, 2 * C), "w3": new(C, C, 3, 3),
+              "b": new(C), "c": new(3)}
+    pool = [new(C, H, W) for _ in range(3)] + [new(C, H, W, grad=False)]
+    for op, operands in steps:
+        pool.append(_OPS[op][1]([pool[i] for i in operands], params))
+    loss = ops.add(ops.sum_all(ops.mul(pool[-1], new(C, H, W, grad=False))),
+                   ops.sum_all(pool[extra]))
+    return loss
+
+
+def _graph_tensors(loss):
+    """Every tensor reaching loss, in an order fixed by the graph's shape."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _check_writes(mp, tensors):
+    """Make mp fail a write as soon as the grad buffer it is about to write
+    in place is also another tensor's grad."""
+    real_acc, real_ensure = ops._acc, Tensor.ensure_grad
+
+    def alone(t):
+        for other in tensors:
+            if other is not t and other.grad is not None:
+                assert not np.shares_memory(t.grad, other.grad), (t, other)
+
+    def acc(t, value, lent=False):
+        if t.grad is not None and not t._grad_shared:
+            alone(t)
+        real_acc(t, value, lent)
+
+    def ensure_grad(self):
+        grad = real_ensure(self)
+        alone(self)
+        return grad
+
+    mp.setattr(ops, "_acc", acc)
+    mp.setattr(Tensor, "ensure_grad", ensure_grad)
+
+
+def _grads(program, acc=None):
+    """Every grad of the program's graph after its sweeps; acc replaces
+    ops._acc, or None runs the real one with its writes checked."""
+    loss = _build(program)
+    tensors = _graph_tensors(loss)
+    with pytest.MonkeyPatch.context() as mp:
+        if acc is None:
+            _check_writes(mp, tensors)
+        else:
+            mp.setattr(ops, "_acc", acc)
+        for _ in range(program[-1]):
+            loss.backward()
+    return [t.grad for t in tensors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs())
+# maxpool2x2 scatters into a grad that add lent to two leaves
+@example((0, np.float64, [("pool", [0]), ("add", [0, 1])], 4, 1))
+# maxpool2x2 scatters into the strided grad that conv3x3 handed over
+@example((0, np.float32, [("pool", [0]), ("conv3", [0])], 4, 1))
+# weighted_sum's maps and coefficients, fed by a pass-through chain and add(x, x)
+@example((1, np.float64, [("flat", [0]), ("add", [4, 4]), ("wsum", [5, 4, 0])], 4, 1))
+# a second sweep accumulates into grads the first one lent
+@example((2, np.float64, [("flat", [0]), ("add", [4, 4])], 0, 2))
+def test_grads_equal_zero_fill_reference(program):
+    got = _grads(program)
+    want = _grads(program, acc=_zero_fill_acc)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        if w is None:
+            assert g is None, i
+            continue
+        assert g.dtype == w.dtype and g.shape == w.shape, i
+        assert np.array_equal(g, w, equal_nan=True), i
+
+
+def test_second_sweep_does_not_write_through_a_lent_grad():
+    # add lends its grad to y twice and reshape lends y's to w; a second
+    # sweep accumulates again into every grad of the graph: z 1 + 1, y 2 + 4
+    # and w 2 + 6
+    w = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    y = ops.reshape(w, (24,))
+    loss = ops.sum_all(ops.add(y, y))
+    loss.backward()
+    assert np.array_equal(w.grad, np.full((2, 3, 4), 2.0))
+    loss.backward()
+    assert np.array_equal(w.grad, np.full((2, 3, 4), 8.0))
