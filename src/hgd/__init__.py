@@ -4,6 +4,13 @@ Dense tensors with reverse-mode differentiation, the holistically-guided
 decoder (softmax-pooled codewords reassembled at high resolution), a toy
 segmentation stack around it, a pyramid-decoder variant, and an analytic
 MAC/parameter cost model.
+
+Importing the package sets two process-wide things: the BLAS thread cap
+(HGD_THREADS, default 1) and, under glibc, malloc's mmap threshold (32 MiB)
+and trim threshold (1 GiB), so arrays below 32 MiB come from the heap and
+their freed pages stay in the process for the next call instead of being
+faulted in again. A MALLOC_* variable or glibc.malloc tunable set by the
+user wins; no computed value depends on either setting.
 """
 
 import os
@@ -50,6 +57,40 @@ def _set_openblas_threads(raw: str):
                 return
 
 
+_M_TRIM_THRESHOLD = -1              # glibc <malloc.h>
+_M_MMAP_THRESHOLD = -3
+_HEAP_MMAP_THRESHOLD = 32 << 20     # glibc's 64-bit ceiling for M_MMAP_THRESHOLD
+_HEAP_TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_heap_pages(environ):
+    """Have glibc's malloc serve arrays below 32 MiB from the heap and keep
+    freed heap pages in the process, so the next call reuses them instead of
+    faulting fresh zero pages in: by default glibc maps a large array on its
+    own and trims the heap top back to the OS, and a paper-width decoder
+    forward, which frees ~170 MB of intermediates, then took ~4,100 minor
+    faults per call. Both values are needed: the trim threshold alone turns
+    glibc's dynamic mmap threshold off, so large arrays stay mapped, and the
+    mmap threshold alone still trims. A no-op when libc is not glibc, when
+    the user set a MALLOC_* variable or a glibc.malloc tunable (theirs win),
+    or when glibc rejects the mmap threshold; never raises."""
+    if (any(k.startswith("MALLOC_") for k in environ)
+            or "glibc.malloc." in environ.get("GLIBC_TUNABLES", "")):
+        return
+    try:
+        import ctypes
+        libc = ctypes.CDLL(None)
+    except (ImportError, OSError, TypeError):   # TypeError: no process handle on Windows
+        return
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # the trim threshold alone would leave every large array mapped
+    if mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+
+
 # Cap BLAS/OpenMP thread pools. HGD_THREADS is the single knob; 1 keeps runs
 # deterministic. The variables take effect when numpy loads; if it already
 # has, OpenBLAS's pool is resized directly.
@@ -64,6 +105,7 @@ if _threads is not None:
     if "numpy" in sys.modules:
         _set_openblas_threads(os.environ["OPENBLAS_NUM_THREADS"])
     del _var
+_keep_freed_heap_pages(os.environ)
 del os, sys, _threads
 
 from .tensor import Tensor, ComputeGraph, backward, DimensionError, ConfigError

@@ -5,8 +5,9 @@ rank byte, rank little-endian uint32 extents, then the row-major payload in
 little-endian order. Round trips are bit-identical.
 
 PGM export writes binary (P5) 8-bit graymaps with per-map min-max
-normalization; a constant map renders as all black. These are qualitative
-visual dumps, so the normalization is documented rather than invertible.
+normalization; a constant map renders as all black, and a map holding NaN
+or inf is refused with ValueError. These are qualitative visual dumps, so
+the normalization is documented rather than invertible.
 
 A checkpoint is a directory of HGDT files plus manifest.json mapping each
 tensor name to its file, dims, and dtype. The optional "meta" entry is
@@ -99,6 +100,9 @@ def save_pgm(path, array2d) -> None:
     arr = _as_array(array2d)
     if arr.ndim != 2:
         raise ValueError(f"PGM export needs a 2-D map, got dims {arr.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(arr)))
+    if bad:
+        raise ValueError(f"{path}: PGM export needs a finite map, got {bad} non-finite values")
     lo = float(arr.min())
     hi = float(arr.max())
     if hi > lo:

@@ -353,6 +353,59 @@ def test_default_thread_cap_reaches_openblas_in_either_import_order(order):
     assert done.stdout.strip() == "1"
 
 
+def _glibc():
+    import ctypes
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    return libc if hasattr(libc, "gnu_get_libc_version") else None
+
+
+# mallinfo2() through ctypes around a 24 MiB array made after both imports:
+# hblkhd (bytes in mmapped chunks) before and while it lives, arena (heap
+# bytes) after it is freed
+MALLINFO_PROBE = """
+import ctypes, json
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+import {order}
+before = libc.mallinfo2().hblkhd
+array = numpy.ones(24 << 20, dtype=numpy.uint8)
+during = libc.mallinfo2().hblkhd
+del array
+print(json.dumps([before, during, libc.mallinfo2().arena]))
+"""
+
+
+@pytest.mark.skipif(_glibc() is None, reason="libc is not glibc")
+@pytest.mark.parametrize("order,user_threshold", [("hgd, numpy", None),
+                                                  ("numpy, hgd", None),
+                                                  ("numpy, hgd", "131072")],
+                         ids=["hgd-first", "numpy-first", "user-mmap-threshold"])
+def test_import_keeps_arrays_below_32mib_on_the_heap(order, user_threshold):
+    # importing hgd has glibc serve a 24 MiB array from the heap and keep its
+    # pages after it is freed; a MALLOC_* variable the user set wins
+    if not hasattr(_glibc(), "mallinfo2"):
+        pytest.skip("glibc older than 2.33 has no mallinfo2")
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = SRC
+    if user_threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = user_threshold
+    done = subprocess.run([sys.executable, "-c", MALLINFO_PROBE.format(order=order)],
+                          env=env, capture_output=True, text=True, check=True)
+    before, during, arena_after = json.loads(done.stdout)
+    if user_threshold is None:
+        assert during == before
+        assert arena_after >= 24 << 20
+    else:
+        assert during >= before + (24 << 20)
+
+
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"],
                          ids=["not-utf8", "huge-integer"])
 def test_unreadable_config_is_exit_two(tmp_path, capsys, raw):

@@ -183,6 +183,19 @@ def test_pgm_requires_2d(tmp_path):
         hgdt.save_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.nan, -np.inf]],
+                         ids=["nan", "inf", "nan-and-minus-inf"])
+def test_pgm_refuses_non_finite_map(tmp_path, bad):
+    # a NaN would make min() NaN and render the whole map black; an inf
+    # would cast NaN pixels to uint8
+    arr = np.arange(12.0).reshape(3, 4)
+    arr.flat[:len(bad)] = bad
+    path = tmp_path / "m.pgm"
+    with pytest.raises(ValueError, match=rf"m\.pgm: .*got {len(bad)} non-finite"):
+        hgdt.save_pgm(path, arr)
+    assert not path.exists()
+
+
 # ------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip(tmp_path):
