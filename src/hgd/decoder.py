@@ -13,7 +13,14 @@ small set of holistic codewords:
 3. the guidance branch predicts, at the fine grid, one linear coefficient
    per codeword, optionally after adding the global average bases vector to
    the guidance map (the "transfer" path);
-4. the output concatenates the reconstructed map with the guidance map.
+4. the output stacks the reconstructed map on the guidance map.
+
+Both stacks at the fine grid, m8 and the output, are built in place: the
+producers of the parts (the 1x1 convs, the bilinear resizes and the
+assembly matmul) write into consecutive channel slices of one buffer, and
+the concatenation returns that buffer without a copy, so the parts' data
+are views of it. A stack under 256 KiB (toy widths), or one whose inputs
+mix dtypes, is copied instead, and numpy's promotion sets its dtype.
 
 All branches are pure affine 1x1 convolutions; there is no normalization or
 activation inside the decoder.
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import ops
 from .params import ConvParams, conv1x1_params
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError, DimensionError, Tensor
 
 _KNOWN_SCALES = (8, 16, 32)
 
@@ -93,8 +100,40 @@ def init_hgd_params(in_channels, config: HgdConfig, rng, dtype=np.float64) -> Hg
     )
 
 
-def _conv(x: Tensor, p: ConvParams) -> Tensor:
-    return ops.conv1x1(x, p.weight, p.bias)
+def _conv(x: Tensor, p: ConvParams, out=None) -> Tensor:
+    return ops.conv1x1(x, p.weight, p.bias, out=out)
+
+
+# A stack below this size is copied rather than built in place: checking
+# that its parts sit in one buffer costs ~20 us per toy-width decoder
+# forward, more than the copy, and the two break even between 128 and
+# 384 KiB per stack (f64, 1 BLAS thread, 2-vCPU Xeon).
+_IN_PLACE_MIN_BYTES = 256 * 1024
+
+
+def _concat_slots(widths, grid, operands):
+    """A fresh (sum(widths), h, w) buffer and its consecutive channel
+    slices, one per part of a concatenation, for the parts' producers to
+    write into (ops' out=).
+
+    `operands` are the tensors whose dtypes fix the parts'. When they
+    differ, or the stack is under _IN_PLACE_MIN_BYTES, the buffer and
+    every slice are None: each producer allocates, and the concatenation
+    copies and promotes as numpy does.
+    """
+    dtype = operands[0].data.dtype
+    channels = sum(widths)
+    if channels * grid[0] * grid[1] * dtype.itemsize < _IN_PLACE_MIN_BYTES:
+        return None, (None,) * len(widths)
+    for t in operands:
+        if t.data.dtype != dtype:
+            return None, (None,) * len(widths)
+    buf = np.empty((channels, *grid), dtype)
+    slots, start = [], 0
+    for c in widths:
+        slots.append(buf[start:start + c])
+        start += c
+    return buf, slots
 
 
 # --------------------------------------------------------------- the math
@@ -110,12 +149,21 @@ def codewords_from(bases: Tensor, weights: Tensor) -> Tensor:
     return ops.matmul(bases_mat, ops.transpose(weights_mat))
 
 
-def assemble_from(coeffs: Tensor, codewords: Tensor) -> Tensor:
-    """Per-pixel linear combination: out(x,y) = sum_i coeffs_i(x,y) * codeword_i."""
+def assemble_from(coeffs: Tensor, codewords: Tensor, out=None) -> Tensor:
+    """Per-pixel linear combination: out(x,y) = sum_i coeffs_i(x,y) * codeword_i.
+
+    `out`, a C-contiguous (dim, h, w) array, receives the product.
+    """
     n, h, w = coeffs.dims
     dim = codewords.dims[0]
     coeffs_mat = ops.reshape(coeffs, (n, h * w))
-    return ops.reshape(ops.matmul(codewords, coeffs_mat), (dim, h, w))
+    flat = None
+    if out is not None:
+        # reshaping another layout may copy, and the product would miss out
+        if not out.flags.c_contiguous:
+            raise DimensionError("assemble_from out must be C-contiguous")
+        flat = out.reshape(dim, h * w)
+    return ops.reshape(ops.matmul(codewords, coeffs_mat, out=flat), (dim, h, w))
 
 
 # ----------------------------------------------------------- the pipeline
@@ -130,15 +178,19 @@ def fuse_multiscale(e8: Tensor, e16: Tensor, e32: Tensor, params: HgdParams):
         raise ConfigError(
             f"tap grids must be in exact 1:2:4 ratio, got {e8.dims[1:]}, "
             f"{e16.dims[1:]}, {e32.dims[1:]}")
-    c8 = _conv(e8, params.compress8)
+    c = cfg.compressed_channels
+    buf, (s8, s16, s32) = _concat_slots(
+        (c, c, c), (h8, w8), (e8, e16, e32, params.compress8.weight,
+                              params.compress16.weight, params.compress32.weight))
+    c8 = _conv(e8, params.compress8, out=s8)
     c16 = _conv(e16, params.compress16)
     c32 = _conv(e32, params.compress32)
 
     m8 = ops.concat_channels([
         c8,
-        ops.bilinear_resize(c16, h8, w8),
-        ops.bilinear_resize(c32, h8, w8),
-    ])
+        ops.bilinear_resize(c16, h8, w8, out=s16),
+        ops.bilinear_resize(c32, h8, w8, out=s32),
+    ], out=buf)
     coarse = {
         8: lambda: ops.bilinear_resize(c8, h32, w32),
         16: lambda: ops.bilinear_resize(c16, h32, w32),
@@ -156,19 +208,21 @@ def generate_codewords(m32: Tensor, params):
     return codewords_from(bases, weights), bases, weights
 
 
-def build_guidance(m8: Tensor, bases: Tensor, params: HgdParams):
-    """Guidance map G, and G plus the mean bases vector if the config enables transfer."""
-    g = _conv(m8, params.guidance)
+def build_guidance(m8: Tensor, bases: Tensor, params: HgdParams, out=None):
+    """Guidance map G, written into `out` when given, and G plus the mean
+    bases vector if the config enables transfer."""
+    g = _conv(m8, params.guidance, out=out)
     if not params.config.transfer_enabled:
         return g, g
     return g, ops.broadcast_add_channel(g, ops.global_avg_spatial(bases))
 
 
-def assemble(g_fused: Tensor, codewords: Tensor, params):
-    """Reconstructed map and the per-pixel codeword coefficients that the
-    `assembly` conv of `params` (HgdParams or a ScaleBranch) predicts."""
+def assemble(g_fused: Tensor, codewords: Tensor, params, out=None):
+    """Reconstructed map, written into `out` when given, and the per-pixel
+    codeword coefficients that the `assembly` conv of `params` (HgdParams
+    or a ScaleBranch) predicts."""
     coeffs = _conv(g_fused, params.assembly)
-    return assemble_from(coeffs, codewords), coeffs
+    return assemble_from(coeffs, codewords, out=out), coeffs
 
 
 @dataclass
@@ -189,9 +243,13 @@ class HgdTrace:
 def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
     m8, m32 = fuse_multiscale(e8, e16, e32, params)
     codewords, bases, weights = generate_codewords(m32, params)
-    guidance, guidance_fused = build_guidance(m8, bases, params)
-    assembled, coeffs = assemble(guidance_fused, codewords, params)
-    fused = ops.concat_channels([assembled, guidance])
+    cfg = params.config
+    buf, (upper, lower) = _concat_slots(
+        (cfg.codeword_dim, cfg.guidance_channels), m8.data.shape[1:],
+        (m8, bases, codewords, params.guidance.weight, params.assembly.weight))
+    guidance, guidance_fused = build_guidance(m8, bases, params, out=lower)
+    assembled, coeffs = assemble(guidance_fused, codewords, params, out=upper)
+    fused = ops.concat_channels([assembled, guidance], out=buf)
     return HgdTrace(fused=fused, assembled=assembled, guidance=guidance,
                     guidance_fused=guidance_fused, coeffs=coeffs, codewords=codewords,
                     bases=bases, weights=weights, m8=m8, m32=m32)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .decoder import _conv, assemble, generate_codewords
+from .decoder import _concat_slots, _conv, assemble, generate_codewords
 from .params import ConvParams, conv1x1_params
 from .tensor import ConfigError, Tensor
 
@@ -230,10 +230,11 @@ class FpnTrace:
 
 def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     """One refinement pass; returns the new pyramid plus intermediates."""
-    if pyramid.channels != params.config.output_channels:
+    cfg = params.config
+    if pyramid.channels != cfg.output_channels:
         raise ConfigError(
             f"residual add needs pyramid channels == output_channels: "
-            f"{pyramid.channels} != {params.config.output_channels}")
+            f"{pyramid.channels} != {cfg.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
     p3, p4, p5, _, _ = pyramid.levels()
@@ -245,9 +246,14 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     fused = {4: m4, 5: m5, 6: m6}
     refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):
-        g = _conv(fused[level], branch.guidance)
-        assembled, _ = assemble(g, codewords, branch)
-        refined[level] = _conv(ops.concat_channels([assembled, g]), branch.project)
+        m = fused[level]
+        # [assembled; g] is built in place, as the segmentation decoder's output
+        buf, (upper, lower) = _concat_slots(
+            (cfg.codeword_dim, cfg.output_channels), m.data.shape[1:],
+            (m, codewords, branch.guidance.weight, branch.assembly.weight))
+        g = _conv(m, branch.guidance, out=lower)
+        assembled, _ = assemble(g, codewords, branch, out=upper)
+        refined[level] = _conv(ops.concat_channels([assembled, g], out=buf), branch.project)
     refined[3] = _up(refined[4], p3)
     refined[7] = ops.maxpool2x2(refined[6])
 

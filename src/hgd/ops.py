@@ -47,7 +47,18 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   logit once: the forward gathers the true-class term through it (equal to
   np.take_along_axis's) and the backward scatters the gradient's through
   it; each pixel has one label, so the indices are unique and the result
-  equals np.subtract.at's bit for bit.
+  equals np.subtract.at's bit for bit;
+- conv1x1, bilinear_resize and matmul take a keyword-only out: a
+  C-contiguous array of exactly the result's dims and dtype (checked, so
+  numpy never casts a product into it), which the product is written into
+  and which becomes the result's data. It must not share memory with the
+  op's inputs. concat_channels(parts, out=buf) returns buf itself, without
+  a copy, once each part's data is checked to be its own consecutive
+  channel slice of buf (a buffer that owns its memory), in order; so a
+  concatenation of parts written in place is their buffer, and the parts'
+  data are views of the concatenation's. That is safe because only leaves
+  are written in place (sgd_step, and the tests' parameter edits), and a
+  leaf is never such a part.
 """
 
 from __future__ import annotations
@@ -98,6 +109,15 @@ def _acc(t: Tensor, value, lent: bool = False):
         t._grad_shared = False
     else:
         t.grad += value
+
+
+def _check_out(out: np.ndarray, dims: tuple, dtype, op: str):
+    """Raise unless out is a C-contiguous array of exactly dims and dtype."""
+    if out.shape != dims or out.dtype != dtype or not out.flags.c_contiguous:
+        layout = "C-contiguous" if out.flags.c_contiguous else "not C-contiguous"
+        raise DimensionError(
+            f"{op} out must be a C-contiguous {np.dtype(dtype).name} array of dims {dims}, "
+            f"got {out.dtype.name} {out.shape}, {layout}")
 
 
 def _check_rank(t: Tensor, rank: int, what: str):
@@ -183,7 +203,7 @@ def broken_relu_gradient():
 
 # ------------------------------------------------------------- convolutions
 
-def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def conv1x1(x: Tensor, weight: Tensor, bias: Tensor, *, out=None) -> Tensor:
     """Pointwise convolution: out(o,x,y) = bias(o) + sum_i weight(o,i) * in(i,x,y)."""
     _check_rank(x, 3, "conv1x1 input")
     _check_rank(weight, 2, "conv1x1 weight")
@@ -198,8 +218,13 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     c_out = weight.dims[0]
     c_in, h, w = x.dims
     x2 = x.data.reshape(c_in, h * w)
-    out = weight.data @ x2
-    out += bias.data[:, None]
+    if out is None:
+        y = weight.data @ x2
+        out = y.reshape(c_out, h, w)
+    else:
+        _check_out(out, (c_out, h, w), np.promote_types(weight.dtype, x.dtype), "conv1x1")
+        y = np.matmul(weight.data, x2, out=out.reshape(c_out, h * w))
+    y += bias.data[:, None]
 
     def bwd(g):
         g2 = g.reshape(c_out, h * w)
@@ -210,7 +235,7 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if _need(bias):
             _acc(bias, g2.sum(axis=1))
 
-    return _make(out.reshape(c_out, h, w), (x, weight, bias), "conv1x1", bwd)
+    return _make(out, (x, weight, bias), "conv1x1", bwd)
 
 
 def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:
@@ -293,18 +318,23 @@ def _check_resize(x: Tensor, out_h: int, out_w: int, op: str):
         raise DimensionError(f"{op} target must be at least 1x1, got {out_h}x{out_w}")
 
 
-def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
+def bilinear_resize(x: Tensor, out_h: int, out_w: int, *, out=None) -> Tensor:
     """Separable bilinear resampling (half-pixel centers, edge clamp)."""
     _check_resize(x, out_h, out_w, "bilinear_resize")
-    _, h, w = x.dims
+    c, h, w = x.dims
     rh = _bilinear_matrix(h, out_h, x.dtype)
     rw = _bilinear_matrix(w, out_w, x.dtype)
+    if out is None:
+        out = rh @ x.data @ rw.T
+    else:
+        _check_out(out, (c, out_h, out_w), x.dtype, "bilinear_resize")
+        np.matmul(rh @ x.data, rw.T, out=out)
 
     def bwd(g):
         if _need(x):
             _acc(x, rh.T @ g @ rw)
 
-    return _make(rh @ x.data @ rw.T, (x,), "bilinear_resize", bwd)
+    return _make(out, (x,), "bilinear_resize", bwd)
 
 
 def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -391,7 +421,30 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 # ------------------------------------------------------------ shape movers
 
-def concat_channels(tensors) -> Tensor:
+def _check_tiling(tensors, out: np.ndarray):
+    """Raise unless each tensor's data is its own consecutive channel slice
+    of out, in order."""
+    last = len(tensors) - 1
+    start = 0
+    for i, t in enumerate(tensors):
+        d = t.data
+        stop = start + len(d)
+        # once out's dims are checked below, a C-contiguous view of out with
+        # the slot's element count is the slot iff it shares no memory with
+        # the channels around it
+        if (d.base is not out or d.dtype != out.dtype or not d.flags.c_contiguous
+                or i and np.may_share_memory(d, out[:start])
+                or i < last and np.may_share_memory(d, out[stop:])):
+            raise DimensionError(
+                f"concat_channels input {i} is not channels {start}:{stop} of out")
+        start = stop
+    _check_out(out, (start, *tensors[0].dims[1:]), out.dtype, "concat_channels")
+
+
+def concat_channels(tensors, *, out=None) -> Tensor:
+    """Stack maps along the channel axis. With out, the maps' data must
+    already be out's consecutive channel slices, in order, and out itself
+    is the result's data; without it the maps are copied."""
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat_channels needs at least one input")
@@ -400,7 +453,10 @@ def concat_channels(tensors) -> Tensor:
         if t.dims[1:] != tensors[0].dims[1:]:
             raise DimensionError(
                 f"concat_channels spatial axes differ: {t.dims[1:]} vs {tensors[0].dims[1:]}")
-    out = np.concatenate([t.data for t in tensors], axis=0)
+    if out is None:
+        out = np.concatenate([t.data for t in tensors], axis=0)
+    else:
+        _check_tiling(tensors, out)
 
     def bwd(g):
         start = 0
@@ -435,7 +491,7 @@ def transpose(x: Tensor) -> Tensor:
 
 # ------------------------------------------------------------ linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, *, out=None) -> Tensor:
     _check_rank(a, 2, "matmul left operand")
     _check_rank(b, 2, "matmul right operand")
     if a.dims[1] != b.dims[0]:
@@ -448,7 +504,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if _need(b):
             _acc(b, a.data.T @ g)
 
-    return _make(a.data @ b.data, (a, b), "matmul", bwd)
+    if out is None:
+        out = a.data @ b.data
+    else:
+        _check_out(out, (a.dims[0], b.dims[1]), np.promote_types(a.dtype, b.dtype), "matmul")
+        np.matmul(a.data, b.data, out=out)
+    return _make(out, (a, b), "matmul", bwd)
 
 
 def weighted_sum(coeffs: Tensor, tensors) -> Tensor:

@@ -6,8 +6,11 @@ their parents and a backward closure on the output tensor; ComputeGraph
 linearizes that record so one reverse sweep visits each node exactly once,
 summing adjoints into tensors that feed several consumers.
 
-Tensors are treated as immutable after forward construction. Gradients are
-not copied where they pass through unchanged, so several tensors' grads may
+Tensors are treated as immutable after forward construction; only leaves
+are written in place (sgd_step, and the tests' parameter edits). So data may
+alias: a concatenation whose parts were written into one buffer (ops' out=)
+is that buffer, and each part's data is a view of it. Gradients are not
+copied where they pass through unchanged, so several tensors' grads may
 share one buffer: a grad is written in place only through ensure_grad(),
 which first copies a buffer that may be shared.
 """

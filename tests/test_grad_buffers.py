@@ -37,6 +37,18 @@ def _twice_transposed(x):
     return ops.reshape(ops.transpose(ops.transpose(m)), (C, H, W))
 
 
+def _concat_in_place(xs, p):
+    """conv1x1, bilinear_resize and matmul write into one buffer, which the
+    concatenation returns; its backward lends each part a slice of g."""
+    x, y = xs
+    buf = np.empty((3 * C, H, W), x.dtype)
+    parts = [ops.conv1x1(x, p["w"], p["b"], out=buf[:C]),
+             ops.bilinear_resize(y, H, W, out=buf[C:2 * C]),
+             ops.reshape(ops.matmul(p["w"], ops.reshape(x, (C, H * W)),
+                                    out=buf[2 * C:].reshape(C, H * W)), (C, H, W))]
+    return ops.conv1x1(ops.concat_channels(parts, out=buf), p["w6"], p["b"])
+
+
 # op name -> (operand count, builder(operands, params))
 _OPS = {
     "add": (2, lambda xs, p: ops.add(*xs)),
@@ -52,6 +64,7 @@ _OPS = {
     "conv3": (1, lambda xs, p: ops.conv3x3(*xs, p["w3"], p["b"])),
     "mean": (2, lambda xs, p: ops.broadcast_add_channel(xs[0], ops.global_avg_spatial(xs[1]))),
     "concat": (2, lambda xs, p: ops.conv1x1(ops.concat_channels(xs), p["w2"], p["b"])),
+    "concat-in-place": (2, _concat_in_place),
     "wsum": (3, lambda xs, p: ops.weighted_sum(p["c"], xs)),
 }
 
@@ -81,7 +94,7 @@ def _build(program):
         return Tensor(rng.standard_normal(dims).astype(dtype), requires_grad=grad)
 
     params = {"v": new(C), "w": new(C, C), "w2": new(C, 2 * C), "w3": new(C, C, 3, 3),
-              "b": new(C), "c": new(3)}
+              "b": new(C), "c": new(3), "w6": new(C, 3 * C)}
     pool = [new(C, H, W) for _ in range(3)] + [new(C, H, W, grad=False)]
     for op, operands in steps:
         pool.append(_OPS[op][1]([pool[i] for i in operands], params))
@@ -150,6 +163,9 @@ def _grads(program, acc=None):
 @example((1, np.float64, [("flat", [0]), ("add", [4, 4]), ("wsum", [5, 4, 0])], 4, 1))
 # a second sweep accumulates into grads the first one lent
 @example((2, np.float64, [("flat", [0]), ("add", [4, 4])], 0, 2))
+# the in-place concatenation lends slices of its grad to parts that share x,
+# and a second sweep accumulates into them
+@example((3, np.float32, [("concat-in-place", [0, 0]), ("add", [4, 0])], 0, 2))
 def test_grads_equal_zero_fill_reference(program):
     got = _grads(program)
     want = _grads(program, acc=_zero_fill_acc)
