@@ -39,14 +39,12 @@ from .costmodel import (efficientfcn_spec, emit_report, fpn_baseline_spec, fpn_s
 from .decoder import hgd_forward_full
 from .efficientfcn import (ToyBackboneConfig, backbone_forward, init_seg_params,
                            segment_forward, train_segmenter)
-from .fpn import (Pyramid, fpn_decode_once_full, fpn_stages, init_fpn_params,
-                  init_fpn_stack, level_grids)
+from .fpn import (LEVEL_NAMES, Pyramid, fpn_decode_once_full, fpn_stages,
+                  init_fpn_params, init_fpn_stack, level_grids)
 from .gradcheck import gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor, write_atomic
 from .synthdata import synth_dataset
 from .tensor import ConfigError, GradcheckError, Tensor
-
-_LEVEL_STRIDES = (("p3", 4), ("p4", 8), ("p5", 16), ("p6", 32), ("p7", 64))
 
 
 def _check_thread_cap():
@@ -255,9 +253,10 @@ def cmd_demo_fpn(args) -> int:
         current, trace = fpn_decode_once_full(current, stage_params)
 
     entries = {}
-    for (name, stride), tensor in zip(_LEVEL_STRIDES, current.levels()):
+    for i, (name, tensor) in enumerate(zip(LEVEL_NAMES, current.levels())):
         save_tensor(out / f"{name}.hgdt", tensor)
-        entries[name] = {"file": f"{name}.hgdt", "stride": stride,
+        # p3 is the input's grid quartered, and each level halves the last
+        entries[name] = {"file": f"{name}.hgdt", "stride": 4 << i,
                          "dims": list(tensor.dims)}
     manifest = {"levels": entries, "stages": cfg.k_recurrence,
                 "share_params": cfg.share_params}

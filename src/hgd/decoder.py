@@ -10,17 +10,19 @@ small set of holistic codewords:
    per-channel spatial softmax turns every codeword into a convex
    combination of bases vectors (so each codeword coordinate stays inside
    the per-coordinate range of B);
-3. the guidance branch predicts, at the fine grid, one linear coefficient
-   per codeword, optionally after adding the global average bases vector to
-   the guidance map (the "transfer" path);
-4. the output stacks the reconstructed map on the guidance map.
+3. the head (assemble_codewords) predicts, at the fine grid, one linear
+   coefficient per codeword from the guidance map G, optionally after
+   adding the global average bases vector to G (the "transfer" path);
+4. the head's output stacks the reconstructed map on G.
 
-Both stacks at the fine grid, m8 and the output, are built in place: the
-producers of the parts (the 1x1 convs, the bilinear resizes and the
-assembly matmul) write into consecutive channel slices of one buffer, and
-the concatenation returns that buffer without a copy, so the parts' data
-are views of it. A stack under 256 KiB (toy widths), or one whose inputs
-mix dtypes, is copied instead, and numpy's promotion sets its dtype.
+Steps 3-4 are one function, which the pyramid decoder's branches also call
+without the transfer path. Both stacks at the fine grid, m8 and the head's
+output, are built in place: the producers of the parts (the 1x1 convs, the
+bilinear resizes and the assembly matmul) write into consecutive channel
+slices of one buffer, and the concatenation returns that buffer without a
+copy, so the parts' data are views of it. A stack under 256 KiB (toy
+widths), or one whose inputs mix dtypes, is copied instead, and numpy's
+promotion sets its dtype.
 
 All branches are pure affine 1x1 convolutions; there is no normalization or
 activation inside the decoder.
@@ -208,21 +210,22 @@ def generate_codewords(m32: Tensor, params):
     return codewords_from(bases, weights), bases, weights
 
 
-def build_guidance(m8: Tensor, bases: Tensor, params: HgdParams, out=None):
-    """Guidance map G, written into `out` when given, and G plus the mean
-    bases vector if the config enables transfer."""
-    g = _conv(m8, params.guidance, out=out)
-    if not params.config.transfer_enabled:
-        return g, g
-    return g, ops.broadcast_add_channel(g, ops.global_avg_spatial(bases))
+def assemble_codewords(m: Tensor, codewords: Tensor, guidance: ConvParams,
+                       assembly: ConvParams, bases: Tensor = None):
+    """The head at m's grid: (stack [assembled; G], assembled, G, G_fused, coeffs).
 
-
-def assemble(g_fused: Tensor, codewords: Tensor, params, out=None):
-    """Reconstructed map, written into `out` when given, and the per-pixel
-    codeword coefficients that the `assembly` conv of `params` (HgdParams
-    or a ScaleBranch) predicts."""
-    coeffs = _conv(g_fused, params.assembly)
-    return assemble_from(coeffs, codewords, out=out), coeffs
+    G is the `guidance` conv of m; G_fused is G plus the mean `bases` vector
+    when `bases` is given (the transfer path), else G itself. The `assembly`
+    conv of G_fused predicts each pixel's codeword coefficients."""
+    operands = (m, codewords, guidance.weight, assembly.weight)
+    buf, (upper, lower) = _concat_slots(
+        (codewords.dims[0], guidance.weight.dims[0]), m.data.shape[1:],
+        operands if bases is None else (*operands, bases))
+    g = _conv(m, guidance, out=lower)
+    g_fused = g if bases is None else ops.broadcast_add_channel(g, ops.global_avg_spatial(bases))
+    coeffs = _conv(g_fused, assembly)
+    assembled = assemble_from(coeffs, codewords, out=upper)
+    return ops.concat_channels([assembled, g], out=buf), assembled, g, g_fused, coeffs
 
 
 @dataclass
@@ -243,13 +246,9 @@ class HgdTrace:
 def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
     m8, m32 = fuse_multiscale(e8, e16, e32, params)
     codewords, bases, weights = generate_codewords(m32, params)
-    cfg = params.config
-    buf, (upper, lower) = _concat_slots(
-        (cfg.codeword_dim, cfg.guidance_channels), m8.data.shape[1:],
-        (m8, bases, codewords, params.guidance.weight, params.assembly.weight))
-    guidance, guidance_fused = build_guidance(m8, bases, params, out=lower)
-    assembled, coeffs = assemble(guidance_fused, codewords, params, out=upper)
-    fused = ops.concat_channels([assembled, guidance], out=buf)
+    fused, assembled, guidance, guidance_fused, coeffs = assemble_codewords(
+        m8, codewords, params.guidance, params.assembly,
+        bases if params.config.transfer_enabled else None)
     return HgdTrace(fused=fused, assembled=assembled, guidance=guidance,
                     guidance_fused=guidance_fused, coeffs=coeffs, codewords=codewords,
                     bases=bases, weights=weights, m8=m8, m32=m32)

@@ -12,9 +12,12 @@ the effective combination is non-negative but otherwise unconstrained.
 The decoder can be applied repeatedly; with shared parameters the stack
 size does not change the parameter count.
 
-A stage generates and assembles codewords with the segmentation decoder's
-own blocks. Both fusers take the one-step max-pool downsamplings (p3->p4,
-p4->p5, p5->p6) that a stage computes once, so it runs 7 poolings, not 10.
+A stage runs the segmentation decoder's own codeword generation
+(generate_codewords) and, at each scale, its assembly head
+(assemble_codewords, without the transfer path), whose [assembled; G] stack
+a 1x1 conv projects back to the pyramid width. Both fusers take the
+one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6) that a stage
+computes once, so it runs 7 poolings, not 10.
 ops.nearest_resize and ops.maxpool2x2 are an exact up/down pair between levels.
 """
 
@@ -23,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .decoder import _concat_slots, _conv, assemble, generate_codewords
+from .decoder import assemble_codewords, generate_codewords
 from .params import ConvParams, conv1x1_params
 from .tensor import ConfigError, Tensor
 
-_LEVEL_NAMES = ("p3", "p4", "p5", "p6", "p7")
+# the five levels, finest first, as Pyramid fields and artifact names
+LEVEL_NAMES = ("p3", "p4", "p5", "p6", "p7")
 
 
 def level_grids(finest):
@@ -52,7 +56,7 @@ class Pyramid:
     def __post_init__(self):
         maps = self.levels()
         channels = maps[0].dims[0]
-        for name, level in zip(_LEVEL_NAMES, maps):
+        for name, level in zip(LEVEL_NAMES, maps):
             if len(level.dims) != 3:
                 raise ConfigError(f"{name} must be rank 3, got dims {level.dims}")
             if level.dims[0] != channels:
@@ -60,7 +64,7 @@ class Pyramid:
                     f"pyramid channels differ: {name} has {level.dims[0]}, p3 has {channels}")
         for i, (eh, ew) in enumerate(level_grids(maps[0].dims[1:])[1:], 1):
             if maps[i].dims[1:] != (eh, ew):
-                raise ConfigError(f"{_LEVEL_NAMES[i]} must be {_LEVEL_NAMES[i - 1]} "
+                raise ConfigError(f"{LEVEL_NAMES[i]} must be {LEVEL_NAMES[i - 1]} "
                                   f"halved to ({eh},{ew}), got {maps[i].dims[1:]}")
 
     def levels(self):
@@ -246,14 +250,8 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     fused = {4: m4, 5: m5, 6: m6}
     refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):
-        m = fused[level]
-        # [assembled; g] is built in place, as the segmentation decoder's output
-        buf, (upper, lower) = _concat_slots(
-            (cfg.codeword_dim, cfg.output_channels), m.data.shape[1:],
-            (m, codewords, branch.guidance.weight, branch.assembly.weight))
-        g = _conv(m, branch.guidance, out=lower)
-        assembled, _ = assemble(g, codewords, branch, out=upper)
-        refined[level] = _conv(ops.concat_channels([assembled, g], out=buf), branch.project)
+        stack = assemble_codewords(fused[level], codewords, branch.guidance, branch.assembly)[0]
+        refined[level] = ops.conv1x1(stack, branch.project.weight, branch.project.bias)
     refined[3] = _up(refined[4], p3)
     refined[7] = ops.maxpool2x2(refined[6])
 

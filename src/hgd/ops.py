@@ -6,14 +6,15 @@ accumulates adjoints into any parent with requires_grad set.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
 - no first adjoint gets a zero buffer. Closures hand adjoints to _acc: a
-  fresh one (the conv and matmul products, g * mask, s * g, c * g, the
-  nearest pair-sums, softmax's and the cross-entropy's) is adopted as the
-  parent's grad; a passed-through one (add's, reshape's, transpose's,
-  sum_all's broadcast, the concat_channels slices and the x side of
-  broadcast_add_channel) is lent, and the parent shares the buffer
-  copy-on-write: a later accumulation, or ensure_grad() before an in-place
-  write, copies it first. maxpool2x2 scatters into a zero buffer of its
-  own, which it hands over, when its input has no grad yet;
+  fresh one (the conv and matmul products, g * mask, s * g, c * g and
+  weighted_sum's coefficient vector, the nearest pair-sums, softmax's and
+  the cross-entropy's) is adopted as the parent's grad; a passed-through
+  one (add's, reshape's, transpose's, sum_all's broadcast, the
+  concat_channels slices and the x side of broadcast_add_channel) is lent,
+  and the parent shares the buffer copy-on-write: a later accumulation, or
+  ensure_grad() before an in-place write, copies it first. maxpool2x2
+  scatters into a zero buffer of its own, which it hands over, when its
+  input has no grad yet;
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
@@ -529,12 +530,11 @@ def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
         out += c * t.data
 
     def bwd(g):
-        for j, t in enumerate(tensors):
+        for c, t in zip(coeffs.data, tensors):
             if _need(t):
-                _acc(t, coeffs.data[j] * g)
-            if _need(coeffs):
-                coeffs.ensure_grad()
-                coeffs.grad[j] += np.sum(g * t.data)
+                _acc(t, c * g)
+        if _need(coeffs):
+            _acc(coeffs, np.array([np.sum(g * t.data) for t in tensors]))
 
     return _make(out, (coeffs, *tensors), "weighted_sum", bwd)
 

@@ -10,7 +10,7 @@ import pytest
 from hgd import ops
 from hgd.tensor import Tensor, ConfigError
 from hgd.decoder import (HgdConfig, codewords_from, assemble_from, fuse_multiscale,
-                         generate_codewords, build_guidance, assemble, hgd_forward,
+                         generate_codewords, assemble_codewords, hgd_forward,
                          hgd_forward_full, init_hgd_params)
 from hgd.gradcheck import gradcheck
 
@@ -198,8 +198,8 @@ def test_guidance_without_transfer_is_same_object():
     cfg = toy_config(transfer_enabled=False)
     params = init_hgd_params((6, 7, 9), cfg, rng)
     m8 = t(rng.normal(size=(12, 8, 8)))
-    bases = t(rng.normal(size=(10, 2, 2)))
-    g, g_fused = build_guidance(m8, bases, params)
+    codewords = t(rng.normal(size=(10, 3)))
+    _, _, g, g_fused, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly)
     assert g_fused is g
 
 
@@ -210,7 +210,9 @@ def test_guidance_transfer_adds_constant_bases_mean():
     m8 = t(rng.normal(size=(12, 8, 8)))
     v = rng.normal(size=(10,))
     bases = t(np.broadcast_to(v[:, None, None], (10, 4, 4)).copy())
-    g, g_fused = build_guidance(m8, bases, params)
+    codewords = t(rng.normal(size=(10, 3)))
+    _, _, g, g_fused, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly,
+                                             bases)
     assert np.array_equal(g_fused.data, g.data + v[:, None, None])
 
 
@@ -220,7 +222,9 @@ def test_guidance_transfer_matches_loop_oracle():
     params = init_hgd_params((6, 7, 9), cfg, rng)
     m8 = t(rng.normal(size=(12, 6, 6)))
     bases = t(rng.normal(size=(10, 3, 3)))
-    g, g_fused = build_guidance(m8, bases, params)
+    codewords = t(rng.normal(size=(10, 3)))
+    _, _, g, g_fused, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly,
+                                             bases)
     for c in range(10):
         mean = 0.0
         for p in range(3):

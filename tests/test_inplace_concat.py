@@ -224,7 +224,6 @@ def _copying(monkeypatch):
     def no_buffer(widths, grid, operands):
         return None, [None] * len(widths)
     monkeypatch.setattr(decoder, "_concat_slots", no_buffer)
-    monkeypatch.setattr(fpn, "_concat_slots", no_buffer)
 
 
 @pytest.mark.parametrize("dtypes", [(np.float32, (np.float32,) * 3),
@@ -257,9 +256,16 @@ def test_fpn_branch_stacks_are_built_in_place_and_equal_the_copying_path(monkeyp
         stack = trace.refined[level]._parents[0]
         assert stack._op == "concat_channels"
         assert all(np.shares_memory(stack.data, p.data) == in_place for p in stack._parents)
+    stack = trace.refined[4]._parents[0]
+    assembled, g = stack._parents
+    assert g._op == "conv1x1"
+    assert np.array_equal(stack.data[:8], assembled.data) and np.array_equal(stack.data[8:], g.data)
     _copying(monkeypatch)
-    want, _ = fpn.fpn_decode_once_full(pyramid, params)
+    want, want_trace = fpn.fpn_decode_once_full(pyramid, params)
     for g, w in zip(out.levels(), want.levels()):
+        assert g.data.tobytes() == w.data.tobytes()
+    want_stack = want_trace.refined[4]._parents[0]
+    for g, w in zip((stack, *stack._parents), (want_stack, *want_stack._parents)):
         assert g.data.tobytes() == w.data.tobytes()
 
 

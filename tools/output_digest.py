@@ -1,0 +1,50 @@
+"""Print one sha256 per benchmark workload over the arrays it computes.
+
+Run from a checkout: `python3 tools/output_digest.py`. Two checkouts that
+print the same lines compute the same bytes for: every HgdTrace field of the
+decode-paper forward at seeds 0-2, the fpn-decode outputs and gradients at
+seeds 0-4, the seg-infer labels of all 32 images, and every seg-train
+parameter and gradient after 40 SGD steps (seed 0 for both).
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench")]
+
+import workloads as wl  # noqa: E402
+from hgd import decoder  # noqa: E402
+
+
+def sha(arrays):
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape}".encode() + np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def ready(cls, seed):
+    w = cls(seed)
+    w.setup()
+    return w
+
+
+def decode_paper_trace(w):
+    return [t.data for t in vars(decoder.hgd_forward_full(*w.taps, w.params)).values()]
+
+
+def seg_train_state(w):
+    w.install_hooks()
+    w.run(wl.Loop(max_ops=40))
+    return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)]
+
+
+print("decode-paper", sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s))))
+print("fpn-decode", sha(a for s in range(5) for a in ready(wl.FpnDecode, s).op(0)))
+infer = ready(wl.SegInfer, 0)
+print("seg-infer", sha(infer.op(i) for i in range(len(infer.samples))))
+print("seg-train", sha(seg_train_state(ready(wl.SegTrain, 0))))
