@@ -15,8 +15,9 @@ small set of holistic codewords:
    adding the global average bases vector to G (the "transfer" path);
 4. the head's output stacks the reconstructed map on G.
 
-Steps 3-4 are one function, which the pyramid decoder's branches also call
-without the transfer path. Both stacks at the fine grid, m8 and the head's
+Steps 3-4 are one function. (The pyramid decoder's branches run the same
+head without the transfer path, folded with their projection into one
+affine map; see hgd.fpn.) Both stacks at the fine grid, m8 and the head's
 output, are built in place: the producers of the parts (the 1x1 convs, the
 bilinear resizes and the assembly matmul) write into consecutive channel
 slices of one buffer, and the concatenation returns that buffer without a

@@ -13,12 +13,18 @@ The decoder can be applied repeatedly; with shared parameters the stack
 size does not change the parameter count.
 
 A stage runs the segmentation decoder's own codeword generation
-(generate_codewords) and, at each scale, its assembly head
-(assemble_codewords, without the transfer path), whose [assembled; G] stack
-a 1x1 conv projects back to the pyramid width. Both fusers take the
-one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6) that a stage
-computes once, so it runs 7 poolings, not 10.
-ops.nearest_resize and ops.maxpool2x2 are an exact up/down pair between levels.
+(generate_codewords). In the paper's form each scale branch then stacks the
+assembled map on its guidance map G and a 1x1 conv projects [assembled; G]
+back to the pyramid width. Every step of that branch is affine in the fused
+level m, so a stage runs each branch as the one map it equals, A m + beta
+(fold_branch): one ch x ch conv per scale in place of three convs, the
+codeword product and the stack. A and beta are formed on the tape once per
+branch per stage, so every branch parameter and the codewords get their
+gradients through them. The map sums in another order than the stack form,
+so the two agree to roundoff, not bit for bit. Both fusers take the one-step max-pool downsamplings
+(p3->p4, p4->p5, p5->p6) that a stage computes once, so it runs 7 poolings,
+not 10. ops.nearest_resize and ops.maxpool2x2 are an exact up/down pair
+between levels.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .decoder import assemble_codewords, generate_codewords
+from .decoder import generate_codewords
 from .params import ConvParams, conv1x1_params
 from .tensor import ConfigError, Tensor
 
@@ -223,6 +229,28 @@ def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
 
 # ------------------------------------------------------------------ decode
 
+def _matvec(a: Tensor, v: Tensor) -> Tensor:
+    return ops.reshape(ops.matmul(a, ops.reshape(v, (v.dims[0], 1))), (a.dims[0],))
+
+
+def fold_branch(branch: ScaleBranch, codewords: Tensor):
+    """The branch as one affine map (A, beta) of its fused level m.
+
+    With G = W_g m + b_g, coeffs = W_as G + b_as, assembled = C coeffs and
+    the projection's weight split after the codeword rows, [W_pa | W_pg],
+    the branch output W_pa assembled + W_pg G + b_p equals A m + beta for
+    M = W_pa C W_as + W_pg, A = M W_g and beta = M b_g + W_pa C b_as + b_p.
+    """
+    dim = codewords.dims[0]
+    project = branch.project.weight
+    pc = ops.matmul(ops.columns(project, 0, dim), codewords)
+    m = ops.add(ops.matmul(pc, branch.assembly.weight),
+                ops.columns(project, dim, project.dims[1]))
+    beta = ops.add(ops.add(_matvec(m, branch.guidance.bias), _matvec(pc, branch.assembly.bias)),
+                   branch.project.bias)
+    return ops.matmul(m, branch.guidance.weight), beta
+
+
 @dataclass
 class FpnTrace:
     m_code: Tensor
@@ -250,8 +278,7 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     fused = {4: m4, 5: m5, 6: m6}
     refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):
-        stack = assemble_codewords(fused[level], codewords, branch.guidance, branch.assembly)[0]
-        refined[level] = ops.conv1x1(stack, branch.project.weight, branch.project.bias)
+        refined[level] = ops.conv1x1(fused[level], *fold_branch(branch, codewords))
     refined[3] = _up(refined[4], p3)
     refined[7] = ops.maxpool2x2(refined[6])
 

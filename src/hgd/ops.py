@@ -13,8 +13,10 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   concat_channels slices and the x side of broadcast_add_channel) is lent,
   and the parent shares the buffer copy-on-write: a later accumulation, or
   ensure_grad() before an in-place write, copies it first. maxpool2x2
-  scatters into a zero buffer of its own, which it hands over, when its
-  input has no grad yet;
+  and columns scatter into a zero buffer of their own, which they hand
+  over, when their input has no grad yet, and into ensure_grad()'s buffer
+  once it has one, so several column slices of one matrix accumulate into
+  one grad;
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
@@ -470,6 +472,24 @@ def concat_channels(tensors, *, out=None) -> Tensor:
     return _make(out, tuple(tensors), "concat_channels", bwd)
 
 
+def columns(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a matrix, as a view of its data."""
+    _check_rank(x, 2, "columns input")
+    if not 0 <= start < stop <= x.dims[1]:
+        raise DimensionError(f"columns {start}:{stop} outside a matrix of {x.dims[1]} columns")
+
+    def bwd(g):
+        if _need(x):
+            if x.grad is None:
+                gx = np.zeros_like(x.data, order="C")
+                gx[:, start:stop] = g
+                _acc(x, gx)
+            else:
+                x.ensure_grad()[:, start:stop] += g
+
+    return _make(x.data[:, start:stop], (x,), "columns", bwd)
+
+
 def reshape(x: Tensor, dims) -> Tensor:
     dims = tuple(int(d) for d in dims)
 
@@ -534,7 +554,10 @@ def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
             if _need(t):
                 _acc(t, c * g)
         if _need(coeffs):
-            _acc(coeffs, np.array([np.sum(g * t.data) for t in tensors]))
+            # vdot sums a strided (say, broadcast) g in another order than a
+            # contiguous one, and a grad must not depend on its adjoint's layout
+            gc = np.ascontiguousarray(g)
+            _acc(coeffs, np.array([np.vdot(gc, t.data) for t in tensors]))
 
     return _make(out, (coeffs, *tensors), "weighted_sum", bwd)
 

@@ -159,6 +159,18 @@ def _build_concat(rng):
     return [("a", a), ("b", b)], lambda: ops.sum_all(ops.mul(ops.concat_channels([a, b]), probe))
 
 
+@_case("columns")
+def _build_columns(rng):
+    # two overlapping slices of one matrix, as a pyramid branch splits its
+    # projection weight
+    w = t(rng.normal(size=(3, 7)))
+    x = t(rng.normal(size=(4, 5)))
+    probe = Tensor(rng.normal(size=(3, 5)))
+    return [("w", w), ("x", x)], lambda: ops.sum_all(ops.mul(
+        ops.add(ops.matmul(ops.columns(w, 0, 4), x), ops.matmul(ops.columns(w, 2, 6), x)),
+        probe))
+
+
 @_case("weighted_sum")
 def _build_weighted_sum(rng):
     maps = [t(rng.normal(size=(2, 3, 3))) for _ in range(3)]

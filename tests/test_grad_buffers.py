@@ -138,19 +138,23 @@ def _check_writes(mp, tensors):
     mp.setattr(Tensor, "ensure_grad", ensure_grad)
 
 
-def _grads(program, acc=None):
-    """Every grad of the program's graph after its sweeps; acc replaces
-    ops._acc, or None runs the real one with its writes checked."""
-    loss = _build(program)
+def _swept_grads(loss, sweeps, acc=None):
+    """Every grad of loss's graph after `sweeps` reverse sweeps; acc
+    replaces ops._acc, or None runs the real one with its writes checked."""
     tensors = _graph_tensors(loss)
     with pytest.MonkeyPatch.context() as mp:
         if acc is None:
             _check_writes(mp, tensors)
         else:
             mp.setattr(ops, "_acc", acc)
-        for _ in range(program[-1]):
+        for _ in range(sweeps):
             loss.backward()
     return [t.grad for t in tensors]
+
+
+def _grads(program, acc=None):
+    """Every grad of the program's graph after its sweeps."""
+    return _swept_grads(_build(program), program[-1], acc)
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,6 +170,9 @@ def _grads(program, acc=None):
 # the in-place concatenation lends slices of its grad to parts that share x,
 # and a second sweep accumulates into them
 @example((3, np.float32, [("concat-in-place", [0, 0]), ("add", [4, 0])], 0, 2))
+# weighted_sum's coefficients against the stride-0 adjoint sum_all lends
+@example((0, np.float64, [("bias", [0]), ("bias", [0]), ("bias", [0]), ("wsum", [0, 0, 0]),
+                          ("add", [0, 0])], 7, 1))
 def test_grads_equal_zero_fill_reference(program):
     got = _grads(program)
     want = _grads(program, acc=_zero_fill_acc)
@@ -176,6 +183,36 @@ def test_grads_equal_zero_fill_reference(program):
             continue
         assert g.dtype == w.dtype and g.shape == w.shape, i
         assert np.array_equal(g, w, equal_nan=True), i
+
+
+def _column_slices(whole_first):
+    """(w, loss): the loss reads matrix w whole, through add's lent adjoint,
+    and as two overlapping column slices."""
+    rng = np.random.default_rng(9)
+    w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    probes = [Tensor(rng.standard_normal((3, 3))) for _ in range(2)]
+    whole = ops.sum_all(ops.add(w, w))
+    sliced = ops.add(ops.sum_all(ops.mul(ops.columns(w, 0, 3), probes[0])),
+                     ops.sum_all(ops.mul(ops.columns(w, 2, 5), probes[1])))
+    want = np.full((3, 5), 2.0)
+    want[:, 0:3] += probes[0].data
+    want[:, 2:5] += probes[1].data
+    return w, want, ops.add(whole, sliced) if whole_first else ops.add(sliced, whole)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2])
+@pytest.mark.parametrize("whole_first", [True, False])
+def test_column_slices_accumulate_into_one_grad(whole_first, sweeps):
+    # the slices scatter into w's grad in place, which must copy a grad
+    # that add lent first
+    w, want, loss = _column_slices(whole_first)
+    got = _swept_grads(loss, sweeps)
+    ref = _swept_grads(_column_slices(whole_first)[2], sweeps, acc=_zero_fill_acc)
+    for i, (g, r) in enumerate(zip(got, ref)):
+        assert (g is None) == (r is None), i
+        assert g is None or np.array_equal(g, r), i
+    if sweeps == 1:
+        assert np.allclose(w.grad, want, rtol=0, atol=1e-12)
 
 
 def test_second_sweep_does_not_write_through_a_lent_grad():
