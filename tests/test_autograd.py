@@ -261,6 +261,27 @@ def test_maxpool_tie_goes_to_first_row_major():
     assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
 
+@pytest.mark.parametrize("sign", ["signed", "positive"])
+def test_weighted_sum_f32_coefficient_grads_keep_f32_accuracy(sign):
+    # each coefficient's grad is one f32 dot product over a map of
+    # fpn-decode's p3 size; all-positive terms cancel nothing, the case
+    # that shows a running sum's roundoff best. Held to 1e-6 of sum|g * t|
+    # (about 8 f32 roundings) against the float64 sum
+    rng = np.random.default_rng(12)
+    dims = (64, 56, 88)
+    draw = (lambda: rng.standard_normal(dims)) if sign == "signed" else \
+        (lambda: np.abs(rng.standard_normal(dims)))
+    maps = [Tensor(draw().astype(np.float32)) for _ in range(5)]
+    probe = Tensor(draw().astype(np.float32))
+    coeffs = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+    ops.sum_all(ops.mul(ops.weighted_sum(coeffs, maps), probe)).backward()
+    assert coeffs.grad.dtype == np.float32
+    g = probe.data.astype(np.float64).ravel()
+    for got, m in zip(coeffs.grad, maps):
+        terms = g * m.data.astype(np.float64).ravel()
+        assert abs(float(got) - terms.sum()) <= 1e-6 * np.abs(terms).sum()
+
+
 def test_gradcheck_flags_broken_backward():
     rng = np.random.default_rng(9)
     x = t(rng.normal(size=(3, 3)) + 0.2)

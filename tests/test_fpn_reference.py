@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from hgd import fpn, ops
-from hgd.tensor import Tensor
+from hgd.tensor import ComputeGraph, Tensor
 
 from test_fpn import maxpool_oracle, nearest_up_oracle
 
@@ -106,7 +106,8 @@ def make_case(config, finest, dtype, seed):
 
 
 def assert_matches_reference(pyramid, params):
-    """fpn_decode of the library against the reference, at FORWARD_TOL."""
+    """fpn_decode of the library against the reference, at FORWARD_TOL;
+    returns the library's output levels."""
     got = fpn.fpn_decode(pyramid, params).levels()
     want = reference_decode([t.data.astype(np.float64) for t in pyramid.levels()],
                             stage_records(params))
@@ -115,6 +116,7 @@ def assert_matches_reference(pyramid, params):
         assert g.data.dtype == pyramid.p3.data.dtype, name
         err = np.abs(g.data - w).max()
         assert err <= tol * np.abs(w).max(), (name, err, np.abs(w).max())
+    return got
 
 
 def _mean_loss(levels, count):
@@ -135,8 +137,13 @@ BENCH_CONFIG = fpn.FpnConfig(n_codewords=32, codeword_dim=64, k_recurrence=4,
     (fpn.FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=3, share_params=False,
                    output_channels=8), (25, 38)),
 ], ids=["bench-widths", "tiny-unshared-odd"])
-def test_decode_matches_reference(config, finest):
-    assert_matches_reference(*make_case(config, finest, np.float64, seed=40))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_decode_matches_reference(config, finest, dtype):
+    got = assert_matches_reference(*make_case(config, finest, dtype, seed=40))
+    # each branch runs as one affine map of its fused level: no stage
+    # concatenates, though the reference builds every [assembled; G] stack
+    ops_run = {n._op for level in got for n in ComputeGraph.trace(level).nodes}
+    assert "concat_channels" not in ops_run
 
 
 @pytest.mark.parametrize("share_params", [True, False], ids=["shared", "unshared"])

@@ -5,18 +5,17 @@ give it back as the result's data; concat_channels(parts, out=buf) returns
 buf itself once the parts are its consecutive channel slices. The
 segmentation decoder builds its fine-grid stacks this way, so these tests
 also hold its outputs to the copying path and pin the memory a
-paper-shaped forward keeps; the pyramid decoder builds no stack.
+paper-shaped forward keeps. The pyramid decoder builds no stack
+(tests/test_fpn_reference.py checks that).
 """
 
 import numpy as np
 import pytest
 
 from hgd import DimensionError, Tensor, ops
-from hgd import decoder, fpn
+from hgd import decoder
 from hgd.decoder import HgdConfig, hgd_forward, hgd_forward_full, init_hgd_params
 from hgd.tensor import ComputeGraph
-
-from test_fpn_reference import assert_matches_reference, make_case
 
 DTYPES = [np.float32, np.float64]
 
@@ -243,19 +242,6 @@ def test_decoder_output_and_trace_equal_the_copying_path(monkeypatch, dtypes):
     for field in vars(want):
         g, w = getattr(got, field).data, getattr(want, field).data
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_fpn_branches_build_no_stack_and_match_the_stack_form(dtype):
-    # each branch runs as one affine map of its fused level, so no stage
-    # concatenates; the reference builds every [assembled; G] stack
-    cfg = fpn.FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=2, share_params=False,
-                        output_channels=8)
-    pyramid, params = make_case(cfg, (37, 21), dtype, seed=5)
-    out = fpn.fpn_decode_once(pyramid, params[0])
-    nodes = [n for level in out.levels() for n in ComputeGraph.trace(level).nodes]
-    assert not any(n._op == "concat_channels" for n in nodes)
-    assert_matches_reference(pyramid, params)
 
 
 def _held_bytes(root):

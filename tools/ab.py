@@ -1,25 +1,28 @@
 """In-process A/B timing of two checkouts of hgd.
 
-    python3 tools/ab.py A_DIR B_DIR [--workload fpn-decode] [--seed 0]
-                        [--rounds 60] [--out BENCH.json]
+    python3 tools/ab.py A_DIR B_DIR [--workload fpn-decode] [--out BENCH.json]
 
-Each checkout's src/hgd is loaded under its own module name (every import
-inside the package is relative), so both run in this one process on inputs
-built by the benchmark's seed rule from the constants in hgdbench/workloads.py
-(data 2024 + s, initialization 17 + s). Each round times one operation of
-each side, wall clock, the side that goes first alternating, after one
-untimed warm-up operation per side. It prints the median B/A time ratio, the
-rounds B won, a bootstrap 95% interval of that median, and for both sides
-the median ms and the sha256 of src/hgd (the benchmark's src_sha256); --out
-writes the same, with the command, versions and BLAS threads, as JSON.
+Each checkout's src/hgd is imported as `hgd`, the benchmark's
+hgdbench/workloads.py is imported against it, and both names are then taken
+out of sys.modules again, so each side keeps its own package and workloads
+module and both run in this one process. Each side's Workload(seed 0) runs
+its own `setup` and `op`, the inputs and operation hgdbench/run.py times.
+Each round times one operation of each side, wall clock, the side that goes
+first alternating, after one untimed warm-up operation per side. It prints
+the median B/A time ratio, the rounds B won, a bootstrap 95% interval of
+that median, and for both sides the median ms and the sha256 of src/hgd (the
+benchmark's src_sha256); --out writes the same, with the command, versions
+and BLAS threads, as JSON.
 
 It complements hgdbench/run.py and does not replace it: both sides share
 one heap and one BLAS pool, so RSS, page faults and set-up time need
-separate processes.
+separate processes. seg-train is not offered: its operations are the steps
+inside one training run, which two sides cannot interleave.
 """
 
 import argparse
 import hashlib
+import importlib
 import importlib.util
 import itertools
 import json
@@ -32,12 +35,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench")]
+sys.path.insert(0, str(ROOT / "hgdbench"))
 
-import workloads as wl  # noqa: E402
 from worker import blas_info  # noqa: E402
 
+SEED = 0
+ROUNDS = 60
 BOOTSTRAP = 2000
+# the workloads whose operation is one call
+WORKLOADS = ("fpn-decode", "decode-paper", "seg-infer")
 
 
 def src_sha256(checkout: Path) -> str:
@@ -47,73 +53,41 @@ def src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def load(checkout: Path, name: str):
-    """The checkout's hgd package, imported as `name`."""
+def _bound_names():
+    return [n for n in sys.modules if n in ("hgd", "workloads") or n.startswith("hgd.")]
+
+
+def load(checkout: Path):
+    """hgdbench's workloads module, imported against the checkout's hgd."""
+    for name in _bound_names():
+        del sys.modules[name]
     pkg = checkout / "src" / "hgd"
     spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    for sub in ("ops", "fpn", "decoder", "efficientfcn", "synthdata"):
-        importlib.import_module(f"{name}.{sub}")
-    return module
+        "hgd", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    try:
+        sys.modules["hgd"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["hgd"])
+        return importlib.import_module("workloads")
+    finally:
+        for name in _bound_names():
+            del sys.modules[name]
 
 
-def fpn_decode(hgd, seed):
-    cfg = wl.FpnDecode.CONFIG
-    rng = np.random.default_rng(2024 + seed)
-    pyramid = hgd.fpn.Pyramid(*[hgd.Tensor(rng.standard_normal((cfg["output_channels"], h, w)))
-                                for h, w in wl.FpnDecode.LEVELS])
-    params = hgd.fpn.init_fpn_params(hgd.fpn.FpnConfig(**cfg), np.random.default_rng(17 + seed))
-    tensors = [t for _, t in params.named_parameters()]
-    count = sum(t.data.size for t in pyramid.levels())
-    ops = hgd.ops
-
-    def op():
-        for t in tensors:
-            t.zero_grad()
-        total = None
-        for level in hgd.fpn.fpn_decode(pyramid, params).levels():
-            s = ops.sum_all(level)
-            total = s if total is None else ops.add(total, s)
-        ops.scalar_scale(total, 1.0 / count).backward()
-
-    return op
-
-
-def decode_paper(hgd, seed):
-    w = wl.DecodePaper
-    rng = np.random.default_rng(2024 + seed)
-    taps = [hgd.Tensor(rng.standard_normal((c, g, g), dtype=np.float32)) for c, g in w.TAPS]
-    params = hgd.decoder.init_hgd_params(
-        tuple(c for c, _ in w.TAPS), hgd.decoder.HgdConfig(**w.CONFIG),
-        np.random.default_rng(17 + seed), np.float32)
-    return lambda: hgd.decoder.hgd_forward(*taps, params)
-
-
-def seg_infer(hgd, seed):
-    ef = hgd.efficientfcn
-    samples = hgd.synthdata.synth_dataset(seed=2024 + seed, count=32, size=64,
-                                          num_classes=wl.SegInfer.num_classes)
-    params = ef.init_seg_params(ef.tiny_backbone_config(), ef.tiny_hgd_config(),
-                                wl.SegInfer.num_classes, np.random.default_rng(17 + seed))
-    images = itertools.count()
-
-    def op():
-        image = samples[next(images) % len(samples)].image
-        ef.predict_labels(ef.segment_forward(image, params))
-
-    return op
-
-
-WORKLOADS = {"fpn-decode": fpn_decode, "decode-paper": decode_paper, "seg-infer": seg_infer}
+def operation(workloads, name: str):
+    """One side's timed operation: the benchmark workload's op(i), i = 0, 1, ..."""
+    workload = workloads.WORKLOADS[name](SEED)
+    workload.setup()
+    workload.install_hooks()
+    calls = itertools.count()
+    return lambda: workload.op(next(calls))
 
 
 def timed(op) -> float:
     t0 = time.perf_counter()
-    op()
-    return time.perf_counter() - t0
+    out = op()
+    seconds = time.perf_counter() - t0
+    del out     # freed outside the timed interval, as run.py does
+    return seconds
 
 
 def quartiles(values):
@@ -121,10 +95,10 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def compare(op_a, op_b, rounds: int) -> dict:
+def compare(op_a, op_b) -> dict:
     op_a(), op_b()
     a_s, b_s = [], []
-    for i in range(rounds):
+    for i in range(ROUNDS):
         if i % 2 == 0:
             a_s.append(timed(op_a))
             b_s.append(timed(op_b))
@@ -133,8 +107,8 @@ def compare(op_a, op_b, rounds: int) -> dict:
             a_s.append(timed(op_a))
     ratios = np.array(b_s) / np.array(a_s)
     rng = np.random.default_rng(0)
-    boot = np.median(rng.choice(ratios, size=(BOOTSTRAP, rounds)), axis=1)
-    return {"rounds": rounds,
+    boot = np.median(rng.choice(ratios, size=(BOOTSTRAP, ROUNDS)), axis=1)
+    return {"rounds": ROUNDS,
             "median_ratio_b_over_a": float(np.median(ratios)),
             "ratio_ci95": [float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))],
             "b_wins": int((ratios < 1).sum()),
@@ -146,21 +120,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a_dir", type=Path)
     parser.add_argument("b_dir", type=Path)
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=60)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
     for d in (args.a_dir, args.b_dir):
         if not (d / "src" / "hgd" / "__init__.py").is_file():
             parser.error(f"no hgd sources under {d / 'src' / 'hgd'}")
 
-    sides = {"a": load(args.a_dir.resolve(), "hgd_a"), "b": load(args.b_dir.resolve(), "hgd_b")}
+    sides = {"a": load(args.a_dir.resolve()), "b": load(args.b_dir.resolve())}
     threads, openblas = blas_info()
     record = {"command": "python3 tools/ab.py " + " ".join(sys.argv[1:] if argv is None else argv),
-              "seed": args.seed, "units": "wall ms per operation, one process",
+              "seed": SEED, "units": "wall ms per operation, one process",
               "host": {"python": platform.python_version(), "numpy": np.__version__,
                        "openblas": openblas, "threads_effective": threads},
               "a": {"dir": str(args.a_dir), "src_sha256": src_sha256(args.a_dir)},
@@ -171,8 +141,7 @@ def main(argv=None) -> int:
     print(f"python {record['host']['python']}, numpy {np.__version__}, "
           f"{threads} BLAS thread(s), {openblas}")
     for name in args.workload or ["fpn-decode"]:
-        make = WORKLOADS[name]
-        res = compare(make(sides["a"], args.seed), make(sides["b"], args.seed), args.rounds)
+        res = compare(operation(sides["a"], name), operation(sides["b"], name))
         record["workloads"][name] = res
         lo, hi = res["ratio_ci95"]
         print(f"{name}: B/A median {res['median_ratio_b_over_a']:.4f} "
