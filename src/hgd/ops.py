@@ -44,8 +44,12 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   the zero-padded input, reshaped to a (9 * c_in, oh * ow) column matrix
   whose rows follow the weight's own (c_in, dy, dx) order, so each
   direction is one GEMM (forward W @ cols, weight gradient g @ cols.T,
-  input gradient W.T @ g folded back by nine strided slice-adds). The
-  backward pass keeps only the padded input and rebuilds the columns;
+  input gradient W.T @ g). The backward pass keeps the forward's column
+  matrix. W.T @ g is folded back onto the unpadded input by one
+  np.bincount through a cached index (_col2im_index), padding taps going
+  to a dropped last bin; bincount adds each pixel's taps in (dy, dx) order
+  from 0.0, so f64 gradients equal nine strided slice-adds into a zero
+  buffer bit for bit, and f32 ones are summed in f64 and rounded once;
 - cross_entropy_logits builds the flat index of each pixel's true-class
   logit once: the forward gathers the true-class term through it (equal to
   np.take_along_axis's) and the backward scatters the gradient's through
@@ -256,6 +260,26 @@ def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:
     return taps.reshape(9 * xp.shape[0], oh * ow)
 
 
+@functools.cache
+def _col2im_index(c_in: int, h: int, w: int, stride: int) -> np.ndarray:
+    """Flat target in the unpadded (c_in, h, w) map of each entry of the
+    column matrix, in its (c, dy, dx, i, j) order, for np.bincount.
+
+    Taps that read the zero padding go to one extra last bin, c_in * h * w.
+    Read-only, since every call with these dims shares it.
+    """
+    oh = (h - 1) // stride + 1
+    ow = (w - 1) // stride + 1
+    # source row of (dy, i) and source column of (dx, j), -1 and h or w on the padding
+    ys = (stride * np.arange(oh) + np.arange(3)[:, None] - 1)[:, None, :, None]
+    xs = (stride * np.arange(ow) + np.arange(3)[:, None] - 1)[None, :, None, :]
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    base = np.arange(0, c_in * h * w, h * w)[:, None, None, None, None]
+    idx = np.where(inside, base + ys * w + xs, c_in * h * w).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """3x3 convolution, padding 1, stride 1 or 2 (the toy encoder's kernel)."""
     _check_rank(x, 3, "conv3x3 input")
@@ -276,23 +300,25 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     xp[:, 1:h + 1, 1:w + 1] = x.data
     w2 = weight.data.reshape(c_out, 9 * c_in)
 
-    out = w2 @ _im2col(xp, oh, ow, stride)
+    cols = _im2col(xp, oh, ow, stride)
+    out = w2 @ cols
     out += bias.data[:, None]
 
     def bwd(g):
         g2 = g.reshape(c_out, oh * ow)
         if _need(x):
-            taps = (w2.T @ g2).reshape(c_in, 3, 3, oh, ow)
-            gxp = np.zeros_like(xp)
-            for dy in range(3):
-                for dx in range(3):
-                    gxp[:, dy:dy + stride * (oh - 1) + 1:stride,
-                        dx:dx + stride * (ow - 1) + 1:stride] += taps[:, dy, dx]
-            _acc(x, gxp[:, 1:h + 1, 1:w + 1])
+            # col2im as one scatter: bincount adds each pixel's taps in array
+            # order, (dy, dx) raster order from 0.0, as nine slice-adds into
+            # a zero buffer would; it sums in float64, then the padding's bin
+            # is dropped
+            n = c_in * h * w
+            gx = np.bincount(_col2im_index(c_in, h, w, stride), weights=(w2.T @ g2).reshape(-1),
+                             minlength=n + 1)[:n]
+            _acc(x, gx.astype(x.dtype, copy=False).reshape(c_in, h, w))
         if _need(weight):
-            # the columns are rebuilt rather than kept, so the tape holds
-            # only the padded input
-            _acc(weight, (g2 @ _im2col(xp, oh, ow, stride).T).reshape(weight.dims))
+            # the tape keeps the forward's columns, 9 / stride**2 times the
+            # input's size, rather than rebuilding them here
+            _acc(weight, (g2 @ cols.T).reshape(weight.dims))
         if _need(bias):
             _acc(bias, g.sum(axis=(1, 2)))
 
@@ -388,6 +414,18 @@ def _first_argmax(views) -> np.ndarray:
     return k
 
 
+@functools.cache
+def _pool_base(c: int, h: int, w: int) -> np.ndarray:
+    """Flat index of each 2x2 window's top-left tap in a (c, h, w) map, of
+    the pooled grid's dims. Read-only, since every call with these dims
+    shares it."""
+    out_h, out_w = (h + 1) // 2, (w + 1) // 2
+    base = (np.arange(0, c * h * w, h * w)[:, None, None]
+            + np.arange(0, 2 * out_h * w, 2 * w)[:, None] + np.arange(0, 2 * out_w, 2))
+    base.flags.writeable = False
+    return base
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 to ceil(h/2) x ceil(w/2); edge windows
     are clipped."""
@@ -404,9 +442,8 @@ def maxpool2x2(x: Tensor) -> Tensor:
     # flat index of each window's winner; windows are disjoint and a clipped
     # window's duplicate row or column never wins, so the indices are unique
     # and the backward pass needs no np.add.at
-    idx = np.array([0, 1, w, w + 1])[k]
-    idx += (np.arange(0, c * h * w, h * w)[:, None, None]
-            + np.arange(0, 2 * out_h * w, 2 * w)[:, None] + np.arange(0, 2 * out_w, 2))
+    idx = np.array([0, 1, w, w + 1]).take(k)
+    idx += _pool_base(c, h, w)
     out = x.data.take(idx)
 
     def bwd(g):

@@ -593,6 +593,9 @@ def test_conv3x3_matches_loop_oracle(stride):
        seed=st.integers(0, 2**32 - 1))
 @example(c_in=2, c_out=3, h=1, w=9, stride=1, dtype=np.float64, transposed=False, seed=0)
 @example(c_in=3, c_out=2, h=9, w=1, stride=2, dtype=np.float32, transposed=True, seed=1)
+# f32 input gradients are summed in f64 and rounded once, so their last bits
+# differ from an f32 sum; they stay within the same bound
+@example(c_in=6, c_out=6, h=8, w=9, stride=1, dtype=np.float32, transposed=False, seed=2)
 def test_conv3x3_and_gradients_match_loop_oracles(c_in, c_out, h, w, stride, dtype,
                                                   transposed, seed):
     """Forward and the input, weight and bias gradients against loop oracles,
@@ -626,3 +629,54 @@ def test_conv3x3_and_gradients_match_loop_oracles(c_in, c_out, h, w, stride, dty
     for name, have, expect, bound in zip(("out", "x", "weight", "bias"), got, want, bounds):
         assert have.shape == expect.shape, name
         assert np.all(np.abs(have - expect) <= bound), name
+
+
+def nine_slice_fold(w, g, x_dims, stride):
+    """conv3x3's input gradient by its earlier col2im: W.T @ g folded back by
+    nine strided slice-adds into a zero-padded buffer, then unpadded."""
+    c_out, c_in = w.shape[:2]
+    _, h, wd = x_dims
+    _, oh, ow = g.shape
+    taps = (w.reshape(c_out, 9 * c_in).T @ g.reshape(c_out, oh * ow)).reshape(c_in, 3, 3, oh, ow)
+    gxp = np.zeros((c_in, h + 2, wd + 2), dtype=g.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            gxp[:, dy:dy + stride * (oh - 1) + 1:stride,
+                dx:dx + stride * (ow - 1) + 1:stride] += taps[:, dy, dx]
+    return gxp[:, 1:h + 1, 1:wd + 1]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("c_in, h, w", [(1, 1, 1), (1, 1, 6), (1, 7, 1), (1, 9, 9),
+                                        (2, 5, 7), (3, 8, 6), (4, 6, 9)])
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_conv3x3_input_grad_is_the_nine_slice_fold_bit_for_bit(stride, c_in, h, w, non_finite):
+    """In f64 the scatter adds each pixel's taps in the fold's (dy, dx)
+    order, starting from 0.0, so every byte is the fold's, the non-finite
+    ones and the sign of zero included."""
+    rng = np.random.default_rng(100 * h + 10 * w + c_in + stride)
+    x = t(rng.standard_normal((c_in, h, w)), grad=True)
+    wa = rng.standard_normal((3, c_in, 3, 3))
+    wa[rng.random(wa.shape) < 0.2] = -0.0
+    out = ops.conv3x3(x, t(wa), t(np.zeros(3)), stride=stride)
+    g = rng.standard_normal(out.dims)
+    if non_finite:
+        g[rng.random(g.shape) < 0.2] = np.inf
+        g[rng.random(g.shape) < 0.1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        ops.sum_all(ops.mul(out, t(g))).backward()
+        want = nine_slice_fold(wa, g, x.dims, stride)
+    assert x.grad.dtype == np.float64 and x.grad.shape == (c_in, h, w)
+    assert np.array_equal(bits(x.grad), bits(want))
+
+
+def test_cached_index_tables_are_read_only():
+    """conv3x3's col2im index and maxpool2x2's window bases are shared by
+    every call of their dims, so no caller may write into them."""
+    idx = ops._col2im_index(2, 5, 7, 2)
+    base = ops._pool_base(2, 5, 7)
+    assert idx is ops._col2im_index(2, 5, 7, 2) and base is ops._pool_base(2, 5, 7)
+    with pytest.raises(ValueError):
+        idx[0] = 0
+    with pytest.raises(ValueError):
+        base[0, 0, 0] = 1

@@ -8,16 +8,21 @@ out of sys.modules again, so each side keeps its own package and workloads
 module and both run in this one process. Each side's Workload(seed 0) runs
 its own `setup` and `op`, the inputs and operation hgdbench/run.py times.
 Each round times one operation of each side, wall clock, the side that goes
-first alternating, after one untimed warm-up operation per side. It prints
+first alternating, after one untimed warm-up round per side. It prints
 the median B/A time ratio, the rounds B won, a bootstrap 95% interval of
 that median, and for both sides the median ms and the sha256 of src/hgd (the
 benchmark's src_sha256); --out writes the same, with the command, versions
 and BLAS threads, as JSON.
 
+seg-train's operations are the steps inside one training run, which two
+sides cannot interleave. A seg-train round therefore trains one fresh
+SegTrain budget (100 SGD steps) per side, through that side's own `setup`,
+`install_hooks` and `run`, and compares the two budgets' median step times;
+the hooks are removed again after each budget.
+
 It complements hgdbench/run.py and does not replace it: both sides share
 one heap and one BLAS pool, so RSS, page faults and set-up time need
-separate processes. seg-train is not offered: its operations are the steps
-inside one training run, which two sides cannot interleave.
+separate processes.
 """
 
 import argparse
@@ -40,10 +45,9 @@ sys.path.insert(0, str(ROOT / "hgdbench"))
 from worker import blas_info  # noqa: E402
 
 SEED = 0
-ROUNDS = 60
+# rounds per workload; a seg-train round is two whole budgets, ~7 s
+ROUNDS = {"fpn-decode": 60, "decode-paper": 60, "seg-infer": 60, "seg-train": 20}
 BOOTSTRAP = 2000
-# the workloads whose operation is one call
-WORKLOADS = ("fpn-decode", "decode-paper", "seg-infer")
 
 
 def src_sha256(checkout: Path) -> str:
@@ -73,15 +77,6 @@ def load(checkout: Path):
             del sys.modules[name]
 
 
-def operation(workloads, name: str):
-    """One side's timed operation: the benchmark workload's op(i), i = 0, 1, ..."""
-    workload = workloads.WORKLOADS[name](SEED)
-    workload.setup()
-    workload.install_hooks()
-    calls = itertools.count()
-    return lambda: workload.op(next(calls))
-
-
 def timed(op) -> float:
     t0 = time.perf_counter()
     out = op()
@@ -90,25 +85,52 @@ def timed(op) -> float:
     return seconds
 
 
+def train_budget(workloads) -> float:
+    """Median seconds per SGD step of one fresh seg-train budget."""
+    ef = workloads.ef
+    unhooked = ef.poly_lr, ef.sgd_step, ef.evaluate
+    workload = workloads.SegTrain(SEED)
+    workload.setup()
+    workload.install_hooks()
+    loop = workloads.Loop(max_ops=workload.BUDGET)
+    try:
+        workload.run(loop)
+    finally:
+        ef.poly_lr, ef.sgd_step, ef.evaluate = unhooked
+    return statistics.median(loop.samples)
+
+
+def round_timer(workloads, name: str):
+    """One side's round, returning seconds: the benchmark workload's op(i),
+    i = 0, 1, ..., or for seg-train one budget's median step."""
+    if name == "seg-train":
+        return lambda: train_budget(workloads)
+    workload = workloads.WORKLOADS[name](SEED)
+    workload.setup()
+    workload.install_hooks()
+    calls = itertools.count()
+    return lambda: timed(lambda: workload.op(next(calls)))
+
+
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def compare(op_a, op_b) -> dict:
-    op_a(), op_b()
+def compare(round_a, round_b, rounds: int) -> dict:
+    round_a(), round_b()
     a_s, b_s = [], []
-    for i in range(ROUNDS):
+    for i in range(rounds):
         if i % 2 == 0:
-            a_s.append(timed(op_a))
-            b_s.append(timed(op_b))
+            a_s.append(round_a())
+            b_s.append(round_b())
         else:
-            b_s.append(timed(op_b))
-            a_s.append(timed(op_a))
+            b_s.append(round_b())
+            a_s.append(round_a())
     ratios = np.array(b_s) / np.array(a_s)
     rng = np.random.default_rng(0)
-    boot = np.median(rng.choice(ratios, size=(BOOTSTRAP, ROUNDS)), axis=1)
-    return {"rounds": ROUNDS,
+    boot = np.median(rng.choice(ratios, size=(BOOTSTRAP, rounds)), axis=1)
+    return {"rounds": rounds,
             "median_ratio_b_over_a": float(np.median(ratios)),
             "ratio_ci95": [float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))],
             "b_wins": int((ratios < 1).sum()),
@@ -120,7 +142,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a_dir", type=Path)
     parser.add_argument("b_dir", type=Path)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--workload", action="append", choices=tuple(ROUNDS))
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     for d in (args.a_dir, args.b_dir):
@@ -130,7 +152,8 @@ def main(argv=None) -> int:
     sides = {"a": load(args.a_dir.resolve()), "b": load(args.b_dir.resolve())}
     threads, openblas = blas_info()
     record = {"command": "python3 tools/ab.py " + " ".join(sys.argv[1:] if argv is None else argv),
-              "seed": SEED, "units": "wall ms per operation, one process",
+              "seed": SEED, "units": "wall ms per operation, one process; for seg-train "
+                                     "the median SGD step of each round's budget",
               "host": {"python": platform.python_version(), "numpy": np.__version__,
                        "openblas": openblas, "threads_effective": threads},
               "a": {"dir": str(args.a_dir), "src_sha256": src_sha256(args.a_dir)},
@@ -141,7 +164,7 @@ def main(argv=None) -> int:
     print(f"python {record['host']['python']}, numpy {np.__version__}, "
           f"{threads} BLAS thread(s), {openblas}")
     for name in args.workload or ["fpn-decode"]:
-        res = compare(operation(sides["a"], name), operation(sides["b"], name))
+        res = compare(round_timer(sides["a"], name), round_timer(sides["b"], name), ROUNDS[name])
         record["workloads"][name] = res
         lo, hi = res["ratio_ci95"]
         print(f"{name}: B/A median {res['median_ratio_b_over_a']:.4f} "

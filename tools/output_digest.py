@@ -3,8 +3,11 @@
 Run from a checkout: `python3 tools/output_digest.py`. Two checkouts that
 print the same lines compute the same bytes for: every HgdTrace field of the
 decode-paper forward at seeds 0-2, the fpn-decode outputs and gradients at
-seeds 0-4, the seg-infer labels of all 32 images, and every seg-train
-parameter and gradient after 40 SGD steps (seed 0 for both).
+seeds 0-4, the seg-infer labels of all 32 images (seed 0), every seg-train
+parameter and gradient after 40 SGD steps at seed 0, and the same after one
+whole 100-step budget at seed 2, where the preset diverges; that line also
+prints the budget's failed-step count, the steps that seg-train counts as
+failures for a non-finite parameter or gradient.
 """
 
 import hashlib
@@ -37,14 +40,25 @@ def decode_paper_trace(w):
     return [t.data for t in vars(decoder.hgd_forward_full(*w.taps, w.params)).values()]
 
 
-def seg_train_state(w):
+def seg_train_state(seed, steps):
+    """Every parameter and gradient after `steps` SGD steps, and the failed
+    steps; the step hooks are removed again afterwards."""
+    w = ready(wl.SegTrain, seed)
+    hooked = wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate
     w.install_hooks()
-    w.run(wl.Loop(max_ops=40))
-    return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)]
+    loop = wl.Loop(max_ops=steps)
+    try:
+        with np.errstate(all="ignore"):
+            w.run(loop)
+    finally:
+        wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate = hooked
+    return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)], loop.failed
 
 
 print("decode-paper", sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s))))
 print("fpn-decode", sha(a for s in range(5) for a in ready(wl.FpnDecode, s).op(0)))
 infer = ready(wl.SegInfer, 0)
 print("seg-infer", sha(infer.op(i) for i in range(len(infer.samples))))
-print("seg-train", sha(seg_train_state(ready(wl.SegTrain, 0))))
+print("seg-train", sha(seg_train_state(0, 40)[0]))
+state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
+print("seg-train seed 2", sha(state), "failed", failed)
