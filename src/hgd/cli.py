@@ -9,9 +9,10 @@ Subcommands:
   demo-fpn    decode a random pyramid and dump artifacts
   dump        describe one HGDT tensor file
 
-Exit codes: 0 success, 1 verification failure (or unreadable data, or a
-demo-seg run whose loss or parameters went non-finite), 2 usage/config
-error. The HGD_THREADS environment variable caps BLAS thread pools
+Exit codes: 0 success, 1 verification failure (or unreadable data, a
+demo-seg run whose loss or parameters went non-finite, or a demo-fpn decode
+with a non-finite level after some stage, which writes no artifact), 2
+usage/config error. The HGD_THREADS environment variable caps BLAS thread pools
 (applied at package import, default 1 for determinism). The package import
 also keeps freed heap pages in the process under glibc (malloc's mmap and
 trim thresholds, unless a MALLOC_* variable is set), which changes no
@@ -238,6 +239,14 @@ def cmd_demo_seg(args) -> int:
     return 0
 
 
+def _first_non_finite(pyramid):
+    """The name of the first level of pyramid with a non-finite value, or None."""
+    for name, level in zip(LEVEL_NAMES, pyramid.levels()):
+        if not np.isfinite(level.data).all():
+            return name
+    return None
+
+
 def cmd_demo_fpn(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -249,8 +258,13 @@ def cmd_demo_fpn(args) -> int:
     current = Pyramid(*[Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt))
                         for h, w in level_grids((run.input_size // 4,) * 2)])
     params = init_fpn_stack(cfg, np.random.default_rng(run.seed + 1), dt)
-    for stage_params in fpn_stages(params):
+    for stage, stage_params in enumerate(fpn_stages(params), 1):
         current, trace = fpn_decode_once_full(current, stage_params)
+        bad = _first_non_finite(current)
+        if bad:
+            print(f"error: decode diverged: level {bad} is non-finite after stage "
+                  f"{stage} of {cfg.k_recurrence}", file=sys.stderr)
+            return 1
 
     entries = {}
     for i, (name, tensor) in enumerate(zip(LEVEL_NAMES, current.levels())):

@@ -253,6 +253,10 @@ def fold_branch(branch: ScaleBranch, codewords: Tensor):
 
 @dataclass
 class FpnTrace:
+    """A stage's intermediates: `fused` and `refined` are keyed by level;
+    `refined` holds the branch outputs 4-6 and their pooling 7, and has no
+    3, since p3 adds refined[4] upsampled inside ops.add_upsampled."""
+
     m_code: Tensor
     attention: Tensor
     codewords: Tensor
@@ -279,11 +283,13 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):
         refined[level] = ops.conv1x1(fused[level], *fold_branch(branch, codewords))
-    refined[3] = _up(refined[4], p3)
     refined[7] = ops.maxpool2x2(refined[6])
 
-    out = Pyramid(*[ops.add(level, refined[idx])
-                    for idx, level in zip(range(3, 8), pyramid.levels())])
+    # p3 takes refined p4 upsampled inside one op, so no p3-grid copy of it
+    # stays on the tape
+    out = Pyramid(ops.add_upsampled(p3, refined[4]),
+                  *[ops.add(level, refined[idx])
+                    for idx, level in zip(range(4, 8), pyramid.levels()[1:])])
     return out, FpnTrace(m_code=m_code, attention=attention, codewords=codewords,
                          fused=fused, refined=refined)
 

@@ -366,27 +366,63 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, *, out=None) -> Tensor:
     return _make(out, (x,), "bilinear_resize", bwd)
 
 
+def _check_pools_back(x: Tensor, out_h: int, out_w: int, op: str):
+    _check_resize(x, out_h, out_w, op)
+    _, h, w = x.dims
+    if ((out_h + 1) // 2, (out_w + 1) // 2) != (h, w):
+        raise DimensionError(f"{op} target {out_h}x{out_w} does not pool back to {h}x{w}")
+
+
+def _nearest_up(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Output pixel dst copies source dst // 2 per axis: a gather, so a
+    non-finite input reaches only its own copies; take keeps the result
+    C-contiguous."""
+    return x.take(np.arange(out_h) // 2, axis=1).take(np.arange(out_w) // 2, axis=2)
+
+
+def _pair_sums(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """_nearest_up's adjoint: each source's one or two copies in g summed,
+    rows then columns, the summation order of Mh.T @ g @ Mw."""
+    r = g[:, 0::2].copy()
+    r[:, :out_h // 2] += g[:, 1::2]
+    s = r[:, :, 0::2].copy()
+    s[:, :, :out_w // 2] += r[:, :, 1::2]
+    return s
+
+
 def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Nearest 2x upsampling to a grid that maxpool2x2 pools back to x's,
     (out + 1) // 2 == in per axis; output pixel dst copies source dst // 2."""
-    _check_resize(x, out_h, out_w, "nearest_resize")
-    _, h, w = x.dims
-    if ((out_h + 1) // 2, (out_w + 1) // 2) != (h, w):
-        raise DimensionError(f"nearest_resize target {out_h}x{out_w} does not pool back to {h}x{w}")
-    # a gather, so a non-finite input reaches only its own copies; take keeps
-    # the result C-contiguous
-    out = x.data.take(np.arange(out_h) // 2, axis=1).take(np.arange(out_w) // 2, axis=2)
+    _check_pools_back(x, out_h, out_w, "nearest_resize")
 
     def bwd(g):
         if _need(x):
-            # rows then columns, the summation order of Mh.T @ g @ Mw
-            r = g[:, 0::2].copy()
-            r[:, :out_h // 2] += g[:, 1::2]
-            s = r[:, :, 0::2].copy()
-            s[:, :, :out_w // 2] += r[:, :, 1::2]
-            _acc(x, s)
+            _acc(x, _pair_sums(g, out_h, out_w))
 
-    return _make(out, (x,), "nearest_resize", bwd)
+    return _make(_nearest_up(x.data, out_h, out_w), (x,), "nearest_resize", bwd)
+
+
+def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
+    """base + nearest_resize(coarse, *base.dims[1:]), the upsampled map
+    held only while the sum is formed."""
+    _check_rank(base, 3, "add_upsampled base")
+    c, out_h, out_w = base.dims
+    _check_pools_back(coarse, out_h, out_w, "add_upsampled")
+    if coarse.dims[0] != c:
+        raise DimensionError(
+            f"add_upsampled channel axis: base has {c}, coarse has {coarse.dims[0]}")
+    up = _nearest_up(coarse.data, out_h, out_w)
+    # base first, as add's a + b, and into the fresh copy when it has the
+    # sum's dtype
+    out = np.add(base.data, up, out=up if up.dtype == base.dtype else None)
+
+    def bwd(g):
+        if _need(base):
+            _acc(base, g, lent=True)
+        if _need(coarse):
+            _acc(coarse, _pair_sums(g, out_h, out_w))
+
+    return _make(out, (base, coarse), "add_upsampled", bwd)
 
 
 def _first_argmax(views) -> np.ndarray:
@@ -426,6 +462,14 @@ def _pool_base(c: int, h: int, w: int) -> np.ndarray:
     return base
 
 
+def _pool_index(k: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """Flat index in the (c, h, w) map of each window's winner, from its
+    tap k in row-major window order."""
+    idx = np.array([0, 1, w, w + 1]).take(k)
+    idx += _pool_base(c, h, w)
+    return idx
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 to ceil(h/2) x ceil(w/2); edge windows
     are clipped."""
@@ -439,15 +483,15 @@ def maxpool2x2(x: Tensor) -> Tensor:
     # row or column view is one shorter, and the clipped window's missing taps
     # would repeat taps already scanned, which can never be strictly larger
     k = _first_argmax([x.data[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)])
-    # flat index of each window's winner; windows are disjoint and a clipped
-    # window's duplicate row or column never wins, so the indices are unique
-    # and the backward pass needs no np.add.at
-    idx = np.array([0, 1, w, w + 1]).take(k)
-    idx += _pool_base(c, h, w)
-    out = x.data.take(idx)
+    out = x.data.take(_pool_index(k, c, h, w))
 
     def bwd(g):
         if _need(x):
+            # windows are disjoint and a clipped window's duplicate row or
+            # column never wins, so the indices are unique and the scatter
+            # needs no np.add.at; the tape keeps the 1-byte winners k and
+            # rebuilds their 8-byte flat indices here
+            idx = _pool_index(k, c, h, w)
             if x.grad is None:
                 gx = np.zeros_like(x.data, order="C")
                 gx.reshape(-1)[idx] = g

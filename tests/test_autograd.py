@@ -187,6 +187,15 @@ def _build_nearest(rng):
     return [("x", x)], lambda: ops.sum_all(ops.mul(ops.nearest_resize(x, 5, 7), probe))
 
 
+@_case("add_upsampled")
+def _build_add_upsampled(rng):
+    base = t(rng.normal(size=(2, 5, 7)))
+    coarse = t(rng.normal(size=(2, 3, 4)))
+    probe = Tensor(rng.normal(size=(2, 5, 7)))
+    return [("base", base), ("coarse", coarse)], lambda: ops.sum_all(
+        ops.mul(ops.add_upsampled(base, coarse), probe))
+
+
 @_case("maxpool2x2")
 def _build_maxpool(rng):
     x = t(rng.normal(size=(2, 5, 6)))

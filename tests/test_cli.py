@@ -308,6 +308,20 @@ def test_demo_fpn_with_config(tmp_path, capsys):
     assert len(list(out_dir.glob("*.pgm"))) == TINY_FPN["fpn"]["n"]
 
 
+def test_demo_fpn_non_finite_levels_exit_one_before_writing(tmp_path, capsys):
+    """Eight f32 stages overflow the levels: exit 1 naming the first stage
+    and level that went non-finite, with no level, manifest or map written."""
+    cfg = write_config(tmp_path, {"input_size": 64, "precision": "f32",
+                                  "fpn": {"n": 4, "c": 8, "k": 8}})
+    out_dir = tmp_path / "overflow"
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "demo-fpn", "--config", cfg, "--out", str(out_dir))
+    assert code == 1
+    assert "error: decode diverged: level p3 is non-finite after stage 7 of 8" in err
+    assert list(out_dir.iterdir()) == []
+    assert out == ""
+
+
 # ------------------------------------------------------------------- plumbing
 
 def test_help_exits_zero(capsys):

@@ -259,12 +259,17 @@ def test_outer_levels_are_resampled_inner_refinements():
     assert np.max(np.abs(out.p7.data - (pyr.p7.data + want7))) <= 1e-12
 
 
-def count_ops(levels, op):
+def graph_nodes(levels):
+    """Every node of the graph that reaches the levels."""
     total = None
     for level in levels:
         s = ops.sum_all(level)
         total = s if total is None else ops.add(total, s)
-    return sum(1 for node in ComputeGraph.trace(total).nodes if node._op == op)
+    return ComputeGraph.trace(total).nodes
+
+
+def count_ops(levels, op):
+    return sum(1 for node in graph_nodes(levels) if node._op == op)
 
 
 def down(x):
@@ -307,6 +312,22 @@ def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
         assert np.array_equal(trace.fused[level].data, ref_trace.fused[level].data)
     for got, want in zip(out.levels(), ref_out.levels()):
         assert np.array_equal(got.data, want.data)
+
+
+def test_stage_keeps_one_map_on_the_p3_grid():
+    """p3 takes refined p4 upsampled inside add_upsampled, so the only node
+    on the p3 grid besides the input is the output level itself; the other
+    four upsamplings feed the fusions on coarser grids."""
+    params = tiny_params()
+    pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
+    out = fpn_decode_once(pyr, params)
+    nodes = graph_nodes(out.levels())
+    on_p3 = [node for node in nodes
+             if len(node.dims) == 3 and node.dims[1:] == pyr.p3.dims[1:] and node is not pyr.p3]
+    assert len(on_p3) == 1 and on_p3[0] is out.p3
+    counts = {op: sum(1 for node in nodes if node._op == op)
+              for op in ("nearest_resize", "add_upsampled", "maxpool2x2")}
+    assert counts == {"nearest_resize": 4, "add_upsampled": 1, "maxpool2x2": 7}
 
 
 def ancestor_ids(t):

@@ -28,6 +28,11 @@ def _pool(x):
     return ops.nearest_resize(ops.maxpool2x2(x), H, W)
 
 
+def _add_pooled(base, x):
+    """add_upsampled lends its adjoint to base and folds it onto x's pooling."""
+    return ops.add_upsampled(base, ops.maxpool2x2(x))
+
+
 def _flat(x):
     return ops.reshape(ops.reshape(x, (C * H * W,)), (C, H, W))
 
@@ -58,6 +63,7 @@ _OPS = {
     "flat": (1, lambda xs, p: _flat(*xs)),
     "transpose": (1, lambda xs, p: _twice_transposed(*xs)),
     "pool": (1, lambda xs, p: _pool(*xs)),
+    "add-up": (2, lambda xs, p: _add_pooled(*xs)),
     "softmax": (1, lambda xs, p: ops.softmax_spatial(*xs)),
     "bias": (1, lambda xs, p: ops.broadcast_add_channel(*xs, p["v"])),
     "conv": (1, lambda xs, p: ops.conv1x1(*xs, p["w"], p["b"])),
@@ -170,6 +176,10 @@ def _grads(program, acc=None):
 # the in-place concatenation lends slices of its grad to parts that share x,
 # and a second sweep accumulates into them
 @example((3, np.float32, [("concat-in-place", [0, 0]), ("add", [4, 0])], 0, 2))
+# add_upsampled lends its adjoint to a base that is also its pooled operand,
+# and to the same map through add, over one and two sweeps
+@example((4, np.float64, [("add-up", [0, 0]), ("add", [4, 0])], 0, 1))
+@example((5, np.float32, [("add-up", [0, 0]), ("add-up", [4, 0]), ("flat", [5])], 4, 2))
 # weighted_sum's coefficients against the stride-0 adjoint sum_all lends
 @example((0, np.float64, [("bias", [0]), ("bias", [0]), ("bias", [0]), ("wsum", [0, 0, 0]),
                           ("add", [0, 0])], 7, 1))

@@ -455,6 +455,79 @@ def test_nearest_resize_rejects_targets_that_do_not_pool_back(h, w, oh, ow):
         ops.nearest_resize(x, oh, ow)
 
 
+def _upsampled_sum(base, coarse, g, fused):
+    """(out, base grad, coarse grad) of base + up(coarse) against adjoint g:
+    one add_upsampled when fused, else add over nearest_resize."""
+    b, c = Tensor(base, requires_grad=True), Tensor(coarse, requires_grad=True)
+    out = (ops.add_upsampled(b, c) if fused
+           else ops.add(b, ops.nearest_resize(c, *base.shape[1:])))
+    ops.sum_all(ops.mul(out, Tensor(g))).backward()
+    return out.data, b.grad, c.grad
+
+
+@pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["base", "coarse", "adjoint"])
+@pytest.mark.parametrize("oh,ow", [(4, 6), (5, 7), (1, 1), (6, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_upsampled_equals_add_of_nearest_resize(dtype, oh, ow, where, bad):
+    """Forward and both gradients equal add(base, nearest_resize(coarse))
+    bit for bit, and a non-finite value stays local: in the output at base's
+    own pixel or at the coarse pixel's copies, in the gradients at the
+    adjoint's own pixel for base and its source pixel for coarse."""
+    rng = np.random.default_rng(oh * 10 + ow)
+    h, w = (oh + 1) // 2, (ow + 1) // 2
+    base = rng.standard_normal((2, oh, ow)).astype(dtype)
+    coarse = rng.standard_normal((2, h, w)).astype(dtype)
+    g = rng.standard_normal((2, oh, ow)).astype(dtype)
+    if bad is not None:
+        # the last pixel of channel 1, which at an odd edge has one copy
+        pick = {"base": base, "coarse": coarse, "adjoint": g}[where]
+        pick[1, -1, -1] = bad
+
+    with np.errstate(invalid="ignore"):
+        got = _upsampled_sum(base, coarse, g, fused=True)
+        want = _upsampled_sum(base, coarse, g, fused=False)
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert np.array_equal(bits(a), bits(b))
+
+    out, gb, gc = got
+    expect_out = np.isfinite(base) & np.isfinite(nearest_loop(coarse, oh, ow))
+    assert np.array_equal(np.isfinite(out), expect_out)
+    assert np.array_equal(np.isfinite(gb), np.isfinite(g))
+    expect_gc = np.ones(coarse.shape, dtype=bool)
+    expect_gc[1, -1, -1] = bad is None or where != "adjoint"
+    assert np.array_equal(np.isfinite(gc), expect_gc)
+
+
+@pytest.mark.parametrize("bdims,cdims,match", [
+    ((2, 4, 6), (3, 2, 3), "channel axis: base has 2, coarse has 3"),
+    ((2, 4, 6), (2, 3, 3), "target 4x6 does not pool back to 3x3"),
+    ((2, 4, 6), (2, 4, 6), "target 4x6 does not pool back to 4x6"),
+    ((2, 4, 6), (2, 2, 3, 1), "add_upsampled input must have rank 3"),
+    ((4, 6), (2, 3), "add_upsampled base must have rank 3"),
+], ids=["channels", "grid", "same-grid", "coarse-rank", "base-rank"])
+def test_add_upsampled_rejects_mismatched_operands(bdims, cdims, match):
+    with pytest.raises(DimensionError, match=match):
+        ops.add_upsampled(t(np.zeros(bdims)), t(np.zeros(cdims)))
+
+
+def _saved_arrays(out):
+    """The arrays a node's backward closure keeps."""
+    return [cell.cell_contents for cell in out._backward_fn.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+
+
+def test_add_upsampled_and_maxpool_keep_no_full_index_or_map():
+    """add_upsampled's closure keeps no upsampled map, and maxpool2x2's keeps
+    only its 1-byte window winners, one per pooled output."""
+    x = t(np.random.default_rng(3).standard_normal((3, 7, 10)), grad=True)
+    pooled = ops.maxpool2x2(x)
+    saved = _saved_arrays(pooled)
+    assert [(a.dtype, a.shape) for a in saved] == [(np.dtype(np.int8), pooled.dims)]
+    assert _saved_arrays(ops.add_upsampled(x, pooled)) == []
+
+
 # ------------------------------------------------------ cross entropy
 
 def test_cross_entropy_uniform_logits():

@@ -1,0 +1,138 @@
+"""Print what one benchmark operation's reverse-mode tape holds, by op.
+
+    python3 tools/tape_bytes.py WORKLOAD
+
+Run from a checkout. The workload (seed 0) is built by the benchmark's own
+hgdbench/workloads.py, read as output_digest.py reads it, and then runs one
+operation with hgd.tensor.backward wrapped. At the operation's first
+backward sweep the wrapper accounts every node of the graph it is given:
+the MB of node data and the MB of arrays its backward closure keeps, one
+row per op that made the node (`leaf` for parameters and inputs); then the
+MB of grads on those nodes once the sweep is done. An array counts once,
+under the first node that holds it, node data before closures, and a view
+counts as the array it views, so lent grads and concatenated parts are not
+counted twice. MB are 2**20 bytes, the unit of the benchmark's peak_rss_mb.
+
+A workload whose operation runs no backward pass (seg-infer, decode-paper)
+keeps no tape, and the command says so. seg-train's operation is one SGD
+step, a sweep per sample; the figures are those of the first sample.
+"""
+
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench")]
+
+import workloads as wl  # noqa: E402
+from hgd import tensor as hgd_tensor  # noqa: E402
+
+SEED = 0
+MB = 2 ** 20
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _saved(fn):
+    """The arrays a backward closure keeps, also inside list or tuple cells."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+class Account:
+    """Wraps hgd.tensor.backward; accounts the graph of its first call."""
+
+    def __init__(self, backward):
+        self.backward = backward
+        self.sweeps = 0
+        self.rows = None
+
+    def __call__(self, graph, loss):
+        self.sweeps += 1
+        if self.rows is not None:
+            return self.backward(graph, loss)
+        rows = defaultdict(lambda: {"nodes": 0, "data": 0, "saved": 0, "grads": 0})
+        held = set()
+
+        def add(op, column, arrays, seen):
+            for a in arrays:
+                a = _owner(a)
+                if id(a) not in seen:
+                    seen.add(id(a))
+                    rows[op][column] += a.nbytes
+
+        nodes = [(node._op or "leaf", node) for node in graph.nodes]
+        for op, node in nodes:
+            rows[op]["nodes"] += 1
+            add(op, "data", [node.data], held)
+        for op, node in nodes:
+            if node._backward_fn is not None:
+                add(op, "saved", _saved(node._backward_fn), held)
+        self.backward(graph, loss)
+        grads = set()
+        for op, node in nodes:
+            if node.grad is not None:
+                add(op, "grads", [node.grad], grads)
+        self.rows = dict(rows)
+
+
+def run_one(name: str):
+    w = wl.WORKLOADS[name](SEED)
+    w.setup()
+    account = Account(hgd_tensor.backward)
+    hgd_tensor.backward = account
+    hooked = wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate
+    try:
+        if isinstance(w, wl.SegTrain):
+            w.install_hooks()
+            with np.errstate(all="ignore"):
+                w.run(wl.Loop(max_ops=1))
+        else:
+            w.op(0)
+    finally:
+        hgd_tensor.backward = account.backward
+        wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate = hooked
+    return account
+
+
+def report(name: str, account: Account) -> str:
+    if account.rows is None:
+        return f"{name}: one operation runs no backward pass, so it keeps no tape\n"
+    lines = [f"{name} seed {SEED}: the first of {account.sweeps} backward sweep(s) "
+             f"in one operation; MB = 2**20 bytes",
+             f"{'op':<24}{'nodes':>7}{'data MB':>10}{'saved MB':>10}{'grads MB':>10}"]
+    total = {"nodes": 0, "data": 0, "saved": 0, "grads": 0}
+    rows = sorted(account.rows.items(),
+                  key=lambda kv: (-(kv[1]["data"] + kv[1]["saved"]), kv[0]))
+    for op, row in rows + [("total", total)]:
+        if op != "total":
+            for key in total:
+                total[key] += row[key]
+        lines.append(f"{op:<24}{row['nodes']:>7}{row['data'] / MB:>10.2f}"
+                     f"{row['saved'] / MB:>10.2f}{row['grads'] / MB:>10.2f}")
+    lines.append(f"tape (data + saved) {(total['data'] + total['saved']) / MB:.2f} MB, "
+                 f"with grads {(total['data'] + total['saved'] + total['grads']) / MB:.2f} MB")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv):
+    if len(argv) != 1 or argv[0] not in wl.WORKLOADS:
+        print(f"usage: python3 tools/tape_bytes.py {{{','.join(wl.WORKLOADS)}}}", file=sys.stderr)
+        return 2
+    sys.stdout.write(report(argv[0], run_one(argv[0])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
