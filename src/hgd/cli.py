@@ -12,11 +12,11 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure (or unreadable data, a
 demo-seg run whose loss or parameters went non-finite, or a demo-fpn decode
 with a non-finite level after some stage, which writes no artifact), 2
-usage/config error. The HGD_THREADS environment variable caps BLAS thread pools
-(applied at package import, default 1 for determinism). The package import
-also keeps freed heap pages in the process under glibc (malloc's mmap and
-trim thresholds, unless a MALLOC_* variable is set), which changes no
-output.
+usage/config error. The HGD_THREADS environment variable caps BLAS thread
+pools (applied at package import, default 1 for determinism). The package
+import also keeps freed heap pages in the process under glibc (malloc's
+mmap and trim thresholds, unless a MALLOC_* variable is set), which changes
+no output.
 
 Every command that takes --config runs the RunConfig it names, or the
 pinned preset config.tiny_run() without one; the preset is seed 0 of the

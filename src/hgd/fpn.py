@@ -21,10 +21,16 @@ level m, so a stage runs each branch as the one map it equals, A m + beta
 codeword product and the stack. A and beta are formed on the tape once per
 branch per stage, so every branch parameter and the codewords get their
 gradients through them. The map sums in another order than the stack form,
-so the two agree to roundoff, not bit for bit. Both fusers take the one-step max-pool downsamplings
-(p3->p4, p4->p5, p5->p6) that a stage computes once, so it runs 7 poolings,
-not 10. ops.nearest_resize and ops.maxpool2x2 are an exact up/down pair
-between levels.
+so the two agree to roundoff, not bit for bit. Both fusers take the
+one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6) that a stage
+computes once, so it runs 7 poolings, not 10. ops.nearest_resize and
+ops.maxpool2x2 are an exact up/down pair between levels.
+
+A k-stage decode keeps every stage's intermediates until its backward
+pass, so a stage keeps no more on the finest grid than its output: p3
+adds refined p4 upsampled inside ops.add_upsampled, which holds the
+upsampled map only while the sum is formed. Besides its input, the
+output p3 is the stage's only map on the p3 grid.
 """
 
 from dataclasses import dataclass
@@ -265,7 +271,8 @@ class FpnTrace:
 
 
 def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
-    """One refinement pass; returns the new pyramid plus intermediates."""
+    """One refinement pass; returns the new pyramid plus its intermediates
+    (FpnTrace)."""
     cfg = params.config
     if pyramid.channels != cfg.output_channels:
         raise ConfigError(
@@ -285,8 +292,6 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
         refined[level] = ops.conv1x1(fused[level], *fold_branch(branch, codewords))
     refined[7] = ops.maxpool2x2(refined[6])
 
-    # p3 takes refined p4 upsampled inside one op, so no p3-grid copy of it
-    # stays on the tape
     out = Pyramid(ops.add_upsampled(p3, refined[4]),
                   *[ops.add(level, refined[idx])
                     for idx, level in zip(range(4, 8), pyramid.levels()[1:])])

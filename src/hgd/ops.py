@@ -9,8 +9,9 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   fresh one (the conv and matmul products, g * mask, s * g, c * g and
   weighted_sum's coefficient vector, the nearest pair-sums, softmax's and
   the cross-entropy's) is adopted as the parent's grad; a passed-through
-  one (add's, reshape's, transpose's, sum_all's broadcast, the
-  concat_channels slices and the x side of broadcast_add_channel) is lent,
+  one (add's, add_upsampled's to base, reshape's, transpose's, sum_all's
+  broadcast, the concat_channels slices and the x side of
+  broadcast_add_channel) is lent,
   and the parent shares the buffer copy-on-write: a later accumulation, or
   ensure_grad() before an in-place write, copies it first. maxpool2x2
   and columns scatter into a zero buffer of their own, which they hand
@@ -25,6 +26,11 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   copies by strided slices, rows first and then columns, so non-finite
   values stay local in both directions. It equals the dense one-hot product
   Mh.T @ g @ Mw bit for bit except for the sign of a zero sum;
+- add_upsampled(base, coarse) is add(base, nearest_resize(coarse)) bit for
+  bit, forward and both gradients, with the upsampled map held only while
+  the sum is formed, so no copy of it stays on the tape: base is the first
+  operand, as add's a, base gets g lent and coarse gets nearest_resize's
+  pair sums of g;
 - one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
   element wins, a NaN counting as larger than any number, so ties go to the
   first index, the first NaN wins and a NaN best is final. It is a running
@@ -35,7 +41,9 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   pyramid level already has. Each window's winner is its first
   maximal element in row-major window order under that rule, and the
   output is the winner itself, sign of zero included. The gradient goes to
-  the winner only;
+  the winner only. The tape keeps each window's winner as its 1-byte tap
+  number, and the backward rebuilds the 8-byte flat indices from it and the
+  cached window bases (_pool_base);
 - relu's gradient at exactly 0 is 0;
 - softmax_spatial subtracts the per-channel spatial max before exponentiating;
 - conv1x1 is one 2-D GEMM on the (c_in, h * w) view of its input, the bias
@@ -412,8 +420,8 @@ def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
         raise DimensionError(
             f"add_upsampled channel axis: base has {c}, coarse has {coarse.dims[0]}")
     up = _nearest_up(coarse.data, out_h, out_w)
-    # base first, as add's a + b, and into the fresh copy when it has the
-    # sum's dtype
+    # base first, as in add's a + b, so that of two NaNs the same one wins;
+    # the sum reuses the fresh copy when that has the sum's dtype
     out = np.add(base.data, up, out=up if up.dtype == base.dtype else None)
 
     def bwd(g):

@@ -500,6 +500,18 @@ def test_add_upsampled_equals_add_of_nearest_resize(dtype, oh, ow, where, bad):
     assert np.array_equal(np.isfinite(gc), expect_gc)
 
 
+def test_add_upsampled_sums_in_add_operand_order():
+    """Of two NaNs the one add(base, up) keeps wins: which one numpy's sum
+    keeps depends on the operand order."""
+    base = np.full((1, 3, 3), np.nan)
+    coarse = np.full((1, 2, 2), np.nan)
+    base.view(np.int64)[...] |= 1
+    coarse.view(np.int64)[...] |= 2
+    got = ops.add_upsampled(t(base), t(coarse))
+    want = ops.add(t(base), ops.nearest_resize(t(coarse), 3, 3))
+    assert np.array_equal(bits(got.data), bits(want.data))
+
+
 @pytest.mark.parametrize("bdims,cdims,match", [
     ((2, 4, 6), (3, 2, 3), "channel axis: base has 2, coarse has 3"),
     ((2, 4, 6), (2, 3, 3), "target 4x6 does not pool back to 3x3"),
