@@ -22,18 +22,29 @@ codeword product and the stack. A and beta are formed on the tape once per
 branch per stage, so every branch parameter and the codewords get their
 gradients through them. The map sums in another order than the stack form,
 so the two agree to roundoff, not bit for bit. Both fusers take the
-one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6) that a stage
-computes once, so it runs 7 poolings, not 10. ops.nearest_resize and
+one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6) and p7 upsampled
+to the p6 grid, which a stage computes once. ops.nearest_resize and
 ops.maxpool2x2 are an exact up/down pair between levels.
+
+A stage's output p3 is its input p3 plus refined p4 upsampled. The
+upsampling is constant on every 2x2 pooling window, clipped edge windows
+included, and round-to-nearest fl(a + r) is monotone in a, so for a finite
+r, maxpool2x2(p3 + up(r)) equals maxpool2x2(p3) + r bit for bit, NaN,
++-inf and signed zeros in p3 included (a non-finite r breaks it: -inf + inf
+is NaN where pooling keeps inf). A later stage therefore takes its p3->p4
+step as the previous stage's pooled p3 plus its refined p4
+(Pyramid.pooled_p3), and a k-stage decode runs 7 + 6(k - 1) poolings, not
+7k.
 
 A k-stage decode keeps every stage's intermediates until its backward
 pass, so a stage keeps no more on the finest grid than its output: p3
 adds refined p4 upsampled inside ops.add_upsampled, which holds the
 upsampled map only while the sum is formed. Besides its input, the
-output p3 is the stage's only map on the p3 grid.
+output p3 is the stage's only map on the p3 grid, and since no pooling
+reads a stage's output p3, its gradient is lent from the next stage's.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,13 +68,20 @@ def level_grids(finest):
 
 @dataclass
 class Pyramid:
-    """Five feature maps, finest first, each half the size of the previous."""
+    """Five feature maps, finest first, each half the size of the previous.
+
+    A pyramid that fpn_decode_once_full returns also carries what its
+    pooled_p3 needs: the stage's pooled input p3 and its refined p4.
+    """
 
     p3: Tensor
     p4: Tensor
     p5: Tensor
     p6: Tensor
     p7: Tensor
+    # (p3, maxpool2x2 of the stage's input p3, refined p4), set by the stage
+    # that made this pyramid
+    _p3_parts: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         maps = self.levels()
@@ -81,6 +99,21 @@ class Pyramid:
 
     def levels(self):
         return (self.p3, self.p4, self.p5, self.p6, self.p7)
+
+    def pooled_p3(self) -> Tensor:
+        """maxpool2x2(p3), the p3->p4 step.
+
+        For a pyramid a stage made, whose p3 is still the stage's
+        add_upsampled(p3_in, r4), this is add(maxpool2x2(p3_in), r4), equal
+        bit for bit when r4 is finite (see the module docstring), and formed
+        only here, so a last stage builds nothing for it. A pyramid built by
+        hand, or one whose refined p4 is not finite, pools p3.
+        """
+        if self._p3_parts is not None:
+            p3, pooled, refined4 = self._p3_parts
+            if p3 is self.p3 and np.isfinite(refined4.data).all():
+                return ops.add(pooled, refined4)
+        return ops.maxpool2x2(self.p3)
 
     @property
     def channels(self) -> int:
@@ -206,30 +239,31 @@ def _up(x: Tensor, target: Tensor) -> Tensor:
     return ops.nearest_resize(x, target.dims[1], target.dims[2])
 
 
-def fuse_code_map(pyramid: Pyramid, a: Tensor, steps) -> Tensor:
+def fuse_code_map(pyramid: Pyramid, a: Tensor, steps, up7: Tensor) -> Tensor:
     """Weighted sum of all five levels on the second-coarsest grid.
 
     Coefficient order: up(p7), p6, down(p5), down^2(p4), down^3(p3).
     `a` is expected to be non-negative already (see activate_coeffs).
-    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6).
+    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6) and
+    `up7` is p7 upsampled to the p6 grid.
     """
-    _, _, _, p6, p7 = pyramid.levels()
     d34, d45, d56 = steps
     d4 = ops.maxpool2x2(d45)
     d3 = ops.maxpool2x2(ops.maxpool2x2(d34))
-    return ops.weighted_sum(a, [_up(p7, p6), p6, d56, d4, d3])
+    return ops.weighted_sum(a, [up7, pyramid.p6, d56, d4, d3])
 
 
-def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
+def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps, up7: Tensor):
     """Per-scale three-level fusions (coarser neighbor up, self, finer down).
 
-    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6).
+    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6) and
+    `up7` is p7 upsampled to the p6 grid.
     """
-    _, p4, p5, p6, p7 = pyramid.levels()
+    _, p4, p5, p6, _ = pyramid.levels()
     d34, d45, d56 = steps
     m4 = ops.weighted_sum(r, [_up(p5, p4), p4, d34])
     m5 = ops.weighted_sum(s, [_up(p6, p5), p5, d45])
-    m6 = ops.weighted_sum(t, [_up(p7, p6), p6, d56])
+    m6 = ops.weighted_sum(t, [up7, p6, d56])
     return m4, m5, m6
 
 
@@ -272,7 +306,13 @@ class FpnTrace:
 
 def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     """One refinement pass; returns the new pyramid plus its intermediates
-    (FpnTrace)."""
+    (FpnTrace).
+
+    The p3->p4 step is pyramid.pooled_p3(): a pooling for a pyramid built by
+    hand, the previous stage's pooled p3 plus its refined p4 for one a stage
+    made. The new pyramid carries this stage's pooled p3 and refined p4 for
+    the next stage the same way.
+    """
     cfg = params.config
     if pyramid.channels != cfg.output_channels:
         raise ConfigError(
@@ -280,12 +320,13 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
             f"{pyramid.channels} != {cfg.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
-    p3, p4, p5, _, _ = pyramid.levels()
-    steps = (ops.maxpool2x2(p3), ops.maxpool2x2(p4), ops.maxpool2x2(p5))
-    m_code = fuse_code_map(pyramid, coeffs.a, steps)
+    p3, p4, p5, p6, p7 = pyramid.levels()
+    steps = (pyramid.pooled_p3(), ops.maxpool2x2(p4), ops.maxpool2x2(p5))
+    up7 = _up(p7, p6)
+    m_code = fuse_code_map(pyramid, coeffs.a, steps, up7)
     codewords, _, attention = generate_codewords(m_code, params)
 
-    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
+    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps, up7)
     fused = {4: m4, 5: m5, 6: m6}
     refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):
@@ -295,6 +336,7 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     out = Pyramid(ops.add_upsampled(p3, refined[4]),
                   *[ops.add(level, refined[idx])
                     for idx, level in zip(range(4, 8), pyramid.levels()[1:])])
+    out._p3_parts = (out.p3, steps[0], refined[4])
     return out, FpnTrace(m_code=m_code, attention=attention, codewords=codewords,
                          fused=fused, refined=refined)
 

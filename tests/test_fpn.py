@@ -72,6 +72,11 @@ def one_steps(pyr):
     return tuple(ops.maxpool2x2(x) for x in pyr.levels()[:3])
 
 
+def up7(pyr):
+    """p7 upsampled to the p6 grid, the map both fusers take."""
+    return ops.nearest_resize(pyr.p7, *pyr.p6.dims[1:])
+
+
 # --------------------------------------------------------------- structure
 
 def test_pyramid_rejects_wrong_level_ratio():
@@ -155,14 +160,14 @@ def test_activate_coeffs_gradient():
 
 def test_fuse_code_map_selector_picks_p6():
     pyr = rand_pyramid(np.random.default_rng(5))
-    m = fuse_code_map(pyr, vec([0.0, 1.0, 0.0, 0.0, 0.0]), one_steps(pyr))
+    m = fuse_code_map(pyr, vec([0.0, 1.0, 0.0, 0.0, 0.0]), one_steps(pyr), up7(pyr))
     assert np.array_equal(m.data, pyr.p6.data)
 
 
 def test_fuse_code_map_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.5)) for h, w in dims])
-    m = fuse_code_map(pyr, vec([1.0] * 5), one_steps(pyr))
+    m = fuse_code_map(pyr, vec([1.0] * 5), one_steps(pyr), up7(pyr))
     assert np.array_equal(m.data, np.full((2, 2, 2), 2.5))
 
 
@@ -171,7 +176,7 @@ def test_fuse_code_map_matches_loop_oracle(h, w):
     rng = np.random.default_rng(7)
     pyr = rand_pyramid(rng, channels=3, h=h, w=w)
     a = rng.uniform(0.0, 2.0, 5)
-    m = fuse_code_map(pyr, vec(a), one_steps(pyr))
+    m = fuse_code_map(pyr, vec(a), one_steps(pyr), up7(pyr))
     oh, ow = pyr.p6.dims[1:]
     levels = [pyr.p7.data, pyr.p6.data, pyr.p5.data, pyr.p4.data, pyr.p3.data]
     want = sum(coef * to_grid(x, oh, ow) for coef, x in zip(a, levels))
@@ -181,7 +186,7 @@ def test_fuse_code_map_matches_loop_oracle(h, w):
 def test_fuse_scale_maps_selectors():
     pyr = rand_pyramid(np.random.default_rng(9))
     one = vec([0.0, 1.0, 0.0])
-    m4, m5, m6 = fuse_scale_maps(pyr, one, one, one, one_steps(pyr))
+    m4, m5, m6 = fuse_scale_maps(pyr, one, one, one, one_steps(pyr), up7(pyr))
     assert np.array_equal(m4.data, pyr.p4.data)
     assert np.array_equal(m5.data, pyr.p5.data)
     assert np.array_equal(m6.data, pyr.p6.data)
@@ -191,7 +196,7 @@ def test_fuse_scale_maps_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.25)) for h, w in dims])
     ones = vec([1.0, 1.0, 1.0])
-    for m, (h, w) in zip(fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr)), dims[1:4]):
+    for m, (h, w) in zip(fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr), up7(pyr)), dims[1:4]):
         assert np.array_equal(m.data, np.full((2, h, w), 0.75))
 
 
@@ -200,7 +205,7 @@ def test_fuse_scale_maps_match_loop_oracle(h, w):
     rng = np.random.default_rng(11)
     pyr = rand_pyramid(rng, channels=3, h=h, w=w)
     r, s, t = (rng.uniform(0.0, 2.0, 3) for _ in range(3))
-    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t), one_steps(pyr))
+    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t), one_steps(pyr), up7(pyr))
     p3, p4, p5, p6, p7 = [lvl.data for lvl in pyr.levels()]
 
     def fused(coefs, up_src, mid, down_src):
@@ -280,13 +285,13 @@ def up(x, like):
     return ops.nearest_resize(x, *like.dims[1:])
 
 
-def unshared_code_map(pyramid, a, steps):
+def unshared_code_map(pyramid, a, steps, up7):
     p3, p4, p5, p6, p7 = pyramid.levels()
     return ops.weighted_sum(a, [up(p7, p6), p6, down(p5), down(down(p4)),
                                 down(down(down(p3)))])
 
 
-def unshared_scale_maps(pyramid, r, s, t, steps):
+def unshared_scale_maps(pyramid, r, s, t, steps, up7):
     p3, p4, p5, p6, p7 = pyramid.levels()
     return (ops.weighted_sum(r, [up(p5, p4), p4, down(p3)]),
             ops.weighted_sum(s, [up(p6, p5), p5, down(p4)]),
@@ -298,10 +303,11 @@ def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
     pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
     out, trace = fpn_decode_once_full(pyr, params)
     # p3->p4, p4->p5, p5->p6 once each, two more steps for p3 and one for
-    # p4 on the code-map grid, and refined p6 -> p7
+    # p4 on the code-map grid, and refined p6 -> p7; a later stage takes
+    # p3->p4 from the previous stage's pooled p3 (Pyramid.pooled_p3)
     assert count_ops(out.levels(), "maxpool2x2") == 7
     params.config = dataclasses.replace(params.config, k_recurrence=4)
-    assert count_ops(fpn_decode(pyr, params).levels(), "maxpool2x2") == 28
+    assert count_ops(fpn_decode(pyr, params).levels(), "maxpool2x2") == 25
 
     monkeypatch.setattr(fpn_module, "fuse_code_map", unshared_code_map)
     monkeypatch.setattr(fpn_module, "fuse_scale_maps", unshared_scale_maps)
@@ -317,7 +323,7 @@ def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
 def test_stage_keeps_one_map_on_the_p3_grid():
     """p3 takes refined p4 upsampled inside add_upsampled, so the only node
     on the p3 grid besides the input is the output level itself; the other
-    four upsamplings feed the fusions on coarser grids."""
+    three upsamplings feed the fusions on coarser grids, p7's both fusers."""
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
     out = fpn_decode_once(pyr, params)
@@ -327,7 +333,7 @@ def test_stage_keeps_one_map_on_the_p3_grid():
     assert len(on_p3) == 1 and on_p3[0] is out.p3
     counts = {op: sum(1 for node in nodes if node._op == op)
               for op in ("nearest_resize", "add_upsampled", "maxpool2x2")}
-    assert counts == {"nearest_resize": 4, "add_upsampled": 1, "maxpool2x2": 7}
+    assert counts == {"nearest_resize": 3, "add_upsampled": 1, "maxpool2x2": 7}
 
 
 def ancestor_ids(t):
@@ -388,6 +394,95 @@ def test_k2_equals_manual_composition():
     manual = fpn_decode_once(fpn_decode_once(pyr, params), params)
     for got, want in zip(out.levels(), manual.levels()):
         assert np.array_equal(got.data, want.data)
+
+
+def fresh_pool_decode(pyr, params):
+    """fpn_decode with every stage pooling p3 afresh: each stage's output is
+    rebuilt as a Pyramid by hand, which carries no pooled p3."""
+    out = pyr
+    for record in fpn_module.fpn_stages(params):
+        out = Pyramid(*fpn_decode_once(out, record).levels())
+    return out
+
+
+def level_bits(pyr):
+    return [level.data.view(np.int64) for level in pyr.levels()]
+
+
+def input_grads(levels, data):
+    """The gradient of every input level of the pyramid built from `data`
+    under the mean over `levels(pyramid)`."""
+    pyr = Pyramid(*[Tensor(d.copy(), requires_grad=True) for d in data])
+    out = levels(pyr)
+    total = None
+    for level in out.levels():
+        term = ops.sum_all(level)
+        total = term if total is None else ops.add(total, term)
+    ops.scalar_scale(total, 1.0 / sum(d.size for d in data)).backward()
+    return out, [level.grad for level in pyr.levels()]
+
+
+# the benchmark's fpn-decode widths on a quarter of its p3 grid, and the
+# tiny config on an odd grid, shared and unshared, each k=4
+K4_CASES = {
+    "bench-28x44": (dict(n_codewords=32, codeword_dim=64, output_channels=64), 28, 44, True),
+    "tiny-25x38-shared": (dict(n_codewords=4, codeword_dim=8, output_channels=8), 25, 38, True),
+    "tiny-25x38-unshared": (dict(n_codewords=4, codeword_dim=8, output_channels=8), 25, 38, False),
+}
+
+
+@pytest.mark.parametrize("case", list(K4_CASES))
+def test_carried_p3_pool_equals_pooling_afresh(case):
+    """A later stage's p3->p4 step is the previous stage's pooled p3 plus its
+    refined p4, and the levels equal a decode whose every stage pools p3
+    bit for bit. The gradients only sum in another order: on tie-free
+    (standard normal) data every input level's agrees to 1e-12 of its max."""
+    widths, h, w, shared = K4_CASES[case]
+    cfg = FpnConfig(k_recurrence=4, share_params=shared, **widths)
+    params = init_fpn_stack(cfg, np.random.default_rng(41))
+    data = [level.data for level in
+            rand_pyramid(np.random.default_rng(42), cfg.output_channels, h, w).levels()]
+
+    got, got_grads = input_grads(lambda pyr: fpn_decode(pyr, params), data)
+    want, want_grads = input_grads(lambda pyr: fresh_pool_decode(pyr, params), data)
+    assert count_ops(got.levels(), "maxpool2x2") == 25
+    assert count_ops(want.levels(), "maxpool2x2") == 28
+    for a, b in zip(level_bits(got), level_bits(want)):
+        assert np.array_equal(a, b)
+    for name, a, b in zip(fpn_module.LEVEL_NAMES, got_grads, want_grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+def test_non_finite_refined_p4_pools_p3_afresh():
+    """-inf + inf is NaN where pooling keeps inf, so a stage whose refined p4
+    is not finite hands the next stage a pyramid that pools p3 itself; the
+    levels still equal a decode whose every stage pools p3 bit for bit."""
+    params = tiny_params()
+    params.config = dataclasses.replace(params.config, k_recurrence=4)
+    pyr = rand_pyramid(np.random.default_rng(40), channels=8, h=25, w=38)
+    # large enough that part of refined p4 overflows to +-inf in stage 1
+    pyr.p4.data[0] *= 1e155
+    with np.errstate(all="ignore"):
+        out, trace = fpn_decode_once_full(pyr, params)
+        refined4 = trace.refined[4].data
+        assert np.isinf(refined4).any() and np.isfinite(refined4).any()
+        assert out.pooled_p3()._op == "maxpool2x2"
+        got, want = fpn_decode(pyr, params), fresh_pool_decode(pyr, params)
+    for a, b in zip(level_bits(got), level_bits(want)):
+        assert np.array_equal(a, b)
+
+
+def test_pooled_p3_is_an_add_only_for_a_stage_output_with_its_own_p3():
+    params = tiny_params()
+    pyr = rand_pyramid(np.random.default_rng(43), channels=8, h=25, w=38)
+    assert pyr.pooled_p3()._op == "maxpool2x2"
+    out, trace = fpn_decode_once_full(pyr, params)
+    carried = out.pooled_p3()
+    assert carried._op == "add" and carried._parents[1] is trace.refined[4]
+    assert np.array_equal(carried.data, ops.maxpool2x2(out.p3).data)
+    # a p3 replaced after the stage pools afresh
+    out.p3 = Tensor(out.p3.data.copy())
+    assert out.pooled_p3()._op == "maxpool2x2"
 
 
 def test_unshared_stack_composes_independent_records():

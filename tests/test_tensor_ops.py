@@ -524,6 +524,52 @@ def test_add_upsampled_rejects_mismatched_operands(bdims, cdims, match):
         ops.add_upsampled(t(np.zeros(bdims)), t(np.zeros(cdims)))
 
 
+@st.composite
+def pool_after_upsampled_add_cases(draw):
+    """(x, r) of one dtype on an odd or even grid: x of integer ties, +-0,
+    +-inf, NaNs with payloads and values as large as r; r finite, up to
+    1e23 (1e30 in f32), so that rounding merges a window's sums."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width, big, quiet, payload_bits = ((32, 1e30, 0x7FC00000, 22) if dtype == np.float32
+                                       else (64, 1e23, 0x7FF8000000000000, 51))
+    c, h, w = draw(st.integers(1, 2)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n, oh, ow = c * h * w, (h + 1) // 2, (w + 1) // 2
+    # the bound must be a float of the width: f32's nearest to 1e30
+    finite = st.floats(-float(dtype(big)), float(dtype(big)), width=width)
+    x = np.array(draw(st.lists(st.one_of(st.integers(-2, 2).map(float),
+                                         st.sampled_from([0.0, -0.0, np.inf, -np.inf]), finite),
+                               min_size=n, max_size=n)), dtype=dtype).reshape(c, h, w)
+    nans = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans(),
+                                   st.integers(0, 2**payload_bits - 1)), max_size=3))
+    xi = x.reshape(-1).view(np.int32 if dtype == np.float32 else np.int64)
+    for i, negative, payload in nans:
+        xi[i] = (quiet | payload) - (2 ** (width - 1) if negative else 0)
+    r = np.array(draw(st.lists(st.one_of(st.integers(-2, 2).map(float), finite),
+                               min_size=c * oh * ow, max_size=c * oh * ow)),
+                 dtype=dtype).reshape(c, oh, ow)
+    return x, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pool_after_upsampled_add_cases())
+# the counterexample for a non-finite r: the window [-inf, 0] plus +inf pools
+# to NaN (-inf + inf comes first), while its pool 0 plus +inf is inf
+@example(case=(np.array([[[-np.inf, 0.0]]]), np.array([[[np.inf]]])))
+def test_maxpool_of_add_upsampled_is_add_of_maxpool(case):
+    """maxpool2x2(add_upsampled(x, r)) equals add(maxpool2x2(x), r) bit for
+    bit for a finite r: the upsampled r is constant on every window, clipped
+    edge windows included, and fl(a + r) is monotone in a."""
+    x, r = case
+    with np.errstate(all="ignore"):
+        got = ops.maxpool2x2(ops.add_upsampled(Tensor(x), Tensor(r))).data
+        want = ops.add(ops.maxpool2x2(Tensor(x)), Tensor(r)).data
+    assert got.dtype == want.dtype == x.dtype
+    if np.isfinite(r).all():
+        assert np.array_equal(bits(got), bits(want))
+    else:
+        assert not np.array_equal(bits(got), bits(want))
+
+
 def _saved_arrays(out):
     """The arrays a node's backward closure keeps."""
     return [cell.cell_contents for cell in out._backward_fn.__closure__

@@ -2,12 +2,14 @@
 
 Run from a checkout: `python3 tools/output_digest.py`. Two checkouts that
 print the same lines compute the same bytes for: every HgdTrace field of the
-decode-paper forward at seeds 0-2, the fpn-decode outputs and gradients at
-seeds 0-4, the seg-infer labels of all 32 images (seed 0), every seg-train
-parameter and gradient after 40 SGD steps at seed 0, and the same after one
-whole 100-step budget at seed 2, where the preset diverges; that line also
-prints the budget's failed-step count, the steps that seg-train counts as
-failures for a non-finite parameter or gradient.
+decode-paper forward at seeds 0-2, the fpn-decode output levels at seeds
+0-4 and, on a line of their own, its parameter gradients (so a change that
+only reorders the gradients' sums shows its levels unchanged), the seg-infer
+labels of all 32 images (seed 0), every seg-train parameter and gradient
+after 40 SGD steps at seed 0, and the same after one whole 100-step budget
+at seed 2, where the preset diverges; that line also prints the budget's
+failed-step count, the steps that seg-train counts as failures for a
+non-finite parameter or gradient.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench")]
 
 import workloads as wl  # noqa: E402
-from hgd import decoder  # noqa: E402
+from hgd import decoder, fpn  # noqa: E402
 
 
 def sha(arrays):
@@ -56,7 +58,11 @@ def seg_train_state(seed, steps):
 
 
 print("decode-paper", sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s))))
-print("fpn-decode", sha(a for s in range(5) for a in ready(wl.FpnDecode, s).op(0)))
+# each op returns the output levels, then the parameter gradients
+fpn_arrays = [ready(wl.FpnDecode, s).op(0) for s in range(5)]
+n_levels = len(fpn.LEVEL_NAMES)
+print("fpn-decode levels", sha(a for arrays in fpn_arrays for a in arrays[:n_levels]))
+print("fpn-decode grads", sha(a for arrays in fpn_arrays for a in arrays[n_levels:]))
 infer = ready(wl.SegInfer, 0)
 print("seg-infer", sha(infer.op(i) for i in range(len(infer.samples))))
 print("seg-train", sha(seg_train_state(0, 40)[0]))
