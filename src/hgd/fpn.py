@@ -308,10 +308,8 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     """One refinement pass; returns the new pyramid plus its intermediates
     (FpnTrace).
 
-    The p3->p4 step is pyramid.pooled_p3(): a pooling for a pyramid built by
-    hand, the previous stage's pooled p3 plus its refined p4 for one a stage
-    made. The new pyramid carries this stage's pooled p3 and refined p4 for
-    the next stage the same way.
+    The p3->p4 step is pyramid.pooled_p3(), and the new pyramid carries
+    this stage's pooled p3 and refined p4 for the next stage's.
     """
     cfg = params.config
     if pyramid.channels != cfg.output_channels:

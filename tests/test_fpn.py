@@ -196,7 +196,8 @@ def test_fuse_scale_maps_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.25)) for h, w in dims])
     ones = vec([1.0, 1.0, 1.0])
-    for m, (h, w) in zip(fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr), up7(pyr)), dims[1:4]):
+    maps = fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr), up7(pyr))
+    for m, (h, w) in zip(maps, dims[1:4]):
         assert np.array_equal(m.data, np.full((2, h, w), 0.75))
 
 
@@ -323,7 +324,8 @@ def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
 def test_stage_keeps_one_map_on_the_p3_grid():
     """p3 takes refined p4 upsampled inside add_upsampled, so the only node
     on the p3 grid besides the input is the output level itself; the other
-    three upsamplings feed the fusions on coarser grids, p7's both fusers."""
+    three upsamplings feed the fusions on coarser grids, p7's both fusers
+    at once."""
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
     out = fpn_decode_once(pyr, params)

@@ -61,8 +61,8 @@ print("decode-paper", sha(a for s in range(3) for a in decode_paper_trace(ready(
 # each op returns the output levels, then the parameter gradients
 fpn_arrays = [ready(wl.FpnDecode, s).op(0) for s in range(5)]
 n_levels = len(fpn.LEVEL_NAMES)
-print("fpn-decode levels", sha(a for arrays in fpn_arrays for a in arrays[:n_levels]))
-print("fpn-decode grads", sha(a for arrays in fpn_arrays for a in arrays[n_levels:]))
+print("fpn-decode levels", sha(a for out in fpn_arrays for a in out[:n_levels]))
+print("fpn-decode grads", sha(a for out in fpn_arrays for a in out[n_levels:]))
 infer = ready(wl.SegInfer, 0)
 print("seg-infer", sha(infer.op(i) for i in range(len(infer.samples))))
 print("seg-train", sha(seg_train_state(0, 40)[0]))
