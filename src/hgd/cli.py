@@ -10,8 +10,9 @@ Subcommands:
   dump        describe one HGDT tensor file
 
 Exit codes: 0 success, 1 verification failure (or unreadable data, a
-demo-seg run whose loss or parameters went non-finite, or a demo-fpn decode
-with a non-finite level after some stage, which writes no artifact), 2
+demo-seg run whose loss or parameters went non-finite, a demo-fpn decode
+with a non-finite level after some stage, which writes no artifact, or a
+config whose arrays cannot be allocated), 2
 usage/config error. The HGD_THREADS environment variable caps BLAS thread
 pools (applied at package import, default 1 for determinism). The package
 import also keeps freed heap pages in the process under glibc (malloc's
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

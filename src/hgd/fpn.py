@@ -41,7 +41,7 @@ pass, so a stage keeps no more on the finest grid than its output: p3
 adds refined p4 upsampled inside ops.add_upsampled, which holds the
 upsampled map only while the sum is formed. Besides its input, the
 output p3 is the stage's only map on the p3 grid, and since no pooling
-reads a stage's output p3, its gradient is lent from the next stage's.
+reads a stage's output p3, its gradient is the next stage's, not a copy.
 """
 
 from dataclasses import dataclass, field

@@ -63,6 +63,9 @@ def save_tensor(path, tensor_or_array) -> None:
         raise ValueError(f"only float32/float64 tensors are serializable, got {arr.dtype}")
     if arr.ndim > 255:
         raise ValueError("rank exceeds the format's single byte")
+    for axis, extent in enumerate(arr.shape):
+        if extent > 0xFFFFFFFF:
+            raise ValueError(f"axis {axis} extent {extent} exceeds the format's uint32")
     header = _MAGIC + bytes([code, arr.ndim])
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)

@@ -5,19 +5,13 @@ computes the forward value with numpy, and attaches a backward closure that
 accumulates adjoints into any parent with requires_grad set.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
-- no first adjoint gets a zero buffer. Closures hand adjoints to _acc: a
-  fresh one (the conv and matmul products, g * mask, s * g, c * g and
-  weighted_sum's coefficient vector, the nearest pair-sums, softmax's and
-  the cross-entropy's) is adopted as the parent's grad; a passed-through
-  one (add's, add_upsampled's to base, reshape's, transpose's, sum_all's
-  broadcast, the concat_channels slices and the x side of
-  broadcast_add_channel) is lent,
-  and the parent shares the buffer copy-on-write: a later accumulation, or
-  ensure_grad() before an in-place write, copies it first. maxpool2x2
-  and columns scatter into a zero buffer of their own, which they hand
-  over, when their input has no grad yet, and into ensure_grad()'s buffer
-  once it has one, so several column slices of one matrix accumulate into
-  one grad;
+- no grad array is written in place, and no first adjoint gets a zero
+  buffer. Closures hand adjoints to _acc, which adopts a parent's first
+  adjoint as its grad, whether fresh or passed through unchanged (add's,
+  reshape's, a concat_channels slice), and sums a later one into a new
+  buffer. maxpool2x2 and columns scatter into a new buffer, zeros when
+  their input has no grad yet and a copy of its grad once it has one, so
+  several column slices of one matrix accumulate into one grad;
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
@@ -29,7 +23,7 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 - add_upsampled(base, coarse) is add(base, nearest_resize(coarse)) bit for
   bit, forward and both gradients, with the upsampled map held only while
   the sum is formed, so no copy of it stays on the tape: base is the first
-  operand, as add's a, base gets g lent and coarse gets nearest_resize's
+  operand, as add's a, base gets g itself and coarse gets nearest_resize's
   pair sums of g;
 - one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
   element wins, a NaN counting as larger than any number, so ties go to the
@@ -108,22 +102,18 @@ def _need(t: Tensor) -> bool:
     return t.requires_grad
 
 
-def _acc(t: Tensor, value, lent: bool = False):
+def _acc(t: Tensor, value):
     """Sum the adjoint value into t.grad.
 
-    A fresh value, one the closure computed for t alone, becomes t's first
-    grad as it is. A lent value is the closure's incoming adjoint or a view
-    of it; t's first grad shares it, and any later write copies first.
+    The first value becomes t.grad as it is, whether the closure computed
+    it for t alone or passes on its incoming adjoint; a later one is summed
+    into a new buffer, since a grad is never written in place.
     """
     if t.grad is None:
         # a 0-d product is a numpy scalar, and a grad keeps its tensor's dtype
         t.grad = np.asarray(value, dtype=t.data.dtype)
-        t._grad_shared = lent
-    elif t._grad_shared:
-        t.grad = np.add(t.grad, value, out=np.empty_like(t.data, order="C"))
-        t._grad_shared = False
     else:
-        t.grad += value
+        t.grad = np.add(t.grad, value, out=np.empty_like(t.data, order="C"))
 
 
 def _check_out(out: np.ndarray, dims: tuple, dtype, op: str):
@@ -148,9 +138,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(a):
-            _acc(a, g, lent=True)
+            _acc(a, g)
         if _need(b):
-            _acc(b, g, lent=True)
+            _acc(b, g)
 
     return _make(a.data + b.data, (a, b), "add", bwd)
 
@@ -181,7 +171,7 @@ def scalar_scale(x: Tensor, s: float) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         if _need(x):
-            _acc(x, np.broadcast_to(g, x.dims), lent=True)
+            _acc(x, np.broadcast_to(g, x.dims))
 
     return _make(np.asarray(x.data.sum(), dtype=x.dtype), (x,), "sum_all", bwd)
 
@@ -426,7 +416,7 @@ def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(base):
-            _acc(base, g, lent=True)
+            _acc(base, g)
         if _need(coarse):
             _acc(coarse, _pair_sums(g, out_h, out_w))
 
@@ -503,10 +493,11 @@ def maxpool2x2(x: Tensor) -> Tensor:
             if x.grad is None:
                 gx = np.zeros_like(x.data, order="C")
                 gx.reshape(-1)[idx] = g
-                _acc(x, gx)
             else:
-                # ensure_grad's buffer is C-contiguous, so reshape(-1) is a view
-                x.ensure_grad().reshape(-1)[idx] += g
+                # a C-contiguous copy, so reshape(-1) is a view
+                gx = np.array(x.grad, order="C")
+                gx.reshape(-1)[idx] += g
+            x.grad = gx
 
     return _make(out, (x,), "maxpool2x2", bwd)
 
@@ -555,7 +546,7 @@ def concat_channels(tensors, *, out=None) -> Tensor:
         for t in tensors:
             stop = start + t.dims[0]
             if _need(t):
-                _acc(t, g[start:stop], lent=True)
+                _acc(t, g[start:stop])
             start = stop
 
     return _make(out, tuple(tensors), "concat_channels", bwd)
@@ -572,9 +563,10 @@ def columns(x: Tensor, start: int, stop: int) -> Tensor:
             if x.grad is None:
                 gx = np.zeros_like(x.data, order="C")
                 gx[:, start:stop] = g
-                _acc(x, gx)
             else:
-                x.ensure_grad()[:, start:stop] += g
+                gx = np.array(x.grad, order="C")
+                gx[:, start:stop] += g
+            x.grad = gx
 
     return _make(x.data[:, start:stop], (x,), "columns", bwd)
 
@@ -584,7 +576,7 @@ def reshape(x: Tensor, dims) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            _acc(x, g.reshape(x.dims), lent=True)
+            _acc(x, g.reshape(x.dims))
 
     return _make(x.data.reshape(dims), (x,), "reshape", bwd)
 
@@ -594,7 +586,7 @@ def transpose(x: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            _acc(x, g.T, lent=True)
+            _acc(x, g.T)
 
     return _make(x.data.T, (x,), "transpose", bwd)
 
@@ -676,7 +668,7 @@ def broadcast_add_channel(x: Tensor, v: Tensor) -> Tensor:
 
     def bwd(g):
         if _need(x):
-            _acc(x, g, lent=True)
+            _acc(x, g)
         if _need(v):
             _acc(v, g.sum(axis=(1, 2)))
 

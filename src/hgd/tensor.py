@@ -9,10 +9,10 @@ summing adjoints into tensors that feed several consumers.
 Tensors are treated as immutable after forward construction; only leaves
 are written in place (sgd_step, and the tests' parameter edits). So data may
 alias: a concatenation whose parts were written into one buffer (ops' out=)
-is that buffer, and each part's data is a view of it. Gradients are not
-copied where they pass through unchanged, so several tensors' grads may
-share one buffer: a grad is written in place only through ensure_grad(),
-which first copies a buffer that may be shared.
+is that buffer, and each part's data is a view of it. Gradients are values:
+once an array is some tensor's grad, nothing writes into it. So an adjoint
+that passes through an op unchanged is not copied, and several tensors'
+grads may be one buffer.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ class GradcheckError(RuntimeError):
 class Tensor:
     """N-dimensional float array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op",
-                 "_grad_shared")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -50,9 +49,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
-        # True when grad may be another tensor's buffer too, so a write into
-        # it must copy first
-        self._grad_shared = False
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
@@ -65,19 +61,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def ensure_grad(self) -> np.ndarray:
-        """The gradient buffer, for writing in place: C-contiguous, so an op
-        may scatter into it through a flat view, and this tensor's alone.
-        It is allocated as zeros on first use, and a buffer that may be
-        shared, or is not C-contiguous, is copied first."""
-        grad = self.grad
-        if grad is None:
-            self.grad = np.zeros_like(self.data, order="C")
-        elif self._grad_shared or not grad.flags.c_contiguous:
-            self.grad = np.array(grad, order="C")
-        self._grad_shared = False
-        return self.grad
 
     def zero_grad(self):
         self.grad = None
@@ -121,10 +104,8 @@ class ComputeGraph:
 def backward(graph: ComputeGraph, loss: Tensor):
     """Populate grad on every requires_grad tensor reachable from loss.
 
-    Adjoints from multiple consumers accumulate by summation. The loss must
-    be a scalar (shape ()). A node's closure may lend the node's grad buffer
-    to its parents, so once the closure has run the buffer counts as shared,
-    and a later sweep over the same graph copies it before accumulating.
+    Adjoints from multiple consumers accumulate by summation, into a new
+    buffer each time. The loss must be a scalar (shape ()).
     """
     if loss.dims != ():
         raise ValueError(f"backward needs a scalar loss, got dims {loss.dims}")
@@ -134,4 +115,3 @@ def backward(graph: ComputeGraph, loss: Tensor):
     for node in reversed(graph.nodes):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
-            node._grad_shared = True

@@ -438,6 +438,22 @@ def test_config_error_surfaces_as_exit_two(tmp_path, capsys):
     assert "unknown keys" in err
 
 
+@pytest.mark.parametrize("command", ["demo-seg", "demo-fpn"])
+def test_unallocatable_config_exits_one_without_traceback(tmp_path, command):
+    # a 2**24-pixel side needs petabytes, beyond any address space, so the
+    # first large allocation fails at once without reserving anything
+    cfg = write_config(tmp_path, {"input_size": 2**24})
+    out_dir = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "hgd", command, "--config", cfg,
+                           "--out", str(out_dir)],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("path,value", [("precision", {}),
                                         ("train.base_lr", float("nan")),
                                         ("train.base_lr", -1),

@@ -1,10 +1,11 @@
-"""Gradient buffer ownership in the reverse sweep.
+"""Gradient buffers in the reverse sweep.
 
-A closure's fresh adjoint becomes its parent's grad as it is, and a
-passed-through adjoint is shared with the parent copy-on-write. These tests
-hold every grad, of leaves and intermediates alike, to the values of the
-zero-fill-and-add accumulation kept here as the reference, and check that
-no buffer written in place is another tensor's grad.
+A parent's first adjoint becomes its grad as it is, whether the closure
+computed it for that parent alone or passed its own adjoint on, and a later
+one is summed into a new buffer. These tests hold every grad, of leaves and
+intermediates alike, to the values of the zero-fill-and-add accumulation
+kept here as the reference, and check that no array is written in place
+once it is some tensor's grad.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hgd import Tensor, ops
 C, H, W = 2, 3, 4   # H odd, so maxpool2x2 clips its last window row
 
 
-def _zero_fill_acc(t, value, lent=False):
+def _zero_fill_acc(t, value):
     """The reference: every first adjoint lands in a fresh zero buffer."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data, order="C")
@@ -121,27 +122,38 @@ def _graph_tensors(loss):
 
 
 def _check_writes(mp, tensors):
-    """Make mp fail a write as soon as the grad buffer it is about to write
-    in place is also another tensor's grad."""
-    real_acc, real_ensure = ops._acc, Tensor.ensure_grad
+    """Make mp record every array that becomes a grad of tensors, with a
+    copy of it as it was then, and return a check that fails if any of them
+    has been written since. A grad _acc sets is recorded at once, and every
+    grad of tensors after each backward closure, which covers the ones
+    maxpool2x2, columns and the sweep itself assign directly."""
+    real_acc = ops._acc
+    seen = {}   # id -> (array, copy); holding the array keeps its id unique
 
-    def alone(t):
-        for other in tensors:
-            if other is not t and other.grad is not None:
-                assert not np.shares_memory(t.grad, other.grad), (t, other)
+    def record(grad):
+        if grad is not None and id(grad) not in seen:
+            seen[id(grad)] = (grad, grad.copy())
 
-    def acc(t, value, lent=False):
-        if t.grad is not None and not t._grad_shared:
-            alone(t)
-        real_acc(t, value, lent)
+    def acc(t, value):
+        real_acc(t, value)
+        record(t.grad)
 
-    def ensure_grad(self):
-        grad = real_ensure(self)
-        alone(self)
-        return grad
+    def checked(closure):
+        def run(g):
+            closure(g)
+            for t in tensors:
+                record(t.grad)
+        return run
 
     mp.setattr(ops, "_acc", acc)
-    mp.setattr(Tensor, "ensure_grad", ensure_grad)
+    for t in tensors:
+        if t._backward_fn is not None:
+            mp.setattr(t, "_backward_fn", checked(t._backward_fn))
+
+    def check():
+        for i, (grad, snapshot) in enumerate(seen.values()):
+            assert grad.tobytes() == snapshot.tobytes(), i
+    return check
 
 
 def _swept_grads(loss, sweeps, acc=None):
@@ -150,11 +162,13 @@ def _swept_grads(loss, sweeps, acc=None):
     tensors = _graph_tensors(loss)
     with pytest.MonkeyPatch.context() as mp:
         if acc is None:
-            _check_writes(mp, tensors)
+            check = _check_writes(mp, tensors)
         else:
             mp.setattr(ops, "_acc", acc)
         for _ in range(sweeps):
             loss.backward()
+    if acc is None:
+        check()
     return [t.grad for t in tensors]
 
 
@@ -165,22 +179,22 @@ def _grads(program, acc=None):
 
 @settings(max_examples=150, deadline=None)
 @given(programs())
-# maxpool2x2 scatters into a grad that add lent to two leaves
+# maxpool2x2 scatters into a copy of a grad that add passed to two leaves
 @example((0, np.float64, [("pool", [0]), ("add", [0, 1])], 4, 1))
-# maxpool2x2 scatters into the strided grad that conv3x3 handed over
+# maxpool2x2 scatters into a copy of the strided grad conv3x3 handed over
 @example((0, np.float32, [("pool", [0]), ("conv3", [0])], 4, 1))
 # weighted_sum's maps and coefficients, fed by a pass-through chain and add(x, x)
 @example((1, np.float64, [("flat", [0]), ("add", [4, 4]), ("wsum", [5, 4, 0])], 4, 1))
-# a second sweep accumulates into grads the first one lent
+# a second sweep accumulates onto grads the first one passed through
 @example((2, np.float64, [("flat", [0]), ("add", [4, 4])], 0, 2))
-# the in-place concatenation lends slices of its grad to parts that share x,
-# and a second sweep accumulates into them
+# the in-place concatenation passes slices of its grad to parts that share
+# x, and a second sweep accumulates onto them
 @example((3, np.float32, [("concat-in-place", [0, 0]), ("add", [4, 0])], 0, 2))
-# add_upsampled lends its adjoint to a base that is also its pooled operand,
+# add_upsampled passes its adjoint to a base that is also its pooled operand,
 # and to the same map through add, over one and two sweeps
 @example((4, np.float64, [("add-up", [0, 0]), ("add", [4, 0])], 0, 1))
 @example((5, np.float32, [("add-up", [0, 0]), ("add-up", [4, 0]), ("flat", [5])], 4, 2))
-# weighted_sum's coefficients against the stride-0 adjoint sum_all lends
+# weighted_sum's coefficients against the stride-0 adjoint sum_all passes on
 @example((0, np.float64, [("bias", [0]), ("bias", [0]), ("bias", [0]), ("wsum", [0, 0, 0]),
                           ("add", [0, 0])], 7, 1))
 def test_grads_equal_zero_fill_reference(program):
@@ -196,8 +210,8 @@ def test_grads_equal_zero_fill_reference(program):
 
 
 def _column_slices(whole_first):
-    """(w, loss): the loss reads matrix w whole, through add's lent adjoint,
-    and as two overlapping column slices."""
+    """(w, loss): the loss reads matrix w whole, through the adjoint add
+    passes on, and as two overlapping column slices."""
     rng = np.random.default_rng(9)
     w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
     probes = [Tensor(rng.standard_normal((3, 3))) for _ in range(2)]
@@ -213,8 +227,8 @@ def _column_slices(whole_first):
 @pytest.mark.parametrize("sweeps", [1, 2])
 @pytest.mark.parametrize("whole_first", [True, False])
 def test_column_slices_accumulate_into_one_grad(whole_first, sweeps):
-    # the slices scatter into w's grad in place, which must copy a grad
-    # that add lent first
+    # each slice scatters into a copy of w's grad, which may be the very
+    # adjoint add passed on
     w, want, loss = _column_slices(whole_first)
     got = _swept_grads(loss, sweeps)
     ref = _swept_grads(_column_slices(whole_first)[2], sweeps, acc=_zero_fill_acc)
@@ -226,9 +240,9 @@ def test_column_slices_accumulate_into_one_grad(whole_first, sweeps):
 
 
 def test_second_sweep_does_not_write_through_a_lent_grad():
-    # add lends its grad to y twice and reshape lends y's to w; a second
-    # sweep accumulates again into every grad of the graph: z 1 + 1, y 2 + 4
-    # and w 2 + 6
+    # add passes its grad on to y twice and reshape passes y's on to w; a
+    # second sweep accumulates again onto every grad of the graph: z 1 + 1,
+    # y 2 + 4 and w 2 + 6
     w = Tensor(np.ones((2, 3, 4)), requires_grad=True)
     y = ops.reshape(w, (24,))
     loss = ops.sum_all(ops.add(y, y))

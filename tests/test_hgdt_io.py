@@ -84,6 +84,14 @@ def test_hgdt_rejects_truncated_payload(tmp_path):
         hgdt.load_tensor(path)
 
 
+def test_hgdt_rejects_extent_beyond_uint32(tmp_path):
+    # a zero-size array holds no data, so any extent is cheap to make
+    path = tmp_path / "wide.hgdt"
+    with pytest.raises(ValueError, match="axis 1 extent 8589934592"):
+        hgdt.save_tensor(path, np.zeros((0, 2**33)))
+    assert not path.exists()
+
+
 def test_hgdt_rejects_integer_input(tmp_path):
     with pytest.raises(ValueError, match="float"):
         hgdt.save_tensor(tmp_path / "i.hgdt", np.arange(3))
