@@ -30,7 +30,8 @@ def _pool(x):
 
 
 def _add_pooled(base, x):
-    """add_upsampled lends its adjoint to base and folds it onto x's pooling."""
+    """add_upsampled passes its adjoint on to base and folds it onto x's
+    pooling."""
     return ops.add_upsampled(base, ops.maxpool2x2(x))
 
 
@@ -45,7 +46,7 @@ def _twice_transposed(x):
 
 def _concat_in_place(xs, p):
     """conv1x1, bilinear_resize and matmul write into one buffer, which the
-    concatenation returns; its backward lends each part a slice of g."""
+    concatenation returns; its backward passes each part a slice of g."""
     x, y = xs
     buf = np.empty((3 * C, H, W), x.dtype)
     parts = [ops.conv1x1(x, p["w"], p["b"], out=buf[:C]),

@@ -10,8 +10,9 @@ the MB of node data and the MB of arrays its backward closure keeps, one
 row per op that made the node (`leaf` for parameters and inputs); then the
 MB of grads on those nodes once the sweep is done. An array counts once,
 under the first node that holds it, node data before closures, and a view
-counts as the array it views, so lent grads and concatenated parts are not
-counted twice. MB are 2**20 bytes, the unit of the benchmark's peak_rss_mb.
+counts as the array it views, so a grad passed on unchanged and
+concatenated parts are not counted twice. MB are 2**20 bytes, the unit of
+the benchmark's peak_rss_mb.
 
 A workload whose operation runs no backward pass (seg-infer, decode-paper)
 keeps no tape, and the command says so. seg-train's operation is one SGD
