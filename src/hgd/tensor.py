@@ -4,7 +4,9 @@ A Tensor wraps a numpy float buffer (float32 or float64) in channel-major
 (c, h, w) row-major layout for feature maps. Operations in hgd.ops record
 their parents and a backward closure on the output tensor; ComputeGraph
 linearizes that record so one reverse sweep visits each node exactly once,
-summing adjoints into tensors that feed several consumers.
+summing adjoints into tensors that feed several consumers. Grads land on
+requires_grad leaves: an intermediate's grad lives from its first adjoint
+until its closure has run, and the sweep then drops it.
 
 Tensors are treated as immutable after forward construction; only leaves
 are written in place (sgd_step, and the tests' parameter edits). So data may
@@ -102,10 +104,13 @@ class ComputeGraph:
 
 
 def backward(graph: ComputeGraph, loss: Tensor):
-    """Populate grad on every requires_grad tensor reachable from loss.
+    """Sum d loss / d leaf into grad on every requires_grad leaf reaching loss.
 
     Adjoints from multiple consumers accumulate by summation, into a new
-    buffer each time. The loss must be a scalar (shape ()).
+    buffer each time. An intermediate's grad lives from its first adjoint
+    until its closure has run and is then dropped, so a sweep ends with
+    grads on leaves only, and a second sweep over the same graph adds the
+    same gradient again. The loss must be a scalar (shape ()).
     """
     if loss.dims != ():
         raise ValueError(f"backward needs a scalar loss, got dims {loss.dims}")
@@ -115,3 +120,4 @@ def backward(graph: ComputeGraph, loss: Tensor):
     for node in reversed(graph.nodes):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None

@@ -2,10 +2,12 @@
 
 A parent's first adjoint becomes its grad as it is, whether the closure
 computed it for that parent alone or passed its own adjoint on, and a later
-one is summed into a new buffer. These tests hold every grad, of leaves and
-intermediates alike, to the values of the zero-fill-and-add accumulation
-kept here as the reference, and check that no array is written in place
-once it is some tensor's grad.
+one is summed into a new buffer. The sweep drops an intermediate's grad once
+its closure has run, so only leaves keep one. These tests hold every grad
+left after the sweeps to the values of the zero-fill-and-add accumulation
+kept here as the reference, check that no array is written in place once it
+is some tensor's grad, and check that the grads are sweep-local: leaves
+only, and a second sweep adds the same gradient again.
 """
 
 import numpy as np
@@ -14,6 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgd import Tensor, ops
+from hgd.efficientfcn import (init_seg_params, segment_forward, tiny_backbone_config,
+                              tiny_hgd_config)
+from hgd.fpn import Pyramid, fpn_decode, init_fpn_params, level_grids, tiny_fpn_config
+from hgd.synthdata import synth_dataset
+from hgd.tensor import ComputeGraph
 
 C, H, W = 2, 3, 4   # H odd, so maxpool2x2 clips its last window row
 
@@ -241,13 +248,59 @@ def test_column_slices_accumulate_into_one_grad(whole_first, sweeps):
 
 
 def test_second_sweep_does_not_write_through_a_lent_grad():
-    # add passes its grad on to y twice and reshape passes y's on to w; a
-    # second sweep accumulates again onto every grad of the graph: z 1 + 1,
-    # y 2 + 4 and w 2 + 6
+    # add passes its grad on to y twice and reshape passes y's on to w, so
+    # w's first grad is an array the sweep lent; the sweep drops y's grad,
+    # and a second sweep adds dloss/dw = 2 again onto a new buffer: w 2 + 2
     w = Tensor(np.ones((2, 3, 4)), requires_grad=True)
     y = ops.reshape(w, (24,))
     loss = ops.sum_all(ops.add(y, y))
     loss.backward()
-    assert np.array_equal(w.grad, np.full((2, 3, 4), 2.0))
+    first = w.grad
+    assert np.array_equal(first, np.full((2, 3, 4), 2.0))
     loss.backward()
-    assert np.array_equal(w.grad, np.full((2, 3, 4), 8.0))
+    assert np.array_equal(w.grad, np.full((2, 3, 4), 4.0))
+    assert np.array_equal(first, np.full((2, 3, 4), 2.0))
+
+
+def _fpn_loss():
+    """(loss, parameters): a tiny_fpn_config() decode, k=2 with shared
+    parameters, of a 16x24 pyramid, under fixed probes of its levels."""
+    rng = np.random.default_rng(11)
+    params = init_fpn_params(tiny_fpn_config(), rng)
+    channels = tiny_fpn_config().output_channels
+    pyr = Pyramid(*[Tensor(rng.standard_normal((channels, h, w)))
+                    for h, w in level_grids((16, 24))])
+    terms = [ops.sum_all(ops.mul(level, Tensor(rng.standard_normal(level.dims))))
+             for level in fpn_decode(pyr, params).levels()]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ops.add(loss, term)
+    return loss, [t for _, t in params.named_parameters()]
+
+
+def _seg_loss():
+    """(loss, parameters): the toy segmenter's cross-entropy on one 32x32
+    synthetic image."""
+    params = init_seg_params(tiny_backbone_config(), tiny_hgd_config(), 3,
+                             np.random.default_rng(12))
+    sample = synth_dataset(seed=13, count=1, size=32, num_classes=3)[0]
+    logits = segment_forward(Tensor(sample.image.data.astype(np.float64)), params)
+    return ops.cross_entropy_logits(logits, sample.label), [t for _, t in params.named_parameters()]
+
+
+@pytest.mark.parametrize("build", [_fpn_loss, _seg_loss], ids=["fpn-k2", "seg"])
+def test_grads_are_sweep_local(build):
+    # a sweep leaves grads on the parameters only, and a second sweep adds
+    # the same gradient again rather than propagating the first one's
+    # intermediate grads once more
+    loss, params = build()
+    assert all(p.data.dtype == np.float64 for p in params)
+    loss.backward()
+    for i, node in enumerate(ComputeGraph.trace(loss).nodes):
+        assert not node._parents or node.grad is None, (i, node)
+    assert all(p.grad is not None for p in params)
+    first = [p.grad for p in params]
+    scale = max(np.max(np.abs(g)) for g in first)
+    loss.backward()
+    for i, (p, g) in enumerate(zip(params, first)):
+        assert np.max(np.abs(p.grad - 2 * g)) <= 1e-12 * scale, i

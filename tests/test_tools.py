@@ -1,0 +1,48 @@
+"""Smoke tests of the measurement scripts under tools/."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tape_bytes_fpn_decode_keeps_leaf_grads_only():
+    tape_bytes = _load("tape_bytes")
+    account = tape_bytes.run_one("fpn-decode")
+    rows = account.rows
+    assert rows["leaf"]["grads"] > 0
+    assert sum(row["grads"] for row in rows.values()) == rows["leaf"]["grads"]
+    assert account.sweep_peak > 0
+    assert "sweep peak live adjoints" in tape_bytes.report("fpn-decode", account)
+
+
+LINES = ["decode-paper " + "a" * 64,
+         "fpn-decode levels " + "b" * 64,
+         "seg-train seed 2 " + "c" * 64 + " failed 70"]
+
+
+@pytest.mark.parametrize("saved, names", [
+    (LINES, []),
+    ([LINES[0], "fpn-decode levels " + "d" * 64, LINES[2]], ["fpn-decode levels"]),
+    ([LINES[0], LINES[2].replace("failed 70", "failed 69"), "seg-infer " + "e" * 64],
+     ["fpn-decode levels", "seg-train seed 2", "seg-infer"]),
+])
+def test_output_digest_check_names_each_differing_line(tmp_path, monkeypatch, capsys,
+                                                       saved, names):
+    output_digest = _load("output_digest")
+    monkeypatch.setattr(output_digest, "digest_lines", lambda: iter(LINES))
+    path = tmp_path / "digest.txt"
+    path.write_text("\n".join(saved) + "\n")
+    assert output_digest.main(["--check", str(path)]) == (1 if names else 0)
+    out, err = capsys.readouterr()
+    assert out.splitlines() == LINES
+    assert err.splitlines() == [f"differs: {name}" for name in names]

@@ -10,9 +10,17 @@ after 40 SGD steps at seed 0, and the same after one whole 100-step budget
 at seed 2, where the preset diverges; that line also prints the budget's
 failed-step count, the steps that seg-train counts as failures for a
 non-finite parameter or gradient.
+
+    python3 tools/output_digest.py --check FILE
+
+prints the same lines and compares them with FILE, the output saved from
+another checkout. It names each line that differs on stderr and exits 1,
+or exits 0 when every line is the same.
 """
 
+import argparse
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -57,14 +65,56 @@ def seg_train_state(seed, steps):
     return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)], loop.failed
 
 
-print("decode-paper", sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s))))
-# each op returns the output levels, then the parameter gradients
-fpn_arrays = [ready(wl.FpnDecode, s).op(0) for s in range(5)]
-n_levels = len(fpn.LEVEL_NAMES)
-print("fpn-decode levels", sha(a for out in fpn_arrays for a in out[:n_levels]))
-print("fpn-decode grads", sha(a for out in fpn_arrays for a in out[n_levels:]))
-infer = ready(wl.SegInfer, 0)
-print("seg-infer", sha(infer.op(i) for i in range(len(infer.samples))))
-print("seg-train", sha(seg_train_state(0, 40)[0]))
-state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
-print("seg-train seed 2", sha(state), "failed", failed)
+def digest_lines():
+    yield "decode-paper " + sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s)))
+    # each op returns the output levels, then the parameter gradients
+    fpn_arrays = [ready(wl.FpnDecode, s).op(0) for s in range(5)]
+    n_levels = len(fpn.LEVEL_NAMES)
+    yield "fpn-decode levels " + sha(a for out in fpn_arrays for a in out[:n_levels])
+    yield "fpn-decode grads " + sha(a for out in fpn_arrays for a in out[n_levels:])
+    infer = ready(wl.SegInfer, 0)
+    yield "seg-infer " + sha(infer.op(i) for i in range(len(infer.samples)))
+    yield "seg-train " + sha(seg_train_state(0, 40)[0])
+    state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
+    yield f"seg-train seed 2 {sha(state)} failed {failed}"
+
+
+def line_name(line: str) -> str:
+    """The words before a line's sha256, which name what it hashes."""
+    return re.split(r"\s[0-9a-f]{64}(?:\s|$)", line.strip(), maxsplit=1)[0]
+
+
+def differing(lines, saved) -> list:
+    """The name of every line that is not the same in lines and saved, in
+    the order of lines and then of saved."""
+    ours = {line_name(line): line for line in lines}
+    theirs = {line_name(line): line.strip() for line in saved if line.strip()}
+    return [name for name in dict.fromkeys([*ours, *theirs])
+            if ours.get(name) != theirs.get(name)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare the lines with FILE, saved from another checkout")
+    args = parser.parse_args(argv)
+    saved = None
+    if args.check is not None:
+        try:
+            saved = args.check.read_text().splitlines()
+        except OSError as exc:
+            parser.error(f"cannot read {args.check}: {exc.strerror}")
+    lines = []
+    for line in digest_lines():
+        print(line, flush=True)
+        lines.append(line)
+    if saved is None:
+        return 0
+    names = differing(lines, saved)
+    for name in names:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if names else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

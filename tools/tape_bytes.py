@@ -8,7 +8,11 @@ operation with hgd.tensor.backward wrapped. At the operation's first
 backward sweep the wrapper accounts every node of the graph it is given:
 the MB of node data and the MB of arrays its backward closure keeps, one
 row per op that made the node (`leaf` for parameters and inputs); then the
-MB of grads on those nodes once the sweep is done. An array counts once,
+MB of grads on those nodes once the sweep is done. The sweep drops an
+intermediate's grad once its closure has run, so only the `leaf` row should
+hold grads. The last line also gives the sweep's peak live adjoint MB: the
+tracemalloc peak over the wrapped sweep minus its start, which counts the
+adjoints and the closures' temporaries alive at once. An array counts once,
 under the first node that holds it, node data before closures, and a view
 counts as the array it views, so a grad passed on unchanged and
 concatenated parts are not counted twice. MB are 2**20 bytes, the unit of
@@ -20,6 +24,7 @@ step, a sweep per sample; the figures are those of the first sample.
 """
 
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -58,6 +63,7 @@ class Account:
         self.backward = backward
         self.sweeps = 0
         self.rows = None
+        self.sweep_peak = None
 
     def __call__(self, graph, loss):
         self.sweeps += 1
@@ -80,7 +86,14 @@ class Account:
         for op, node in nodes:
             if node._backward_fn is not None:
                 add(op, "saved", _saved(node._backward_fn), held)
-        self.backward(graph, loss)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            self.backward(graph, loss)
+            self.sweep_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
         grads = set()
         for op, node in nodes:
             if node.grad is not None:
@@ -123,7 +136,8 @@ def report(name: str, account: Account) -> str:
         lines.append(f"{op:<24}{row['nodes']:>7}{row['data'] / MB:>10.2f}"
                      f"{row['saved'] / MB:>10.2f}{row['grads'] / MB:>10.2f}")
     lines.append(f"tape (data + saved) {(total['data'] + total['saved']) / MB:.2f} MB, "
-                 f"with grads {(total['data'] + total['saved'] + total['grads']) / MB:.2f} MB")
+                 f"with grads {(total['data'] + total['saved'] + total['grads']) / MB:.2f} MB, "
+                 f"sweep peak live adjoints {account.sweep_peak / MB:.2f} MB")
     return "\n".join(lines) + "\n"
 
 
