@@ -36,12 +36,15 @@ step as the previous stage's pooled p3 plus its refined p4
 (Pyramid.pooled_p3), and a k-stage decode runs 7 + 6(k - 1) poolings, not
 7k.
 
-A k-stage decode keeps every stage's intermediates until its backward
-pass, so a stage keeps no more on the finest grid than its output: p3
-adds refined p4 upsampled inside ops.add_upsampled, which holds the
-upsampled map only while the sum is formed. Besides its input, the
-output p3 is the stage's only map on the p3 grid, and since no pooling
-reads a stage's output p3, its gradient is the next stage's, not a copy.
+A k-stage decode's tape keeps what each stage's backward reads (see
+hgd.ops): the fused levels and folded weights of the branch convs, the
+maps and coefficients of the fusions, the pooling winners and the
+attention softmax. Every other map is freed once the stage, its FpnTrace
+and the pyramid it returned are dropped, the branch conv outputs and
+each stage's output p3 among them. p3 adds refined p4 upsampled inside
+ops.add_upsampled, so besides its input the output p3 is the stage's
+only map on the p3 grid, and since no pooling reads a stage's output p3,
+its gradient is the next stage's, not a copy.
 """
 
 from dataclasses import dataclass, field
@@ -364,8 +367,13 @@ def fpn_stages(params) -> list:
 
 
 def fpn_decode(pyramid: Pyramid, params) -> Pyramid:
-    """Apply the decoder k times (see fpn_stages for the form of `params`)."""
+    """Apply the decoder k times (see fpn_stages for the form of `params`).
+
+    The result holds the last stage's levels only: not its pooled p3 and
+    refined p4, which only a further stage would read, so a caller that
+    keeps the result keeps no more than the levels (a further stage pools
+    its p3)."""
     out = pyramid
     for stage_params in fpn_stages(params):
         out = fpn_decode_once(out, stage_params)
-    return out
+    return Pyramid(*out.levels())

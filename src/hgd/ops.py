@@ -1,8 +1,21 @@
 """Differentiable primitive operations over hgd.tensor.Tensor.
 
 Feature maps are (channels, height, width). Every op validates shapes,
-computes the forward value with numpy, and attaches a backward closure that
-accumulates adjoints into any parent with requires_grad set.
+computes the forward value with numpy, and gives its output a new node
+(_make) whose backward closure accumulates adjoints into any parent with
+requires_grad set.
+
+The closure contract: a backward closure captures its parents' nodes and
+the arrays its backward reads, and nothing else. No closure holds a
+Tensor, and an op keeps no array its backward does not read. So the tape
+holds conv1x1's input and weight, conv3x3's column matrix and weight,
+matmul's and mul's operands, weighted_sum's maps and coefficients,
+softmax_spatial's output, relu's mask, maxpool2x2's window winners,
+cross_entropy_logits' shifted logits, log-sum-exp, mask and indices, and
+bilinear_resize's cached interpolation matrices; add, add_upsampled,
+nearest_resize, the shape movers and the reductions keep only dims and
+scalars. An output that no backward reads is freed as soon as its Tensor
+is dropped, even while its node is still on the tape.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
 - no grad array is written in place, and no first adjoint gets a zero
@@ -21,10 +34,10 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   values stay local in both directions. It equals the dense one-hot product
   Mh.T @ g @ Mw bit for bit except for the sign of a zero sum;
 - add_upsampled(base, coarse) is add(base, nearest_resize(coarse)) bit for
-  bit, forward and both gradients, with the upsampled map held only while
-  the sum is formed, so no copy of it stays on the tape: base is the first
-  operand, as add's a, base gets g itself and coarse gets nearest_resize's
-  pair sums of g;
+  bit, forward and both gradients, and faster: the sum is written into the
+  upsampled copy, so one map fewer is allocated and filled, and one node
+  fewer is recorded and swept. base is the first operand, as add's a, base
+  gets g itself and coarse gets nearest_resize's pair sums of g;
 - one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
   element wins, a NaN counting as larger than any number, so ties go to the
   first index, the first NaN wins and a NaN best is final. It is a running
@@ -79,10 +92,15 @@ import numpy as np
 
 from . import tensor as _t
 from .metrics import IGNORE_ID
-from .tensor import Tensor, DimensionError
+from .tensor import Node, Tensor, DimensionError
+
+_new = object.__new__
 
 
 def _make(data, parents, op, backward_fn):
+    """The op's output: its data and a new node that records parents (the
+    parents' nodes), the op's name and, when some parent requires grad,
+    backward_fn."""
     if _t.DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by {op}")
     requires_grad = False
@@ -90,30 +108,33 @@ def _make(data, parents, op, backward_fn):
         if p.requires_grad:
             requires_grad = True
             break
-    out = Tensor(data, requires_grad=requires_grad)
-    out._parents = tuple(parents)
-    out._op = op
-    if out.requires_grad:
-        out._backward_fn = backward_fn
+    # slot by slot rather than through __init__: this runs once per op
+    node = _new(Node)
+    node.grad = None
+    node.requires_grad = requires_grad
+    node.dims = data.shape
+    node.dtype = data.dtype
+    node._parents = parents
+    node._backward_fn = backward_fn if requires_grad else None
+    node._op = op
+    out = _new(Tensor)
+    out.data = data
+    out._node = node
     return out
 
 
-def _need(t: Tensor) -> bool:
-    return t.requires_grad
+def _acc(n: Node, value):
+    """Sum the adjoint value into n.grad.
 
-
-def _acc(t: Tensor, value):
-    """Sum the adjoint value into t.grad.
-
-    The first value becomes t.grad as it is, whether the closure computed
-    it for t alone or passes on its incoming adjoint; a later one is summed
+    The first value becomes n.grad as it is, whether the closure computed
+    it for n alone or passes on its incoming adjoint; a later one is summed
     into a new buffer, since a grad is never written in place.
     """
-    if t.grad is None:
-        # a 0-d product is a numpy scalar, and a grad keeps its tensor's dtype
-        t.grad = np.asarray(value, dtype=t.data.dtype)
+    if n.grad is None:
+        # a 0-d product is a numpy scalar, and a grad keeps its node's dtype
+        n.grad = np.asarray(value, dtype=n.dtype)
     else:
-        t.grad = np.add(t.grad, value, out=np.empty_like(t.data, order="C"))
+        n.grad = np.add(n.grad, value, out=np.empty(n.dims, n.dtype))
 
 
 def _check_out(out: np.ndarray, dims: tuple, dtype, op: str):
@@ -135,45 +156,50 @@ def _check_rank(t: Tensor, rank: int, what: str):
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.dims != b.dims:
         raise DimensionError(f"add operands differ: {a.dims} vs {b.dims}")
+    an, bn = a._node, b._node
 
     def bwd(g):
-        if _need(a):
-            _acc(a, g)
-        if _need(b):
-            _acc(b, g)
+        if an.requires_grad:
+            _acc(an, g)
+        if bn.requires_grad:
+            _acc(bn, g)
 
-    return _make(a.data + b.data, (a, b), "add", bwd)
+    return _make(a.data + b.data, (an, bn), "add", bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.dims != b.dims:
         raise DimensionError(f"mul operands differ: {a.dims} vs {b.dims}")
+    an, bn, ad, bd = a._node, b._node, a.data, b.data
 
     def bwd(g):
-        if _need(a):
-            _acc(a, g * b.data)
-        if _need(b):
-            _acc(b, g * a.data)
+        if an.requires_grad:
+            _acc(an, g * bd)
+        if bn.requires_grad:
+            _acc(bn, g * ad)
 
-    return _make(a.data * b.data, (a, b), "mul", bwd)
+    return _make(ad * bd, (an, bn), "mul", bwd)
 
 
 def scalar_scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, s * g)
+        if xn.requires_grad:
+            _acc(xn, s * g)
 
-    return _make(s * x.data, (x,), "scalar_scale", bwd)
+    return _make(s * x.data, (xn,), "scalar_scale", bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def bwd(g):
-        if _need(x):
-            _acc(x, np.broadcast_to(g, x.dims))
+    xn = x._node
 
-    return _make(np.asarray(x.data.sum(), dtype=x.dtype), (x,), "sum_all", bwd)
+    def bwd(g):
+        if xn.requires_grad:
+            _acc(xn, np.broadcast_to(g, xn.dims))
+
+    return _make(np.asarray(x.data.sum(), dtype=x.dtype), (xn,), "sum_all", bwd)
 
 
 # ReLU backward scale; != 1.0 only inside broken_relu_gradient() below.
@@ -182,13 +208,14 @@ _RELU_GRAD_SCALE = 1.0
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, g * mask * _RELU_GRAD_SCALE)
+        if xn.requires_grad:
+            _acc(xn, g * mask * _RELU_GRAD_SCALE)
 
     # multiply (not where) so non-finite inputs stay visible to the debug check
-    return _make(x.data * mask, (x,), "relu", bwd)
+    return _make(x.data * mask, (xn,), "relu", bwd)
 
 
 @contextlib.contextmanager
@@ -230,17 +257,18 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor, *, out=None) -> Tensor:
         _check_out(out, (c_out, h, w), np.promote_types(weight.dtype, x.dtype), "conv1x1")
         y = np.matmul(weight.data, x2, out=out.reshape(c_out, h * w))
     y += bias.data[:, None]
+    xn, wn, bn, wd = x._node, weight._node, bias._node, weight.data
 
     def bwd(g):
         g2 = g.reshape(c_out, h * w)
-        if _need(x):
-            _acc(x, (weight.data.T @ g2).reshape(c_in, h, w))
-        if _need(weight):
-            _acc(weight, g2 @ x2.T)
-        if _need(bias):
-            _acc(bias, g2.sum(axis=1))
+        if xn.requires_grad:
+            _acc(xn, (wd.T @ g2).reshape(c_in, h, w))
+        if wn.requires_grad:
+            _acc(wn, g2 @ x2.T)
+        if bn.requires_grad:
+            _acc(bn, g2.sum(axis=1))
 
-    return _make(out, (x, weight, bias), "conv1x1", bwd)
+    return _make(out, (xn, wn, bn), "conv1x1", bwd)
 
 
 def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:
@@ -301,10 +329,11 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     cols = _im2col(xp, oh, ow, stride)
     out = w2 @ cols
     out += bias.data[:, None]
+    xn, wn, bn = x._node, weight._node, bias._node
 
     def bwd(g):
         g2 = g.reshape(c_out, oh * ow)
-        if _need(x):
+        if xn.requires_grad:
             # col2im as one scatter: bincount adds each pixel's taps in array
             # order, (dy, dx) raster order from 0.0, as nine slice-adds into
             # a zero buffer would; it sums in float64, then the padding's bin
@@ -312,15 +341,15 @@ def conv3x3(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             n = c_in * h * w
             gx = np.bincount(_col2im_index(c_in, h, w, stride), weights=(w2.T @ g2).reshape(-1),
                              minlength=n + 1)[:n]
-            _acc(x, gx.astype(x.dtype, copy=False).reshape(c_in, h, w))
-        if _need(weight):
+            _acc(xn, gx.astype(xn.dtype, copy=False).reshape(c_in, h, w))
+        if wn.requires_grad:
             # the tape keeps the forward's columns, 9 / stride**2 times the
             # input's size, rather than rebuilding them here
-            _acc(weight, (g2 @ cols.T).reshape(weight.dims))
-        if _need(bias):
-            _acc(bias, g.sum(axis=(1, 2)))
+            _acc(wn, (g2 @ cols.T).reshape(wn.dims))
+        if bn.requires_grad:
+            _acc(bn, g.sum(axis=(1, 2)))
 
-    return _make(out.reshape(c_out, oh, ow), (x, weight, bias), "conv3x3", bwd)
+    return _make(out.reshape(c_out, oh, ow), (xn, wn, bn), "conv3x3", bwd)
 
 
 # ----------------------------------------------------------------- resizing
@@ -356,12 +385,13 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, *, out=None) -> Tensor:
     else:
         _check_out(out, (c, out_h, out_w), x.dtype, "bilinear_resize")
         np.matmul(rh @ x.data, rw.T, out=out)
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, rh.T @ g @ rw)
+        if xn.requires_grad:
+            _acc(xn, rh.T @ g @ rw)
 
-    return _make(out, (x,), "bilinear_resize", bwd)
+    return _make(out, (xn,), "bilinear_resize", bwd)
 
 
 def _check_pools_back(x: Tensor, out_h: int, out_w: int, op: str):
@@ -392,17 +422,18 @@ def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Nearest 2x upsampling to a grid that maxpool2x2 pools back to x's,
     (out + 1) // 2 == in per axis; output pixel dst copies source dst // 2."""
     _check_pools_back(x, out_h, out_w, "nearest_resize")
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, _pair_sums(g, out_h, out_w))
+        if xn.requires_grad:
+            _acc(xn, _pair_sums(g, out_h, out_w))
 
-    return _make(_nearest_up(x.data, out_h, out_w), (x,), "nearest_resize", bwd)
+    return _make(_nearest_up(x.data, out_h, out_w), (xn,), "nearest_resize", bwd)
 
 
 def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
-    """base + nearest_resize(coarse, *base.dims[1:]), the upsampled map
-    held only while the sum is formed."""
+    """base + nearest_resize(coarse, *base.dims[1:]) as one op, the sum
+    written into the upsampled copy."""
     _check_rank(base, 3, "add_upsampled base")
     c, out_h, out_w = base.dims
     _check_pools_back(coarse, out_h, out_w, "add_upsampled")
@@ -413,14 +444,15 @@ def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
     # base first, as in add's a + b, so that of two NaNs the same one wins;
     # the sum reuses the fresh copy when that has the sum's dtype
     out = np.add(base.data, up, out=up if up.dtype == base.dtype else None)
+    bn, cn = base._node, coarse._node
 
     def bwd(g):
-        if _need(base):
-            _acc(base, g)
-        if _need(coarse):
-            _acc(coarse, _pair_sums(g, out_h, out_w))
+        if bn.requires_grad:
+            _acc(bn, g)
+        if cn.requires_grad:
+            _acc(cn, _pair_sums(g, out_h, out_w))
 
-    return _make(out, (base, coarse), "add_upsampled", bwd)
+    return _make(out, (bn, cn), "add_upsampled", bwd)
 
 
 def _first_argmax(views) -> np.ndarray:
@@ -482,24 +514,25 @@ def maxpool2x2(x: Tensor) -> Tensor:
     # would repeat taps already scanned, which can never be strictly larger
     k = _first_argmax([x.data[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)])
     out = x.data.take(_pool_index(k, c, h, w))
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
+        if xn.requires_grad:
             # windows are disjoint and a clipped window's duplicate row or
             # column never wins, so the indices are unique and the scatter
             # needs no np.add.at; the tape keeps the 1-byte winners k and
             # rebuilds their 8-byte flat indices here
             idx = _pool_index(k, c, h, w)
-            if x.grad is None:
-                gx = np.zeros_like(x.data, order="C")
+            if xn.grad is None:
+                gx = np.zeros(xn.dims, xn.dtype)
                 gx.reshape(-1)[idx] = g
             else:
                 # a C-contiguous copy, so reshape(-1) is a view
-                gx = np.array(x.grad, order="C")
+                gx = np.array(xn.grad, order="C")
                 gx.reshape(-1)[idx] += g
-            x.grad = gx
+            xn.grad = gx
 
-    return _make(out, (x,), "maxpool2x2", bwd)
+    return _make(out, (xn,), "maxpool2x2", bwd)
 
 
 # ------------------------------------------------------------ shape movers
@@ -540,16 +573,17 @@ def concat_channels(tensors, *, out=None) -> Tensor:
         out = np.concatenate([t.data for t in tensors], axis=0)
     else:
         _check_tiling(tensors, out)
+    nodes = [t._node for t in tensors]
 
     def bwd(g):
         start = 0
-        for t in tensors:
-            stop = start + t.dims[0]
-            if _need(t):
-                _acc(t, g[start:stop])
+        for n in nodes:
+            stop = start + n.dims[0]
+            if n.requires_grad:
+                _acc(n, g[start:stop])
             start = stop
 
-    return _make(out, tuple(tensors), "concat_channels", bwd)
+    return _make(out, tuple(nodes), "concat_channels", bwd)
 
 
 def columns(x: Tensor, start: int, stop: int) -> Tensor:
@@ -557,38 +591,41 @@ def columns(x: Tensor, start: int, stop: int) -> Tensor:
     _check_rank(x, 2, "columns input")
     if not 0 <= start < stop <= x.dims[1]:
         raise DimensionError(f"columns {start}:{stop} outside a matrix of {x.dims[1]} columns")
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            if x.grad is None:
-                gx = np.zeros_like(x.data, order="C")
+        if xn.requires_grad:
+            if xn.grad is None:
+                gx = np.zeros(xn.dims, xn.dtype)
                 gx[:, start:stop] = g
             else:
-                gx = np.array(x.grad, order="C")
+                gx = np.array(xn.grad, order="C")
                 gx[:, start:stop] += g
-            x.grad = gx
+            xn.grad = gx
 
-    return _make(x.data[:, start:stop], (x,), "columns", bwd)
+    return _make(x.data[:, start:stop], (xn,), "columns", bwd)
 
 
 def reshape(x: Tensor, dims) -> Tensor:
     dims = tuple(int(d) for d in dims)
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, g.reshape(x.dims))
+        if xn.requires_grad:
+            _acc(xn, g.reshape(xn.dims))
 
-    return _make(x.data.reshape(dims), (x,), "reshape", bwd)
+    return _make(x.data.reshape(dims), (xn,), "reshape", bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
     _check_rank(x, 2, "transpose input")
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, g.T)
+        if xn.requires_grad:
+            _acc(xn, g.T)
 
-    return _make(x.data.T, (x,), "transpose", bwd)
+    return _make(x.data.T, (xn,), "transpose", bwd)
 
 
 # ------------------------------------------------------------ linear algebra
@@ -599,19 +636,20 @@ def matmul(a: Tensor, b: Tensor, *, out=None) -> Tensor:
     if a.dims[1] != b.dims[0]:
         raise DimensionError(
             f"matmul inner axis: left has {a.dims[1]}, right has {b.dims[0]}")
+    an, bn, ad, bd = a._node, b._node, a.data, b.data
 
     def bwd(g):
-        if _need(a):
-            _acc(a, g @ b.data.T)
-        if _need(b):
-            _acc(b, a.data.T @ g)
+        if an.requires_grad:
+            _acc(an, g @ bd.T)
+        if bn.requires_grad:
+            _acc(bn, ad.T @ g)
 
     if out is None:
-        out = a.data @ b.data
+        out = ad @ bd
     else:
         _check_out(out, (a.dims[0], b.dims[1]), np.promote_types(a.dtype, b.dtype), "matmul")
-        np.matmul(a.data, b.data, out=out)
-    return _make(out, (a, b), "matmul", bwd)
+        np.matmul(ad, bd, out=out)
+    return _make(out, (an, bn), "matmul", bwd)
 
 
 def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
@@ -626,23 +664,23 @@ def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
             raise DimensionError(
                 f"weighted_sum map dims differ: {t.dims} vs {tensors[0].dims}")
 
-    out = np.zeros_like(tensors[0].data)
-    for c, t in zip(coeffs.data, tensors):
-        out += c * t.data
+    cd, maps = coeffs.data, [t.data for t in tensors]
+    out = np.zeros_like(maps[0])
+    for c, m in zip(cd, maps):
+        out += c * m
+    cn, nodes = coeffs._node, [t._node for t in tensors]
 
     def bwd(g):
-        for c, t in zip(coeffs.data, tensors):
-            if _need(t):
-                _acc(t, c * g)
-        if _need(coeffs):
+        for c, n in zip(cd, nodes):
+            if n.requires_grad:
+                _acc(n, c * g)
+        if cn.requires_grad:
             # vdot sums a strided (say, broadcast) g in another order than a
             # contiguous one, and a grad must not depend on its adjoint's layout
             gc = np.ascontiguousarray(g)
-            _acc(coeffs, np.array([np.vdot(gc, t.data) for t in tensors]))
+            _acc(cn, np.array([np.vdot(gc, m) for m in maps]))
 
-    return _make(out, (coeffs, *tensors), "weighted_sum", bwd)
-
-
+    return _make(out, (cn, *nodes), "weighted_sum", bwd)
 
 
 # ----------------------------------------------------------- reductions etc.
@@ -650,12 +688,13 @@ def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
 def global_avg_spatial(x: Tensor) -> Tensor:
     _check_rank(x, 3, "global_avg_spatial input")
     _, h, w = x.dims
+    xn = x._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, np.broadcast_to(g[:, None, None], x.dims) / (h * w))
+        if xn.requires_grad:
+            _acc(xn, np.broadcast_to(g[:, None, None], xn.dims) / (h * w))
 
-    return _make(x.data.mean(axis=(1, 2)), (x,), "global_avg_spatial", bwd)
+    return _make(x.data.mean(axis=(1, 2)), (xn,), "global_avg_spatial", bwd)
 
 
 def broadcast_add_channel(x: Tensor, v: Tensor) -> Tensor:
@@ -665,14 +704,15 @@ def broadcast_add_channel(x: Tensor, v: Tensor) -> Tensor:
     if v.dims[0] != x.dims[0]:
         raise DimensionError(
             f"broadcast_add_channel channel axis: map has {x.dims[0]}, vector has {v.dims[0]}")
+    xn, vn = x._node, v._node
 
     def bwd(g):
-        if _need(x):
-            _acc(x, g)
-        if _need(v):
-            _acc(v, g.sum(axis=(1, 2)))
+        if xn.requires_grad:
+            _acc(xn, g)
+        if vn.requires_grad:
+            _acc(vn, g.sum(axis=(1, 2)))
 
-    return _make(x.data + v.data[:, None, None], (x, v), "broadcast_add_channel", bwd)
+    return _make(x.data + v.data[:, None, None], (xn, vn), "broadcast_add_channel", bwd)
 
 
 def softmax_spatial(logits: Tensor) -> Tensor:
@@ -681,13 +721,14 @@ def softmax_spatial(logits: Tensor) -> Tensor:
     shifted = logits.data - logits.data.max(axis=(1, 2), keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=(1, 2), keepdims=True)
+    ln = logits._node
 
     def bwd(g):
-        if _need(logits):
+        if ln.requires_grad:
             inner = (g * out).sum(axis=(1, 2), keepdims=True)
-            _acc(logits, out * (g - inner))
+            _acc(ln, out * (g - inner))
 
-    return _make(out, (logits,), "softmax_spatial", bwd)
+    return _make(out, (ln,), "softmax_spatial", bwd)
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -718,15 +759,16 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=0))
     logp_true = shifted.reshape(-1)[flat].reshape(h, w) - lse
     loss = -(logp_true[valid].sum()) / n_valid
+    ln = logits._node
 
     def bwd(g):
-        if _need(logits):
+        if ln.requires_grad:
             p = np.exp(shifted - lse[None])
-            scale = (valid.astype(logits.dtype) * g) / n_valid
+            scale = (valid.astype(ln.dtype) * g) / n_valid
             gl = p * scale[None]
             # one true-class index per pixel, so the flat indices are unique
             # and a plain fancy-index subtract needs no np.subtract.at
             gl.reshape(-1)[flat] -= scale.ravel()
-            _acc(logits, gl)
+            _acc(ln, gl)
 
-    return _make(np.asarray(loss, dtype=logits.dtype), (logits,), "cross_entropy", bwd)
+    return _make(np.asarray(loss, dtype=logits.dtype), (ln,), "cross_entropy", bwd)

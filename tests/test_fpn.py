@@ -331,16 +331,18 @@ def test_stage_keeps_one_map_on_the_p3_grid():
     out = fpn_decode_once(pyr, params)
     nodes = graph_nodes(out.levels())
     on_p3 = [node for node in nodes
-             if len(node.dims) == 3 and node.dims[1:] == pyr.p3.dims[1:] and node is not pyr.p3]
-    assert len(on_p3) == 1 and on_p3[0] is out.p3
+             if len(node.dims) == 3 and node.dims[1:] == pyr.p3.dims[1:]
+             and node is not pyr.p3._node]
+    assert len(on_p3) == 1 and on_p3[0] is out.p3._node
     counts = {op: sum(1 for node in nodes if node._op == op)
               for op in ("nearest_resize", "add_upsampled", "maxpool2x2")}
     assert counts == {"nearest_resize": 3, "add_upsampled": 1, "maxpool2x2": 7}
 
 
 def ancestor_ids(t):
+    """ids of the nodes t's node reaches, its own included."""
     seen = set()
-    stack = [t]
+    stack = [t._node]
     while stack:
         cur = stack.pop()
         if id(cur) in seen:
@@ -354,7 +356,7 @@ def test_one_codeword_set_feeds_all_three_scales():
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(17), channels=8)
     _, trace = fpn_decode_once_full(pyr, params)
-    cw = id(trace.codewords)
+    cw = id(trace.codewords._node)
     for level in (4, 5, 6):
         assert cw in ancestor_ids(trace.refined[level])
 
@@ -480,7 +482,7 @@ def test_pooled_p3_is_an_add_only_for_a_stage_output_with_its_own_p3():
     assert pyr.pooled_p3()._op == "maxpool2x2"
     out, trace = fpn_decode_once_full(pyr, params)
     carried = out.pooled_p3()
-    assert carried._op == "add" and carried._parents[1] is trace.refined[4]
+    assert carried._op == "add" and carried._parents[1] is trace.refined[4]._node
     assert np.array_equal(carried.data, ops.maxpool2x2(out.p3).data)
     # a p3 replaced after the stage pools afresh
     out.p3 = Tensor(out.p3.data.copy())

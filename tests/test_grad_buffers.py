@@ -6,9 +6,14 @@ one is summed into a new buffer. The sweep drops an intermediate's grad once
 its closure has run, so only leaves keep one. These tests hold every grad
 left after the sweeps to the values of the zero-fill-and-add accumulation
 kept here as the reference, check that no array is written in place once it
-is some tensor's grad, and check that the grads are sweep-local: leaves
-only, and a second sweep adds the same gradient again.
+is some node's grad, and check that the grads are sweep-local: leaves
+only, and a second sweep adds the same gradient again. The last tests check
+that the tape holds nodes, not tensors: no backward closure keeps a Tensor,
+and a pyramid stage's maps that no backward reads are freed before the
+sweep.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -18,18 +23,19 @@ from hypothesis import strategies as st
 from hgd import Tensor, ops
 from hgd.efficientfcn import (init_seg_params, segment_forward, tiny_backbone_config,
                               tiny_hgd_config)
-from hgd.fpn import Pyramid, fpn_decode, init_fpn_params, level_grids, tiny_fpn_config
+from hgd.fpn import (Pyramid, fpn_decode, fpn_decode_once_full, init_fpn_params, level_grids,
+                     tiny_fpn_config)
 from hgd.synthdata import synth_dataset
-from hgd.tensor import ComputeGraph
+from hgd.tensor import ComputeGraph, Node
 
 C, H, W = 2, 3, 4   # H odd, so maxpool2x2 clips its last window row
 
 
-def _zero_fill_acc(t, value):
+def _zero_fill_acc(n, value):
     """The reference: every first adjoint lands in a fresh zero buffer."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data, order="C")
-    t.grad += value
+    if n.grad is None:
+        n.grad = np.zeros(n.dims, n.dtype)
+    n.grad += value
 
 
 def _pool(x):
@@ -118,22 +124,11 @@ def _build(program):
     return loss
 
 
-def _graph_tensors(loss):
-    """Every tensor reaching loss, in an order fixed by the graph's shape."""
-    seen, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
-
-
-def _check_writes(mp, tensors):
-    """Make mp record every array that becomes a grad of tensors, with a
+def _check_writes(mp, nodes):
+    """Make mp record every array that becomes a grad of nodes, with a
     copy of it as it was then, and return a check that fails if any of them
     has been written since. A grad _acc sets is recorded at once, and every
-    grad of tensors after each backward closure, which covers the ones
+    grad of nodes after each backward closure, which covers the ones
     maxpool2x2, columns and the sweep itself assign directly."""
     real_acc = ops._acc
     seen = {}   # id -> (array, copy); holding the array keeps its id unique
@@ -142,21 +137,21 @@ def _check_writes(mp, tensors):
         if grad is not None and id(grad) not in seen:
             seen[id(grad)] = (grad, grad.copy())
 
-    def acc(t, value):
-        real_acc(t, value)
-        record(t.grad)
+    def acc(n, value):
+        real_acc(n, value)
+        record(n.grad)
 
     def checked(closure):
         def run(g):
             closure(g)
-            for t in tensors:
-                record(t.grad)
+            for n in nodes:
+                record(n.grad)
         return run
 
     mp.setattr(ops, "_acc", acc)
-    for t in tensors:
-        if t._backward_fn is not None:
-            mp.setattr(t, "_backward_fn", checked(t._backward_fn))
+    for n in nodes:
+        if n._backward_fn is not None:
+            mp.setattr(n, "_backward_fn", checked(n._backward_fn))
 
     def check():
         for i, (grad, snapshot) in enumerate(seen.values()):
@@ -167,17 +162,17 @@ def _check_writes(mp, tensors):
 def _swept_grads(loss, sweeps, acc=None):
     """Every grad of loss's graph after `sweeps` reverse sweeps; acc
     replaces ops._acc, or None runs the real one with its writes checked."""
-    tensors = _graph_tensors(loss)
+    nodes = ComputeGraph.trace(loss).nodes
     with pytest.MonkeyPatch.context() as mp:
         if acc is None:
-            check = _check_writes(mp, tensors)
+            check = _check_writes(mp, nodes)
         else:
             mp.setattr(ops, "_acc", acc)
         for _ in range(sweeps):
             loss.backward()
     if acc is None:
         check()
-    return [t.grad for t in tensors]
+    return [n.grad for n in nodes]
 
 
 def _grads(program, acc=None):
@@ -262,16 +257,17 @@ def test_second_sweep_does_not_write_through_a_lent_grad():
     assert np.array_equal(first, np.full((2, 3, 4), 2.0))
 
 
-def _fpn_loss():
+def _fpn_loss(decode=fpn_decode):
     """(loss, parameters): a tiny_fpn_config() decode, k=2 with shared
-    parameters, of a 16x24 pyramid, under fixed probes of its levels."""
+    parameters, of a 16x24 pyramid, under fixed probes of its levels;
+    decode(pyramid, params) returns the decoded pyramid."""
     rng = np.random.default_rng(11)
     params = init_fpn_params(tiny_fpn_config(), rng)
     channels = tiny_fpn_config().output_channels
     pyr = Pyramid(*[Tensor(rng.standard_normal((channels, h, w)))
                     for h, w in level_grids((16, 24))])
     terms = [ops.sum_all(ops.mul(level, Tensor(rng.standard_normal(level.dims))))
-             for level in fpn_decode(pyr, params).levels()]
+             for level in decode(pyr, params).levels()]
     loss = terms[0]
     for term in terms[1:]:
         loss = ops.add(loss, term)
@@ -304,3 +300,44 @@ def test_grads_are_sweep_local(build):
     loss.backward()
     for i, (p, g) in enumerate(zip(params, first)):
         assert np.max(np.abs(p.grad - 2 * g)) <= 1e-12 * scale, i
+
+
+@pytest.mark.parametrize("build", [_fpn_loss, _seg_loss], ids=["fpn-k2", "seg"])
+def test_backward_closures_hold_no_tensor(build):
+    # a closure keeps its parents' nodes and the arrays its backward reads,
+    # so no value it does not read stays alive through the tape
+    loss, _ = build()
+    nodes = ComputeGraph.trace(loss).nodes
+    assert all(isinstance(node, Node) for node in nodes)
+    for i, node in enumerate(nodes):
+        for cell in node._backward_fn.__closure__ if node._backward_fn else ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                assert not isinstance(item, Tensor), (i, node)
+
+
+def test_dropped_stage_maps_are_freed_before_the_sweep():
+    # stage 1's branch conv output (refined p5, read by no backward) and its
+    # output p3 (read by stage 2 only through add_upsampled and the carried
+    # add) die with the FpnTraces and the stage-1 pyramid, before the sweep,
+    # and the gradients equal those of a decode whose caller held them
+    def by_stage(held):
+        refs, keep = [], []
+
+        def decode(pyr, params):
+            out, trace = fpn_decode_once_full(pyr, params)
+            refs.extend([weakref.ref(trace.refined[5].data), weakref.ref(out.p3.data)])
+            last, last_trace = fpn_decode_once_full(out, params)
+            if held:
+                keep.extend([out, trace, last_trace])
+            return last
+
+        loss, params = _fpn_loss(decode)
+        assert [ref() is None for ref in refs] == [not held] * 2
+        loss.backward()
+        return [p.grad for p in params]
+
+    dropped, kept = by_stage(held=False), by_stage(held=True)
+    assert all(g.dtype == np.float64 for g in dropped)
+    for i, (a, b) in enumerate(zip(dropped, kept)):
+        assert a.tobytes() == b.tobytes(), i

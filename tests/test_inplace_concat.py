@@ -9,6 +9,8 @@ paper-shaped forward keeps. The pyramid decoder builds no stack
 (tests/test_fpn_reference.py checks that).
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -199,26 +201,45 @@ def _root(a):
     return a
 
 
-def test_decoder_stacks_share_their_parts_memory():
+def _recording_concats(monkeypatch):
+    """Make every concatenation record its parts: id(result) -> (result,
+    parts), the result held so that its id stays unique."""
+    calls = {}
+    concat = ops.concat_channels
+
+    def recording(tensors, *, out=None):
+        parts = list(tensors)
+        result = concat(parts, out=out)
+        calls[id(result)] = (result, parts)
+        return result
+
+    monkeypatch.setattr(ops, "concat_channels", recording)
+    return lambda stack: calls[id(stack)][1]
+
+
+def test_decoder_stacks_share_their_parts_memory(monkeypatch):
+    parts_of = _recording_concats(monkeypatch)
     taps, params = _paper_shaped(np.random.default_rng(3))
     trace = hgd_forward_full(*taps, params)
     assert np.shares_memory(trace.fused.data, trace.guidance.data)
     assert np.shares_memory(trace.fused.data, trace.assembled.data)
     assert len(trace.m8._parents) == 3
-    for part in trace.m8._parents:
+    assert [p._node for p in parts_of(trace.m8)] == list(trace.m8._parents)
+    for part in parts_of(trace.m8):
         assert np.shares_memory(trace.m8.data, part.data)
     # m32 is still a copy of its parts
-    assert not any(np.shares_memory(trace.m32.data, p.data) for p in trace.m32._parents)
+    assert not any(np.shares_memory(trace.m32.data, p.data) for p in parts_of(trace.m32))
 
 
-def test_stacks_under_the_size_floor_are_copied():
+def test_stacks_under_the_size_floor_are_copied(monkeypatch):
     # at 8 x 8 the stacks are 24 and 32 KiB, where the copy costs less than
     # checking the layout
+    parts_of = _recording_concats(monkeypatch)
     taps, params = _paper_shaped(np.random.default_rng(7), grid=8)
     trace = hgd_forward_full(*taps, params)
     for stack in (trace.m8, trace.fused):
         assert stack.data.nbytes < decoder._IN_PLACE_MIN_BYTES
-        assert not any(np.shares_memory(stack.data, p.data) for p in stack._parents)
+        assert not any(np.shares_memory(stack.data, p.data) for p in parts_of(stack))
 
 
 def _copying(monkeypatch):
@@ -245,18 +266,32 @@ def test_decoder_output_and_trace_equal_the_copying_path(monkeypatch, dtypes):
 
 
 def _held_bytes(root):
-    """Bytes of the distinct buffers behind the data of every tensor that
-    the graph of root reaches, leaves included."""
-    buffers = {}
-    for node in ComputeGraph.trace(root).nodes:
-        a = _root(node.data)
-        buffers[id(a)] = a
+    """Bytes of the distinct buffers that the graph of root keeps alive:
+    the arrays its backward closures keep and the data of its tensors that
+    are still alive (root, and leaves such as the taps and parameters)."""
+    nodes = ComputeGraph.trace(root).nodes
+    on_graph = {id(node) for node in nodes}
+    arrays = [t.data for t in gc.get_objects()
+              if isinstance(t, Tensor) and id(t._node) in on_graph]
+    for node in nodes:
+        for cell in node._backward_fn.__closure__ if node._backward_fn else ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
+    buffers = {id(_root(a)): _root(a) for a in arrays}
     return sum(a.nbytes for a in buffers.values())
 
 
-def test_decoder_forward_holds_each_stack_once():
-    # 10,041,600 bytes while the stacks were copies: m8's parts (3 x 16
-    # channels at 64 x 64, f64, 1,572,864 bytes) and the output's (32 + 32
-    # channels, 2,097,152 bytes) were held beside them
+def test_decoder_forward_holds_each_stack_once(monkeypatch):
+    # the taps and parameters, the output stack (2,097,152 bytes) and what
+    # the backward reads: m8 (1,572,864), G plus the mean bases vector,
+    # the coefficients, m32, the bases, the softmax and the codewords. No
+    # stack's part is held beside its stack: m8's parts and the output's
+    # are views of theirs, and a copied part is freed once the forward
+    # drops it, since no backward reads it; so the copying path holds the
+    # same bytes
     taps, params = _paper_shaped(np.random.default_rng(6))
-    assert _held_bytes(hgd_forward(*taps, params)) == 10_041_600 - 1_572_864 - 2_097_152
+    assert _held_bytes(hgd_forward(*taps, params)) == 6_162_432
+    _copying(monkeypatch)
+    assert _held_bytes(hgd_forward(*taps, params)) == 6_162_432

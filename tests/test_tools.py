@@ -25,6 +25,20 @@ def test_tape_bytes_fpn_decode_keeps_leaf_grads_only():
     assert "sweep peak live adjoints" in tape_bytes.report("fpn-decode", account)
 
 
+def test_tape_bytes_fpn_decode_counts_only_live_data_and_saved_arrays():
+    # an op output's data counts only while its tensor is alive: the
+    # upsamplings and the fusions are read by the fusions' and branch
+    # convs' closures (saved), never held as tensors by the caller; the
+    # tape read 32.01 MB while every op output held its parents
+    tape_bytes = _load("tape_bytes")
+    rows = tape_bytes.run_one("fpn-decode").rows
+    for op in ("nearest_resize", "weighted_sum", "maxpool2x2", "matmul"):
+        assert rows[op]["data"] == 0, op
+    assert rows["weighted_sum"]["saved"] > 0
+    tape = sum(row["data"] + row["saved"] for row in rows.values())
+    assert tape <= 21 * tape_bytes.MB
+
+
 LINES = ["decode-paper " + "a" * 64,
          "fpn-decode levels " + "b" * 64,
          "seg-train seed 2 " + "c" * 64 + " failed 70"]

@@ -6,9 +6,11 @@ Run from a checkout. The workload (seed 0) is built by the benchmark's own
 hgdbench/workloads.py, read as output_digest.py reads it, and then runs one
 operation with hgd.tensor.backward wrapped. At the operation's first
 backward sweep the wrapper accounts every node of the graph it is given:
-the MB of node data and the MB of arrays its backward closure keeps, one
-row per op that made the node (`leaf` for parameters and inputs); then the
-MB of grads on those nodes once the sweep is done. The sweep drops an
+the MB of data of the node's tensor, if that tensor is still alive (a node
+holds no data, and a tensor the forward and its caller have dropped is
+freed), and the MB of arrays its backward closure keeps, one row per op
+that made the node (`leaf` for parameters and inputs); then the MB of
+grads on those nodes once the sweep is done. The sweep drops an
 intermediate's grad once its closure has run, so only the `leaf` row should
 hold grads. The last line also gives the sweep's peak live adjoint MB: the
 tracemalloc peak over the wrapped sweep minus its start, which counts the
@@ -23,6 +25,7 @@ keeps no tape, and the command says so. seg-train's operation is one SGD
 step, a sweep per sample; the figures are those of the first sample.
 """
 
+import gc
 import sys
 import tracemalloc
 from collections import defaultdict
@@ -80,9 +83,11 @@ class Account:
                     rows[op][column] += a.nbytes
 
         nodes = [(node._op or "leaf", node) for node in graph.nodes]
+        alive = {id(t._node): t.data for t in gc.get_objects()
+                 if isinstance(t, hgd_tensor.Tensor)}
         for op, node in nodes:
             rows[op]["nodes"] += 1
-            add(op, "data", [node.data], held)
+            add(op, "data", [alive[id(node)]] if id(node) in alive else [], held)
         for op, node in nodes:
             if node._backward_fn is not None:
                 add(op, "saved", _saved(node._backward_fn), held)
