@@ -204,6 +204,8 @@ def _decoder_rows(config: HgdConfig, tap_channels, input_hw, num_classes, refine
         LayerSpec("decoder.guidance", "conv", 1, 3 * comp, guid, *g8),
     ]
     if config.transfer_enabled:
+        # the decoder folds the add into the assembly conv's shift; the
+        # shift's W mean(B) is per-channel work like the bias
         rows.append(LayerSpec("decoder.transfer_add", "elementwise"))
     rows += [
         LayerSpec("decoder.assembly_conv", "conv", 1, guid, n, *g8),

@@ -12,7 +12,10 @@ small set of holistic codewords:
    the per-coordinate range of B);
 3. the head (assemble_codewords) predicts, at the fine grid, one linear
    coefficient per codeword from the guidance map G, optionally after
-   adding the global average bases vector to G (the "transfer" path);
+   adding the global average bases vector to G (the "transfer" path). The
+   assembly conv takes that vector as its shift (ops.conv1x1), so
+   W (G + mean B) + b is computed as W G + (W mean B + b) and the map
+   G + mean B is never built;
 4. the head's output stacks the reconstructed map on G.
 
 Steps 3-4 are one function. (The pyramid decoder's branches run the same
@@ -103,8 +106,8 @@ def init_hgd_params(in_channels, config: HgdConfig, rng, dtype=np.float64) -> Hg
     )
 
 
-def _conv(x: Tensor, p: ConvParams, out=None) -> Tensor:
-    return ops.conv1x1(x, p.weight, p.bias, out=out)
+def _conv(x: Tensor, p: ConvParams, out=None, shift=None) -> Tensor:
+    return ops.conv1x1(x, p.weight, p.bias, shift=shift, out=out)
 
 
 # A stack below this size is copied rather than built in place: checking
@@ -213,20 +216,25 @@ def generate_codewords(m32: Tensor, params):
 
 def assemble_codewords(m: Tensor, codewords: Tensor, guidance: ConvParams,
                        assembly: ConvParams, bases: Tensor = None):
-    """The head at m's grid: (stack [assembled; G], assembled, G, G_fused, coeffs).
+    """The head at m's grid: (stack [assembled; G], assembled, G, mean, coeffs).
 
-    G is the `guidance` conv of m; G_fused is G plus the mean `bases` vector
-    when `bases` is given (the transfer path), else G itself. The `assembly`
-    conv of G_fused predicts each pixel's codeword coefficients."""
+    G is the `guidance` conv of m. With `bases` (the transfer path), mean
+    is the global average bases vector and the `assembly` conv reads
+    G + mean at every pixel, through its shift; without, mean is None and
+    the conv reads G. It predicts each pixel's codeword coefficients.
+
+    The shift's W mean is per-channel work like the bias, so the conv's
+    MACs are those of W G, and the cost model's decoder.transfer_add row
+    stays at zero MACs."""
     operands = (m, codewords, guidance.weight, assembly.weight)
     buf, (upper, lower) = _concat_slots(
         (codewords.dims[0], guidance.weight.dims[0]), m.data.shape[1:],
         operands if bases is None else (*operands, bases))
     g = _conv(m, guidance, out=lower)
-    g_fused = g if bases is None else ops.broadcast_add_channel(g, ops.global_avg_spatial(bases))
-    coeffs = _conv(g_fused, assembly)
+    mean = None if bases is None else ops.global_avg_spatial(bases)
+    coeffs = _conv(g, assembly, shift=mean)
     assembled = assemble_from(coeffs, codewords, out=upper)
-    return ops.concat_channels([assembled, g], out=buf), assembled, g, g_fused, coeffs
+    return ops.concat_channels([assembled, g], out=buf), assembled, g, mean, coeffs
 
 
 @dataclass
@@ -235,7 +243,7 @@ class HgdTrace:
     fused: Tensor            # final concatenated output
     assembled: Tensor        # reconstructed map
     guidance: Tensor         # G
-    guidance_fused: Tensor   # G plus mean bases vector (or G itself)
+    bases_mean: Tensor       # mean bases vector, the assembly conv's shift (None without transfer)
     coeffs: Tensor           # per-pixel codeword coefficients
     codewords: Tensor        # codeword_dim x n_codewords
     bases: Tensor
@@ -243,15 +251,24 @@ class HgdTrace:
     m8: Tensor
     m32: Tensor
 
+    @property
+    def guidance_fused(self) -> Tensor:
+        """G plus the mean bases vector, what the assembly conv reads, or G
+        itself without transfer. The forward never builds it: each read
+        builds it anew, as a node on the tape that no output depends on."""
+        if self.bases_mean is None:
+            return self.guidance
+        return ops.broadcast_add_channel(self.guidance, self.bases_mean)
+
 
 def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
     m8, m32 = fuse_multiscale(e8, e16, e32, params)
     codewords, bases, weights = generate_codewords(m32, params)
-    fused, assembled, guidance, guidance_fused, coeffs = assemble_codewords(
+    fused, assembled, guidance, bases_mean, coeffs = assemble_codewords(
         m8, codewords, params.guidance, params.assembly,
         bases if params.config.transfer_enabled else None)
     return HgdTrace(fused=fused, assembled=assembled, guidance=guidance,
-                    guidance_fused=guidance_fused, coeffs=coeffs, codewords=codewords,
+                    bases_mean=bases_mean, coeffs=coeffs, codewords=codewords,
                     bases=bases, weights=weights, m8=m8, m32=m32)
 
 

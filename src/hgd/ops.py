@@ -8,14 +8,14 @@ requires_grad set.
 The closure contract: a backward closure captures its parents' nodes and
 the arrays its backward reads, and nothing else. No closure holds a
 Tensor, and an op keeps no array its backward does not read. So the tape
-holds conv1x1's input and weight, conv3x3's column matrix and weight,
-matmul's and mul's operands, weighted_sum's maps and coefficients,
-softmax_spatial's output, relu's mask, maxpool2x2's window winners,
-cross_entropy_logits' shifted logits, log-sum-exp, mask and indices, and
-bilinear_resize's cached interpolation matrices; add, add_upsampled,
-nearest_resize, the shape movers and the reductions keep only dims and
-scalars. An output that no backward reads is freed as soon as its Tensor
-is dropped, even while its node is still on the tape.
+holds conv1x1's input, weight and shift vector (when given), conv3x3's
+column matrix and weight, matmul's and mul's operands, weighted_sum's maps
+and coefficients, softmax_spatial's output, relu's mask, maxpool2x2's
+window winners, cross_entropy_logits' shifted logits, log-sum-exp, mask
+and indices, and bilinear_resize's cached interpolation matrices; add,
+add_upsampled, nearest_resize, the shape movers and the reductions keep
+only dims and scalars. An output that no backward reads is freed as soon
+as its Tensor is dropped, even while its node is still on the tape.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
 - no grad array is written in place, and no first adjoint gets a zero
@@ -54,7 +54,12 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 - relu's gradient at exactly 0 is 0;
 - softmax_spatial subtracts the per-channel spatial max before exponentiating;
 - conv1x1 is one 2-D GEMM on the (c_in, h * w) view of its input, the bias
-  added in place; the backward pass is W.T @ g, g @ x.T and g's row sums;
+  added in place; the backward pass is W.T @ g, g @ x.T and g's row sums.
+  A keyword-only shift, a (c_in,) vector s, makes it W (x + s) + b without
+  building x + s: the per-channel vector W s + b is added in place where
+  the bias would be, and the backward adds rowsum(g) s.T to the weight
+  gradient and gives s the gradient W.T rowsum(g). W s is per-channel work
+  like the bias, so the op's MACs are those of W x;
 - conv3x3 is lowered with im2col: one strided (c_in, 3, 3, oh, ow) view of
   the zero-padded input, reshaped to a (9 * c_in, oh * ow) column matrix
   whose rows follow the weight's own (c_in, dy, dx) order, so each
@@ -235,8 +240,15 @@ def broken_relu_gradient():
 
 # ------------------------------------------------------------- convolutions
 
-def conv1x1(x: Tensor, weight: Tensor, bias: Tensor, *, out=None) -> Tensor:
-    """Pointwise convolution: out(o,x,y) = bias(o) + sum_i weight(o,i) * in(i,x,y)."""
+def conv1x1(x: Tensor, weight: Tensor, bias: Tensor, *, shift: Tensor = None,
+            out=None) -> Tensor:
+    """Pointwise convolution: out(o,x,y) = bias(o) + sum_i weight(o,i) * in(i,x,y).
+
+    With `shift`, a (c_in,) vector, the input is in + shift at every pixel:
+    out = W (in + shift) + b, computed as W in + (W shift + b), so the
+    shifted map is never built. W shift is per-channel work like the bias,
+    and the op's MACs are still those of W in.
+    """
     _check_rank(x, 3, "conv1x1 input")
     _check_rank(weight, 2, "conv1x1 weight")
     _check_rank(bias, 1, "conv1x1 bias")
@@ -246,6 +258,11 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor, *, out=None) -> Tensor:
     if bias.dims[0] != weight.dims[0]:
         raise DimensionError(
             f"conv1x1 output channel axis: weight makes {weight.dims[0]}, bias has {bias.dims[0]}")
+    if shift is not None:
+        _check_rank(shift, 1, "conv1x1 shift")
+        if shift.dims[0] != x.dims[0]:
+            raise DimensionError(
+                f"conv1x1 shift channel axis: input has {x.dims[0]}, shift has {shift.dims[0]}")
 
     c_out = weight.dims[0]
     c_in, h, w = x.dims
@@ -256,19 +273,32 @@ def conv1x1(x: Tensor, weight: Tensor, bias: Tensor, *, out=None) -> Tensor:
     else:
         _check_out(out, (c_out, h, w), np.promote_types(weight.dtype, x.dtype), "conv1x1")
         y = np.matmul(weight.data, x2, out=out.reshape(c_out, h * w))
-    y += bias.data[:, None]
     xn, wn, bn, wd = x._node, weight._node, bias._node, weight.data
+    if shift is None:
+        y += bias.data[:, None]
+        sn = sd = None
+        parents = (xn, wn, bn)
+    else:
+        sn, sd = shift._node, shift.data
+        y += (wd @ sd + bias.data)[:, None]
+        parents = (xn, wn, bn, sn)
 
     def bwd(g):
         g2 = g.reshape(c_out, h * w)
         if xn.requires_grad:
             _acc(xn, (wd.T @ g2).reshape(c_in, h, w))
+        rows = g2.sum(axis=1) if bn.requires_grad or sd is not None else None
         if wn.requires_grad:
-            _acc(wn, g2 @ x2.T)
+            dw = g2 @ x2.T
+            if sd is not None:
+                dw += np.outer(rows, sd)
+            _acc(wn, dw)
         if bn.requires_grad:
-            _acc(bn, g2.sum(axis=1))
+            _acc(bn, rows)
+        if sn is not None and sn.requires_grad:
+            _acc(sn, wd.T @ rows)
 
-    return _make(out, (xn, wn, bn), "conv1x1", bwd)
+    return _make(out, parents, "conv1x1", bwd)
 
 
 def _im2col(xp: np.ndarray, oh: int, ow: int, stride: int) -> np.ndarray:

@@ -96,6 +96,17 @@ def _build_conv1x1(rng):
     return [("x", x), ("w", w), ("b", b)], lambda: ops.sum_all(ops.mul(ops.conv1x1(x, w, b), probe))
 
 
+@_case("conv1x1_shift")
+def _build_conv1x1_shift(rng):
+    x = t(rng.normal(size=(3, 4, 5)))
+    w = t(rng.normal(size=(2, 3)))
+    b = t(rng.normal(size=2))
+    s = t(rng.normal(size=3))
+    probe = Tensor(rng.normal(size=(2, 4, 5)))
+    return [("x", x), ("w", w), ("b", b), ("shift", s)], \
+        lambda: ops.sum_all(ops.mul(ops.conv1x1(x, w, b, shift=s), probe))
+
+
 @_case("conv3x3_s1")
 def _build_conv3x3_s1(rng):
     x = t(rng.normal(size=(2, 4, 5)))

@@ -9,9 +9,9 @@ import pytest
 
 from hgd import ops
 from hgd.tensor import Tensor, ConfigError
-from hgd.decoder import (HgdConfig, codewords_from, assemble_from, fuse_multiscale,
-                         generate_codewords, assemble_codewords, hgd_forward,
-                         hgd_forward_full, init_hgd_params)
+from hgd.decoder import (HgdConfig, HgdTrace, codewords_from, assemble_from,
+                         fuse_multiscale, generate_codewords, assemble_codewords,
+                         hgd_forward, hgd_forward_full, init_hgd_params)
 from hgd.gradcheck import gradcheck
 
 
@@ -193,13 +193,23 @@ def test_fuse_multiscale_rejects_bad_scale_ratio():
 
 # --------------------------------------------------------------- guidance
 
+def _guidance(m8, codewords, params, bases=None):
+    """The head's G and G_fused; the head never builds G_fused, so it is
+    read as HgdTrace.guidance_fused reads it, from G and the mean vector."""
+    _, _, g, mean, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly,
+                                          bases)
+    trace = HgdTrace(**{**dict.fromkeys(HgdTrace.__dataclass_fields__),
+                        "guidance": g, "bases_mean": mean})
+    return g, trace.guidance_fused
+
+
 def test_guidance_without_transfer_is_same_object():
     rng = np.random.default_rng(11)
     cfg = toy_config(transfer_enabled=False)
     params = init_hgd_params((6, 7, 9), cfg, rng)
     m8 = t(rng.normal(size=(12, 8, 8)))
     codewords = t(rng.normal(size=(10, 3)))
-    _, _, g, g_fused, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly)
+    g, g_fused = _guidance(m8, codewords, params)
     assert g_fused is g
 
 
@@ -211,8 +221,7 @@ def test_guidance_transfer_adds_constant_bases_mean():
     v = rng.normal(size=(10,))
     bases = t(np.broadcast_to(v[:, None, None], (10, 4, 4)).copy())
     codewords = t(rng.normal(size=(10, 3)))
-    _, _, g, g_fused, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly,
-                                             bases)
+    g, g_fused = _guidance(m8, codewords, params, bases)
     assert np.array_equal(g_fused.data, g.data + v[:, None, None])
 
 
@@ -223,8 +232,7 @@ def test_guidance_transfer_matches_loop_oracle():
     m8 = t(rng.normal(size=(12, 6, 6)))
     bases = t(rng.normal(size=(10, 3, 3)))
     codewords = t(rng.normal(size=(10, 3)))
-    _, _, g, g_fused, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly,
-                                             bases)
+    g, g_fused = _guidance(m8, codewords, params, bases)
     for c in range(10):
         mean = 0.0
         for p in range(3):
@@ -232,6 +240,33 @@ def test_guidance_transfer_matches_loop_oracle():
                 mean += bases.data[c, p, q]
         mean /= 9.0
         assert np.max(np.abs(g_fused.data[c] - (g.data[c] + mean))) <= 1e-12
+
+
+def test_transfer_coeffs_match_loop_assembly_conv_of_shifted_guidance():
+    # the forward folds the mean bases vector into the assembly conv; the
+    # coefficients must still be that conv of G + mean(B), summed here
+    # element by element
+    rng = np.random.default_rng(14)
+    params = init_hgd_params((6, 7, 9), toy_config(transfer_enabled=True), rng)
+    trace = hgd_forward_full(*toy_inputs(rng), params)
+    g, bases, coeffs = trace.guidance.data, trace.bases.data, trace.coeffs.data
+    weight, bias = params.assembly.weight.data, params.assembly.bias.data
+    dim, bh, bw = bases.shape
+    n, h, w = coeffs.shape
+    want = np.empty_like(coeffs)
+    for o in range(n):
+        for y in range(h):
+            for x in range(w):
+                acc = bias[o]
+                for i in range(dim):
+                    mean = 0.0
+                    for p in range(bh):
+                        for q in range(bw):
+                            mean += bases[i, p, q]
+                    acc += weight[o, i] * (g[i, y, x] + mean / (bh * bw))
+                want[o, y, x] = acc
+    assert coeffs.dtype == np.float64
+    assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_config_rejects_transfer_dim_conflict_at_construction():

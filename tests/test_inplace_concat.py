@@ -285,13 +285,15 @@ def _held_bytes(root):
 
 def test_decoder_forward_holds_each_stack_once(monkeypatch):
     # the taps and parameters, the output stack (2,097,152 bytes) and what
-    # the backward reads: m8 (1,572,864), G plus the mean bases vector,
-    # the coefficients, m32, the bases, the softmax and the codewords. No
-    # stack's part is held beside its stack: m8's parts and the output's
-    # are views of theirs, and a copied part is freed once the forward
-    # drops it, since no backward reads it; so the copying path holds the
-    # same bytes
+    # the backward reads: m8 (1,572,864), G, the mean bases vector (256),
+    # the coefficients, m32, the bases, the softmax and the codewords. The
+    # assembly conv takes the mean as its shift, so no G plus mean map
+    # (1,048,576) is held. No stack's part is held beside its stack: m8's
+    # parts and the output's are views of theirs, G included
     taps, params = _paper_shaped(np.random.default_rng(6))
-    assert _held_bytes(hgd_forward(*taps, params)) == 6_162_432
+    assert _held_bytes(hgd_forward(*taps, params)) == 5_114_112
+    # a copied part is freed once the forward drops it, since no backward
+    # reads it, except G: the assembly conv reads it, so the copying path
+    # holds G (1,048,576) beside the copied output stack
     _copying(monkeypatch)
-    assert _held_bytes(hgd_forward(*taps, params)) == 6_162_432
+    assert _held_bytes(hgd_forward(*taps, params)) == 5_114_112 + 1_048_576

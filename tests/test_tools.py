@@ -39,6 +39,22 @@ def test_tape_bytes_fpn_decode_counts_only_live_data_and_saved_arrays():
     assert tape <= 21 * tape_bytes.MB
 
 
+def test_tape_bytes_decode_paper_accounts_the_forward_graph():
+    # decode-paper runs no sweep, so its output's graph is accounted: the
+    # assembly conv takes the mean bases vector as its shift and keeps G, a
+    # view of the output stack, not a 16 MiB G plus mean map; conv1x1 kept
+    # 41.50 MB while the transfer add was a map of its own
+    tape_bytes = _load("tape_bytes")
+    account = tape_bytes.run_one("decode-paper")
+    rows = account.rows
+    assert account.sweeps == 0
+    assert "broadcast_add_channel" not in rows
+    assert 0 < rows["conv1x1"]["saved"] <= 26 * tape_bytes.MB
+    assert sum(row["grads"] for row in rows.values()) == 0
+    text = tape_bytes.report("decode-paper", account)
+    assert "no backward pass" in text and "grads MB" not in text
+
+
 LINES = ["decode-paper " + "a" * 64,
          "fpn-decode levels " + "b" * 64,
          "seg-train seed 2 " + "c" * 64 + " failed 70"]

@@ -1,15 +1,15 @@
 """Print one sha256 per benchmark workload over the arrays it computes.
 
 Run from a checkout: `python3 tools/output_digest.py`. Two checkouts that
-print the same lines compute the same bytes for: every HgdTrace field of the
-decode-paper forward at seeds 0-2, the fpn-decode output levels at seeds
-0-4 and, on a line of their own, its parameter gradients (so a change that
-only reorders the gradients' sums shows its levels unchanged), the seg-infer
-labels of all 32 images (seed 0), every seg-train parameter and gradient
-after 40 SGD steps at seed 0, and the same after one whole 100-step budget
-at seed 2, where the preset diverges; that line also prints the budget's
-failed-step count, the steps that seg-train counts as failures for a
-non-finite parameter or gradient.
+print the same lines compute the same bytes for: the decode-paper forward's
+HgdTrace intermediates named in TRACE_FIELDS at seeds 0-2, the fpn-decode
+output levels at seeds 0-4 and, on a line of their own, its parameter
+gradients (so a change that only reorders the gradients' sums shows its
+levels unchanged), the seg-infer labels of all 32 images (seed 0), every
+seg-train parameter and gradient after 40 SGD steps at seed 0, and the same
+after one whole 100-step budget at seed 2, where the preset diverges; that
+line also prints the budget's failed-step count, the steps that seg-train
+counts as failures for a non-finite parameter or gradient.
 
     python3 tools/output_digest.py --check FILE
 
@@ -46,8 +46,15 @@ def ready(cls, seed):
     return w
 
 
+# the HgdTrace intermediates hashed, in this order; guidance_fused is built
+# when read, so it is named here rather than found among the fields
+TRACE_FIELDS = ("fused", "assembled", "guidance", "guidance_fused", "coeffs", "codewords",
+                "bases", "weights", "m8", "m32")
+
+
 def decode_paper_trace(w):
-    return [t.data for t in vars(decoder.hgd_forward_full(*w.taps, w.params)).values()]
+    trace = decoder.hgd_forward_full(*w.taps, w.params)
+    return [getattr(trace, name).data for name in TRACE_FIELDS]
 
 
 def seg_train_state(seed, steps):

@@ -21,7 +21,11 @@ concatenated parts are not counted twice. MB are 2**20 bytes, the unit of
 the benchmark's peak_rss_mb.
 
 A workload whose operation runs no backward pass (seg-infer, decode-paper)
-keeps no tape, and the command says so. seg-train's operation is one SGD
+still records a graph, since the parameters require grad. For it the
+command accounts, in the same data and saved columns and with no grads
+column, the graph of the operation's output once the operation has
+returned: the Tensor it returns, or for seg-infer, whose operation returns
+labels, the logits it predicts them from. seg-train's operation is one SGD
 step, a sweep per sample; the figures are those of the first sample.
 """
 
@@ -59,6 +63,32 @@ def _saved(fn):
                 yield item
 
 
+def _add(rows, op, column, arrays, seen):
+    for a in arrays:
+        a = _owner(a)
+        if id(a) not in seen:
+            seen.add(id(a))
+            rows[op][column] += a.nbytes
+
+
+def tape_rows(nodes) -> dict:
+    """Per op that made a node of nodes: the node count, the bytes of data
+    of the nodes' live tensors and of the arrays their closures keep, and 0
+    grads bytes (see the module docstring)."""
+    rows = defaultdict(lambda: {"nodes": 0, "data": 0, "saved": 0, "grads": 0})
+    held = set()
+    alive = {id(t._node): t.data for t in gc.get_objects()
+             if isinstance(t, hgd_tensor.Tensor)}
+    for node in nodes:
+        rows[node._op or "leaf"]["nodes"] += 1
+        _add(rows, node._op or "leaf", "data",
+             [alive[id(node)]] if id(node) in alive else [], held)
+    for node in nodes:
+        if node._backward_fn is not None:
+            _add(rows, node._op or "leaf", "saved", _saved(node._backward_fn), held)
+    return rows
+
+
 class Account:
     """Wraps hgd.tensor.backward; accounts the graph of its first call."""
 
@@ -72,25 +102,7 @@ class Account:
         self.sweeps += 1
         if self.rows is not None:
             return self.backward(graph, loss)
-        rows = defaultdict(lambda: {"nodes": 0, "data": 0, "saved": 0, "grads": 0})
-        held = set()
-
-        def add(op, column, arrays, seen):
-            for a in arrays:
-                a = _owner(a)
-                if id(a) not in seen:
-                    seen.add(id(a))
-                    rows[op][column] += a.nbytes
-
-        nodes = [(node._op or "leaf", node) for node in graph.nodes]
-        alive = {id(t._node): t.data for t in gc.get_objects()
-                 if isinstance(t, hgd_tensor.Tensor)}
-        for op, node in nodes:
-            rows[op]["nodes"] += 1
-            add(op, "data", [alive[id(node)]] if id(node) in alive else [], held)
-        for op, node in nodes:
-            if node._backward_fn is not None:
-                add(op, "saved", _saved(node._backward_fn), held)
+        rows = tape_rows(graph.nodes)
         tracemalloc.start()
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -100,9 +112,9 @@ class Account:
         finally:
             tracemalloc.stop()
         grads = set()
-        for op, node in nodes:
+        for node in graph.nodes:
             if node.grad is not None:
-                add(op, "grads", [node.grad], grads)
+                _add(rows, node._op or "leaf", "grads", [node.grad], grads)
         self.rows = dict(rows)
 
 
@@ -111,26 +123,39 @@ def run_one(name: str):
     w.setup()
     account = Account(hgd_tensor.backward)
     hgd_tensor.backward = account
-    hooked = wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate
+    hooked = wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate, wl.ef.predict_labels
+    logits = []
+
+    def predict_labels(t):
+        logits.append(t)
+        return hooked[3](t)
+
     try:
         if isinstance(w, wl.SegTrain):
             w.install_hooks()
             with np.errstate(all="ignore"):
                 w.run(wl.Loop(max_ops=1))
         else:
-            w.op(0)
+            wl.ef.predict_labels = predict_labels
+            out = w.op(0)
     finally:
         hgd_tensor.backward = account.backward
-        wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate = hooked
+        wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate, wl.ef.predict_labels = hooked
+    if account.rows is None:
+        root = logits[-1] if logits else out
+        account.rows = dict(tape_rows(hgd_tensor.ComputeGraph.trace(root).nodes))
     return account
 
 
 def report(name: str, account: Account) -> str:
-    if account.rows is None:
-        return f"{name}: one operation runs no backward pass, so it keeps no tape\n"
-    lines = [f"{name} seed {SEED}: the first of {account.sweeps} backward sweep(s) "
-             f"in one operation; MB = 2**20 bytes",
-             f"{'op':<24}{'nodes':>7}{'data MB':>10}{'saved MB':>10}{'grads MB':>10}"]
+    swept = account.sweeps > 0
+    columns = ("nodes", "data", "saved", "grads") if swept else ("nodes", "data", "saved")
+    if swept:
+        head = f"the first of {account.sweeps} backward sweep(s) in one operation"
+    else:
+        head = "one operation runs no backward pass; the graph of its output"
+    lines = [f"{name} seed {SEED}: {head}; MB = 2**20 bytes",
+             f"{'op':<24}{'nodes':>7}" + "".join(f"{c + ' MB':>10}" for c in columns[1:])]
     total = {"nodes": 0, "data": 0, "saved": 0, "grads": 0}
     rows = sorted(account.rows.items(),
                   key=lambda kv: (-(kv[1]["data"] + kv[1]["saved"]), kv[0]))
@@ -138,11 +163,15 @@ def report(name: str, account: Account) -> str:
         if op != "total":
             for key in total:
                 total[key] += row[key]
-        lines.append(f"{op:<24}{row['nodes']:>7}{row['data'] / MB:>10.2f}"
-                     f"{row['saved'] / MB:>10.2f}{row['grads'] / MB:>10.2f}")
-    lines.append(f"tape (data + saved) {(total['data'] + total['saved']) / MB:.2f} MB, "
-                 f"with grads {(total['data'] + total['saved'] + total['grads']) / MB:.2f} MB, "
-                 f"sweep peak live adjoints {account.sweep_peak / MB:.2f} MB")
+        lines.append(f"{op:<24}{row['nodes']:>7}"
+                     + "".join(f"{row[c] / MB:>10.2f}" for c in columns[1:]))
+    tape = total["data"] + total["saved"]
+    if swept:
+        lines.append(f"tape (data + saved) {tape / MB:.2f} MB, "
+                     f"with grads {(tape + total['grads']) / MB:.2f} MB, "
+                     f"sweep peak live adjoints {account.sweep_peak / MB:.2f} MB")
+    else:
+        lines.append(f"graph (data + saved) {tape / MB:.2f} MB")
     return "\n".join(lines) + "\n"
 
 
