@@ -325,9 +325,13 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
     variants (the baseline detector alone is fpn_baseline_spec).
 
     hgd-fpn: full-scale stages on top of the baseline detector, widths
-    from FpnConfig(). hgd-fpn-toy: decoder stages alone, the layers of
-    this package's executable pyramid decoder at tiny_run()'s widths and
-    pyramid size, so parameter totals can be compared exactly. Both run
+    from FpnConfig(). hgd-fpn-toy: decoder stages alone, the same stage
+    builder at tiny_run()'s widths and pyramid size. Both count each scale
+    branch in the paper's stack form (guidance, assembly conv, assembly
+    matmul, projection of [assembled; G]), while the live pyramid decoder
+    (hgd.fpn) runs the folded form, one ch x ch conv per scale plus a
+    per-stage product of small matrices. So the toy rows hold the live
+    decoder's parameters exactly, not its MACs. Both run
     FpnConfig().k_recurrence stages unless `k` is given.
     """
     if variant == "hgd-fpn":

@@ -208,7 +208,13 @@ def fuse_multiscale(e8: Tensor, e16: Tensor, e32: Tensor, params: HgdParams):
 
 def generate_codewords(m32: Tensor, params):
     """Codeword matrix, bases map and softmax weighting map from m32, by the
-    `bases` and `weighting` convs of `params` (HgdParams or FpnParams)."""
+    `bases` and `weighting` convs of `params` (HgdParams or FpnParams).
+
+    softmax_spatial normalizes each channel over all positions, so the
+    weighting conv's bias cancels: it changes no output and its gradient
+    is zero up to roundoff. It stays because the paper's weighting branch
+    is a plain 1x1 conv, the checkpoint layout holds it, and the
+    benchmark's reference decoder (hgdbench/reference.py) reads it."""
     bases = _conv(m32, params.bases)
     weights = ops.softmax_spatial(_conv(m32, params.weighting))
     return codewords_from(bases, weights), bases, weights
@@ -255,10 +261,10 @@ class HgdTrace:
     def guidance_fused(self) -> Tensor:
         """G plus the mean bases vector, what the assembly conv reads, or G
         itself without transfer. The forward never builds it: each read
-        builds it anew, as a node on the tape that no output depends on."""
+        builds it anew, a plain value that records nothing on the tape."""
         if self.bases_mean is None:
             return self.guidance
-        return ops.broadcast_add_channel(self.guidance, self.bases_mean)
+        return Tensor(self.guidance.data + self.bases_mean.data[:, None, None])
 
 
 def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:

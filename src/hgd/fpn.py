@@ -133,13 +133,12 @@ class FusionCoeffs:
     t: Tensor
 
     def named(self, prefix: str):
-        yield f"{prefix}.a", self.a
-        yield f"{prefix}.r", self.r
-        yield f"{prefix}.s", self.s
-        yield f"{prefix}.t", self.t
+        for name in FUSION_LENGTHS:
+            yield f"{prefix}.{name}", getattr(self, name)
 
 
-# the length of each FusionCoeffs field, in one place for the cost model too
+# each FusionCoeffs field, in order, and its length: named(), activate_coeffs,
+# init_fusion_coeffs and the cost model all read them here
 FUSION_LENGTHS = {"a": 5, "r": 3, "s": 3, "t": 3}
 
 
@@ -234,8 +233,7 @@ def init_fpn_stack(config: FpnConfig, rng, dtype=np.float64):
 
 def activate_coeffs(raw: FusionCoeffs) -> FusionCoeffs:
     """ReLU the raw fusion scalars."""
-    return FusionCoeffs(a=ops.relu(raw.a), r=ops.relu(raw.r), s=ops.relu(raw.s),
-                        t=ops.relu(raw.t))
+    return FusionCoeffs(**{name: ops.relu(getattr(raw, name)) for name in FUSION_LENGTHS})
 
 
 def _up(x: Tensor, target: Tensor) -> Tensor:

@@ -727,24 +727,6 @@ def global_avg_spatial(x: Tensor) -> Tensor:
     return _make(x.data.mean(axis=(1, 2)), (xn,), "global_avg_spatial", bwd)
 
 
-def broadcast_add_channel(x: Tensor, v: Tensor) -> Tensor:
-    """Add a per-channel vector to every spatial position."""
-    _check_rank(x, 3, "broadcast_add_channel input")
-    _check_rank(v, 1, "broadcast_add_channel vector")
-    if v.dims[0] != x.dims[0]:
-        raise DimensionError(
-            f"broadcast_add_channel channel axis: map has {x.dims[0]}, vector has {v.dims[0]}")
-    xn, vn = x._node, v._node
-
-    def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, g)
-        if vn.requires_grad:
-            _acc(vn, g.sum(axis=(1, 2)))
-
-    return _make(x.data + v.data[:, None, None], (xn, vn), "broadcast_add_channel", bwd)
-
-
 def softmax_spatial(logits: Tensor) -> Tensor:
     """Per-channel softmax over all spatial positions (each channel sums to 1)."""
     _check_rank(logits, 3, "softmax_spatial input")

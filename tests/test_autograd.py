@@ -221,14 +221,6 @@ def _build_gavg(rng):
     return [("x", x)], lambda: ops.sum_all(ops.mul(ops.global_avg_spatial(x), probe))
 
 
-@_case("broadcast_add_channel")
-def _build_bcast(rng):
-    x = t(rng.normal(size=(3, 2, 4)))
-    v = t(rng.normal(size=(3,)))
-    probe = Tensor(rng.normal(size=(3, 2, 4)))
-    return [("x", x), ("v", v)], lambda: ops.sum_all(ops.mul(ops.broadcast_add_channel(x, v), probe))
-
-
 @_case("reshape_transpose")
 def _build_reshape(rng):
     x = t(rng.normal(size=(3, 2, 2)))

@@ -12,6 +12,7 @@ from hgd.tensor import Tensor, ConfigError
 from hgd.decoder import (HgdConfig, HgdTrace, codewords_from, assemble_from,
                          fuse_multiscale, generate_codewords, assemble_codewords,
                          hgd_forward, hgd_forward_full, init_hgd_params)
+from hgd.fpn import init_fpn_params, tiny_fpn_config
 from hgd.gradcheck import gradcheck
 
 
@@ -79,6 +80,26 @@ def test_generate_codewords_matches_loop_oracle():
     assert weights.dims == (3, 4, 6)
     expect = codeword_loop_oracle(bases.data, weights.data)
     assert np.max(np.abs(cw.data - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("decoder", ["hgd", "fpn"])
+def test_weighting_bias_gradient_vanishes(decoder):
+    # softmax_spatial normalizes each channel over all positions, so a
+    # per-channel bias of the weighting conv cancels: its gradient is zero
+    # up to roundoff under any loss, in both decoders
+    rng = np.random.default_rng(21)
+    if decoder == "hgd":
+        cfg = toy_config(n_codewords=4, codeword_dim=5, transfer_enabled=False)
+        params = init_hgd_params((6, 7, 9), cfg, rng)
+    else:
+        params = init_fpn_params(tiny_fpn_config(), rng)
+    m32 = t(rng.normal(size=(params.bases.weight.dims[1], 5, 6)))
+    codewords, _, _ = generate_codewords(m32, params)
+    probe = Tensor(rng.normal(size=codewords.dims))
+    ops.sum_all(ops.mul(codewords, probe)).backward()
+    weighting = params.weighting
+    assert weighting.bias.dtype == np.float64
+    assert np.max(np.abs(weighting.bias.grad)) <= 1e-12 * np.max(np.abs(weighting.weight.grad))
 
 
 def test_codeword_convexity_bound():
@@ -240,6 +261,18 @@ def test_guidance_transfer_matches_loop_oracle():
                 mean += bases.data[c, p, q]
         mean /= 9.0
         assert np.max(np.abs(g_fused.data[c] - (g.data[c] + mean))) <= 1e-12
+
+
+def test_guidance_fused_records_nothing_on_the_tape():
+    # G + mean is a plain value read off the trace: no node of it, G or the
+    # mean joins the forward's tape
+    rng = np.random.default_rng(20)
+    params = init_hgd_params((6, 7, 9), toy_config(transfer_enabled=True), rng)
+    trace = hgd_forward_full(*toy_inputs(rng), params)
+    g_fused = trace.guidance_fused
+    assert g_fused._parents == () and not g_fused.requires_grad
+    assert np.array_equal(g_fused.data,
+                          trace.guidance.data + trace.bases_mean.data[:, None, None])
 
 
 def test_transfer_coeffs_match_loop_assembly_conv_of_shifted_guidance():

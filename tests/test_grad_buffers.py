@@ -69,7 +69,9 @@ def _concat_in_place(xs, p):
     return ops.conv1x1(ops.concat_channels(parts, out=buf), p["w6"], p["b"])
 
 
-# op name -> (operand count, builder(operands, params))
+# op name -> (operand count, builder(operands, params)); "bias" and "mean"
+# are the decoder's transfer add, conv1x1 reading its input plus a shift
+# vector (a leaf, or the global average of another map)
 _OPS = {
     "add": (2, lambda xs, p: ops.add(*xs)),
     "mul": (2, lambda xs, p: ops.mul(*xs)),
@@ -80,10 +82,11 @@ _OPS = {
     "pool": (1, lambda xs, p: _pool(*xs)),
     "add-up": (2, lambda xs, p: _add_pooled(*xs)),
     "softmax": (1, lambda xs, p: ops.softmax_spatial(*xs)),
-    "bias": (1, lambda xs, p: ops.broadcast_add_channel(*xs, p["v"])),
+    "bias": (1, lambda xs, p: ops.conv1x1(*xs, p["w"], p["b"], shift=p["v"])),
     "conv": (1, lambda xs, p: ops.conv1x1(*xs, p["w"], p["b"])),
     "conv3": (1, lambda xs, p: ops.conv3x3(*xs, p["w3"], p["b"])),
-    "mean": (2, lambda xs, p: ops.broadcast_add_channel(xs[0], ops.global_avg_spatial(xs[1]))),
+    "mean": (2, lambda xs, p: ops.conv1x1(xs[0], p["w"], p["b"],
+                                          shift=ops.global_avg_spatial(xs[1]))),
     "concat": (2, lambda xs, p: ops.conv1x1(ops.concat_channels(xs), p["w2"], p["b"])),
     "concat-in-place": (2, _concat_in_place),
     "wsum": (3, lambda xs, p: ops.weighted_sum(p["c"], xs)),

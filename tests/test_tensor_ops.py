@@ -289,13 +289,6 @@ def test_global_avg_spatial():
     assert np.array_equal(out.data, [2.5, 10.0])
 
 
-def test_broadcast_add_channel():
-    x = t(np.zeros((2, 2, 2)))
-    v = t([1.0, -2.0])
-    out = ops.broadcast_add_channel(x, v)
-    assert np.all(out.data[0] == 1.0) and np.all(out.data[1] == -2.0)
-
-
 def test_reshape_and_transpose_roundtrip():
     x = t(np.arange(12, dtype=np.float64).reshape(3, 2, 2))
     flat = ops.reshape(x, (3, 4))

@@ -1,8 +1,10 @@
 """Smoke tests of the measurement scripts under tools/."""
 
 import importlib.util
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -53,6 +55,25 @@ def test_tape_bytes_decode_paper_accounts_the_forward_graph():
     assert sum(row["grads"] for row in rows.values()) == 0
     text = tape_bytes.report("decode-paper", account)
     assert "no backward pass" in text and "grads MB" not in text
+
+
+def test_ab_hooks_installed_restores_every_efficientfcn_name():
+    # a hook left installed would wrap the next workload run in the process
+    ab = _load("ab")
+    import workloads as wl
+    own = dict(vars(wl.ef))
+    workload = wl.SegTrain(0)
+    workload.setup()
+    with ab.hooks_installed(wl.ef, workload):
+        assert wl.ef.sgd_step is not own["sgd_step"]
+        wl.ef.predict_labels = lambda logits: own["predict_labels"](logits)
+        with np.errstate(all="ignore"):
+            workload.run(wl.Loop(max_ops=1))
+    assert vars(wl.ef).keys() == own.keys()
+    for name, value in vars(wl.ef).items():
+        assert value is own[name], name
+        if isinstance(value, types.FunctionType):
+            assert not hasattr(value, "__wrapped__"), name
 
 
 LINES = ["decode-paper " + "a" * 64,

@@ -18,7 +18,8 @@ seg-train's operations are the steps inside one training run, which two
 sides cannot interleave. A seg-train round therefore trains one fresh
 SegTrain budget (100 SGD steps) per side, through that side's own `setup`,
 `install_hooks` and `run`, and compares the two budgets' median step times;
-the hooks are removed again after each budget.
+the hooks are removed again after each budget (hooks_installed, which
+output_digest.py and tape_bytes.py use too).
 
 It complements hgdbench/run.py and does not replace it: both sides share
 one heap and one BLAS pool, so RSS, page faults and set-up time need
@@ -26,6 +27,7 @@ separate processes.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -85,18 +87,29 @@ def timed(op) -> float:
     return seconds
 
 
+@contextlib.contextmanager
+def hooks_installed(ef, workload):
+    """Run the block with the workload's hooks installed in `ef`, the
+    workloads module's hgd.efficientfcn. On exit every name of ef that
+    changed since entry, the hooks and any other the block set, is put
+    back."""
+    before = dict(vars(ef))
+    try:
+        workload.install_hooks()
+        yield
+    finally:
+        for name, value in before.items():
+            if vars(ef).get(name) is not value:
+                setattr(ef, name, value)
+
+
 def train_budget(workloads) -> float:
     """Median seconds per SGD step of one fresh seg-train budget."""
-    ef = workloads.ef
-    unhooked = ef.poly_lr, ef.sgd_step, ef.evaluate
     workload = workloads.SegTrain(SEED)
     workload.setup()
-    workload.install_hooks()
     loop = workloads.Loop(max_ops=workload.BUDGET)
-    try:
+    with hooks_installed(workloads.ef, workload):
         workload.run(loop)
-    finally:
-        ef.poly_lr, ef.sgd_step, ef.evaluate = unhooked
     return statistics.median(loop.samples)
 
 

@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench"), str(ROOT / "tools")]
 
 import workloads as wl  # noqa: E402
+from ab import hooks_installed  # noqa: E402
 from hgd import decoder, fpn  # noqa: E402
 
 
@@ -61,14 +62,9 @@ def seg_train_state(seed, steps):
     """Every parameter and gradient after `steps` SGD steps, and the failed
     steps; the step hooks are removed again afterwards."""
     w = ready(wl.SegTrain, seed)
-    hooked = wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate
-    w.install_hooks()
     loop = wl.Loop(max_ops=steps)
-    try:
-        with np.errstate(all="ignore"):
-            w.run(loop)
-    finally:
-        wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate = hooked
+    with hooks_installed(wl.ef, w), np.errstate(all="ignore"):
+        w.run(loop)
     return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)], loop.failed
 
 

@@ -38,9 +38,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench"), str(ROOT / "tools")]
 
 import workloads as wl  # noqa: E402
+from ab import hooks_installed  # noqa: E402
 from hgd import tensor as hgd_tensor  # noqa: E402
 
 SEED = 0
@@ -123,24 +124,23 @@ def run_one(name: str):
     w.setup()
     account = Account(hgd_tensor.backward)
     hgd_tensor.backward = account
-    hooked = wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate, wl.ef.predict_labels
+    own_predict_labels = wl.ef.predict_labels
     logits = []
 
     def predict_labels(t):
         logits.append(t)
-        return hooked[3](t)
+        return own_predict_labels(t)
 
     try:
-        if isinstance(w, wl.SegTrain):
-            w.install_hooks()
-            with np.errstate(all="ignore"):
-                w.run(wl.Loop(max_ops=1))
-        else:
-            wl.ef.predict_labels = predict_labels
-            out = w.op(0)
+        with hooks_installed(wl.ef, w):
+            if isinstance(w, wl.SegTrain):
+                with np.errstate(all="ignore"):
+                    w.run(wl.Loop(max_ops=1))
+            else:
+                wl.ef.predict_labels = predict_labels
+                out = w.op(0)
     finally:
         hgd_tensor.backward = account.backward
-        wl.ef.poly_lr, wl.ef.sgd_step, wl.ef.evaluate, wl.ef.predict_labels = hooked
     if account.rows is None:
         root = logits[-1] if logits else out
         account.rows = dict(tape_rows(hgd_tensor.ComputeGraph.trace(root).nodes))
