@@ -39,8 +39,8 @@ from .config import dtype_of, load_run_config, tiny_run
 from .costmodel import (efficientfcn_spec, emit_report, fpn_baseline_spec, fpn_spec,
                         report_csv, resnet_spec, unet_spec)
 from .decoder import hgd_forward_full
-from .efficientfcn import (ToyBackboneConfig, backbone_forward, init_seg_params,
-                           segment_forward, train_segmenter)
+from .efficientfcn import (backbone_forward, init_seg_params, segment_forward,
+                           tiny_backbone_config, train_segmenter)
 from .fpn import (LEVEL_NAMES, Pyramid, fpn_decode_once_full, fpn_stages,
                   init_fpn_params, init_fpn_stack, level_grids)
 from .gradcheck import gradcheck
@@ -78,7 +78,7 @@ def cmd_gradcheck(args) -> int:
     tiny = tiny_run()
 
     rng = np.random.default_rng(run.seed)
-    seg_params = init_seg_params(ToyBackboneConfig(), tiny.hgd, tiny.num_classes, rng)
+    seg_params = init_seg_params(tiny_backbone_config(), tiny.hgd, tiny.num_classes, rng)
     image = Tensor(rng.standard_normal((3, 32, 32)))
     labels = rng.integers(0, tiny.num_classes, size=(32, 32))
 
@@ -208,7 +208,7 @@ def cmd_demo_seg(args) -> int:
     # run uses the toy backbone at its default (the preset's) widths
     samples = synth_dataset(seed=2024 + run.seed, count=32, size=run.input_size,
                             num_classes=run.num_classes, dtype=dt)
-    params = init_seg_params(ToyBackboneConfig(), run.hgd, run.num_classes,
+    params = init_seg_params(tiny_backbone_config(), run.hgd, run.num_classes,
                              np.random.default_rng(17 + run.seed), dt)
     order = np.random.default_rng(3 + run.seed)
 
@@ -322,9 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="codeword count")
     p.add_argument("--c", type=int, help="codeword dimension")
     p.add_argument("--k", type=int,
-                   help="recurrence stages (pyramid variants, default 4; the "
-                        "demo-fpn/gradcheck preset tiny_fpn_config() runs 2, so "
-                        "hgd-fpn-toy needs --k 2 to describe it)")
+                   help="recurrence stages (pyramid variants; default: the variant's config)")
     p.add_argument("--input", help="input size: SIZE or HxW")
     p.set_defaults(func=cmd_cost)
 

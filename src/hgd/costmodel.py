@@ -1,7 +1,8 @@
 """Analytic multiply-accumulate and parameter counts for whole networks.
 
 Counts are produced from layer descriptions alone, no tensors are ever
-allocated. Conventions, documented once here:
+allocated. Conv widths come from the layout tables that parameter init
+reads, except the paper-only refine and smooth convs'. Conventions:
 
 - one multiply-accumulate (MAC) is counted as one FLOP;
 - convolutions dominate: resizes, pooling, activations, concatenation,
@@ -23,11 +24,12 @@ tightly from those rows.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .config import tiny_run
-from .decoder import HgdConfig
-from .efficientfcn import ToyBackboneConfig, backbone_layout
-from .fpn import FUSION_LENGTHS, FpnConfig, level_grids
+from .decoder import HgdConfig, hgd_layout
+from .efficientfcn import backbone_layout, tiny_backbone_config
+from .fpn import FUSION_LENGTHS, FpnConfig, fpn_layout, level_grids
 from .tensor import ConfigError
 
 SEG_INPUT = (512, 512)
@@ -177,42 +179,46 @@ def _with(config, **fields):
     return replace(config, **{k: v for k, v in fields.items() if v is not None})
 
 
+def _conv_row(prefix, layout, name, grid, kernel=1, tied=False):
+    """The conv row of layout[name]; an assembly conv's row is `assembly_conv`."""
+    return LayerSpec(f"{prefix}.{name}".replace("assembly", "assembly_conv"), "conv",
+                     kernel, *layout[name], *grid, tied=tied)
+
+
 def _decoder_rows(config: HgdConfig, tap_channels, input_hw, num_classes, refined=False):
     """Codeword decoder and classifier rows, in forward order, on the
     stride-8/16/32 taps of the given widths (`refined`: see efficientfcn_spec)."""
     h, w = input_hw
-    grids = [(h // s, w // s) for s in (8, 16, 32)]
-    g8, g32 = grids[0], grids[2]
+    grids = {s: (h // s, w // s) for s in (8, 16, 32)}
+    g8, g32 = grids[8], grids[32]
+    conv = partial(_conv_row, "decoder", hgd_layout(config, tap_channels))
     comp, n, c = config.compressed_channels, config.n_codewords, config.codeword_dim
-    guid = config.guidance_channels
     rows = []
-    for os_, ch, grid in zip((8, 16, 32), tap_channels, grids):
-        rows.append(LayerSpec(f"decoder.compress{os_}", "conv", 1, ch, comp, *grid))
+    for os_, grid in grids.items():
+        rows.append(conv(f"compress{os_}", grid))
         if refined:
             rows.append(LayerSpec(f"decoder.refine{os_}", "conv", 3, comp, comp, *grid))
-    code_in = len(config.fused_scales) * comp
     rows += [
         LayerSpec("decoder.resample_to_coarse", "resize", out_h=g32[0], out_w=g32[1]),
         LayerSpec("decoder.concat_coarse", "elementwise"),
-        LayerSpec("decoder.bases", "conv", 1, code_in, c, *g32),
-        LayerSpec("decoder.weighting", "conv", 1, code_in, n, *g32),
+        conv("bases", g32), conv("weighting", g32),
         LayerSpec("decoder.attention_softmax", "elementwise"),
         LayerSpec("decoder.codeword_matmul", "assembly", c_in=c, c_out=n,
                   out_h=g32[0], out_w=g32[1]),
         LayerSpec("decoder.resample_to_fine", "resize", out_h=g8[0], out_w=g8[1]),
         LayerSpec("decoder.concat_fine", "elementwise"),
-        LayerSpec("decoder.guidance", "conv", 1, 3 * comp, guid, *g8),
+        conv("guidance", g8),
     ]
     if config.transfer_enabled:
         # the decoder folds the add into the assembly conv's shift; the
         # shift's W mean(B) is per-channel work like the bias
         rows.append(LayerSpec("decoder.transfer_add", "elementwise"))
     rows += [
-        LayerSpec("decoder.assembly_conv", "conv", 1, guid, n, *g8),
+        conv("assembly", g8),
         LayerSpec("decoder.assembly_matmul", "assembly", c_in=c, c_out=n,
                   out_h=g8[0], out_w=g8[1]),
         LayerSpec("decoder.concat_output", "elementwise"),
-        LayerSpec("decoder.classifier", "conv", 1, c + guid, num_classes, *g8),
+        LayerSpec("decoder.classifier", "conv", 1, config.output_channels, num_classes, *g8),
         LayerSpec("decoder.upsample", "resize", out_h=h, out_w=w),
     ]
     return rows
@@ -289,29 +295,25 @@ def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
     kernel = 3 if full else 1
     channels, n, c = config.output_channels, config.n_codewords, config.codeword_dim
     tied = config.share_params and stage > 0
+    conv = partial(_conv_row, p, fpn_layout(config), kernel=kernel, tied=tied)
     rows = [LayerSpec(f"{p}.fusion_coeffs", "coeffs",
                       param_count=sum(FUSION_LENGTHS.values()), tied=tied)]
     code = grids[6]
     rows.append(LayerSpec(f"{p}.code_resample", "resize", out_h=code[0], out_w=code[1]))
-    rows.append(LayerSpec(f"{p}.bases", "conv", kernel, channels, c, *code, tied=tied))
-    rows.append(LayerSpec(f"{p}.weighting", "conv", kernel, channels, n, *code, tied=tied))
+    rows += [conv("bases", code), conv("weighting", code)]
     rows.append(LayerSpec(f"{p}.codeword_matmul", "assembly", c_in=c, c_out=n,
                           out_h=code[0], out_w=code[1]))
     for level in (4, 5, 6):
         g = grids[level]
-        q = f"{p}.scale{level}"
-        rows.append(LayerSpec(f"{q}.fuse", "elementwise"))
+        q = f"scale{level}"
+        rows.append(LayerSpec(f"{p}.{q}.fuse", "elementwise"))
         if full:
-            rows.append(LayerSpec(f"{q}.smooth", "conv", 3, channels, channels, *g,
+            rows.append(LayerSpec(f"{p}.{q}.smooth", "conv", 3, channels, channels, *g,
                                   tied=tied))
-        rows.append(LayerSpec(f"{q}.guidance", "conv", kernel, channels, channels, *g,
-                              tied=tied))
-        rows.append(LayerSpec(f"{q}.assembly_conv", "conv", kernel, channels, n, *g,
-                              tied=tied))
-        rows.append(LayerSpec(f"{q}.assembly_matmul", "assembly", c_in=c, c_out=n,
-                              out_h=g[0], out_w=g[1]))
-        rows.append(LayerSpec(f"{q}.project", "conv", kernel, c + channels, channels,
-                              *g, tied=tied))
+        rows += [conv(f"{q}.guidance", g), conv(f"{q}.assembly", g),
+                 LayerSpec(f"{p}.{q}.assembly_matmul", "assembly", c_in=c, c_out=n,
+                           out_h=g[0], out_w=g[1]),
+                 conv(f"{q}.project", g)]
     rows.append(LayerSpec(f"{p}.p3_upsample", "resize", out_h=grids[3][0],
                           out_w=grids[3][1]))
     rows.append(LayerSpec(f"{p}.p7_pool", "pool", out_h=grids[7][0], out_w=grids[7][1]))
@@ -320,19 +322,19 @@ def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
 
 
 def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
-             share_params=True) -> ArchSpec:
+             share_params=None) -> ArchSpec:
     """Pyramid decoder cost specs for the "hgd-fpn" and "hgd-fpn-toy"
     variants (the baseline detector alone is fpn_baseline_spec).
 
-    hgd-fpn: full-scale stages on top of the baseline detector, widths
-    from FpnConfig(). hgd-fpn-toy: decoder stages alone, the same stage
-    builder at tiny_run()'s widths and pyramid size. Both count each scale
+    hgd-fpn: full-scale stages on top of the baseline detector, config
+    FpnConfig(). hgd-fpn-toy: decoder stages alone, the same stage builder
+    at the preset tiny_run()'s pyramid config and size. `n`, `c`, `k` and
+    `share_params` replace config fields when given. Both count each scale
     branch in the paper's stack form (guidance, assembly conv, assembly
     matmul, projection of [assembled; G]), while the live pyramid decoder
     (hgd.fpn) runs the folded form, one ch x ch conv per scale plus a
     per-stage product of small matrices. So the toy rows hold the live
-    decoder's parameters exactly, not its MACs. Both run
-    FpnConfig().k_recurrence stages unless `k` is given.
+    decoder's parameters exactly, not its MACs.
     """
     if variant == "hgd-fpn":
         input_hw = input_hw or DETECTION_INPUT
@@ -348,8 +350,7 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
         config = tiny.fpn
     else:
         raise ConfigError(f"unknown fpn variant {variant!r}")
-    config = _with(config, n_codewords=n, codeword_dim=c,
-                   k_recurrence=FpnConfig().k_recurrence if k is None else k,
+    config = _with(config, n_codewords=n, codeword_dim=c, k_recurrence=k,
                    share_params=share_params)
     for stage in range(config.k_recurrence):
         rows += _decoder_stage_rows(stage, grids, config, full=variant == "hgd-fpn")
@@ -367,7 +368,7 @@ def toy_seg_spec() -> ArchSpec:
     tiny = tiny_run()
     input_hw = (tiny.input_size,) * 2
     h, w = input_hw
-    backbone = ToyBackboneConfig()
+    backbone = tiny_backbone_config()
     rows = []
     for i, (c_in, c_out, _) in enumerate(backbone_layout(backbone)):
         h, w = h // 2, w // 2

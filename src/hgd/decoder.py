@@ -71,10 +71,27 @@ class HgdConfig:
             raise ConfigError(
                 f"fused_scales must be an ascending subset of {_KNOWN_SCALES}, got {scales}")
 
+    @property
+    def output_channels(self) -> int:
+        """Width of the decoder's output, the stack [assembled; G]."""
+        return self.codeword_dim + self.guidance_channels
+
+
+def hgd_layout(config: HgdConfig, tap_channels):
+    """The decoder's 1x1 convs on taps of the given widths, HgdParams field ->
+    (c_in, c_out), in init order; parameter names and cost rows read it too."""
+    comp, guid, n = config.compressed_channels, config.guidance_channels, config.n_codewords
+    code_in = len(config.fused_scales) * comp
+    c8, c16, c32 = tap_channels
+    return {"compress8": (c8, comp), "compress16": (c16, comp), "compress32": (c32, comp),
+            "bases": (code_in, config.codeword_dim), "weighting": (code_in, n),
+            "guidance": (3 * comp, guid), "assembly": (guid, n)}
+
 
 @dataclass
 class HgdParams:
     config: HgdConfig
+    tap_channels: tuple     # the encoder tap widths the convs were built for
     compress8: ConvParams
     compress16: ConvParams
     compress32: ConvParams
@@ -84,26 +101,15 @@ class HgdParams:
     assembly: ConvParams
 
     def named_parameters(self):
-        for name in ("compress8", "compress16", "compress32", "bases",
-                     "weighting", "guidance", "assembly"):
+        for name in hgd_layout(self.config, self.tap_channels):
             yield from getattr(self, name).named(name)
 
 
 def init_hgd_params(in_channels, config: HgdConfig, rng, dtype=np.float64) -> HgdParams:
     """Build all decoder kernels for encoder taps with the given channel counts."""
-    c8, c16, c32 = in_channels
-    code_in = len(config.fused_scales) * config.compressed_channels
-    fine_in = 3 * config.compressed_channels
-    return HgdParams(
-        config=config,
-        compress8=conv1x1_params(c8, config.compressed_channels, rng, dtype),
-        compress16=conv1x1_params(c16, config.compressed_channels, rng, dtype),
-        compress32=conv1x1_params(c32, config.compressed_channels, rng, dtype),
-        bases=conv1x1_params(code_in, config.codeword_dim, rng, dtype),
-        weighting=conv1x1_params(code_in, config.n_codewords, rng, dtype),
-        guidance=conv1x1_params(fine_in, config.guidance_channels, rng, dtype),
-        assembly=conv1x1_params(config.guidance_channels, config.n_codewords, rng, dtype),
-    )
+    return HgdParams(config=config, tap_channels=tuple(in_channels),
+                     **{name: conv1x1_params(c_in, c_out, rng, dtype)
+                        for name, (c_in, c_out) in hgd_layout(config, in_channels).items()})
 
 
 def _conv(x: Tensor, p: ConvParams, out=None, shift=None) -> Tensor:

@@ -106,8 +106,7 @@ def init_seg_params(backbone_config: ToyBackboneConfig, hgd_config: HgdConfig,
                     num_classes: int, rng, dtype=np.float64) -> SegParams:
     backbone = init_backbone_params(backbone_config, rng, dtype)
     hgd = init_hgd_params(backbone_config.tap_channels, hgd_config, rng, dtype)
-    head_in = hgd_config.codeword_dim + hgd_config.guidance_channels
-    classifier = conv1x1_params(head_in, num_classes, rng, dtype)
+    classifier = conv1x1_params(hgd_config.output_channels, num_classes, rng, dtype)
     return SegParams(backbone=backbone, hgd=hgd, classifier=classifier)
 
 

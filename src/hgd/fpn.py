@@ -48,6 +48,7 @@ its gradient is the next stage's, not a copy.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -168,6 +169,16 @@ def tiny_fpn_config() -> FpnConfig:
                      share_params=True, output_channels=8)
 
 
+def fpn_layout(config: FpnConfig):
+    """The pyramid decoder's 1x1 convs, path in FpnParams -> (c_in, c_out),
+    in init order; parameter names and cost rows read it too."""
+    ch, n, c = config.output_channels, config.n_codewords, config.codeword_dim
+    branch = {"guidance": (ch, ch), "assembly": (ch, n), "project": (c + ch, ch)}
+    return {"bases": (ch, c), "weighting": (ch, n),
+            **{f"scale{level}.{part}": widths
+               for level in (4, 5, 6) for part, widths in branch.items()}}
+
+
 @dataclass
 class ScaleBranch:
     """Assembly head for one pyramid scale."""
@@ -175,11 +186,6 @@ class ScaleBranch:
     guidance: ConvParams
     assembly: ConvParams
     project: ConvParams
-
-    def named(self, prefix: str):
-        yield from self.guidance.named(f"{prefix}.guidance")
-        yield from self.assembly.named(f"{prefix}.assembly")
-        yield from self.project.named(f"{prefix}.project")
 
 
 @dataclass
@@ -194,31 +200,21 @@ class FpnParams:
 
     def named_parameters(self):
         yield from self.coeffs.named("coeffs")
-        yield from self.bases.named("bases")
-        yield from self.weighting.named("weighting")
-        yield from self.scale4.named("scale4")
-        yield from self.scale5.named("scale5")
-        yield from self.scale6.named("scale6")
+        for name in fpn_layout(self.config):
+            yield from reduce(getattr, name.split("."), self).named(name)
 
     def branches(self):
         return (self.scale4, self.scale5, self.scale6)
 
 
 def init_fpn_params(config: FpnConfig, rng, dtype=np.float64) -> FpnParams:
-    ch = config.output_channels
-
-    def branch():
-        return ScaleBranch(
-            guidance=conv1x1_params(ch, ch, rng, dtype),
-            assembly=conv1x1_params(ch, config.n_codewords, rng, dtype),
-            project=conv1x1_params(config.codeword_dim + ch, ch, rng, dtype))
-
-    return FpnParams(
-        config=config,
-        coeffs=init_fusion_coeffs(dtype),
-        bases=conv1x1_params(ch, config.codeword_dim, rng, dtype),
-        weighting=conv1x1_params(ch, config.n_codewords, rng, dtype),
-        scale4=branch(), scale5=branch(), scale6=branch())
+    """A record whose convs are drawn in fpn_layout's order, each set at its path."""
+    params = FpnParams(config, init_fusion_coeffs(dtype), None, None,
+                       *(ScaleBranch(None, None, None) for _ in range(3)))
+    for name, (c_in, c_out) in fpn_layout(config).items():
+        *path, field_name = name.split(".")
+        setattr(reduce(getattr, path, params), field_name, conv1x1_params(c_in, c_out, rng, dtype))
+    return params
 
 
 def init_fpn_stack(config: FpnConfig, rng, dtype=np.float64):

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import ConfigError
-from .tensor import Tensor
+from .tensor import ConfigError, Tensor
 
 _BLOCK = 8
 

@@ -117,7 +117,7 @@ DEFAULT_TOTALS = [
     ("unet", 98855550976, 77869244),
     ("fpn-baseline", 250953754624, 41727267),
     ("hgd-fpn", 601043920896, 52937265),
-    ("hgd-fpn-toy", 88064, 854),
+    ("hgd-fpn-toy", 44032, 854),
 ]
 
 
@@ -133,11 +133,12 @@ def test_cost_totals_at_defaults(capsys, arch, macs, params):
 @pytest.mark.parametrize("arch", list(_ARCHS))
 def test_cost_knobs_follow_the_arch_table(capsys, arch):
     """Every knob an architecture reads reaches its builder; every other
-    one is a config error."""
+    one is a config error. 3 is no architecture's default width or stage
+    count."""
     _, reads = _ARCHS[arch]
     default = run_cli(capsys, "cost", arch)[1]
     for knob in ("n", "c", "k"):
-        code, out, err = run_cli(capsys, "cost", arch, f"--{knob}", "2")
+        code, out, err = run_cli(capsys, "cost", arch, f"--{knob}", "3")
         if knob in reads:
             assert (code, err) == (0, "")
             assert total_from_csv(out) != total_from_csv(default)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 
 import numpy as np
@@ -248,6 +249,23 @@ def test_toy_params_match_executable_decoder():
     rng = np.random.default_rng(0)
     live = parameter_count(init_fpn_params(cfg, rng).named_parameters())
     assert emit_report(spec).total_params == live
+
+
+def test_toy_stage_conv_rows_have_the_live_weight_shapes():
+    """Equal totals could hide two rows with swapped widths: each conv row
+    of a toy stage has the (c_out, c_in) of the live weight it names."""
+    cfg = dataclasses.replace(tiny_fpn_config(), k_recurrence=1)
+    params = init_fpn_params(cfg, np.random.default_rng(0))
+    rows = [layer for layer in fpn_spec("hgd-fpn-toy", k=1).layers if layer.kind == "conv"]
+    paths = []
+    for layer in rows:
+        stage, *path = layer.name.replace("assembly_conv", "assembly").split(".")
+        assert stage == "stage0" and layer.kernel == 1, layer.name
+        weight = functools.reduce(getattr, path, params).weight
+        assert weight.dims == (layer.c_out, layer.c_in), layer.name
+        paths.append(".".join(path))
+    assert [f"{path}.{part}" for path in paths for part in ("weight", "bias")] == \
+        [name for name, _ in params.named_parameters() if not name.startswith("coeffs.")]
 
 
 def test_toy_unshared_params_match_executable_stack():

@@ -97,3 +97,13 @@ def test_output_digest_check_names_each_differing_line(tmp_path, monkeypatch, ca
     out, err = capsys.readouterr()
     assert out.splitlines() == LINES
     assert err.splitlines() == [f"differs: {name}" for name in names]
+
+
+def test_output_digest_hashes_each_cost_arch_and_gradcheck(monkeypatch):
+    # the workload lines are the slow part; the CLI lines follow them
+    output_digest = _load("output_digest")
+    monkeypatch.setattr(output_digest, "workload_lines", lambda: iter(()))
+    lines = list(output_digest.digest_lines())
+    assert [output_digest.line_name(line) for line in lines] == \
+        [f"cost {arch}" for arch in output_digest.cli._ARCHS] + ["gradcheck"]
+    assert len(set(lines)) == len(lines)

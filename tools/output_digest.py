@@ -1,4 +1,5 @@
-"""Print one sha256 per benchmark workload over the arrays it computes.
+"""Print one sha256 per benchmark workload over the arrays it computes, and
+one per deterministic CLI output.
 
 Run from a checkout: `python3 tools/output_digest.py`. Two checkouts that
 print the same lines compute the same bytes for: the decode-paper forward's
@@ -9,7 +10,9 @@ levels unchanged), the seg-infer labels of all 32 images (seed 0), every
 seg-train parameter and gradient after 40 SGD steps at seed 0, and the same
 after one whole 100-step budget at seed 2, where the preset diverges; that
 line also prints the budget's failed-step count, the steps that seg-train
-counts as failures for a non-finite parameter or gradient.
+counts as failures for a non-finite parameter or gradient. They also print
+the same `hgd cost ARCH` CSV at defaults for every architecture (a line
+`cost ARCH` each) and the same `hgd gradcheck` stdout (`gradcheck`).
 
     python3 tools/output_digest.py --check FILE
 
@@ -19,7 +22,9 @@ or exits 0 when every line is the same.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import re
 import sys
 from pathlib import Path
@@ -31,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench"), str(ROOT / "tools")]
 
 import workloads as wl  # noqa: E402
 from ab import hooks_installed  # noqa: E402
-from hgd import decoder, fpn  # noqa: E402
+from hgd import cli, decoder, fpn  # noqa: E402
 
 
 def sha(arrays):
@@ -68,7 +73,23 @@ def seg_train_state(seed, steps):
     return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)], loop.failed
 
 
-def digest_lines():
+def cli_stdout(*argv) -> str:
+    """What `hgd *argv` prints on stdout; the command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code:
+        raise RuntimeError(f"hgd {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def cli_lines():
+    for arch in cli._ARCHS:
+        yield f"cost {arch} " + hashlib.sha256(cli_stdout("cost", arch).encode()).hexdigest()
+    yield "gradcheck " + hashlib.sha256(cli_stdout("gradcheck").encode()).hexdigest()
+
+
+def workload_lines():
     yield "decode-paper " + sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s)))
     # each op returns the output levels, then the parameter gradients
     fpn_arrays = [ready(wl.FpnDecode, s).op(0) for s in range(5)]
@@ -80,6 +101,11 @@ def digest_lines():
     yield "seg-train " + sha(seg_train_state(0, 40)[0])
     state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
     yield f"seg-train seed 2 {sha(state)} failed {failed}"
+
+
+def digest_lines():
+    yield from workload_lines()
+    yield from cli_lines()
 
 
 def line_name(line: str) -> str:
