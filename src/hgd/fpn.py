@@ -22,8 +22,11 @@ codeword product and the stack. A and beta are formed on the tape once per
 branch per stage, so every branch parameter and the codewords get their
 gradients through them. The map sums in another order than the stack form,
 so the two agree to roundoff, not bit for bit. Both fusers take the
-one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6) and p7 upsampled
-to the p6 grid, which a stage computes once. ops.nearest_resize and
+one-step max-pool downsamplings (p3->p4, p4->p5, p5->p6), which a stage
+computes once. Each fusion is one ops.upsampled_weighted_sum that takes its
+coarser neighbor (p5, p6 or p7) on that level's own grid and upsamples it
+inside, so the tape keeps the coarse level and not a 4x copy of it; p7
+feeds two fusions, the code map's and m6. The nearest upsampling and
 ops.maxpool2x2 are an exact up/down pair between levels.
 
 A stage's output p3 is its input p3 plus refined p4 upsampled. The
@@ -38,10 +41,10 @@ step as the previous stage's pooled p3 plus its refined p4
 
 A k-stage decode's tape keeps what each stage's backward reads (see
 hgd.ops): the fused levels and folded weights of the branch convs, the
-maps and coefficients of the fusions, the pooling winners and the
-attention softmax. Every other map is freed once the stage, its FpnTrace
-and the pyramid it returned are dropped, the branch conv outputs and
-each stage's output p3 among them. p3 adds refined p4 upsampled inside
+maps, coarse levels and coefficients of the fusions, the pooling winners
+and the attention softmax. Every other map is freed once the stage, its
+FpnTrace and the pyramid it returned are dropped, the branch conv outputs
+and each stage's output p3 among them. p3 adds refined p4 upsampled inside
 ops.add_upsampled, so besides its input the output p3 is the stage's
 only map on the p3 grid, and since no pooling reads a stage's output p3,
 its gradient is the next stage's, not a copy.
@@ -232,35 +235,31 @@ def activate_coeffs(raw: FusionCoeffs) -> FusionCoeffs:
     return FusionCoeffs(**{name: ops.relu(getattr(raw, name)) for name in FUSION_LENGTHS})
 
 
-def _up(x: Tensor, target: Tensor) -> Tensor:
-    return ops.nearest_resize(x, target.dims[1], target.dims[2])
-
-
-def fuse_code_map(pyramid: Pyramid, a: Tensor, steps, up7: Tensor) -> Tensor:
+def fuse_code_map(pyramid: Pyramid, a: Tensor, steps) -> Tensor:
     """Weighted sum of all five levels on the second-coarsest grid.
 
     Coefficient order: up(p7), p6, down(p5), down^2(p4), down^3(p3).
     `a` is expected to be non-negative already (see activate_coeffs).
-    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6) and
-    `up7` is p7 upsampled to the p6 grid.
+    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6); p7 is
+    upsampled inside ops.upsampled_weighted_sum.
     """
     d34, d45, d56 = steps
     d4 = ops.maxpool2x2(d45)
     d3 = ops.maxpool2x2(ops.maxpool2x2(d34))
-    return ops.weighted_sum(a, [up7, pyramid.p6, d56, d4, d3])
+    return ops.upsampled_weighted_sum(a, pyramid.p7, [pyramid.p6, d56, d4, d3])
 
 
-def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps, up7: Tensor):
+def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
     """Per-scale three-level fusions (coarser neighbor up, self, finer down).
 
-    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6) and
-    `up7` is p7 upsampled to the p6 grid.
+    `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6); each
+    coarser neighbor is upsampled inside ops.upsampled_weighted_sum.
     """
-    _, p4, p5, p6, _ = pyramid.levels()
+    _, p4, p5, p6, p7 = pyramid.levels()
     d34, d45, d56 = steps
-    m4 = ops.weighted_sum(r, [_up(p5, p4), p4, d34])
-    m5 = ops.weighted_sum(s, [_up(p6, p5), p5, d45])
-    m6 = ops.weighted_sum(t, [up7, p6, d56])
+    m4 = ops.upsampled_weighted_sum(r, p5, [p4, d34])
+    m5 = ops.upsampled_weighted_sum(s, p6, [p5, d45])
+    m6 = ops.upsampled_weighted_sum(t, p7, [p6, d56])
     return m4, m5, m6
 
 
@@ -315,13 +314,12 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
             f"{pyramid.channels} != {cfg.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
-    p3, p4, p5, p6, p7 = pyramid.levels()
+    p3, p4, p5, _, _ = pyramid.levels()
     steps = (pyramid.pooled_p3(), ops.maxpool2x2(p4), ops.maxpool2x2(p5))
-    up7 = _up(p7, p6)
-    m_code = fuse_code_map(pyramid, coeffs.a, steps, up7)
+    m_code = fuse_code_map(pyramid, coeffs.a, steps)
     codewords, _, attention = generate_codewords(m_code, params)
 
-    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps, up7)
+    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
     fused = {4: m4, 5: m5, 6: m6}
     refined = {}
     for level, branch in zip((4, 5, 6), params.branches()):

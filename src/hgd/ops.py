@@ -9,13 +9,14 @@ The closure contract: a backward closure captures its parents' nodes and
 the arrays its backward reads, and nothing else. No closure holds a
 Tensor, and an op keeps no array its backward does not read. So the tape
 holds conv1x1's input, weight and shift vector (when given), conv3x3's
-column matrix and weight, matmul's and mul's operands, weighted_sum's maps
-and coefficients, softmax_spatial's output, relu's mask, maxpool2x2's
+column matrix and weight, matmul's and mul's operands,
+upsampled_weighted_sum's coefficients, maps and coarse map (not its
+upsampled copy), softmax_spatial's output, relu's mask, maxpool2x2's
 window winners, cross_entropy_logits' shifted logits, log-sum-exp, mask
 and indices, and bilinear_resize's cached interpolation matrices; add,
-add_upsampled, nearest_resize, the shape movers and the reductions keep
-only dims and scalars. An output that no backward reads is freed as soon
-as its Tensor is dropped, even while its node is still on the tape.
+add_upsampled, the shape movers and the reductions keep only dims and
+scalars. An output that no backward reads is freed as soon as its Tensor
+is dropped, even while its node is still on the tape.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
 - no grad array is written in place, and no first adjoint gets a zero
@@ -28,16 +29,27 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
-- nearest_resize gathers src = dst // 2 onto the grid that maxpool2x2
-  pools back to the input's; its backward sums each source's one or two
-  copies by strided slices, rows first and then columns, so non-finite
-  values stay local in both directions. It equals the dense one-hot product
-  Mh.T @ g @ Mw bit for bit except for the sign of a zero sum;
-- add_upsampled(base, coarse) is add(base, nearest_resize(coarse)) bit for
-  bit, forward and both gradients, and faster: the sum is written into the
-  upsampled copy, so one map fewer is allocated and filled, and one node
-  fewer is recorded and swept. base is the first operand, as add's a, base
-  gets g itself and coarse gets nearest_resize's pair sums of g;
+- the nearest 2x upsampling up(x) lives inside the two ops that read it,
+  add_upsampled and upsampled_weighted_sum, and no op returns it alone. It
+  copies source src = dst // 2 per axis onto a grid that maxpool2x2 pools
+  back to the input's (_nearest_up: np.repeat along columns, then one
+  broadcast per row pair into a fresh buffer). Its adjoint (_pair_sums)
+  sums each source's one or two copies by strided slices, rows first and
+  then columns, so non-finite values stay local in both directions; it
+  equals the dense one-hot product Mh.T @ g @ Mw bit for bit except for the
+  sign of a zero sum;
+- add_upsampled(base, coarse) is add(base, up(coarse)) bit for bit,
+  forward and both gradients: the sum is written into the fresh upsampled
+  copy with base as the first operand, as add's a, so of two NaNs the same
+  one wins, and one node, not two, is recorded and swept. base gets g
+  itself and coarse the pair sums of g;
+- upsampled_weighted_sum(coeffs, coarse, maps) is coeffs[0] up(coarse)
+  plus coeffs[j + 1] maps[j], summed from +0.0 in coefficient order into
+  the maps' dtype; the first term is formed on coarse's grid before the
+  copy up, and the copy is exact, so the sum equals a zero buffer plus
+  each upsampled or given term in turn bit for bit. coarse gets
+  coeffs[0] times the pair sums of g and coeffs[0] gets their dot product
+  with coarse, which equals <g, up(coarse)> up to roundoff;
 - one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
   element wins, a NaN counting as larger than any number, so ties go to the
   first index, the first NaN wins and a NaN best is final. It is a running
@@ -431,11 +443,23 @@ def _check_pools_back(x: Tensor, out_h: int, out_w: int, op: str):
         raise DimensionError(f"{op} target {out_h}x{out_w} does not pool back to {h}x{w}")
 
 
-def _nearest_up(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Output pixel dst copies source dst // 2 per axis: a gather, so a
-    non-finite input reaches only its own copies; take keeps the result
-    C-contiguous."""
-    return x.take(np.arange(out_h) // 2, axis=1).take(np.arange(out_w) // 2, axis=2)
+def _nearest_up(x: np.ndarray, out_h: int, out_w: int, dtype) -> np.ndarray:
+    """x copied up to a fresh C-contiguous (c, out_h, out_w) array of dtype,
+    output pixel dst taking source dst // 2 per axis, so a non-finite input
+    reaches only its own copies.
+
+    np.repeat doubles the columns, and each pair of output rows is copied
+    from its source row through one broadcast, the last row alone when
+    out_h is odd.
+    """
+    c = x.shape[0]
+    cols = np.repeat(x, 2, axis=2)[:, :, :out_w]
+    out = np.empty((c, out_h, out_w), dtype)
+    even = out_h - out_h % 2
+    out[:, :even].reshape(c, even // 2, 2, out_w)[...] = cols[:, :even // 2, None]
+    if even < out_h:
+        out[:, -1] = cols[:, -1]
+    return out
 
 
 def _pair_sums(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -448,29 +472,17 @@ def _pair_sums(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return s
 
 
-def nearest_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest 2x upsampling to a grid that maxpool2x2 pools back to x's,
-    (out + 1) // 2 == in per axis; output pixel dst copies source dst // 2."""
-    _check_pools_back(x, out_h, out_w, "nearest_resize")
-    xn = x._node
-
-    def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, _pair_sums(g, out_h, out_w))
-
-    return _make(_nearest_up(x.data, out_h, out_w), (xn,), "nearest_resize", bwd)
-
-
 def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
-    """base + nearest_resize(coarse, *base.dims[1:]) as one op, the sum
-    written into the upsampled copy."""
+    """base + up(coarse) as one op, up the nearest 2x upsampling onto
+    base's grid, which must pool back to coarse's: output pixel dst adds
+    source dst // 2 per axis."""
     _check_rank(base, 3, "add_upsampled base")
     c, out_h, out_w = base.dims
     _check_pools_back(coarse, out_h, out_w, "add_upsampled")
     if coarse.dims[0] != c:
         raise DimensionError(
             f"add_upsampled channel axis: base has {c}, coarse has {coarse.dims[0]}")
-    up = _nearest_up(coarse.data, out_h, out_w)
+    up = _nearest_up(coarse.data, out_h, out_w, coarse.dtype)
     # base first, as in add's a + b, so that of two NaNs the same one wins;
     # the sum reuses the fresh copy when that has the sum's dtype
     out = np.add(base.data, up, out=up if up.dtype == base.dtype else None)
@@ -682,35 +694,61 @@ def matmul(a: Tensor, b: Tensor, *, out=None) -> Tensor:
     return _make(out, (an, bn), "matmul", bwd)
 
 
-def weighted_sum(coeffs: Tensor, tensors) -> Tensor:
-    """sum_j coeffs[j] * tensors[j], differentiable in the coefficients too."""
-    tensors = list(tensors)
-    _check_rank(coeffs, 1, "weighted_sum coefficients")
-    if coeffs.dims[0] != len(tensors):
-        raise DimensionError(
-            f"weighted_sum coefficient axis: {coeffs.dims[0]} coefficients for {len(tensors)} maps")
-    for t in tensors:
-        if t.dims != tensors[0].dims:
-            raise DimensionError(
-                f"weighted_sum map dims differ: {t.dims} vs {tensors[0].dims}")
+def upsampled_weighted_sum(coeffs: Tensor, coarse: Tensor, maps) -> Tensor:
+    """coeffs[0] * up(coarse) + sum_j coeffs[j + 1] * maps[j], differentiable
+    in the coefficients too; up is add_upsampled's nearest 2x upsampling onto
+    the maps' grid, which must pool back to coarse's.
 
-    cd, maps = coeffs.data, [t.data for t in tensors]
-    out = np.zeros_like(maps[0])
-    for c, m in zip(cd, maps):
-        out += c * m
-    cn, nodes = coeffs._node, [t._node for t in tensors]
+    The terms are summed from +0.0 in coefficient order, into the maps'
+    dtype. The first is formed and added to +0.0 on coarse's grid, so a
+    -0.0 product reads +0.0, and only then copied up; so the tape keeps
+    coarse, not its upsampled copy, and its backward reads up's adjoint,
+    the pair sums of g.
+    """
+    maps = list(maps)
+    _check_rank(coeffs, 1, "upsampled_weighted_sum coefficients")
+    if not maps:
+        raise DimensionError("upsampled_weighted_sum needs at least one map")
+    if coeffs.dims[0] != 1 + len(maps):
+        raise DimensionError(
+            f"upsampled_weighted_sum coefficient axis: {coeffs.dims[0]} coefficients "
+            f"for coarse and {len(maps)} maps")
+    _check_rank(maps[0], 3, "upsampled_weighted_sum map")
+    for t in maps:
+        if t.dims != maps[0].dims:
+            raise DimensionError(
+                f"upsampled_weighted_sum map dims differ: {t.dims} vs {maps[0].dims}")
+    c, out_h, out_w = maps[0].dims
+    _check_pools_back(coarse, out_h, out_w, "upsampled_weighted_sum")
+    if coarse.dims[0] != c:
+        raise DimensionError(
+            f"upsampled_weighted_sum channel axis: maps have {c}, coarse has {coarse.dims[0]}")
+
+    cd, xd, mds = coeffs.data, coarse.data, [t.data for t in maps]
+    # the sum's first step, 0.0 + coeffs[0] * coarse, on coarse's grid: an
+    # upsampled value is a copy, so this equals summing after the copy
+    first = cd[0] * xd
+    first += 0.0
+    out = _nearest_up(first, out_h, out_w, maps[0].dtype)
+    for cj, m in zip(cd[1:], mds):
+        out += cj * m
+    cn, xn, nodes = coeffs._node, coarse._node, [t._node for t in maps]
 
     def bwd(g):
-        for c, n in zip(cd, nodes):
+        for cj, n in zip(cd[1:], nodes):
             if n.requires_grad:
-                _acc(n, c * g)
+                _acc(n, cj * g)
+        sums = _pair_sums(g, out_h, out_w) if xn.requires_grad or cn.requires_grad else None
+        if xn.requires_grad:
+            _acc(xn, cd[0] * sums)
         if cn.requires_grad:
             # vdot sums a strided (say, broadcast) g in another order than a
-            # contiguous one, and a grad must not depend on its adjoint's layout
+            # contiguous one, and a grad must not depend on its adjoint's
+            # layout; the pair sums are a fresh C-contiguous array
             gc = np.ascontiguousarray(g)
-            _acc(cn, np.array([np.vdot(gc, m) for m in maps]))
+            _acc(cn, np.array([np.vdot(sums, xd), *(np.vdot(gc, m) for m in mds)]))
 
-    return _make(out, (cn, *nodes), "weighted_sum", bwd)
+    return _make(out, (cn, xn, *nodes), "upsampled_weighted_sum", bwd)
 
 
 # ----------------------------------------------------------- reductions etc.

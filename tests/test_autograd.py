@@ -182,20 +182,17 @@ def _build_columns(rng):
         probe))
 
 
-@_case("weighted_sum")
-def _build_weighted_sum(rng):
-    maps = [t(rng.normal(size=(2, 3, 3))) for _ in range(3)]
+@_case("upsampled_weighted_sum")
+def _build_upsampled_weighted_sum(rng):
+    # a 3x4 coarse map onto 5x7 maps, so the last window row and column
+    # are clipped
+    coarse = t(rng.normal(size=(2, 3, 4)))
+    maps = [t(rng.normal(size=(2, 5, 7))) for _ in range(2)]
     coeffs = t(rng.normal(size=3))
-    probe = Tensor(rng.normal(size=(2, 3, 3)))
-    params = [("c", coeffs)] + [(f"m{i}", m) for i, m in enumerate(maps)]
-    return params, lambda: ops.sum_all(ops.mul(ops.weighted_sum(coeffs, maps), probe))
-
-
-@_case("nearest_resize")
-def _build_nearest(rng):
-    x = t(rng.normal(size=(2, 3, 4)))
     probe = Tensor(rng.normal(size=(2, 5, 7)))
-    return [("x", x)], lambda: ops.sum_all(ops.mul(ops.nearest_resize(x, 5, 7), probe))
+    params = [("c", coeffs), ("coarse", coarse)] + [(f"m{i}", m) for i, m in enumerate(maps)]
+    return params, lambda: ops.sum_all(ops.mul(ops.upsampled_weighted_sum(coeffs, coarse, maps),
+                                               probe))
 
 
 @_case("add_upsampled")
@@ -275,22 +272,25 @@ def test_maxpool_tie_goes_to_first_row_major():
 
 @pytest.mark.parametrize("sign", ["signed", "positive"])
 def test_weighted_sum_f32_coefficient_grads_keep_f32_accuracy(sign):
-    # each coefficient's grad is one f32 dot product over a map of
-    # fpn-decode's p3 size; all-positive terms cancel nothing, the case
-    # that shows a running sum's roundoff best. Held to 1e-6 of sum|g * t|
-    # (about 8 f32 roundings) against the float64 sum
+    # each coefficient's grad of upsampled_weighted_sum is one f32 dot
+    # product over a map of fpn-decode's p3 size, the coarse one's over the
+    # pair sums of the adjoint and the coarse map; all-positive terms cancel
+    # nothing, the case that shows a running sum's roundoff best. Held to
+    # 1e-6 of sum|g * t| (about 8 f32 roundings) against the float64 sum
     rng = np.random.default_rng(12)
     dims = (64, 56, 88)
-    draw = (lambda: rng.standard_normal(dims)) if sign == "signed" else \
-        (lambda: np.abs(rng.standard_normal(dims)))
-    maps = [Tensor(draw().astype(np.float32)) for _ in range(5)]
+    draw = (lambda shape=dims: rng.standard_normal(shape)) if sign == "signed" else \
+        (lambda shape=dims: np.abs(rng.standard_normal(shape)))
+    coarse = Tensor(draw((64, 28, 44)).astype(np.float32))
+    maps = [Tensor(draw().astype(np.float32)) for _ in range(4)]
     probe = Tensor(draw().astype(np.float32))
     coeffs = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
-    ops.sum_all(ops.mul(ops.weighted_sum(coeffs, maps), probe)).backward()
+    ops.sum_all(ops.mul(ops.upsampled_weighted_sum(coeffs, coarse, maps), probe)).backward()
     assert coeffs.grad.dtype == np.float32
     g = probe.data.astype(np.float64).ravel()
-    for got, m in zip(coeffs.grad, maps):
-        terms = g * m.data.astype(np.float64).ravel()
+    up = coarse.data.repeat(2, axis=1).repeat(2, axis=2)
+    for got, m in zip(coeffs.grad, [up, *(m.data for m in maps)]):
+        terms = g * m.astype(np.float64).ravel()
         assert abs(float(got) - terms.sum()) <= 1e-6 * np.abs(terms).sum()
 
 

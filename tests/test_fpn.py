@@ -72,11 +72,6 @@ def one_steps(pyr):
     return tuple(ops.maxpool2x2(x) for x in pyr.levels()[:3])
 
 
-def up7(pyr):
-    """p7 upsampled to the p6 grid, the map both fusers take."""
-    return ops.nearest_resize(pyr.p7, *pyr.p6.dims[1:])
-
-
 # --------------------------------------------------------------- structure
 
 def test_pyramid_rejects_wrong_level_ratio():
@@ -160,14 +155,14 @@ def test_activate_coeffs_gradient():
 
 def test_fuse_code_map_selector_picks_p6():
     pyr = rand_pyramid(np.random.default_rng(5))
-    m = fuse_code_map(pyr, vec([0.0, 1.0, 0.0, 0.0, 0.0]), one_steps(pyr), up7(pyr))
+    m = fuse_code_map(pyr, vec([0.0, 1.0, 0.0, 0.0, 0.0]), one_steps(pyr))
     assert np.array_equal(m.data, pyr.p6.data)
 
 
 def test_fuse_code_map_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.5)) for h, w in dims])
-    m = fuse_code_map(pyr, vec([1.0] * 5), one_steps(pyr), up7(pyr))
+    m = fuse_code_map(pyr, vec([1.0] * 5), one_steps(pyr))
     assert np.array_equal(m.data, np.full((2, 2, 2), 2.5))
 
 
@@ -176,7 +171,7 @@ def test_fuse_code_map_matches_loop_oracle(h, w):
     rng = np.random.default_rng(7)
     pyr = rand_pyramid(rng, channels=3, h=h, w=w)
     a = rng.uniform(0.0, 2.0, 5)
-    m = fuse_code_map(pyr, vec(a), one_steps(pyr), up7(pyr))
+    m = fuse_code_map(pyr, vec(a), one_steps(pyr))
     oh, ow = pyr.p6.dims[1:]
     levels = [pyr.p7.data, pyr.p6.data, pyr.p5.data, pyr.p4.data, pyr.p3.data]
     want = sum(coef * to_grid(x, oh, ow) for coef, x in zip(a, levels))
@@ -186,7 +181,7 @@ def test_fuse_code_map_matches_loop_oracle(h, w):
 def test_fuse_scale_maps_selectors():
     pyr = rand_pyramid(np.random.default_rng(9))
     one = vec([0.0, 1.0, 0.0])
-    m4, m5, m6 = fuse_scale_maps(pyr, one, one, one, one_steps(pyr), up7(pyr))
+    m4, m5, m6 = fuse_scale_maps(pyr, one, one, one, one_steps(pyr))
     assert np.array_equal(m4.data, pyr.p4.data)
     assert np.array_equal(m5.data, pyr.p5.data)
     assert np.array_equal(m6.data, pyr.p6.data)
@@ -196,7 +191,7 @@ def test_fuse_scale_maps_constant_pyramid():
     dims = chain_dims(16, 16)
     pyr = Pyramid(*[Tensor(np.full((2, h, w), 0.25)) for h, w in dims])
     ones = vec([1.0, 1.0, 1.0])
-    maps = fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr), up7(pyr))
+    maps = fuse_scale_maps(pyr, ones, ones, ones, one_steps(pyr))
     for m, (h, w) in zip(maps, dims[1:4]):
         assert np.array_equal(m.data, np.full((2, h, w), 0.75))
 
@@ -206,7 +201,7 @@ def test_fuse_scale_maps_match_loop_oracle(h, w):
     rng = np.random.default_rng(11)
     pyr = rand_pyramid(rng, channels=3, h=h, w=w)
     r, s, t = (rng.uniform(0.0, 2.0, 3) for _ in range(3))
-    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t), one_steps(pyr), up7(pyr))
+    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t), one_steps(pyr))
     p3, p4, p5, p6, p7 = [lvl.data for lvl in pyr.levels()]
 
     def fused(coefs, up_src, mid, down_src):
@@ -218,6 +213,44 @@ def test_fuse_scale_maps_match_loop_oracle(h, w):
     assert np.max(np.abs(m4.data - fused(r, p5, p4, p3))) <= 1e-12
     assert np.max(np.abs(m5.data - fused(s, p6, p5, p4))) <= 1e-12
     assert np.max(np.abs(m6.data - fused(t, p7, p6, p5))) <= 1e-12
+
+
+def gather_up(x, like):
+    """x upsampled onto like's grid by a numpy gather: pixel dst takes source
+    dst // 2 per axis."""
+    oh, ow = like.shape[1:]
+    return x[:, np.arange(oh) // 2][:, :, np.arange(ow) // 2]
+
+
+def zero_buffer_sum(coefs, terms):
+    """A zero buffer plus each coefficient times its term, in order."""
+    out = np.zeros_like(terms[1])
+    for c, x in zip(coefs, terms):
+        out += c * x
+    return out
+
+
+@pytest.mark.parametrize("h,w", [(16, 16), (25, 38)])
+def test_fusions_equal_a_zero_buffer_sum_of_gathered_levels_bit_for_bit(h, w):
+    """Each fusion upsamples its coarser neighbor inside one op, and its
+    bytes equal a zero buffer plus each term in turn, the coarser neighbor
+    an upsampled copy: the sum the fusions formed over upsampled maps."""
+    rng = np.random.default_rng(8)
+    pyr = rand_pyramid(rng, channels=3, h=h, w=w)
+    a, r, s, t = rng.uniform(0.0, 2.0, 5), *(rng.uniform(0.0, 2.0, 3) for _ in range(3))
+    steps = one_steps(pyr)
+    m_code = fuse_code_map(pyr, vec(a), steps)
+    m4, m5, m6 = fuse_scale_maps(pyr, vec(r), vec(s), vec(t), steps)
+    p3, p4, p5, p6, p7 = [lvl.data for lvl in pyr.levels()]
+    d34, d45, d56 = [d.data for d in steps]
+    d4 = ops.maxpool2x2(steps[1]).data
+    d3 = ops.maxpool2x2(ops.maxpool2x2(steps[0])).data
+    want = {"code": zero_buffer_sum(a, [gather_up(p7, p6), p6, d56, d4, d3]),
+            4: zero_buffer_sum(r, [gather_up(p5, p4), p4, d34]),
+            5: zero_buffer_sum(s, [gather_up(p6, p5), p5, d45]),
+            6: zero_buffer_sum(t, [gather_up(p7, p6), p6, d56])}
+    for key, got in zip(("code", 4, 5, 6), (m_code, m4, m5, m6)):
+        assert got.data.tobytes() == want[key].tobytes(), key
 
 
 # ----------------------------------------------------------------- decode
@@ -282,21 +315,17 @@ def down(x):
     return ops.maxpool2x2(x)
 
 
-def up(x, like):
-    return ops.nearest_resize(x, *like.dims[1:])
-
-
-def unshared_code_map(pyramid, a, steps, up7):
+def unshared_code_map(pyramid, a, steps):
     p3, p4, p5, p6, p7 = pyramid.levels()
-    return ops.weighted_sum(a, [up(p7, p6), p6, down(p5), down(down(p4)),
-                                down(down(down(p3)))])
+    return ops.upsampled_weighted_sum(a, p7, [p6, down(p5), down(down(p4)),
+                                              down(down(down(p3)))])
 
 
-def unshared_scale_maps(pyramid, r, s, t, steps, up7):
+def unshared_scale_maps(pyramid, r, s, t, steps):
     p3, p4, p5, p6, p7 = pyramid.levels()
-    return (ops.weighted_sum(r, [up(p5, p4), p4, down(p3)]),
-            ops.weighted_sum(s, [up(p6, p5), p5, down(p4)]),
-            ops.weighted_sum(t, [up(p7, p6), p6, down(p5)]))
+    return (ops.upsampled_weighted_sum(r, p5, [p4, down(p3)]),
+            ops.upsampled_weighted_sum(s, p6, [p5, down(p4)]),
+            ops.upsampled_weighted_sum(t, p7, [p6, down(p5)]))
 
 
 def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
@@ -324,8 +353,8 @@ def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
 def test_stage_keeps_one_map_on_the_p3_grid():
     """p3 takes refined p4 upsampled inside add_upsampled, so the only node
     on the p3 grid besides the input is the output level itself; the other
-    three upsamplings feed the fusions on coarser grids, p7's both fusers
-    at once."""
+    levels are upsampled inside the four fusions, on coarser grids, and no
+    node holds an upsampled copy."""
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
     out = fpn_decode_once(pyr, params)
@@ -335,8 +364,8 @@ def test_stage_keeps_one_map_on_the_p3_grid():
              and node is not pyr.p3._node]
     assert len(on_p3) == 1 and on_p3[0] is out.p3._node
     counts = {op: sum(1 for node in nodes if node._op == op)
-              for op in ("nearest_resize", "add_upsampled", "maxpool2x2")}
-    assert counts == {"nearest_resize": 3, "add_upsampled": 1, "maxpool2x2": 7}
+              for op in ("upsampled_weighted_sum", "add_upsampled", "maxpool2x2")}
+    assert counts == {"upsampled_weighted_sum": 4, "add_upsampled": 1, "maxpool2x2": 7}
 
 
 def ancestor_ids(t):

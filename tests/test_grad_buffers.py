@@ -38,8 +38,17 @@ def _zero_fill_acc(n, value):
     n.grad += value
 
 
-def _pool(x):
-    return ops.nearest_resize(ops.maxpool2x2(x), H, W)
+def _pool(x, p):
+    """x pooled and fused back onto its own grid with x itself."""
+    return ops.upsampled_weighted_sum(p["c2"], ops.maxpool2x2(x), [x])
+
+
+def _fuse_twice(xs, p):
+    """One pooled map feeds two fusions, as p7 feeds the code map's and
+    m6's, so its grad sums both adjoints, and so do the coefficients'."""
+    coarse = ops.maxpool2x2(xs[0])
+    return ops.add(ops.upsampled_weighted_sum(p["c"], coarse, xs[1:]),
+                   ops.upsampled_weighted_sum(p["c"], coarse, xs[:0:-1]))
 
 
 def _add_pooled(base, x):
@@ -79,7 +88,7 @@ _OPS = {
     "scale": (1, lambda xs, p: ops.scalar_scale(*xs, -1.5)),
     "flat": (1, lambda xs, p: _flat(*xs)),
     "transpose": (1, lambda xs, p: _twice_transposed(*xs)),
-    "pool": (1, lambda xs, p: _pool(*xs)),
+    "pool": (1, lambda xs, p: _pool(*xs, p)),
     "add-up": (2, lambda xs, p: _add_pooled(*xs)),
     "softmax": (1, lambda xs, p: ops.softmax_spatial(*xs)),
     "bias": (1, lambda xs, p: ops.conv1x1(*xs, p["w"], p["b"], shift=p["v"])),
@@ -89,7 +98,7 @@ _OPS = {
                                           shift=ops.global_avg_spatial(xs[1]))),
     "concat": (2, lambda xs, p: ops.conv1x1(ops.concat_channels(xs), p["w2"], p["b"])),
     "concat-in-place": (2, _concat_in_place),
-    "wsum": (3, lambda xs, p: ops.weighted_sum(p["c"], xs)),
+    "fuse": (3, _fuse_twice),
 }
 
 
@@ -118,7 +127,7 @@ def _build(program):
         return Tensor(rng.standard_normal(dims).astype(dtype), requires_grad=grad)
 
     params = {"v": new(C), "w": new(C, C), "w2": new(C, 2 * C), "w3": new(C, C, 3, 3),
-              "b": new(C), "c": new(3), "w6": new(C, 3 * C)}
+              "b": new(C), "c": new(3), "w6": new(C, 3 * C), "c2": new(2)}
     pool = [new(C, H, W) for _ in range(3)] + [new(C, H, W, grad=False)]
     for op, operands in steps:
         pool.append(_OPS[op][1]([pool[i] for i in operands], params))
@@ -189,8 +198,13 @@ def _grads(program, acc=None):
 @example((0, np.float64, [("pool", [0]), ("add", [0, 1])], 4, 1))
 # maxpool2x2 scatters into a copy of the strided grad conv3x3 handed over
 @example((0, np.float32, [("pool", [0]), ("conv3", [0])], 4, 1))
-# weighted_sum's maps and coefficients, fed by a pass-through chain and add(x, x)
-@example((1, np.float64, [("flat", [0]), ("add", [4, 4]), ("wsum", [5, 4, 0])], 4, 1))
+# the fusions' maps, coarse map and coefficients, fed by a pass-through
+# chain and add(x, x)
+@example((1, np.float64, [("flat", [0]), ("add", [4, 4]), ("fuse", [5, 4, 0])], 4, 1))
+# one coarse map feeds two fusions, and its source is also their map, over
+# one and two sweeps
+@example((6, np.float32, [("fuse", [0, 0, 1])], 4, 1))
+@example((7, np.float64, [("fuse", [1, 0, 1]), ("pool", [4])], 4, 2))
 # a second sweep accumulates onto grads the first one passed through
 @example((2, np.float64, [("flat", [0]), ("add", [4, 4])], 0, 2))
 # the in-place concatenation passes slices of its grad to parts that share
@@ -200,8 +214,8 @@ def _grads(program, acc=None):
 # and to the same map through add, over one and two sweeps
 @example((4, np.float64, [("add-up", [0, 0]), ("add", [4, 0])], 0, 1))
 @example((5, np.float32, [("add-up", [0, 0]), ("add-up", [4, 0]), ("flat", [5])], 4, 2))
-# weighted_sum's coefficients against the stride-0 adjoint sum_all passes on
-@example((0, np.float64, [("bias", [0]), ("bias", [0]), ("bias", [0]), ("wsum", [0, 0, 0]),
+# the fusions' coefficients against the stride-0 adjoint sum_all passes on
+@example((0, np.float64, [("bias", [0]), ("bias", [0]), ("bias", [0]), ("fuse", [0, 0, 0]),
                           ("add", [0, 0])], 7, 1))
 def test_grads_equal_zero_fill_reference(program):
     got = _grads(program)

@@ -242,26 +242,43 @@ def test_add_and_scalar_scale():
     assert np.array_equal(ops.scalar_scale(a, -2.0).data, [[-2.0, -4.0]])
 
 
+def gather_up(x, oh, ow):
+    """Nearest upsampling by a numpy gather: pixel dst takes dst // 2 per axis."""
+    return x[:, np.arange(oh) // 2][:, :, np.arange(ow) // 2]
+
+
+def up(x, oh, ow):
+    """The nearest upsampling alone, through upsampled_weighted_sum: 1 times
+    x upsampled plus 0 times a zero map (so a -0.0 would read +0.0)."""
+    coeffs = Tensor(np.array([1.0, 0.0], dtype=x.dtype))
+    return ops.upsampled_weighted_sum(coeffs, x, [Tensor(np.zeros((x.dims[0], oh, ow), x.dtype))])
+
+
 def test_weighted_sum_selector():
+    """upsampled_weighted_sum with one coefficient 1 and the rest 0 returns
+    that term: a map itself, or the coarse map upsampled."""
     rng = np.random.default_rng(6)
-    maps = [t(rng.normal(size=(2, 3, 3))) for _ in range(3)]
-    coeffs = t([1.0, 0.0, 0.0])
-    out = ops.weighted_sum(coeffs, maps)
+    coarse = t(rng.normal(size=(2, 2, 3)))
+    maps = [t(rng.normal(size=(2, 3, 5))) for _ in range(2)]
+    out = ops.upsampled_weighted_sum(t([0.0, 1.0, 0.0]), coarse, maps)
     assert np.array_equal(out.data, maps[0].data)
+    out = ops.upsampled_weighted_sum(t([1.0, 0.0, 0.0]), coarse, maps)
+    assert np.array_equal(out.data, gather_up(coarse.data, 3, 5))
 
 
 def test_weighted_sum_matches_loop():
     rng = np.random.default_rng(7)
-    maps = [rng.normal(size=(2, 2, 2)) for _ in range(4)]
+    coarse = rng.normal(size=(2, 1, 2))
+    maps = [rng.normal(size=(2, 2, 3)) for _ in range(3)]
     cs = rng.normal(size=4)
-    out = ops.weighted_sum(t(cs), [t(m) for m in maps])
-    expect = sum(c * m for c, m in zip(cs, maps))
+    out = ops.upsampled_weighted_sum(t(cs), t(coarse), [t(m) for m in maps])
+    expect = cs[0] * gather_up(coarse, 2, 3) + sum(c * m for c, m in zip(cs[1:], maps))
     assert np.max(np.abs(out.data - expect)) <= 1e-12
 
 
 def test_nearest_resize_upsample():
     x = t(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    out = ops.nearest_resize(x, 4, 4)
+    out = up(x, 4, 4)
     expect = np.array([[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]], dtype=np.float64)
     assert np.array_equal(out.data, expect)
 
@@ -388,7 +405,7 @@ def nearest_grad_loop(g, h, w):
 def test_nearest_resize_matches_loop_oracle(h, w, oh, ow):
     rng = np.random.default_rng(h * 1000 + w * 100 + oh * 10 + ow)
     x = t(rng.normal(size=(2, h, w)), grad=True)
-    out = ops.nearest_resize(x, oh, ow)
+    out = up(x, oh, ow)
     assert np.array_equal(out.data, nearest_loop(x.data, oh, ow))
     # integer upstream gradients keep every sum exact in any order
     probe = rng.integers(-50, 50, size=(2, oh, ow)).astype(np.float64)
@@ -400,7 +417,7 @@ def test_nearest_resize_non_finite_input_stays_local():
     x = np.arange(6, dtype=np.float64).reshape(1, 2, 3)
     x[0, 1, 2] = np.inf
     x[0, 0, 0] = -np.inf
-    out = ops.nearest_resize(t(x), 4, 6)
+    out = up(t(x), 4, 6)
     assert not np.isnan(out.data).any()
     assert np.array_equal(out.data, nearest_loop(x, 4, 6))
     assert np.isposinf(out.data).sum() == 4 and np.isneginf(out.data).sum() == 4
@@ -411,7 +428,7 @@ def test_nearest_resize_non_finite_adjoint_stays_local(bad):
     x = t(np.arange(1, 7, dtype=np.float64).reshape(1, 2, 3), grad=True)
     probe = np.zeros((1, 4, 6))
     probe[0, 0, 0] = bad
-    ops.sum_all(ops.mul(ops.nearest_resize(x, 4, 6), t(probe))).backward()
+    ops.sum_all(ops.mul(up(x, 4, 6), t(probe))).backward()
     want = np.zeros((1, 2, 3))
     want[0, 0, 0] = bad
     assert np.array_equal(x.grad, want, equal_nan=True)
@@ -434,7 +451,7 @@ def test_nearest_resize_backward_equals_dense_product(dtype):
             h, w = (oh + 1) // 2, (ow + 1) // 2
             x = Tensor(rng.normal(size=(3, h, w)).astype(dtype), requires_grad=True)
             g = rng.normal(size=(3, oh, ow)).astype(dtype)
-            ops.sum_all(ops.mul(ops.nearest_resize(x, oh, ow), Tensor(g))).backward()
+            ops.sum_all(ops.mul(up(x, oh, ow), Tensor(g))).backward()
             want = nearest_matrix(h, oh, dtype).T @ g @ nearest_matrix(w, ow, dtype)
             assert x.grad.dtype == dtype
             assert np.array_equal(bits(x.grad), bits(want)), (oh, ow)
@@ -445,15 +462,26 @@ def test_nearest_resize_backward_equals_dense_product(dtype):
 def test_nearest_resize_rejects_targets_that_do_not_pool_back(h, w, oh, ow):
     x = t(np.zeros((1, h, w)))
     with pytest.raises(DimensionError, match=f"{oh}x{ow}.*{h}x{w}"):
-        ops.nearest_resize(x, oh, ow)
+        up(x, oh, ow)
 
 
-def _upsampled_sum(base, coarse, g, fused):
-    """(out, base grad, coarse grad) of base + up(coarse) against adjoint g:
-    one add_upsampled when fused, else add over nearest_resize."""
+def pair_sums_oracle(g, h, w):
+    """gather_up's adjoint onto an (h, w) grid: each source's copies in g
+    summed rows first, then columns. g is padded to (2h, 2w) with -0.0,
+    which leaves every number and NaN it is added to as it is, so a source
+    with one copy gets that copy bit for bit."""
+    c, oh, ow = g.shape
+    padded = np.full((c, 2 * h, 2 * w), -0.0, dtype=g.dtype)
+    padded[:, :oh, :ow] = g
+    rows = padded[:, 0::2] + padded[:, 1::2]
+    return rows[:, :, 0::2] + rows[:, :, 1::2]
+
+
+def _upsampled_sum(base, coarse, g):
+    """(out, base grad, coarse grad) of add_upsampled(base, coarse) against
+    adjoint g."""
     b, c = Tensor(base, requires_grad=True), Tensor(coarse, requires_grad=True)
-    out = (ops.add_upsampled(b, c) if fused
-           else ops.add(b, ops.nearest_resize(c, *base.shape[1:])))
+    out = ops.add_upsampled(b, c)
     ops.sum_all(ops.mul(out, Tensor(g))).backward()
     return out.data, b.grad, c.grad
 
@@ -463,8 +491,8 @@ def _upsampled_sum(base, coarse, g, fused):
 @pytest.mark.parametrize("oh,ow", [(4, 6), (5, 7), (1, 1), (6, 3)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_add_upsampled_equals_add_of_nearest_resize(dtype, oh, ow, where, bad):
-    """Forward and both gradients equal add(base, nearest_resize(coarse))
-    bit for bit, and a non-finite value stays local: in the output at base's
+    """Forward and both gradients equal base + up(coarse), g and the pair
+    sums of g, numpy oracles, bit for bit, and a non-finite value stays local: in the output at base's
     own pixel or at the coarse pixel's copies, in the gradients at the
     adjoint's own pixel for base and its source pixel for coarse."""
     rng = np.random.default_rng(oh * 10 + ow)
@@ -478,8 +506,8 @@ def test_add_upsampled_equals_add_of_nearest_resize(dtype, oh, ow, where, bad):
         pick[1, -1, -1] = bad
 
     with np.errstate(invalid="ignore"):
-        got = _upsampled_sum(base, coarse, g, fused=True)
-        want = _upsampled_sum(base, coarse, g, fused=False)
+        got = _upsampled_sum(base, coarse, g)
+        want = (base + gather_up(coarse, oh, ow), g, pair_sums_oracle(g, h, w))
     for a, b in zip(got, want):
         assert a.dtype == dtype and a.shape == b.shape
         assert np.array_equal(bits(a), bits(b))
@@ -501,8 +529,7 @@ def test_add_upsampled_sums_in_add_operand_order():
     base.view(np.int64)[...] |= 1
     coarse.view(np.int64)[...] |= 2
     got = ops.add_upsampled(t(base), t(coarse))
-    want = ops.add(t(base), ops.nearest_resize(t(coarse), 3, 3))
-    assert np.array_equal(bits(got.data), bits(want.data))
+    assert np.array_equal(bits(got.data), bits(base + gather_up(coarse, 3, 3)))
 
 
 @pytest.mark.parametrize("bdims,cdims,match", [
@@ -577,6 +604,89 @@ def test_add_upsampled_and_maxpool_keep_no_full_index_or_map():
     saved = _saved_arrays(pooled)
     assert [(a.dtype, a.shape) for a in saved] == [(np.dtype(np.int8), pooled.dims)]
     assert _saved_arrays(ops.add_upsampled(x, pooled)) == []
+
+
+def special_values(rng, dims, dtype):
+    """Standard normal values of dtype with about one in five replaced by
+    NaN, +-inf, +0.0 or -0.0."""
+    x = rng.standard_normal(dims).astype(dtype)
+    pick = rng.random(dims) < 0.2
+    x[pick] = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype), pick.sum())
+    return x
+
+
+@pytest.mark.parametrize("oh,ow", [(25, 38), (7, 11)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsampled_weighted_sum_matches_numpy_oracle(dtype, oh, ow):
+    """Output, map and coarse gradients equal numpy oracles bit for bit,
+    NaN, +-inf and signed zeros included, on grids whose last row or column
+    of windows is clipped: the output is a zero buffer plus c0 times the
+    gathered coarse map plus each c_j m_j in turn, the sum weighted_sum
+    formed over an upsampled copy; a map's gradient is c_j g and coarse's
+    c0 times the pair sums of g. The coefficients' gradients are dot
+    products, held to the float64 sums of their terms on finite data."""
+    rng = np.random.default_rng(oh * 100 + ow)
+    h, w = (oh + 1) // 2, (ow + 1) // 2
+    coarse = special_values(rng, (2, h, w), dtype)
+    maps = [special_values(rng, (2, oh, ow), dtype) for _ in range(2)]
+    g = special_values(rng, (2, oh, ow), dtype)
+    cs = np.array([1.5, -0.0, -2.25], dtype)
+
+    nodes = [Tensor(a, requires_grad=True) for a in (cs, coarse, *maps)]
+    with np.errstate(invalid="ignore"):
+        out = ops.upsampled_weighted_sum(nodes[0], nodes[1], nodes[2:])
+        ops.sum_all(ops.mul(out, Tensor(g))).backward()
+        want = np.zeros((2, oh, ow), dtype)
+        for c, m in zip(cs, [gather_up(coarse, oh, ow), *maps]):
+            want += c * m
+        want_grads = [cs[0] * pair_sums_oracle(g, h, w), cs[1] * g, cs[2] * g]
+    assert out.data.dtype == dtype
+    assert np.array_equal(bits(out.data), bits(want))
+    for got, expect in zip([n.grad for n in nodes[1:]], want_grads):
+        assert got.dtype == dtype
+        assert np.array_equal(bits(got), bits(expect))
+
+    finite = [np.nan_to_num(a, nan=1.0, posinf=2.0, neginf=-2.0) for a in (coarse, *maps, g)]
+    coarse, maps, g = finite[0], finite[1:3], finite[3].astype(np.float64)
+    cn = Tensor(cs, requires_grad=True)
+    ops.sum_all(ops.mul(ops.upsampled_weighted_sum(cn, Tensor(coarse), [Tensor(m) for m in maps]),
+                        Tensor(finite[3]))).backward()
+    for got, m in zip(cn.grad, [gather_up(coarse, oh, ow), *maps]):
+        terms = g * m.astype(np.float64)
+        assert abs(float(got) - terms.sum()) <= 1e-6 * np.abs(terms).sum()
+
+
+def test_upsampled_weighted_sum_keeps_coarse_not_its_copy():
+    """The closure keeps the coefficients, the maps and the coarse map
+    itself, and no array on the maps' grid besides the maps."""
+    rng = np.random.default_rng(4)
+    coeffs = t(rng.standard_normal(3), grad=True)
+    coarse = t(rng.standard_normal((3, 4, 5)), grad=True)
+    maps = [t(rng.standard_normal((3, 7, 10)), grad=True) for _ in range(2)]
+    out = ops.upsampled_weighted_sum(coeffs, coarse, maps)
+    saved = _saved_arrays(out)
+    lists = [cell.cell_contents for cell in out._backward_fn.__closure__
+             if isinstance(cell.cell_contents, list)]
+    assert any(a is coeffs.data for a in saved) and any(a is coarse.data for a in saved)
+    assert [a.shape for a in saved if a.shape == (3, 7, 10)] == []
+    assert any(all(a is m.data for a, m in zip(kept, maps)) for kept in lists)
+
+
+@pytest.mark.parametrize("cdims,coarse_dims,map_dims,match", [
+    ((2,), (2, 2, 3), [(2, 4, 6)] * 2, "2 coefficients for coarse and 2 maps"),
+    ((1,), (2, 2, 3), [], "needs at least one map"),
+    ((3,), (2, 2, 3), [(2, 4, 6), (2, 4, 5)], "map dims differ"),
+    ((2,), (3, 2, 3), [(2, 4, 6)], "channel axis: maps have 2, coarse has 3"),
+    ((2,), (2, 3, 3), [(2, 4, 6)], "target 4x6 does not pool back to 3x3"),
+    ((2,), (2, 4, 6), [(2, 4, 6)], "target 4x6 does not pool back to 4x6"),
+    ((2, 1), (2, 2, 3), [(2, 4, 6)], "coefficients must have rank 1"),
+    ((2,), (2, 2, 3), [(4, 6)], "map must have rank 3"),
+], ids=["coefficients", "no-maps", "maps", "channels", "grid", "same-grid", "coeff-rank",
+        "map-rank"])
+def test_upsampled_weighted_sum_rejects_mismatched_operands(cdims, coarse_dims, map_dims, match):
+    with pytest.raises(DimensionError, match=match):
+        ops.upsampled_weighted_sum(t(np.zeros(cdims)), t(np.zeros(coarse_dims)),
+                                   [t(np.zeros(d)) for d in map_dims])
 
 
 # ------------------------------------------------------ cross entropy

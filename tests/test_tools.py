@@ -29,16 +29,17 @@ def test_tape_bytes_fpn_decode_keeps_leaf_grads_only():
 
 def test_tape_bytes_fpn_decode_counts_only_live_data_and_saved_arrays():
     # an op output's data counts only while its tensor is alive: the
-    # upsamplings and the fusions are read by the fusions' and branch
-    # convs' closures (saved), never held as tensors by the caller; the
-    # tape read 32.01 MB while every op output held its parents
+    # fusions are read by the branch convs' closures (saved), never held as
+    # tensors by the caller, and they keep each coarse level, not its 4x
+    # upsampled copy; the tape read 32.01 MB while every op output held its
+    # parents, and 20.48 MB while the fusions kept upsampled copies
     tape_bytes = _load("tape_bytes")
     rows = tape_bytes.run_one("fpn-decode").rows
-    for op in ("nearest_resize", "weighted_sum", "maxpool2x2", "matmul"):
+    for op in ("upsampled_weighted_sum", "maxpool2x2", "matmul"):
         assert rows[op]["data"] == 0, op
-    assert rows["weighted_sum"]["saved"] > 0
+    assert rows["upsampled_weighted_sum"]["saved"] > 0
     tape = sum(row["data"] + row["saved"] for row in rows.values())
-    assert tape <= 21 * tape_bytes.MB
+    assert tape <= 17.5 * tape_bytes.MB
 
 
 def test_tape_bytes_decode_paper_accounts_the_forward_graph():
@@ -97,6 +98,35 @@ def test_output_digest_check_names_each_differing_line(tmp_path, monkeypatch, ca
     out, err = capsys.readouterr()
     assert out.splitlines() == LINES
     assert err.splitlines() == [f"differs: {name}" for name in names]
+
+
+@pytest.mark.parametrize("saved_threads, code", [(None, 0), (1, 0), (2, 2)])
+def test_output_digest_check_refuses_another_thread_count(tmp_path, monkeypatch, capsys,
+                                                          saved_threads, code):
+    # a digest taken at another BLAS thread count is not compared: exit 2,
+    # naming both counts, right after the threads line; one saved without a
+    # threads line is compared as it is
+    output_digest = _load("output_digest")
+    monkeypatch.setattr(output_digest, "digest_lines", lambda: iter(["threads 1", *LINES]))
+    path = tmp_path / "digest.txt"
+    head = [] if saved_threads is None else [f"threads {saved_threads}"]
+    path.write_text("\n".join(head + LINES) + "\n")
+    assert output_digest.main(["--check", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out.splitlines() == ["threads 1"]
+        assert err.splitlines() == [f"threads differ: 1 here, 2 in {path}; "
+                                    "digests at different counts are not compared"]
+    else:
+        assert out.splitlines() == ["threads 1", *LINES] and err == ""
+
+
+def test_output_digest_first_line_is_the_effective_blas_thread_count():
+    output_digest = _load("output_digest")
+    from worker import blas_info
+    first = next(output_digest.workload_lines())
+    assert first == f"threads {blas_info()[0]}"
+    assert output_digest.threads_of(first) == blas_info()[0]
 
 
 def test_output_digest_hashes_each_cost_arch_and_gradcheck(monkeypatch):

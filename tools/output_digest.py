@@ -12,13 +12,20 @@ after one whole 100-step budget at seed 2, where the preset diverges; that
 line also prints the budget's failed-step count, the steps that seg-train
 counts as failures for a non-finite parameter or gradient. They also print
 the same `hgd cost ARCH` CSV at defaults for every architecture (a line
-`cost ARCH` each) and the same `hgd gradcheck` stdout (`gradcheck`).
+`cost ARCH` each) and the same `hgd gradcheck` stdout (`gradcheck`). The
+first line, `threads N`, is the effective OpenBLAS thread count the arrays
+were computed at (read as tools/ab.py reads it); some fpn-decode products
+take another summation path at another count, so digests from two counts
+need not agree.
 
     python3 tools/output_digest.py --check FILE
 
 prints the same lines and compares them with FILE, the output saved from
 another checkout. It names each line that differs on stderr and exits 1,
-or exits 0 when every line is the same.
+or exits 0 when every line is the same. When FILE records another thread
+count it compares nothing: it names both counts on stderr and exits 2 as
+soon as its own count is printed. A FILE without a `threads` line, saved
+before the line existed, is compared as it is.
 """
 
 import argparse
@@ -37,6 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "hgdbench"), str(ROOT / "tools")]
 import workloads as wl  # noqa: E402
 from ab import hooks_installed  # noqa: E402
 from hgd import cli, decoder, fpn  # noqa: E402
+from worker import blas_info  # noqa: E402
 
 
 def sha(arrays):
@@ -90,6 +98,7 @@ def cli_lines():
 
 
 def workload_lines():
+    yield f"threads {blas_info()[0]}"
     yield "decode-paper " + sha(a for s in range(3) for a in decode_paper_trace(ready(wl.DecodePaper, s)))
     # each op returns the output levels, then the parameter gradients
     fpn_arrays = [ready(wl.FpnDecode, s).op(0) for s in range(5)]
@@ -108,6 +117,12 @@ def digest_lines():
     yield from cli_lines()
 
 
+def threads_of(line: str):
+    """N of a `threads N` line, or None for any other line."""
+    match = re.fullmatch(r"threads (\d+)", line.strip())
+    return int(match[1]) if match else None
+
+
 def line_name(line: str) -> str:
     """The words before a line's sha256, which name what it hashes."""
     return re.split(r"\s[0-9a-f]{64}(?:\s|$)", line.strip(), maxsplit=1)[0]
@@ -115,9 +130,11 @@ def line_name(line: str) -> str:
 
 def differing(lines, saved) -> list:
     """The name of every line that is not the same in lines and saved, in
-    the order of lines and then of saved."""
-    ours = {line_name(line): line for line in lines}
-    theirs = {line_name(line): line.strip() for line in saved if line.strip()}
+    the order of lines and then of saved; the threads line is no digest and
+    is left out."""
+    ours = {line_name(line): line for line in lines if threads_of(line) is None}
+    theirs = {line_name(line): line.strip() for line in saved
+              if line.strip() and threads_of(line) is None}
     return [name for name in dict.fromkeys([*ours, *theirs])
             if ours.get(name) != theirs.get(name)]
 
@@ -133,10 +150,18 @@ def main(argv=None) -> int:
             saved = args.check.read_text().splitlines()
         except OSError as exc:
             parser.error(f"cannot read {args.check}: {exc.strerror}")
+    theirs = None
+    if saved is not None:
+        theirs = next((n for n in map(threads_of, saved) if n is not None), None)
     lines = []
     for line in digest_lines():
         print(line, flush=True)
         lines.append(line)
+        ours = threads_of(line)
+        if None not in (ours, theirs) and ours != theirs:
+            print(f"threads differ: {ours} here, {theirs} in {args.check}; "
+                  f"digests at different counts are not compared", file=sys.stderr)
+            return 2
     if saved is None:
         return 0
     names = differing(lines, saved)
