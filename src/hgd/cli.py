@@ -42,11 +42,11 @@ from .decoder import hgd_forward_full
 from .efficientfcn import (backbone_forward, init_seg_params, segment_forward,
                            tiny_backbone_config, train_segmenter)
 from .fpn import (LEVEL_NAMES, Pyramid, fpn_decode_once_full, fpn_stages,
-                  init_fpn_params, init_fpn_stack, level_grids)
+                  init_fpn_params, init_fpn_stack, pyramid_grids)
 from .gradcheck import gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor, write_atomic
 from .synthdata import synth_dataset
-from .tensor import ConfigError, GradcheckError, Tensor
+from .tensor import ConfigError, GradcheckError, Tensor, precision_of
 
 
 def _check_thread_cap():
@@ -89,7 +89,7 @@ def cmd_gradcheck(args) -> int:
     fpn_params = init_fpn_params(fpn_cfg, rng)
     # moderate magnitudes keep the central differences well conditioned
     pyramid = Pyramid(*[Tensor(0.5 * rng.standard_normal((fpn_cfg.output_channels, h, w)))
-                        for h, w in level_grids((tiny.input_size // 4,) * 2)])
+                        for h, w in pyramid_grids((tiny.input_size,) * 2).values()])
 
     count = sum(lvl.data.size for lvl in pyramid.levels())
 
@@ -257,7 +257,7 @@ def cmd_demo_fpn(args) -> int:
 
     rng = np.random.default_rng(run.seed)
     current = Pyramid(*[Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt))
-                        for h, w in level_grids((run.input_size // 4,) * 2)])
+                        for h, w in pyramid_grids((run.input_size,) * 2).values()])
     params = init_fpn_stack(cfg, np.random.default_rng(run.seed + 1), dt)
     for stage, stage_params in enumerate(fpn_stages(params), 1):
         current, trace = fpn_decode_once_full(current, stage_params)
@@ -289,9 +289,8 @@ def cmd_demo_fpn(args) -> int:
 
 def cmd_dump(args) -> int:
     arr = load_tensor(args.tensor)
-    kind = "f32" if arr.dtype == np.float32 else "f64"
     dims = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-    print(f"HGDT {kind} rank {arr.ndim} dims {dims}")
+    print(f"HGDT {precision_of(arr.dtype)} rank {arr.ndim} dims {dims}")
     if not arr.size:
         print("empty")
         return 0

@@ -18,14 +18,10 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .decoder import HgdConfig
 from .efficientfcn import TrainConfig, tiny_hgd_config, tiny_train_config
 from .fpn import FpnConfig, tiny_fpn_config
-from .tensor import ConfigError
-
-_PRECISIONS = ("f32", "f64")
+from .tensor import PRECISIONS, ConfigError
 
 
 @dataclass(frozen=True)
@@ -39,9 +35,9 @@ class RunConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        if self.precision not in _PRECISIONS:
+        if self.precision not in PRECISIONS:
             raise ConfigError(
-                f"precision must be one of {list(_PRECISIONS)}, got {self.precision!r}")
+                f"precision must be one of {list(PRECISIONS)}, got {self.precision!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if self.input_size < 32:
@@ -134,4 +130,4 @@ def load_run_config(path) -> RunConfig:
 
 
 def dtype_of(run: RunConfig):
-    return np.float64 if run.precision == "f64" else np.float32
+    return PRECISIONS[run.precision]

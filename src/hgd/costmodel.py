@@ -1,8 +1,8 @@
 """Analytic multiply-accumulate and parameter counts for whole networks.
 
 Counts are produced from layer descriptions alone, no tensors are ever
-allocated. Conv widths come from the layout tables that parameter init
-reads, except the paper-only refine and smooth convs'. Conventions:
+allocated. Widths are stated once: layout tables and configs give the live
+networks', and _resnet_rows the ResNet stage widths. Conventions:
 
 - one multiply-accumulate (MAC) is counted as one FLOP;
 - convolutions dominate: resizes, pooling, activations, concatenation,
@@ -26,17 +26,18 @@ tightly from those rows.
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .config import tiny_run
+from .config import RunConfig, tiny_run
 from .decoder import HgdConfig, hgd_layout
 from .efficientfcn import backbone_layout, tiny_backbone_config
-from .fpn import FUSION_LENGTHS, FpnConfig, fpn_layout, level_grids
+from .fpn import FUSION_LENGTHS, FpnConfig, fpn_layout, pyramid_grids
 from .tensor import ConfigError
 
-SEG_INPUT = (512, 512)
-SEG_CLASSES = 60
+SEG_INPUT = (RunConfig().input_size,) * 2
+SEG_CLASSES = RunConfig().num_classes
 DETECTION_INPUT = (896, 1408)
 DETECTION_CLASSES = 81
 PROPOSALS = 1000
+ROI_HIDDEN = 1024      # the box head's fully connected width
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def _bottleneck(rows, prefix, c_in, mid, c_out, in_hw, out_hw, project):
 
 
 def _resnet_rows(depth, input_hw, dilated_last_two):
-    """Bottleneck-stage backbone; returns (rows, tap grids by output stride)."""
+    """Bottleneck-stage backbone; returns (rows, {stage 2-5: (width, grid)})."""
     if depth not in _RESNET_BLOCKS:
         raise ConfigError(f"unsupported resnet depth {depth}")
     h, w = input_hw
@@ -126,18 +127,16 @@ def _resnet_rows(depth, input_hw, dilated_last_two):
     rows = [LayerSpec("backbone.conv1", "conv", 7, 3, 64, h // 2, w // 2),
             LayerSpec("backbone.maxpool", "pool", out_h=h // 4, out_w=w // 4)]
 
-    if dilated_last_two:
-        strides = (4, 8, 8, 8)      # last two stages hold at stride 8
-    else:
-        strides = (4, 8, 16, 32)
+    # dilated: the last two stages hold at stride 8
+    strides = (4, 8, 8, 8) if dilated_last_two else (4, 8, 16, 32)
     in_strides = (4, 4, strides[1], strides[2])
 
-    grids = {}
+    stages = {}
     c_in = 64
     for idx, (count, stride, in_stride) in enumerate(zip(blocks, strides, in_strides)):
         stage = idx + 2
-        mid = 64 * 2 ** idx
         c_out = 256 * 2 ** idx
+        mid = c_out // 4        # bottleneck expansion 4
         out_hw = (h // stride, w // stride)
         first_in_hw = (h // in_stride, w // in_stride)
         for b in range(count):
@@ -147,8 +146,8 @@ def _resnet_rows(depth, input_hw, dilated_last_two):
             else:
                 _bottleneck(rows, name, c_out, mid, c_out, out_hw, out_hw, False)
         c_in = c_out
-        grids[stage] = out_hw
-    return rows, grids
+        stages[stage] = (c_out, out_hw)
+    return rows, stages
 
 
 def resnet_spec(depth, input_hw=SEG_INPUT, dilated_last_two=False,
@@ -158,14 +157,15 @@ def resnet_spec(depth, input_hw=SEG_INPUT, dilated_last_two=False,
     The headed variant is what the reference GFLOP totals describe; the
     bare backbone is exposed separately for transparency.
     """
-    rows, grids = _resnet_rows(depth, input_hw, dilated_last_two)
+    rows, stages = _resnet_rows(depth, input_hw, dilated_last_two)
     variant = "dilated" if dilated_last_two else "standard"
     name = f"resnet{depth}-{variant}"
     if include_head:
-        gh, gw = grids[5]
-        rows += [LayerSpec("head.conv1", "conv", 3, 2048, 512, gh, gw),
-                 LayerSpec("head.conv2", "conv", 3, 512, 512, gh, gw),
-                 LayerSpec("head.classifier", "conv", 1, 512, SEG_CLASSES, gh, gw),
+        c5, grid = stages[5]
+        mid = c5 // 4       # an FCN head's convs are a quarter of its input's width
+        rows += [LayerSpec("head.conv1", "conv", 3, c5, mid, *grid),
+                 LayerSpec("head.conv2", "conv", 3, mid, mid, *grid),
+                 LayerSpec("head.classifier", "conv", 1, mid, SEG_CLASSES, *grid),
                  LayerSpec("head.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     else:
         name += "-backbone"
@@ -234,56 +234,53 @@ def efficientfcn_spec(n=None, c=None, input_hw=SEG_INPUT, refined=True) -> ArchS
     pass refined=False.
     """
     config = _with(HgdConfig(), n_codewords=n, codeword_dim=c, guidance_channels=c)
-    rows, _ = _resnet_rows(101, input_hw, False)
-    rows += _decoder_rows(config, (512, 1024, 2048), input_hw, SEG_CLASSES, refined)
+    rows, stages = _resnet_rows(101, input_hw, False)
+    taps = [stages[s][0] for s in (3, 4, 5)]
+    rows += _decoder_rows(config, taps, input_hw, SEG_CLASSES, refined)
     return ArchSpec(name=f"efficientfcn-n{config.n_codewords}", layers=tuple(rows))
 
 
 def unet_spec(input_hw=SEG_INPUT) -> ArchSpec:
     """Reference two-merge encoder-decoder with bilinear upsampling on the
     same backbone (no tolerance is claimed for this reconstruction)."""
-    rows, grids = _resnet_rows(101, input_hw, False)
-    g16, g8 = grids[4], grids[3]
+    rows, stages = _resnet_rows(101, input_hw, False)
+    (c8, g8), (c16, g16), (c32, _) = stages[3], stages[4], stages[5]
     rows += [LayerSpec("decoder.up1", "resize", out_h=g16[0], out_w=g16[1]),
              LayerSpec("decoder.concat1", "elementwise"),
-             LayerSpec("decoder.merge1", "conv", 3, 2048 + 1024, 1024, *g16),
+             LayerSpec("decoder.merge1", "conv", 3, c32 + c16, c16, *g16),
              LayerSpec("decoder.up2", "resize", out_h=g8[0], out_w=g8[1]),
              LayerSpec("decoder.concat2", "elementwise"),
-             LayerSpec("decoder.merge2", "conv", 3, 1024 + 512, 512, *g8),
-             LayerSpec("decoder.classifier", "conv", 1, 512, SEG_CLASSES, *g8),
+             LayerSpec("decoder.merge2", "conv", 3, c16 + c8, c8, *g8),
+             LayerSpec("decoder.classifier", "conv", 1, c8, SEG_CLASSES, *g8),
              LayerSpec("decoder.upsample", "resize", out_h=input_hw[0], out_w=input_hw[1])]
     return ArchSpec(name="unet-bilinear", layers=tuple(rows))
 
 
 # --------------------------------------------------------------- detection
 
-def _pyramid_grids(input_hw):
-    """Level grids at output strides 4..64, ceil division per halving."""
-    return dict(zip(range(3, 8), level_grids(level_grids(input_hw)[2])))
-
-
 def fpn_baseline_spec(input_hw=DETECTION_INPUT) -> ArchSpec:
-    """Two-stage detector with a lateral pyramid (no tolerance claimed)."""
-    rows, _ = _resnet_rows(50, input_hw, False)
-    grids = _pyramid_grids(input_hw)
-    laterals = {3: 256, 4: 512, 5: 1024, 6: 2048}
-    for level, c_in in laterals.items():
-        rows.append(LayerSpec(f"neck.lateral_p{level}", "conv", 1, c_in, 256,
+    """Two-stage detector with a lateral pyramid (no tolerance claimed) of
+    FpnConfig's width, the pyramid hgd-fpn's decoder refines."""
+    rows, stages = _resnet_rows(50, input_hw, False)
+    grids = pyramid_grids(input_hw)
+    ch = FpnConfig().output_channels
+    for level in (3, 4, 5, 6):      # level l's lateral reads stage l - 1
+        rows.append(LayerSpec(f"neck.lateral_p{level}", "conv", 1, stages[level - 1][0], ch,
                               *grids[level]))
     for level in (3, 4, 5, 6):
-        rows.append(LayerSpec(f"neck.smooth_p{level}", "conv", 3, 256, 256,
-                              *grids[level]))
+        rows.append(LayerSpec(f"neck.smooth_p{level}", "conv", 3, ch, ch, *grids[level]))
     rows.append(LayerSpec("neck.p7_pool", "pool", out_h=grids[7][0], out_w=grids[7][1]))
     for level in range(3, 8):
-        rows.append(LayerSpec(f"rpn.conv_p{level}", "conv", 3, 256, 256,
+        rows.append(LayerSpec(f"rpn.conv_p{level}", "conv", 3, ch, ch,
                               *grids[level], tied=level > 3))
-        rows.append(LayerSpec(f"rpn.head_p{level}", "conv", 1, 256, 18,
+        rows.append(LayerSpec(f"rpn.head_p{level}", "conv", 1, ch, 18,
                               *grids[level], tied=level > 3))
     rows += [LayerSpec("roi.pool", "pool", out_h=7, out_w=7),
-             LayerSpec("roi.fc1", "conv", 1, 256 * 7 * 7, 1024, PROPOSALS, 1),
-             LayerSpec("roi.fc2", "conv", 1, 1024, 1024, PROPOSALS, 1),
-             LayerSpec("roi.cls", "conv", 1, 1024, DETECTION_CLASSES, PROPOSALS, 1),
-             LayerSpec("roi.reg", "conv", 1, 1024, 4 * (DETECTION_CLASSES - 1), PROPOSALS, 1)]
+             LayerSpec("roi.fc1", "conv", 1, ch * 7 * 7, ROI_HIDDEN, PROPOSALS, 1),
+             LayerSpec("roi.fc2", "conv", 1, ROI_HIDDEN, ROI_HIDDEN, PROPOSALS, 1),
+             LayerSpec("roi.cls", "conv", 1, ROI_HIDDEN, DETECTION_CLASSES, PROPOSALS, 1),
+             LayerSpec("roi.reg", "conv", 1, ROI_HIDDEN, 4 * (DETECTION_CLASSES - 1),
+                       PROPOSALS, 1)]
     return ArchSpec(name="fpn-baseline", layers=tuple(rows))
 
 
@@ -326,34 +323,28 @@ def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
     """Pyramid decoder cost specs for the "hgd-fpn" and "hgd-fpn-toy"
     variants (the baseline detector alone is fpn_baseline_spec).
 
-    hgd-fpn: full-scale stages on top of the baseline detector, config
-    FpnConfig(). hgd-fpn-toy: decoder stages alone, the same stage builder
-    at the preset tiny_run()'s pyramid config and size. `n`, `c`, `k` and
-    `share_params` replace config fields when given. Both count each scale
-    branch in the paper's stack form (guidance, assembly conv, assembly
-    matmul, projection of [assembled; G]), while the live pyramid decoder
-    (hgd.fpn) runs the folded form, one ch x ch conv per scale plus a
-    per-stage product of small matrices. So the toy rows hold the live
-    decoder's parameters exactly, not its MACs.
+    hgd-fpn: full-scale stages on top of the baseline detector, at
+    FpnConfig() and DETECTION_INPUT. hgd-fpn-toy: decoder stages alone, the
+    same stage builder with 1x1 convs, at the preset tiny_run()'s pyramid
+    config and image size. `input_hw` is the input image for both, and the
+    levels are its fpn.pyramid_grids. `n`, `c`, `k` and `share_params`
+    replace config fields when given. Both count each scale branch in the
+    paper's stack form (guidance, assembly conv, assembly matmul,
+    projection of [assembled; G]), while the live pyramid decoder (hgd.fpn)
+    runs the folded form, one ch x ch conv per scale plus a per-stage
+    product of small matrices. So the toy rows hold the live decoder's
+    parameters exactly, not its MACs.
     """
-    if variant == "hgd-fpn":
-        input_hw = input_hw or DETECTION_INPUT
-        rows = list(fpn_baseline_spec(input_hw).layers)
-        grids = _pyramid_grids(input_hw)
-        config = FpnConfig()
-    elif variant == "hgd-fpn-toy":
-        tiny = tiny_run()
-        input_hw = input_hw or (tiny.input_size // 4,) * 2
-        rows = []
-        # toy pyramid levels run from the input size down, not from stride 4
-        grids = dict(zip(range(3, 8), level_grids(input_hw)))
-        config = tiny.fpn
-    else:
+    if variant not in ("hgd-fpn", "hgd-fpn-toy"):
         raise ConfigError(f"unknown fpn variant {variant!r}")
-    config = _with(config, n_codewords=n, codeword_dim=c, k_recurrence=k,
-                   share_params=share_params)
+    full, tiny = variant == "hgd-fpn", tiny_run()
+    input_hw = input_hw or (DETECTION_INPUT if full else (tiny.input_size,) * 2)
+    rows = list(fpn_baseline_spec(input_hw).layers) if full else []
+    grids = pyramid_grids(input_hw)
+    config = _with(FpnConfig() if full else tiny.fpn, n_codewords=n, codeword_dim=c,
+                   k_recurrence=k, share_params=share_params)
     for stage in range(config.k_recurrence):
-        rows += _decoder_stage_rows(stage, grids, config, full=variant == "hgd-fpn")
+        rows += _decoder_stage_rows(stage, grids, config, full)
     return ArchSpec(name=f"{variant}-k{config.k_recurrence}", layers=tuple(rows))
 
 

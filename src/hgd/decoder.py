@@ -18,15 +18,15 @@ small set of holistic codewords:
    G + mean B is never built;
 4. the head's output stacks the reconstructed map on G.
 
-Steps 3-4 are one function. (The pyramid decoder's branches run the same
-head without the transfer path, folded with their projection into one
-affine map; see hgd.fpn.) Both stacks at the fine grid, m8 and the head's
-output, are built in place: the producers of the parts (the 1x1 convs, the
-bilinear resizes and the assembly matmul) write into consecutive channel
-slices of one buffer, and the concatenation returns that buffer without a
-copy, so the parts' data are views of it. A stack under 256 KiB (toy
-widths), or one whose inputs mix dtypes, is copied instead, and numpy's
-promotion sets its dtype.
+Steps 3-4 are one function. (The pyramid branches do not call it: each
+folds the head's algebra, less the transfer path, with its projection
+into one affine map, hgd.fpn.fold_branch.) Both stacks at the fine grid,
+m8 and the head's output, are built in place: the producers of the parts
+(the 1x1 convs, the bilinear resizes and the assembly matmul) write into
+consecutive channel slices of one buffer, and the concatenation returns
+that buffer without a copy, so the parts' data are views of it. A stack
+under 256 KiB (toy widths), or one whose inputs mix dtypes, is copied
+instead, and numpy's promotion sets its dtype.
 
 All branches are pure affine 1x1 convolutions; there is no normalization or
 activation inside the decoder.

@@ -40,7 +40,7 @@ class ToyBackboneConfig:
 
     @property
     def tap_channels(self):
-        return self.stage_channels[1:]
+        return tuple(c_out for _, c_out, tap in backbone_layout(self) if tap)
 
 
 @dataclass

@@ -73,6 +73,12 @@ def level_grids(finest):
     return grids
 
 
+def pyramid_grids(input_hw):
+    """An input image's level grids by level, 3 to 7: p3 is the input at
+    stride 4 (halved twice, rounding up), and level_grids gives the rest."""
+    return dict(zip(range(3, 8), level_grids(level_grids(input_hw)[2])))
+
+
 @dataclass
 class Pyramid:
     """Five feature maps, finest first, each half the size of the previous.

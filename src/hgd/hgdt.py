@@ -10,8 +10,9 @@ or inf is refused with ValueError. These are qualitative visual dumps, so
 the normalization is documented rather than invertible.
 
 A checkpoint is a directory of HGDT files plus manifest.json mapping each
-tensor name to its file, dims, and dtype. The optional "meta" entry is
-written for readers of manifest.json; the library does not read it back.
+tensor name to its file, dims, and dtype (its hgd.tensor.PRECISIONS name).
+The optional "meta" entry is written for readers of manifest.json; the
+library does not read it back.
 
 Every file is written atomically (write_atomic): a write that fails leaves
 the target as it was, never a partial file.
@@ -27,15 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, precision_of
 
 _MAGIC = b"HGDT"
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-def _dtype_name(arr: np.ndarray) -> str:
-    return "f32" if arr.dtype == np.float32 else "f64"
 
 
 def _as_array(tensor_or_array) -> np.ndarray:
@@ -142,7 +139,7 @@ def save_checkpoint(directory, named_tensors, meta: dict | None = None) -> None:
         entries[name] = {
             "file": f"{stem}.hgdt",
             "dims": list(arr.shape),
-            "dtype": _dtype_name(arr),
+            "dtype": precision_of(arr.dtype),
         }
     manifest = {"tensors": entries}
     if meta is not None:
@@ -175,7 +172,8 @@ def load_checkpoint(directory) -> dict:
         arr = load_tensor(path)
         if list(arr.shape) != dims:
             raise ValueError(f"{name}: manifest dims {dims} != file dims {list(arr.shape)}")
-        if _dtype_name(arr) != dtype:
-            raise ValueError(f"{name}: manifest dtype {dtype!r} != file dtype {_dtype_name(arr)}")
+        kind = precision_of(arr.dtype)
+        if kind != dtype:
+            raise ValueError(f"{name}: manifest dtype {dtype!r} != file dtype {kind}")
         out[name] = arr
     return out

@@ -219,17 +219,13 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(np.asarray(x.data.sum(), dtype=x.dtype), (xn,), "sum_all", bwd)
 
 
-# ReLU backward scale; != 1.0 only inside broken_relu_gradient() below.
-_RELU_GRAD_SCALE = 1.0
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     xn = x._node
 
     def bwd(g):
         if xn.requires_grad:
-            _acc(xn, g * mask * _RELU_GRAD_SCALE)
+            _acc(xn, g * mask)
 
     # multiply (not where) so non-finite inputs stay visible to the debug check
     return _make(x.data * mask, (xn,), "relu", bwd)
@@ -240,14 +236,24 @@ def broken_relu_gradient():
     """Deliberately mis-scale relu's backward pass by 1.5.
 
     Exists solely so the gradient checker's failure path can be exercised;
-    see the negative tests and the gradcheck CLI flag.
+    see the negative tests and the gradcheck CLI flag. The block runs with
+    relu swapped for a wrapper that scales its output's incoming adjoint.
     """
-    global _RELU_GRAD_SCALE
-    _RELU_GRAD_SCALE = 1.5
+    global relu
+    original = relu
+
+    def broken(x):
+        out = original(x)
+        bwd = out._backward_fn
+        if bwd is not None:
+            out._backward_fn = lambda g: bwd(1.5 * g)
+        return out
+
+    relu = broken
     try:
         yield
     finally:
-        _RELU_GRAD_SCALE = 1.0
+        relu = original
 
 
 # ------------------------------------------------------------- convolutions
@@ -436,11 +442,14 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, *, out=None) -> Tensor:
     return _make(out, (xn,), "bilinear_resize", bwd)
 
 
-def _check_pools_back(x: Tensor, out_h: int, out_w: int, op: str):
-    _check_resize(x, out_h, out_w, op)
-    _, h, w = x.dims
+def _check_pools_back(coarse: Tensor, c: int, out_h: int, out_w: int, op: str):
+    """Raise unless coarse has c channels and pools back from out_h x out_w."""
+    _check_resize(coarse, out_h, out_w, op)
+    channels, h, w = coarse.dims
     if ((out_h + 1) // 2, (out_w + 1) // 2) != (h, w):
         raise DimensionError(f"{op} target {out_h}x{out_w} does not pool back to {h}x{w}")
+    if channels != c:
+        raise DimensionError(f"{op} channel axis: output has {c}, coarse has {channels}")
 
 
 def _nearest_up(x: np.ndarray, out_h: int, out_w: int, dtype) -> np.ndarray:
@@ -478,10 +487,7 @@ def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
     source dst // 2 per axis."""
     _check_rank(base, 3, "add_upsampled base")
     c, out_h, out_w = base.dims
-    _check_pools_back(coarse, out_h, out_w, "add_upsampled")
-    if coarse.dims[0] != c:
-        raise DimensionError(
-            f"add_upsampled channel axis: base has {c}, coarse has {coarse.dims[0]}")
+    _check_pools_back(coarse, c, out_h, out_w, "add_upsampled")
     up = _nearest_up(coarse.data, out_h, out_w, coarse.dtype)
     # base first, as in add's a + b, so that of two NaNs the same one wins;
     # the sum reuses the fresh copy when that has the sum's dtype
@@ -719,10 +725,7 @@ def upsampled_weighted_sum(coeffs: Tensor, coarse: Tensor, maps) -> Tensor:
             raise DimensionError(
                 f"upsampled_weighted_sum map dims differ: {t.dims} vs {maps[0].dims}")
     c, out_h, out_w = maps[0].dims
-    _check_pools_back(coarse, out_h, out_w, "upsampled_weighted_sum")
-    if coarse.dims[0] != c:
-        raise DimensionError(
-            f"upsampled_weighted_sum channel axis: maps have {c}, coarse has {coarse.dims[0]}")
+    _check_pools_back(coarse, c, out_h, out_w, "upsampled_weighted_sum")
 
     cd, xd, mds = coeffs.data, coarse.data, [t.data for t in maps]
     # the sum's first step, 0.0 + coeffs[0] * coarse, on coarse's grid: an

@@ -32,7 +32,13 @@ import numpy as np
 # When True, every primitive asserts its forward output is finite.
 DEBUG_CHECK_FINITE = False
 
-_FLOAT_DTYPES = (np.float32, np.float64)
+# the precision names of run configs, manifests and `hgd dump`, and the dtypes
+PRECISIONS = {"f32": np.float32, "f64": np.float64}
+
+
+def precision_of(dtype) -> str:
+    """The PRECISIONS name of a float32 or float64 dtype."""
+    return next(name for name, dt in PRECISIONS.items() if dt == dtype)
 
 
 class DimensionError(ValueError):
@@ -85,7 +91,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype not in PRECISIONS.values():
             arr = arr.astype(np.float64)
         self.data = arr
         self._node = Node(arr.shape, arr.dtype, bool(requires_grad))

@@ -271,7 +271,7 @@ def test_maxpool_tie_goes_to_first_row_major():
 
 
 @pytest.mark.parametrize("sign", ["signed", "positive"])
-def test_weighted_sum_f32_coefficient_grads_keep_f32_accuracy(sign):
+def test_upsampled_weighted_sum_f32_coefficient_grads_keep_f32_accuracy(sign):
     # each coefficient's grad of upsampled_weighted_sum is one f32 dot
     # product over a map of fpn-decode's p3 size, the coarse one's over the
     # pair sums of the adjoint and the coarse map; all-positive terms cancel
@@ -305,6 +305,21 @@ def test_gradcheck_flags_broken_backward():
     with ops.broken_relu_gradient():
         reports = gradcheck(build, [("x", x)], step=1e-6, tol=1e-5)
     assert not all(rep.passed for rep in reports)
+
+
+def test_broken_relu_gradient_scales_and_restores_relu_when_the_block_raises():
+    relu = ops.relu
+    x = t([[-1.0, 2.0, 3.0]])
+    with pytest.raises(RuntimeError, match="inside"):
+        with ops.broken_relu_gradient():
+            assert ops.relu is not relu
+            ops.sum_all(ops.relu(x)).backward()
+            raise RuntimeError("inside")
+    assert np.array_equal(x.grad, [[0.0, 1.5, 1.5]])
+    assert ops.relu is relu
+    x.zero_grad()
+    ops.sum_all(ops.relu(x)).backward()
+    assert np.array_equal(x.grad, [[0.0, 1.0, 1.0]])
 
 
 def test_gradcheck_aborts_on_nonfinite_loss():

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from hgd.cli import _ARCHS, main
-from hgd.hgdt import load_checkpoint, load_tensor, save_tensor
+from hgd.hgdt import load_checkpoint, load_tensor, save_checkpoint, save_tensor
+from hgd.tensor import PRECISIONS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,6 +131,14 @@ def test_cost_totals_at_defaults(capsys, arch, macs, params):
     assert total_from_csv(out) == (macs, params)
 
 
+def test_cost_toy_input_is_the_input_image(capsys):
+    """--input is the input image for every architecture: the preset's
+    64x64 image is hgd-fpn-toy's default, a 16x16 p3."""
+    code, out, _ = run_cli(capsys, "cost", "hgd-fpn-toy", "--input", "64")
+    assert code == 0
+    assert out == run_cli(capsys, "cost", "hgd-fpn-toy")[1]
+
+
 @pytest.mark.parametrize("arch", list(_ARCHS))
 def test_cost_knobs_follow_the_arch_table(capsys, arch):
     """Every knob an architecture reads reaches its builder; every other
@@ -157,6 +166,15 @@ def test_dump_describes_tensor(tmp_path, capsys):
     assert code == 0
     assert "HGDT f64 rank 2 dims 2x3" in out
     assert "values 0 1 2 3 4 5" in out
+
+
+def test_manifest_and_dump_name_each_precision_from_the_table(tmp_path, capsys):
+    save_checkpoint(tmp_path, {name: np.zeros(2, dtype) for name, dtype in PRECISIONS.items()})
+    entries = json.loads((tmp_path / "manifest.json").read_text())["tensors"]
+    assert {name: e["dtype"] for name, e in entries.items()} == {"f32": "f32", "f64": "f64"}
+    for name, entry in entries.items():
+        code, out, _ = run_cli(capsys, "dump", "--tensor", str(tmp_path / entry["file"]))
+        assert (code, out.splitlines()[0]) == (0, f"HGDT {name} rank 1 dims 2")
 
 
 def test_dump_empty_tensor(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hgd.config import RunConfig, dtype_of, load_run_config, parse_run_config
 from hgd.decoder import HgdConfig
 from hgd.efficientfcn import TrainConfig
 from hgd.fpn import FpnConfig
-from hgd.tensor import ConfigError
+from hgd.tensor import PRECISIONS, ConfigError
 
 # the documented JSON key -> dataclass field map, per section
 KEY_FIELDS = {
@@ -222,6 +223,14 @@ def test_parse_returns_run_config_or_raises_config_error(doc):
 def test_dtype_selection():
     assert dtype_of(RunConfig(precision="f32")) is np.float32
     assert dtype_of(RunConfig(precision="f64")) is np.float64
+
+
+@pytest.mark.parametrize("name", ["f16", "F32", "float32", "fp64", ""])
+def test_precision_names_are_the_table_names(name):
+    for known, dtype in PRECISIONS.items():
+        assert dtype_of(RunConfig(precision=known)) is dtype
+    with pytest.raises(ConfigError, match=re.escape(f"must be one of {list(PRECISIONS)}")):
+        RunConfig(precision=name)
 
 
 def test_load_from_file(tmp_path):

@@ -254,7 +254,7 @@ def up(x, oh, ow):
     return ops.upsampled_weighted_sum(coeffs, x, [Tensor(np.zeros((x.dims[0], oh, ow), x.dtype))])
 
 
-def test_weighted_sum_selector():
+def test_upsampled_weighted_sum_selector():
     """upsampled_weighted_sum with one coefficient 1 and the rest 0 returns
     that term: a map itself, or the coarse map upsampled."""
     rng = np.random.default_rng(6)
@@ -266,7 +266,7 @@ def test_weighted_sum_selector():
     assert np.array_equal(out.data, gather_up(coarse.data, 3, 5))
 
 
-def test_weighted_sum_matches_loop():
+def test_upsampled_weighted_sum_matches_loop():
     rng = np.random.default_rng(7)
     coarse = rng.normal(size=(2, 1, 2))
     maps = [rng.normal(size=(2, 2, 3)) for _ in range(3)]
@@ -276,7 +276,7 @@ def test_weighted_sum_matches_loop():
     assert np.max(np.abs(out.data - expect)) <= 1e-12
 
 
-def test_nearest_resize_upsample():
+def test_upsampled_weighted_sum_upsamples_nearest():
     x = t(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
     out = up(x, 4, 4)
     expect = np.array([[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]], dtype=np.float64)
@@ -402,7 +402,7 @@ def nearest_grad_loop(g, h, w):
 
 
 @pytest.mark.parametrize("h,w,oh,ow", [(3, 4, 5, 7), (4, 3, 8, 5), (2, 4, 3, 8), (1, 1, 1, 2)])
-def test_nearest_resize_matches_loop_oracle(h, w, oh, ow):
+def test_upsampled_weighted_sum_upsampling_matches_loop_oracle(h, w, oh, ow):
     rng = np.random.default_rng(h * 1000 + w * 100 + oh * 10 + ow)
     x = t(rng.normal(size=(2, h, w)), grad=True)
     out = up(x, oh, ow)
@@ -413,7 +413,7 @@ def test_nearest_resize_matches_loop_oracle(h, w, oh, ow):
     assert np.array_equal(x.grad, nearest_grad_loop(probe, h, w))
 
 
-def test_nearest_resize_non_finite_input_stays_local():
+def test_upsampled_weighted_sum_non_finite_coarse_stays_local():
     x = np.arange(6, dtype=np.float64).reshape(1, 2, 3)
     x[0, 1, 2] = np.inf
     x[0, 0, 0] = -np.inf
@@ -424,7 +424,7 @@ def test_nearest_resize_non_finite_input_stays_local():
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_nearest_resize_non_finite_adjoint_stays_local(bad):
+def test_upsampled_weighted_sum_non_finite_adjoint_stays_local(bad):
     x = t(np.arange(1, 7, dtype=np.float64).reshape(1, 2, 3), grad=True)
     probe = np.zeros((1, 4, 6))
     probe[0, 0, 0] = bad
@@ -442,7 +442,7 @@ def nearest_matrix(n_in, n_out, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_nearest_resize_backward_equals_dense_product(dtype):
+def test_upsampled_weighted_sum_backward_equals_dense_product(dtype):
     """The pair sums equal Mh.T @ g @ Mw bit for bit on finite data, on
     every grid that pools back to its input up to 9x9."""
     rng = np.random.default_rng(7)
@@ -459,7 +459,7 @@ def test_nearest_resize_backward_equals_dense_product(dtype):
 
 @pytest.mark.parametrize("h,w,oh,ow", [(4, 4, 2, 2), (3, 3, 5, 7), (3, 3, 3, 3)],
                          ids=["downsample", "non-halving", "same-size"])
-def test_nearest_resize_rejects_targets_that_do_not_pool_back(h, w, oh, ow):
+def test_upsampled_weighted_sum_rejects_targets_that_do_not_pool_back(h, w, oh, ow):
     x = t(np.zeros((1, h, w)))
     with pytest.raises(DimensionError, match=f"{oh}x{ow}.*{h}x{w}"):
         up(x, oh, ow)
@@ -533,7 +533,7 @@ def test_add_upsampled_sums_in_add_operand_order():
 
 
 @pytest.mark.parametrize("bdims,cdims,match", [
-    ((2, 4, 6), (3, 2, 3), "channel axis: base has 2, coarse has 3"),
+    ((2, 4, 6), (3, 2, 3), "add_upsampled channel axis: output has 2, coarse has 3"),
     ((2, 4, 6), (2, 3, 3), "target 4x6 does not pool back to 3x3"),
     ((2, 4, 6), (2, 4, 6), "target 4x6 does not pool back to 4x6"),
     ((2, 4, 6), (2, 2, 3, 1), "add_upsampled input must have rank 3"),
@@ -676,7 +676,7 @@ def test_upsampled_weighted_sum_keeps_coarse_not_its_copy():
     ((2,), (2, 2, 3), [(2, 4, 6)] * 2, "2 coefficients for coarse and 2 maps"),
     ((1,), (2, 2, 3), [], "needs at least one map"),
     ((3,), (2, 2, 3), [(2, 4, 6), (2, 4, 5)], "map dims differ"),
-    ((2,), (3, 2, 3), [(2, 4, 6)], "channel axis: maps have 2, coarse has 3"),
+    ((2,), (3, 2, 3), [(2, 4, 6)], "upsampled_weighted_sum channel axis: output has 2, coarse has 3"),
     ((2,), (2, 3, 3), [(2, 4, 6)], "target 4x6 does not pool back to 3x3"),
     ((2,), (2, 4, 6), [(2, 4, 6)], "target 4x6 does not pool back to 4x6"),
     ((2, 1), (2, 2, 3), [(2, 4, 6)], "coefficients must have rank 1"),
