@@ -29,15 +29,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import ops, parse_thread_cap
-from .config import dtype_of, load_run_config, tiny_run
-from .costmodel import (efficientfcn_spec, emit_report, fpn_baseline_spec, fpn_spec,
-                        report_csv, resnet_spec, unet_spec)
+from .config import _FPN_KEYS, dtype_of, load_run_config, tiny_run
+from .costmodel import (FPN_CONFIGS, efficientfcn_spec, emit_report, fpn_baseline_spec,
+                        fpn_spec, report_csv, resnet_spec, unet_spec)
 from .decoder import hgd_forward_full
 from .efficientfcn import (backbone_forward, init_seg_params, segment_forward,
                            tiny_backbone_config, train_segmenter)
@@ -134,8 +135,15 @@ def _cmd_gradcheck_entry(args) -> int:
 
 # --------------------------------------------------------------------- cost
 
+def _fpn_cost(variant, input_hw=None, **knobs):
+    """fpn_spec at the variant's config, each knob given set on it by the
+    run config's `fpn` key map (--n is its `n`, and so on)."""
+    config = replace(FPN_CONFIGS[variant], **{_FPN_KEYS[k]: v for k, v in knobs.items()})
+    return fpn_spec(variant, config, input_hw)
+
+
 # each architecture's spec builder and the width/stage knobs it reads; all
-# read --input, and every default comes from the builder's own signature
+# read --input, and every default comes from hgd.costmodel
 _ARCHS = {
     "resnet101": (partial(resnet_spec, 101), ()),
     "resnet101-dilated": (partial(resnet_spec, 101, dilated_last_two=True), ()),
@@ -143,8 +151,8 @@ _ARCHS = {
     "efficientfcn": (efficientfcn_spec, ("n", "c")),
     "unet": (unet_spec, ()),
     "fpn-baseline": (fpn_baseline_spec, ()),
-    "hgd-fpn": (partial(fpn_spec, "hgd-fpn"), ("n", "c", "k")),
-    "hgd-fpn-toy": (partial(fpn_spec, "hgd-fpn-toy"), ("n", "c", "k")),
+    "hgd-fpn": (partial(_fpn_cost, "hgd-fpn"), ("n", "c", "k")),
+    "hgd-fpn-toy": (partial(_fpn_cost, "hgd-fpn-toy"), ("n", "c", "k")),
 }
 
 
@@ -321,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="codeword count")
     p.add_argument("--c", type=int, help="codeword dimension")
     p.add_argument("--k", type=int,
-                   help="recurrence stages (pyramid variants; default: the variant's config)")
+                   help="recurrence stages (pyramid variants: sets k_recurrence of the "
+                        "variant's config)")
     p.add_argument("--input", help="input size: SIZE or HxW")
     p.set_defaults(func=cmd_cost)
 

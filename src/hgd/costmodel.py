@@ -11,9 +11,13 @@ networks', and _resnet_rows the ResNet stage widths. Conventions:
   costs k^2*c_in*c_out*h*w MACs and k^2*c_in*c_out + c_out parameters
   (bias included); dilation changes the output grid a variant runs at,
   never the parameter count;
-- the codeword assembly matmul costs c_in*c_out*h*w MACs and owns no
-  parameters; learned fusion scalars are a zero-MAC layer kind with an
-  explicit parameter count;
+- a matmul row, a product of computed operands (the codeword matmuls,
+  and the products that fold a pyramid branch into one conv), costs
+  c_in*c_out*h*w MACs: an (a x b)(b x d) product is c_in b, c_out a on a
+  d x 1 grid. It owns no weights, but counts the parameters of the live
+  weights it reads when it is the one row they are counted on; learned
+  fusion scalars are a zero-MAC layer kind with an explicit parameter
+  count;
 - fully connected layers are 1x1 convolutions on a 1x1 grid, with the
   row count (e.g. detection proposals) folded into the grid height.
 
@@ -49,7 +53,7 @@ class LayerSpec:
     c_out: int = 0
     out_h: int = 0
     out_w: int = 0
-    param_count: int = 0   # used by the "coeffs" kind only
+    param_count: int = 0   # "coeffs" and "matmul" kinds: the live parameters they count
     tied: bool = False     # weights reused from an earlier layer: no new params
 
 
@@ -73,8 +77,9 @@ def count_layer(spec: LayerSpec):
         macs = weights * spec.out_h * spec.out_w
         params = 0 if spec.tied else weights + spec.c_out
         return macs, params
-    if spec.kind == "assembly":
-        return spec.c_in * spec.c_out * spec.out_h * spec.out_w, 0
+    if spec.kind == "matmul":
+        macs = spec.c_in * spec.c_out * spec.out_h * spec.out_w
+        return macs, 0 if spec.tied else spec.param_count
     if spec.kind in ("pool", "resize", "elementwise"):
         return 0, 0
     if spec.kind == "coeffs":
@@ -203,7 +208,7 @@ def _decoder_rows(config: HgdConfig, tap_channels, input_hw, num_classes, refine
         LayerSpec("decoder.concat_coarse", "elementwise"),
         conv("bases", g32), conv("weighting", g32),
         LayerSpec("decoder.attention_softmax", "elementwise"),
-        LayerSpec("decoder.codeword_matmul", "assembly", c_in=c, c_out=n,
+        LayerSpec("decoder.codeword_matmul", "matmul", c_in=c, c_out=n,
                   out_h=g32[0], out_w=g32[1]),
         LayerSpec("decoder.resample_to_fine", "resize", out_h=g8[0], out_w=g8[1]),
         LayerSpec("decoder.concat_fine", "elementwise"),
@@ -215,7 +220,7 @@ def _decoder_rows(config: HgdConfig, tap_channels, input_hw, num_classes, refine
         rows.append(LayerSpec("decoder.transfer_add", "elementwise"))
     rows += [
         conv("assembly", g8),
-        LayerSpec("decoder.assembly_matmul", "assembly", c_in=c, c_out=n,
+        LayerSpec("decoder.assembly_matmul", "matmul", c_in=c, c_out=n,
                   out_h=g8[0], out_w=g8[1]),
         LayerSpec("decoder.concat_output", "elementwise"),
         LayerSpec("decoder.classifier", "conv", 1, config.output_channels, num_classes, *g8),
@@ -284,67 +289,101 @@ def fpn_baseline_spec(input_hw=DETECTION_INPUT) -> ArchSpec:
     return ArchSpec(name="fpn-baseline", layers=tuple(rows))
 
 
-def _decoder_stage_rows(stage, grids, config: FpnConfig, full):
-    """One pyramid-decoder stage. `full` uses 3x3 convs plus one smoothing
-    conv per fused scale map; otherwise 1x1 convs and no smoothing. Shared
+def _code_rows(p, conv, config: FpnConfig, code, tied):
+    """A stage's fusion scalars and its code path on the p6 grid `code`."""
+    return [LayerSpec(f"{p}.fusion_coeffs", "coeffs",
+                      param_count=sum(FUSION_LENGTHS.values()), tied=tied),
+            LayerSpec(f"{p}.code_resample", "resize", out_h=code[0], out_w=code[1]),
+            conv("bases", code), conv("weighting", code),
+            LayerSpec(f"{p}.codeword_matmul", "matmul", c_in=config.codeword_dim,
+                      c_out=config.n_codewords, out_h=code[0], out_w=code[1])]
+
+
+def _merge_rows(p, grids):
+    """A stage's residual merge: refined p4 up to p3, refined p6 pooled to p7."""
+    return [LayerSpec(f"{p}.p3_upsample", "resize", out_h=grids[3][0], out_w=grids[3][1]),
+            LayerSpec(f"{p}.p7_pool", "pool", out_h=grids[7][0], out_w=grids[7][1]),
+            LayerSpec(f"{p}.residual_add", "elementwise")]
+
+
+def _decoder_stage_rows(stage, grids, config: FpnConfig):
+    """One stage of the paper's pyramid decoder: 3x3 convs, a smoothing conv
+    per fused scale map, and each scale branch in the stack form (guidance,
+    assembly conv, assembly matmul, projection of [assembled; G]). Shared
     parameters count once, at stage 0."""
-    p = f"stage{stage}"
-    kernel = 3 if full else 1
-    channels, n, c = config.output_channels, config.n_codewords, config.codeword_dim
-    tied = config.share_params and stage > 0
-    conv = partial(_conv_row, p, fpn_layout(config), kernel=kernel, tied=tied)
-    rows = [LayerSpec(f"{p}.fusion_coeffs", "coeffs",
-                      param_count=sum(FUSION_LENGTHS.values()), tied=tied)]
-    code = grids[6]
-    rows.append(LayerSpec(f"{p}.code_resample", "resize", out_h=code[0], out_w=code[1]))
-    rows += [conv("bases", code), conv("weighting", code)]
-    rows.append(LayerSpec(f"{p}.codeword_matmul", "assembly", c_in=c, c_out=n,
-                          out_h=code[0], out_w=code[1]))
+    p, tied = f"stage{stage}", config.share_params and stage > 0
+    ch, n, c = config.output_channels, config.n_codewords, config.codeword_dim
+    conv = partial(_conv_row, p, fpn_layout(config), kernel=3, tied=tied)
+    rows = _code_rows(p, conv, config, grids[6], tied)
     for level in (4, 5, 6):
-        g = grids[level]
-        q = f"scale{level}"
-        rows.append(LayerSpec(f"{p}.{q}.fuse", "elementwise"))
-        if full:
-            rows.append(LayerSpec(f"{p}.{q}.smooth", "conv", 3, channels, channels, *g,
-                                  tied=tied))
-        rows += [conv(f"{q}.guidance", g), conv(f"{q}.assembly", g),
-                 LayerSpec(f"{p}.{q}.assembly_matmul", "assembly", c_in=c, c_out=n,
+        g, q = grids[level], f"scale{level}"
+        rows += [LayerSpec(f"{p}.{q}.fuse", "elementwise"),
+                 LayerSpec(f"{p}.{q}.smooth", "conv", 3, ch, ch, *g, tied=tied),
+                 conv(f"{q}.guidance", g), conv(f"{q}.assembly", g),
+                 LayerSpec(f"{p}.{q}.assembly_matmul", "matmul", c_in=c, c_out=n,
                            out_h=g[0], out_w=g[1]),
                  conv(f"{q}.project", g)]
-    rows.append(LayerSpec(f"{p}.p3_upsample", "resize", out_h=grids[3][0],
-                          out_w=grids[3][1]))
-    rows.append(LayerSpec(f"{p}.p7_pool", "pool", out_h=grids[7][0], out_w=grids[7][1]))
-    rows.append(LayerSpec(f"{p}.residual_add", "elementwise"))
-    return rows
+    return rows + _merge_rows(p, grids)
 
 
-def fpn_spec(variant, n=None, c=None, k=None, input_hw=None,
-             share_params=None) -> ArchSpec:
+def _folded_stage_rows(stage, grids, config: FpnConfig):
+    """One stage of the pyramid decoder hgd.fpn runs: the code path, then
+    per scale fold_branch's products W_pa C, (W_pa C) W_as, M b_g,
+    W_pa C b_as and M W_g, and the one ch x ch conv they fold the branch
+    into. A product named by a branch weight's fpn_layout path is the one
+    that reads that weight, and counts its parameters (bias included).
+    Shared parameters count once, at stage 0."""
+    p, tied = f"stage{stage}", config.share_params and stage > 0
+    ch, n, c = config.output_channels, config.n_codewords, config.codeword_dim
+    layout = fpn_layout(config)
+    rows = _code_rows(p, partial(_conv_row, p, layout, tied=tied), config, grids[6], tied)
+
+    def product(name, a, b, d):
+        """The (a x b)(b x d) product `name`, counting layout[name]'s
+        parameters when `name` is a weight's path."""
+        c_in, c_out = layout.get(name, (0, 0))
+        return LayerSpec(f"{p}.{name}", "matmul", c_in=b, c_out=a, out_h=d, out_w=1,
+                         param_count=(c_in + 1) * c_out, tied=tied)
+
+    for level in (4, 5, 6):
+        g, q = grids[level], f"scale{level}"
+        rows += [LayerSpec(f"{p}.{q}.fuse", "elementwise"),
+                 product(f"{q}.project", ch, c, n), product(f"{q}.assembly", ch, n, ch),
+                 product(f"{q}.guidance_bias", ch, ch, 1),
+                 product(f"{q}.assembly_bias", ch, n, 1),
+                 product(f"{q}.guidance", ch, ch, ch),
+                 LayerSpec(f"{p}.{q}.conv", "matmul", c_in=ch, c_out=ch,
+                           out_h=g[0], out_w=g[1])]
+    return rows + _merge_rows(p, grids)
+
+
+# each pyramid variant's default config: the paper's, and the preset's decoder
+FPN_CONFIGS = {"hgd-fpn": FpnConfig(), "hgd-fpn-toy": tiny_run().fpn}
+
+
+def fpn_spec(variant, config: FpnConfig = None, input_hw=None) -> ArchSpec:
     """Pyramid decoder cost specs for the "hgd-fpn" and "hgd-fpn-toy"
     variants (the baseline detector alone is fpn_baseline_spec).
 
-    hgd-fpn: full-scale stages on top of the baseline detector, at
-    FpnConfig() and DETECTION_INPUT. hgd-fpn-toy: decoder stages alone, the
-    same stage builder with 1x1 convs, at the preset tiny_run()'s pyramid
-    config and image size. `input_hw` is the input image for both, and the
-    levels are its fpn.pyramid_grids. `n`, `c`, `k` and `share_params`
-    replace config fields when given. Both count each scale branch in the
-    paper's stack form (guidance, assembly conv, assembly matmul,
-    projection of [assembled; G]), while the live pyramid decoder (hgd.fpn)
-    runs the folded form, one ch x ch conv per scale plus a per-stage
-    product of small matrices. So the toy rows hold the live decoder's
-    parameters exactly, not its MACs.
+    `config` is the FpnConfig described, by default the variant's own
+    (FPN_CONFIGS). `input_hw` is the input image, by default DETECTION_INPUT
+    for hgd-fpn and the preset tiny_run()'s for hgd-fpn-toy, and the levels
+    are its fpn.pyramid_grids. hgd-fpn: the paper's decoder stages
+    (_decoder_stage_rows) on top of the baseline detector. hgd-fpn-toy: the
+    stages alone, as the live pyramid decoder (hgd.fpn) runs them
+    (_folded_stage_rows), so its totals are the traced MACs and the
+    parameter records of that decoder at the same config and grids.
     """
-    if variant not in ("hgd-fpn", "hgd-fpn-toy"):
+    if variant not in FPN_CONFIGS:
         raise ConfigError(f"unknown fpn variant {variant!r}")
-    full, tiny = variant == "hgd-fpn", tiny_run()
-    input_hw = input_hw or (DETECTION_INPUT if full else (tiny.input_size,) * 2)
-    rows = list(fpn_baseline_spec(input_hw).layers) if full else []
+    paper = variant == "hgd-fpn"
+    config = config or FPN_CONFIGS[variant]
+    input_hw = input_hw or (DETECTION_INPUT if paper else (tiny_run().input_size,) * 2)
+    rows = list(fpn_baseline_spec(input_hw).layers) if paper else []
     grids = pyramid_grids(input_hw)
-    config = _with(FpnConfig() if full else tiny.fpn, n_codewords=n, codeword_dim=c,
-                   k_recurrence=k, share_params=share_params)
+    stage_rows = _decoder_stage_rows if paper else _folded_stage_rows
     for stage in range(config.k_recurrence):
-        rows += _decoder_stage_rows(stage, grids, config, full)
+        rows += stage_rows(stage, grids, config)
     return ArchSpec(name=f"{variant}-k{config.k_recurrence}", layers=tuple(rows))
 
 

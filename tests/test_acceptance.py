@@ -7,6 +7,7 @@ inlined rather than imported so this file stands alone.
 """
 
 import copy
+import dataclasses
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from hgd.decoder import (HgdConfig, assemble_from, codewords_from,
                          hgd_forward, hgd_forward_full, init_hgd_params)
 from hgd.efficientfcn import (init_seg_params, segment_forward, tiny_backbone_config,
                               tiny_hgd_config, tiny_train_config, train_segmenter)
-from hgd.fpn import (Pyramid, fpn_decode, fpn_decode_once, init_fpn_params,
+from hgd.fpn import (FpnConfig, Pyramid, fpn_decode, fpn_decode_once, init_fpn_params,
                      tiny_fpn_config)
 from hgd.gradcheck import gradcheck
 from hgd.params import parameter_count
@@ -158,7 +159,8 @@ def test_criterion_05_cost_model_reference_totals():
 
 
 def test_criterion_06_recurrence_affine_and_parameter_sharing():
-    totals = [emit_report(fpn_spec("hgd-fpn", k=k)).total_macs for k in range(1, 6)]
+    totals = [emit_report(fpn_spec("hgd-fpn", FpnConfig(k_recurrence=k))).total_macs
+              for k in range(1, 6)]
     increments = {b - a for a, b in zip(totals, totals[1:])}
     assert len(increments) == 1
     increment = increments.pop()
@@ -168,7 +170,7 @@ def test_criterion_06_recurrence_affine_and_parameter_sharing():
     live = parameter_count(init_fpn_params(cfg, np.random.default_rng(66))
                            .named_parameters())
     for k in (1, 3, 5):
-        spec = fpn_spec("hgd-fpn-toy", n=cfg.n_codewords, c=cfg.codeword_dim, k=k)
+        spec = fpn_spec("hgd-fpn-toy", dataclasses.replace(cfg, k_recurrence=k))
         assert emit_report(spec).total_params == live
 
 

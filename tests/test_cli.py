@@ -118,7 +118,7 @@ DEFAULT_TOTALS = [
     ("unet", 98855550976, 77869244),
     ("fpn-baseline", 250953754624, 41727267),
     ("hgd-fpn", 601043920896, 52937265),
-    ("hgd-fpn-toy", 44032, 854),
+    ("hgd-fpn-toy", 18496, 854),
 ]
 
 

@@ -6,13 +6,15 @@ import io
 import numpy as np
 import pytest
 
+from hgd import ops
 from hgd.costmodel import (ArchSpec, LayerSpec, count_layer, efficientfcn_spec,
                            emit_report, fpn_baseline_spec, fpn_spec, report_csv,
                            resnet_spec, toy_seg_spec)
 from hgd.efficientfcn import init_seg_params, tiny_backbone_config, tiny_hgd_config
-from hgd.fpn import init_fpn_params, init_fpn_stack, tiny_fpn_config
+from hgd.fpn import (FpnConfig, Pyramid, fpn_decode, init_fpn_params, init_fpn_stack,
+                     pyramid_grids, tiny_fpn_config)
 from hgd.params import parameter_count
-from hgd.tensor import ConfigError
+from hgd.tensor import ConfigError, Tensor
 
 # published totals the analytic model is checked against
 REF_RESNET_STD = 44.6e9
@@ -44,7 +46,7 @@ def test_conv3x3_example():
 
 
 def test_assembly_matmul_counts_no_params():
-    macs, params = count_layer(LayerSpec("x", "assembly", c_in=1024, c_out=256,
+    macs, params = count_layer(LayerSpec("x", "matmul", c_in=1024, c_out=256,
                                          out_h=16, out_w=16))
     assert macs == 1024 * 256 * 256
     assert params == 0
@@ -143,7 +145,7 @@ def test_efficientfcn_macs_scale_with_area():
     small = efficientfcn_spec(input_hw=(512, 512))
     large = efficientfcn_spec(input_hw=(1024, 1024))
     for a, b in zip(small.layers, large.layers):
-        if a.kind in ("conv", "assembly"):
+        if a.kind in ("conv", "matmul"):
             assert count_layer(b)[0] == 4 * count_layer(a)[0]
 
 
@@ -204,18 +206,23 @@ def test_unrefined_variant_drops_three_convs():
 
 # -------------------------------------------------------------- fpn family
 
+def hgd_fpn(k, **fields):
+    """The hgd-fpn report at FpnConfig() with k stages and `fields` replaced."""
+    return emit_report(fpn_spec("hgd-fpn", FpnConfig(k_recurrence=k, **fields)))
+
+
 def test_fpn_validation():
     with pytest.raises(ConfigError, match="variant"):
         fpn_spec("hgd-pyramid")
     with pytest.raises(ConfigError, match="variant"):
-        fpn_spec("fpn-baseline", n=-5)    # the baseline is fpn_baseline_spec alone
+        fpn_spec("fpn-baseline", FpnConfig())    # the baseline is fpn_baseline_spec alone
     with pytest.raises(ConfigError, match="k"):
-        fpn_spec("hgd-fpn", k=0)
+        fpn_spec("hgd-fpn", FpnConfig(k_recurrence=0))
 
 
 def test_fpn_total_affine_in_k():
     """Total MACs must be exactly base plus k times one stage."""
-    totals = [emit_report(fpn_spec("hgd-fpn", k=k)).total_macs for k in range(1, 6)]
+    totals = [hgd_fpn(k).total_macs for k in range(1, 6)]
     increments = [b - a for a, b in zip(totals, totals[1:])]
     assert len(set(increments)) == 1
     base = emit_report(fpn_baseline_spec()).total_macs
@@ -223,18 +230,17 @@ def test_fpn_total_affine_in_k():
 
 
 def test_fpn_stage_increment_near_reference():
-    totals = [emit_report(fpn_spec("hgd-fpn", k=k)).total_macs for k in (1, 2)]
+    totals = [hgd_fpn(k).total_macs for k in (1, 2)]
     assert within(totals[1] - totals[0], REF_FPN_STAGE, 0.15)
 
 
 def test_shared_params_independent_of_k():
-    counts = {emit_report(fpn_spec("hgd-fpn", k=k)).total_params for k in (1, 2, 5)}
+    counts = {hgd_fpn(k).total_params for k in (1, 2, 5)}
     assert len(counts) == 1
 
 
 def test_unshared_params_grow_linearly():
-    totals = [emit_report(fpn_spec("hgd-fpn", k=k, share_params=False)).total_params
-              for k in (1, 2, 3)]
+    totals = [hgd_fpn(k, share_params=False).total_params for k in (1, 2, 3)]
     stage = totals[1] - totals[0]
     assert stage > 0
     assert totals[2] - totals[1] == stage
@@ -244,34 +250,82 @@ def test_toy_params_match_executable_decoder():
     """The toy spec mirrors the executable pyramid decoder, so the analytic
     parameter total must equal the real parameter records exactly."""
     cfg = tiny_fpn_config()
-    spec = fpn_spec("hgd-fpn-toy", n=cfg.n_codewords, c=cfg.codeword_dim,
-                    k=cfg.k_recurrence)
+    spec = fpn_spec("hgd-fpn-toy", cfg)
     rng = np.random.default_rng(0)
     live = parameter_count(init_fpn_params(cfg, rng).named_parameters())
     assert emit_report(spec).total_params == live
 
 
 def test_toy_stage_conv_rows_have_the_live_weight_shapes():
-    """Equal totals could hide two rows with swapped widths: each conv row
-    of a toy stage has the (c_out, c_in) of the live weight it names."""
+    """Equal totals could hide two rows with swapped widths: each live
+    weight's parameters sit on exactly one row of a toy stage, the row
+    named by its path, and a conv row has the weight's (c_out, c_in)."""
     cfg = dataclasses.replace(tiny_fpn_config(), k_recurrence=1)
     params = init_fpn_params(cfg, np.random.default_rng(0))
-    rows = [layer for layer in fpn_spec("hgd-fpn-toy", k=1).layers if layer.kind == "conv"]
-    paths = []
-    for layer in rows:
-        stage, *path = layer.name.replace("assembly_conv", "assembly").split(".")
-        assert stage == "stage0" and layer.kernel == 1, layer.name
-        weight = functools.reduce(getattr, path, params).weight
-        assert weight.dims == (layer.c_out, layer.c_in), layer.name
-        paths.append(".".join(path))
-    assert [f"{path}.{part}" for path in paths for part in ("weight", "bias")] == \
-        [name for name, _ in params.named_parameters() if not name.startswith("coeffs.")]
+    spec = fpn_spec("hgd-fpn-toy", cfg)
+    counted = []
+    for layer, (name, _, count) in zip(spec.layers, emit_report(spec).rows):
+        if layer.kind == "coeffs" or not count:
+            continue
+        stage, *path = name.split(".")
+        assert stage == "stage0", name
+        record = functools.reduce(getattr, path, params)
+        assert count == record.weight.data.size + record.bias.data.size, name
+        if layer.kind == "conv":
+            assert (layer.kernel, layer.c_out, layer.c_in) == (1, *record.weight.dims), name
+        counted.append(".".join(path))
+    live = [name.rsplit(".", 1)[0] for name, _ in params.named_parameters()
+            if not name.startswith("coeffs.")]
+    assert sorted(counted) == sorted(set(live))
+
+
+def traced_decode(monkeypatch, config, input_hw):
+    """The conv1x1 and matmul MACs of a live fpn_decode at `config` on the
+    pyramid of an `input_hw` image, and each conv's (c_out, c_in, h, w)."""
+    macs, convs = [], []
+    conv1x1, matmul = ops.conv1x1, ops.matmul
+
+    def traced_conv(x, weight, *args, **kwargs):
+        convs.append((*weight.dims, *x.dims[1:]))
+        macs.append(weight.data.size * x.dims[1] * x.dims[2])
+        return conv1x1(x, weight, *args, **kwargs)
+
+    def traced_matmul(a, b, **kwargs):
+        macs.append(a.dims[0] * a.dims[1] * b.dims[1])
+        return matmul(a, b, **kwargs)
+
+    rng = np.random.default_rng(5)
+    pyramid = Pyramid(*[Tensor(rng.standard_normal((config.output_channels, h, w)))
+                        for h, w in pyramid_grids(input_hw).values()])
+    params = init_fpn_stack(config, rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "conv1x1", traced_conv)
+        patch.setattr(ops, "matmul", traced_matmul)
+        fpn_decode(pyramid, params)
+    return sum(macs), convs
+
+
+# the preset's decoder on its 64x64 image, and fpn-decode's k=4 decoder on
+# the 224x352 image whose p3 is its 56x88 grid
+@pytest.mark.parametrize("config, input_hw, total", [
+    (tiny_fpn_config(), (64, 64), 18_496),
+    (FpnConfig(n_codewords=32, codeword_dim=64, output_channels=64), (224, 352), 35_381_248),
+], ids=["preset", "fpn-decode"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_toy_spec_macs_equal_the_traced_live_decode(monkeypatch, config, input_hw,
+                                                    total, shared):
+    config = dataclasses.replace(config, share_params=shared)
+    spec = fpn_spec("hgd-fpn-toy", config, input_hw)
+    traced, convs = traced_decode(monkeypatch, config, input_hw)
+    assert emit_report(spec).total_macs == traced == total
+    rows = {(layer.c_out, layer.c_in, layer.out_h, layer.out_w) for layer in spec.layers
+            if layer.kind in ("conv", "matmul")}
+    assert set(convs) <= rows
 
 
 def test_toy_unshared_params_match_executable_stack():
     cfg = dataclasses.replace(tiny_fpn_config(), k_recurrence=3, share_params=False)
-    spec = fpn_spec("hgd-fpn-toy", n=cfg.n_codewords, c=cfg.codeword_dim,
-                    k=3, share_params=False)
+    spec = fpn_spec("hgd-fpn-toy", cfg)
     rng = np.random.default_rng(1)
     stack = init_fpn_stack(cfg, rng)
     live = sum(parameter_count(p.named_parameters()) for p in stack)
