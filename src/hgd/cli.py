@@ -10,14 +10,15 @@ Subcommands:
   dump        describe one HGDT tensor file
 
 Exit codes: 0 success, 1 verification failure (or unreadable data, a
-demo-seg run whose loss or parameters went non-finite, a demo-fpn decode
-with a non-finite level after some stage, which writes no artifact, or a
-config whose arrays cannot be allocated), 2
-usage/config error. The HGD_THREADS environment variable caps BLAS thread
-pools (applied at package import, default 1 for determinism). The package
-import also keeps freed heap pages in the process under glibc (malloc's
-mmap and trim thresholds, unless a MALLOC_* variable is set), which changes
-no output.
+demo-seg run whose loss or parameters went non-finite or whose final model
+overflows, giving a non-finite decoder output or weighting map on the
+rendered sample, a demo-fpn decode with a non-finite level after some
+stage, which writes no artifact, or a config whose arrays cannot be
+allocated), 2 usage/config error. The HGD_THREADS environment variable
+caps BLAS thread pools (applied at package import, default 1 for
+determinism). The package import also keeps freed heap pages in the
+process under glibc (malloc's mmap and trim thresholds, unless a MALLOC_*
+variable is set), which changes no output.
 
 Every command that takes --config runs the RunConfig it names, or the
 pinned preset config.tiny_run() without one; the preset is seed 0 of the
@@ -45,7 +46,7 @@ from .efficientfcn import (backbone_forward, init_seg_params, segment_forward,
 from .fpn import (LEVEL_NAMES, Pyramid, fpn_decode_once_full, fpn_stages,
                   init_fpn_params, init_fpn_stack, pyramid_grids)
 from .gradcheck import gradcheck
-from .hgdt import load_tensor, save_checkpoint, save_pgm, save_tensor, write_atomic
+from .hgdt import load_tensor, save_checkpoint, save_pgm, write_atomic
 from .synthdata import synth_dataset
 from .tensor import ConfigError, GradcheckError, Tensor, precision_of
 
@@ -196,14 +197,23 @@ def _dump_weighting_maps(out_dir: Path, weights: Tensor, render_h: int, render_w
     return n
 
 
-def _divergence(history, params):
-    """Where a finished run first went non-finite, or None."""
+def _first_non_finite(named_tensors):
+    """The name of the first (name, tensor) pair holding a non-finite value, or None."""
+    return next((name for name, t in named_tensors if not np.isfinite(t.data).all()), None)
+
+
+def _divergence(history, params, trace):
+    """Where a finished run first went non-finite, or None: its loss, a
+    parameter, or the final model's decoder trace of the rendered sample."""
     for row in history:
         if not np.isfinite(row["loss"]):
             return f"loss {row['loss']} at step {row['iter']}"
-    for name, t in params.named_parameters():
-        if not np.isfinite(t.data).all():
-            return f"parameter {name} is non-finite after the last step"
+    bad = _first_non_finite(params.named_parameters())
+    if bad:
+        return f"parameter {bad} is non-finite after the last step"
+    bad = _first_non_finite([("output", trace.fused), ("weighting maps", trace.weights)])
+    if bad:
+        return f"non-finite decoder {bad} on sample 0 after the last step"
     return None
 
 
@@ -223,7 +233,10 @@ def cmd_demo_seg(args) -> int:
     result = train_segmenter(samples, params, run.train, run.num_classes, order,
                              log_path=out / "train_log.csv", eval_every=25,
                              target_pixacc=0.99)
-    diverged = _divergence(result.history, params)
+    # the rendered sample's trace is checked before anything else is written
+    e8, e16, e32 = backbone_forward(samples[0].image, params.backbone)
+    trace = hgd_forward_full(e8, e16, e32, params.hgd)
+    diverged = _divergence(result.history, params, trace)
     if diverged:
         # train_log.csv stays for diagnosis; nothing else is written
         print(f"error: training diverged: {diverged}", file=sys.stderr)
@@ -233,8 +246,6 @@ def cmd_demo_seg(args) -> int:
     summary = {"pixAcc": result.final_pixacc, "mIoU": result.final_miou, "steps": steps}
     write_atomic(out / "metrics.json", json.dumps(summary, indent=2, sort_keys=True).encode())
 
-    e8, e16, e32 = backbone_forward(samples[0].image, params.backbone)
-    trace = hgd_forward_full(e8, e16, e32, params.hgd)
     size = samples[0].image.dims[1]
     n = _dump_weighting_maps(out, trace.weights, size, size)
 
@@ -246,14 +257,6 @@ def cmd_demo_seg(args) -> int:
     print(f"wrote train_log.csv, metrics.json, {n} weighting maps, and a "
           f"checkpoint under {out}")
     return 0
-
-
-def _first_non_finite(pyramid):
-    """The name of the first level of pyramid with a non-finite value, or None."""
-    for name, level in zip(LEVEL_NAMES, pyramid.levels()):
-        if not np.isfinite(level.data).all():
-            return name
-    return None
 
 
 def cmd_demo_fpn(args) -> int:
@@ -269,21 +272,17 @@ def cmd_demo_fpn(args) -> int:
     params = init_fpn_stack(cfg, np.random.default_rng(run.seed + 1), dt)
     for stage, stage_params in enumerate(fpn_stages(params), 1):
         current, trace = fpn_decode_once_full(current, stage_params)
-        bad = _first_non_finite(current)
+        bad = _first_non_finite(zip(LEVEL_NAMES, current.levels()))
         if bad:
             print(f"error: decode diverged: level {bad} is non-finite after stage "
                   f"{stage} of {cfg.k_recurrence}", file=sys.stderr)
             return 1
 
-    entries = {}
-    for i, (name, tensor) in enumerate(zip(LEVEL_NAMES, current.levels())):
-        save_tensor(out / f"{name}.hgdt", tensor)
-        # p3 is the input's grid quartered, and each level halves the last
-        entries[name] = {"file": f"{name}.hgdt", "stride": 4 << i,
-                         "dims": list(tensor.dims)}
-    manifest = {"levels": entries, "stages": cfg.k_recurrence,
-                "share_params": cfg.share_params}
-    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode())
+    # p3 is the input's grid quartered, and each level halves the last
+    strides = {name: 4 << i for i, name in enumerate(LEVEL_NAMES)}
+    save_checkpoint(out, dict(zip(LEVEL_NAMES, current.levels())),
+                    meta={"stages": cfg.k_recurrence, "share_params": cfg.share_params,
+                          "strides": strides})
 
     render_h, render_w = current.p3.dims[1], current.p3.dims[2]
     n = _dump_weighting_maps(out, trace.attention, render_h, render_w)

@@ -33,7 +33,7 @@ from functools import partial
 from .config import RunConfig, tiny_run
 from .decoder import HgdConfig, hgd_layout
 from .efficientfcn import backbone_layout, tiny_backbone_config
-from .fpn import FUSION_LENGTHS, FpnConfig, fpn_layout, pyramid_grids
+from .fpn import FUSION_LENGTHS, SCALE_LEVELS, FpnConfig, fpn_layout, pyramid_grids
 from .tensor import ConfigError
 
 SEG_INPUT = (RunConfig().input_size,) * 2
@@ -315,7 +315,7 @@ def _decoder_stage_rows(stage, grids, config: FpnConfig):
     ch, n, c = config.output_channels, config.n_codewords, config.codeword_dim
     conv = partial(_conv_row, p, fpn_layout(config), kernel=3, tied=tied)
     rows = _code_rows(p, conv, config, grids[6], tied)
-    for level in (4, 5, 6):
+    for level in SCALE_LEVELS:
         g, q = grids[level], f"scale{level}"
         rows += [LayerSpec(f"{p}.{q}.fuse", "elementwise"),
                  LayerSpec(f"{p}.{q}.smooth", "conv", 3, ch, ch, *g, tied=tied),
@@ -345,7 +345,7 @@ def _folded_stage_rows(stage, grids, config: FpnConfig):
         return LayerSpec(f"{p}.{name}", "matmul", c_in=b, c_out=a, out_h=d, out_w=1,
                          param_count=(c_in + 1) * c_out, tied=tied)
 
-    for level in (4, 5, 6):
+    for level in SCALE_LEVELS:
         g, q = grids[level], f"scale{level}"
         rows += [LayerSpec(f"{p}.{q}.fuse", "elementwise"),
                  product(f"{q}.project", ch, c, n), product(f"{q}.assembly", ch, n, ch),

@@ -62,6 +62,8 @@ from .tensor import ConfigError, Tensor
 
 # the five levels, finest first, as Pyramid fields and artifact names
 LEVEL_NAMES = ("p3", "p4", "p5", "p6", "p7")
+# the levels with a scale branch (FpnParams.scale4..6), finest first
+SCALE_LEVELS = (4, 5, 6)
 
 
 def level_grids(finest):
@@ -185,7 +187,7 @@ def fpn_layout(config: FpnConfig):
     branch = {"guidance": (ch, ch), "assembly": (ch, n), "project": (c + ch, ch)}
     return {"bases": (ch, c), "weighting": (ch, n),
             **{f"scale{level}.{part}": widths
-               for level in (4, 5, 6) for part, widths in branch.items()}}
+               for level in SCALE_LEVELS for part, widths in branch.items()}}
 
 
 @dataclass
@@ -219,7 +221,7 @@ class FpnParams:
 def init_fpn_params(config: FpnConfig, rng, dtype=np.float64) -> FpnParams:
     """A record whose convs are drawn in fpn_layout's order, each set at its path."""
     params = FpnParams(config, init_fusion_coeffs(dtype), None, None,
-                       *(ScaleBranch(None, None, None) for _ in range(3)))
+                       *(ScaleBranch(None, None, None) for _ in SCALE_LEVELS))
     for name, (c_in, c_out) in fpn_layout(config).items():
         *path, field_name = name.split(".")
         setattr(reduce(getattr, path, params), field_name, conv1x1_params(c_in, c_out, rng, dtype))
@@ -325,11 +327,9 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     m_code = fuse_code_map(pyramid, coeffs.a, steps)
     codewords, _, attention = generate_codewords(m_code, params)
 
-    m4, m5, m6 = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
-    fused = {4: m4, 5: m5, 6: m6}
-    refined = {}
-    for level, branch in zip((4, 5, 6), params.branches()):
-        refined[level] = ops.conv1x1(fused[level], *fold_branch(branch, codewords))
+    fused = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
+    refined = {level: ops.conv1x1(m, *fold_branch(branch, codewords))
+               for level, m, branch in zip(SCALE_LEVELS, fused, params.branches())}
     refined[7] = ops.maxpool2x2(refined[6])
 
     out = Pyramid(ops.add_upsampled(p3, refined[4]),
@@ -337,7 +337,7 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
                     for idx, level in zip(range(4, 8), pyramid.levels()[1:])])
     out._p3_parts = (out.p3, steps[0], refined[4])
     return out, FpnTrace(m_code=m_code, attention=attention, codewords=codewords,
-                         fused=fused, refined=refined)
+                         fused=dict(zip(SCALE_LEVELS, fused)), refined=refined)
 
 
 def fpn_decode_once(pyramid: Pyramid, params: FpnParams) -> Pyramid:

@@ -286,25 +286,49 @@ def test_demo_seg_diverged_run_exits_one(tmp_path, capsys):
     assert out == ""
 
 
+def test_demo_seg_overflowing_final_model_exits_one(tmp_path, capsys):
+    """One step at a huge rate leaves every loss and parameter finite but the
+    final model's decoder overflows: that too is a diverged run, reported
+    before metrics.json or any map is written."""
+    cfg = write_config(tmp_path, {"input_size": 64, "num_classes": 5, "precision": "f64",
+                                  "hgd": {"n": 8, "codeword_dim": 32, "compressed": 16,
+                                          "guidance": 32},
+                                  "train": {"base_lr": 1e308, "max_iter": 1, "batch": 16}})
+    out_dir = tmp_path / "overflow"
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "demo-seg", "--config", cfg, "--out", str(out_dir))
+    assert code == 1
+    assert "error: training diverged: non-finite decoder output on sample 0" in err
+    log = (out_dir / "train_log.csv").read_text().splitlines()
+    assert np.isfinite(float(log[1].split(",")[2]))
+    assert sorted(p.name for p in out_dir.iterdir()) == ["train_log.csv"]
+    assert out == ""
+
+
 # ----------------------------------------------------------------- demo-fpn
 
 def test_demo_fpn_writes_levels_and_manifest(tmp_path, capsys):
+    """The output directory is a checkpoint of the five levels, with the
+    strides, stage count and sharing mode in its meta."""
     out_dir = tmp_path / "fpn"
     code, _, _ = run_cli(capsys, "demo-fpn", "--out", str(out_dir))
     assert code == 0
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    strides = {name: entry["stride"] for name, entry in manifest["levels"].items()}
-    assert strides == {"p3": 4, "p4": 8, "p5": 16, "p6": 32, "p7": 64}
+    assert manifest["meta"] == {"stages": 2, "share_params": True,
+                                "strides": {"p3": 4, "p4": 8, "p5": 16, "p6": 32, "p7": 64}}
 
-    for name, entry in manifest["levels"].items():
-        arr = load_tensor(out_dir / entry["file"])
-        assert list(arr.shape) == entry["dims"]
+    # load_checkpoint checks each file's dims and dtype against its entry
+    levels = load_checkpoint(out_dir)
+    assert list(levels) == ["p3", "p4", "p5", "p6", "p7"]
+    for name, arr in levels.items():
+        assert list(arr.shape) == manifest["tensors"][name]["dims"]
+        assert arr.dtype == np.float64
 
     # tiny preset: 4 codewords, 16x16 top level
     assert len(list(out_dir.glob("*.pgm"))) == 4
-    assert load_tensor(out_dir / "p3.hgdt").shape == (8, 16, 16)
-    assert load_tensor(out_dir / "p7.hgdt").shape == (8, 1, 1)
+    assert levels["p3"].shape == (8, 16, 16)
+    assert levels["p7"].shape == (8, 1, 1)
 
 
 def test_demo_fpn_round_trips_bit_exactly(tmp_path, capsys):

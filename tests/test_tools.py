@@ -137,3 +137,22 @@ def test_output_digest_hashes_each_cost_arch_and_gradcheck(monkeypatch):
     assert [output_digest.line_name(line) for line in lines] == \
         [f"cost {arch}" for arch in output_digest.cli._ARCHS] + ["gradcheck"]
     assert len(set(lines)) == len(lines)
+
+
+def test_output_digest_tree_sha_covers_each_file_path_and_bytes(tmp_path):
+    output_digest = _load("output_digest")
+
+    def tree(files):
+        root = tmp_path / str(len(list(tmp_path.iterdir())))
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        return output_digest.tree_sha(root)
+
+    base = tree({"a.hgdt": b"xy", "sub/b.pgm": b"z"})
+    assert tree({"sub/b.pgm": b"z", "a.hgdt": b"xy"}) == base
+    changed = [tree({"a.hgdt": b"xY", "sub/b.pgm": b"z"}),     # a byte
+               tree({"c.hgdt": b"xy", "sub/b.pgm": b"z"}),     # a name
+               tree({"a.hgdt": b"x", "sub/b.pgm": b"yz"}),     # a boundary
+               tree({"a.hgdt": b"xy"})]                        # a file
+    assert len({base, *changed}) == 1 + len(changed)

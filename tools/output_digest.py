@@ -10,9 +10,12 @@ levels unchanged), the seg-infer labels of all 32 images (seed 0), every
 seg-train parameter and gradient after 40 SGD steps at seed 0, and the same
 after one whole 100-step budget at seed 2, where the preset diverges; that
 line also prints the budget's failed-step count, the steps that seg-train
-counts as failures for a non-finite parameter or gradient. They also print
-the same `hgd cost ARCH` CSV at defaults for every architecture (a line
-`cost ARCH` each) and the same `hgd gradcheck` stdout (`gradcheck`). The
+counts as failures for a non-finite parameter or gradient. The lines
+`demo-seg` and `demo-fpn`, last of the workload lines (workload_lines),
+hash the directory that the preset's `hgd demo-seg` and `hgd demo-fpn`
+write: every file's relative path, size and bytes. The two checkouts also
+print the same `hgd cost ARCH` CSV at defaults for every architecture (a
+line `cost ARCH` each) and the same `hgd gradcheck` stdout (`gradcheck`). The
 first line, `threads N`, is the effective OpenBLAS thread count the arrays
 were computed at (read as tools/ab.py reads it); some fpn-decode products
 take another summation path at another count, so digests from two counts
@@ -34,6 +37,7 @@ import hashlib
 import io
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +95,24 @@ def cli_stdout(*argv) -> str:
     return out.getvalue()
 
 
+def tree_sha(directory) -> str:
+    """sha256 over the relative path, size and bytes of every file under
+    directory, in path order."""
+    h = hashlib.sha256()
+    root = Path(directory)
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()} {len(data)}\n".encode() + data)
+    return h.hexdigest()
+
+
+def demo_sha(command) -> str:
+    """tree_sha of what the preset `hgd COMMAND --out DIR` writes to DIR."""
+    with tempfile.TemporaryDirectory() as out:
+        cli_stdout(command, "--out", out)
+        return tree_sha(out)
+
+
 def cli_lines():
     for arch in cli._ARCHS:
         yield f"cost {arch} " + hashlib.sha256(cli_stdout("cost", arch).encode()).hexdigest()
@@ -110,6 +132,8 @@ def workload_lines():
     yield "seg-train " + sha(seg_train_state(0, 40)[0])
     state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
     yield f"seg-train seed 2 {sha(state)} failed {failed}"
+    for command in ("demo-seg", "demo-fpn"):
+        yield f"{command} {demo_sha(command)}"
 
 
 def digest_lines():
