@@ -45,7 +45,7 @@ from .efficientfcn import (backbone_forward, init_seg_params, segment_forward,
                            tiny_backbone_config, train_segmenter)
 from .fpn import (LEVEL_NAMES, Pyramid, fpn_decode_once_full, fpn_stages,
                   init_fpn_params, init_fpn_stack, pyramid_grids)
-from .gradcheck import gradcheck
+from .gradcheck import broken_relu_gradient, gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, write_atomic
 from .synthdata import synth_dataset
 from .tensor import ConfigError, GradcheckError, Tensor, precision_of
@@ -129,7 +129,7 @@ def cmd_gradcheck(args) -> int:
 
 def _cmd_gradcheck_entry(args) -> int:
     if args.break_backward:
-        with ops.broken_relu_gradient():
+        with broken_relu_gradient():
             return cmd_gradcheck(args)
     return cmd_gradcheck(args)
 
@@ -218,9 +218,9 @@ def _divergence(history, params, trace):
 
 
 def cmd_demo_seg(args) -> int:
+    run = load_run_config(args.config) if args.config else tiny_run()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run = load_run_config(args.config) if args.config else tiny_run()
     dt = dtype_of(run)
     # hgdbench's seed rule; RunConfig has no backbone section, so every
     # run uses the toy backbone at its default (the preset's) widths
@@ -260,9 +260,9 @@ def cmd_demo_seg(args) -> int:
 
 
 def cmd_demo_fpn(args) -> int:
+    run = load_run_config(args.config) if args.config else tiny_run()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run = load_run_config(args.config) if args.config else tiny_run()
     cfg = run.fpn
     dt = dtype_of(run)
 

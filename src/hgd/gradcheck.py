@@ -3,15 +3,19 @@
 Central differences at float64; each parameter is perturbed one element at a
 time while the build function re-runs the forward pass against the mutated
 array. Large parameters are subsampled deterministically so checking a whole
-network stays cheap.
+network stays cheap. broken_relu_gradient mis-scales one backward rule on
+purpose, so that the checker's failure path (`hgd gradcheck
+--break-backward`) can be exercised.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .tensor import GradcheckError, Tensor
 
 
@@ -92,3 +96,23 @@ def gradcheck(build_fn, params, step: float = 1e-6, tol: float = 1e-5,
                 worst = rel
         reports.append(GradReport(name=name, max_rel_err=worst, passed=worst <= tol))
     return reports
+
+
+@contextlib.contextmanager
+def broken_relu_gradient():
+    """Run the block with ops.relu swapped for a wrapper that scales its
+    output's incoming adjoint by 1.5, and restore ops.relu after it."""
+    original = ops.relu
+
+    def broken(x):
+        out = original(x)
+        bwd = out._backward_fn
+        if bwd is not None:
+            out._backward_fn = lambda g: bwd(1.5 * g)
+        return out
+
+    ops.relu = broken
+    try:
+        yield
+    finally:
+        ops.relu = original

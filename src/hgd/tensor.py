@@ -29,9 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# When True, every primitive asserts its forward output is finite.
-DEBUG_CHECK_FINITE = False
-
 # the precision names of run configs, manifests and `hgd dump`, and the dtypes
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 

@@ -481,6 +481,18 @@ def test_config_error_surfaces_as_exit_two(tmp_path, capsys):
     assert "unknown keys" in err
 
 
+@pytest.mark.parametrize("doc, code", [({"seed": -1}, 2), (None, 1)],
+                         ids=["rejected-config", "missing-config"])
+@pytest.mark.parametrize("command", ["demo-seg", "demo-fpn"])
+def test_bad_config_creates_no_output_directory(tmp_path, capsys, command, doc, code):
+    cfg = write_config(tmp_path, doc) if doc else str(tmp_path / "missing.json")
+    out_dir = tmp_path / "out"
+    got, out, _ = run_cli(capsys, command, "--config", cfg, "--out", str(out_dir))
+    assert got == code
+    assert out == ""
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["demo-seg", "demo-fpn"])
 def test_unallocatable_config_exits_one_without_traceback(tmp_path, command):
     # a 2**24-pixel side needs petabytes, beyond any address space, so the

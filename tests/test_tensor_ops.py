@@ -5,6 +5,8 @@ a closed-form evaluation written directly in the test, never by calling the
 library twice.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -222,6 +224,21 @@ def test_relu_values():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_max_with_positive_zero(dtype):
+    # the negatives come first and fill more than one vector register
+    negatives = [-np.inf, -1e30, -1.0, -1e-30, -0.0, *np.linspace(-5.0, -0.5, 17)]
+    x = np.array([*negatives, 0.0, np.nan, np.inf, 2.5], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ops.relu(Tensor(x)).data
+    assert out.dtype == dtype
+    n = len(negatives)
+    assert np.all(out[:n + 1] == 0.0) and not np.signbit(out[:n + 1]).any()
+    assert np.isnan(out[n + 1])
+    assert out[n + 2] == np.inf and out[n + 3] == 2.5
+
+
 def test_concat_channels_order():
     a = t(np.ones((2, 3, 4)))
     b = t(np.full((3, 3, 4), 2.0))
@@ -293,10 +310,23 @@ def test_maxpool2x2_values_and_odd_edges():
     assert np.array_equal(out.data, expect)
 
 
-@pytest.mark.parametrize("dims", [(1, 0, 3), (1, 3, 0)], ids=["zero-rows", "zero-cols"])
-def test_maxpool2x2_rejects_zero_extent(dims):
+# the ops that read one (c, h, w) map and need both its spatial extents
+MAP_OPS = {"maxpool2x2": ops.maxpool2x2, "softmax_spatial": ops.softmax_spatial,
+           "global_avg_spatial": ops.global_avg_spatial,
+           "bilinear_resize": lambda x: ops.bilinear_resize(x, 4, 4)}
+
+
+@pytest.mark.parametrize("dims", [(2, 0, 3), (2, 3, 0)], ids=["zero-rows", "zero-cols"])
+@pytest.mark.parametrize("op", list(MAP_OPS.values()), ids=list(MAP_OPS))
+def test_map_ops_reject_zero_extent(op, dims):
     with pytest.raises(DimensionError, match="at least 1x1"):
-        ops.maxpool2x2(t(np.zeros(dims)))
+        op(t(np.zeros(dims)))
+
+
+@pytest.mark.parametrize("op", list(MAP_OPS.values()), ids=list(MAP_OPS))
+def test_map_ops_reject_other_ranks(op):
+    with pytest.raises(DimensionError, match="must have rank 3"):
+        op(t(np.zeros((3, 4))))
 
 
 def test_global_avg_spatial():
@@ -710,6 +740,21 @@ def test_cross_entropy_all_ignored_raises():
     labels = np.array([[255]], dtype=np.int64)
     with pytest.raises(ValueError):
         ops.cross_entropy_logits(logits, labels)
+
+
+@pytest.mark.parametrize("labels", [[[1.7, 0.5]], [[1.0, 0.0]], [[True, False]]],
+                         ids=["fractional", "whole-floats", "bool"])
+def test_cross_entropy_rejects_non_integer_labels(labels):
+    # a float label used to be truncated, so 1.7 read as class 1
+    with pytest.raises(ValueError, match="integer dtype"):
+        ops.cross_entropy_logits(t(np.zeros((2, 1, 2))), np.array(labels))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+def test_cross_entropy_accepts_every_integer_dtype(dtype):
+    labels = np.array([[1, 255]], dtype=dtype)
+    loss = ops.cross_entropy_logits(t(np.zeros((2, 1, 2))), labels)
+    assert abs(loss.data - np.log(2.0)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

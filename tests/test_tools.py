@@ -156,3 +156,22 @@ def test_output_digest_tree_sha_covers_each_file_path_and_bytes(tmp_path):
                tree({"a.hgdt": b"x", "sub/b.pgm": b"yz"}),     # a boundary
                tree({"a.hgdt": b"xy"})]                        # a file
     assert len({base, *changed}) == 1 + len(changed)
+
+
+def test_bench_pairs_summarize_counts_wins_and_gaps():
+    bench_pairs = _load("bench_pairs")
+    parent, change = [10.0, 11.0, 12.0, 13.0], [9.0, 11.0, 10.0, 14.0]
+    pairs = [{"parent": dict.fromkeys(bench_pairs.METRICS, a),
+              "change": dict.fromkeys(bench_pairs.METRICS, b)} for a, b in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs)
+    assert set(summary) == set(bench_pairs.METRICS)
+    for name, higher in bench_pairs.METRICS.items():
+        row = summary[name]
+        # the change reads lower in pairs 0 and 2, higher in pair 3 and ties in pair 1
+        assert row["change_better"] == (1 if higher else 2), name
+        assert row["pairs"] == 4
+        assert round(row["ratio_of_medians"], 3) == 0.913
+        assert row["parent_iqr"] == pytest.approx(1.5)
+        assert row["gap_of_medians"] == pytest.approx(1.0)
+        assert row["parent"]["median"] == pytest.approx(11.5)
+        assert row["change"]["median"] == pytest.approx(10.5)
