@@ -29,29 +29,36 @@ inside, so the tape keeps the coarse level and not a 4x copy of it; p7
 feeds two fusions, the code map's and m6. The nearest upsampling and
 ops.maxpool2x2 are an exact up/down pair between levels.
 
-A stage's output p3 is its input p3 plus refined p4 upsampled. The
-upsampling is constant on every 2x2 pooling window, clipped edge windows
-included, and round-to-nearest fl(a + r) is monotone in a, so for a finite
-r, maxpool2x2(p3 + up(r)) equals maxpool2x2(p3) + r bit for bit, NaN,
-+-inf and signed zeros in p3 included (a non-finite r breaks it: -inf + inf
-is NaN where pooling keeps inf). A later stage therefore takes its p3->p4
-step as the previous stage's pooled p3 plus its refined p4
-(Pyramid.pooled_p3), and a k-stage decode runs 7 + 6(k - 1) poolings, not
-7k.
+A stage adds its refined p4 upsampled to p3, but no stage reads p3 itself:
+it reads only p3's pooling, its p3->p4 step. The upsampling is constant on
+every 2x2 pooling window, clipped edge windows included, and
+round-to-nearest fl(a + r) is monotone in a, so for a finite r,
+maxpool2x2(p3 + up(r)) equals maxpool2x2(p3) + r bit for bit, NaN, +-inf
+and signed zeros in p3 included (a non-finite r breaks it: -inf + inf is
+NaN where pooling keeps inf). A later stage therefore takes its p3->p4 step
+as the previous stage's pooled p3 plus its refined p4 (Pyramid.pooled_p3),
+and a k-stage decode runs 7 + 6(k - 1) poolings, not 7k. Nor does a stage
+form its output p3: its pyramid carries the decode's input p3 and the
+stages' refined p4 summed in stage order on the p4 grid, R = r4_1 + ... +
+r4_k, and forms p3 = ops.add_upsampled(p3_in, R) when p3 is read, which
+fpn_decode does once, after its last stage. Summing before upsampling
+rounds otherwise than adding each r4 upsampled in turn, so p3 agrees with
+that chain, and with the pooled steps that p4-p7 were computed from, to
+roundoff, not bit for bit; p4-p7 are those the chain gives.
 
 A k-stage decode's tape keeps what each stage's backward reads (see
 hgd.ops): the fused levels and folded weights of the branch convs, the
 maps, coarse levels and coefficients of the fusions, the pooling winners
 and the attention softmax. Every other map is freed once the stage, its
 FpnTrace and the pyramid it returned are dropped, the branch conv outputs
-and each stage's output p3 among them. p3 adds refined p4 upsampled inside
-ops.add_upsampled, so besides its input the output p3 is the stage's
-only map on the p3 grid, and since no pooling reads a stage's output p3,
-its gradient is the next stage's, not a copy.
+among them. The adds that sum R keep nothing, so besides its input the
+decode's only map on the p3 grid is its output p3, and its backward pair-
+sums that p3's gradient once, for R, whose adds hand the sum to every
+stage's refined p4 as it is.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -85,8 +92,10 @@ def pyramid_grids(input_hw):
 class Pyramid:
     """Five feature maps, finest first, each half the size of the previous.
 
-    A pyramid that fpn_decode_once_full returns also carries what its
-    pooled_p3 needs: the stage's pooled input p3 and its refined p4.
+    A pyramid that fpn_decode_once_full returns holds its p3 as parts
+    (_P3Sum) and forms it on the first read of p3, so a decode whose
+    stages read only pooled_p3 forms it once. Setting p3 replaces the
+    parts' p3, and a later stage then starts from the p3 that was set.
     """
 
     p3: Tensor
@@ -94,16 +103,18 @@ class Pyramid:
     p5: Tensor
     p6: Tensor
     p7: Tensor
-    # (p3, maxpool2x2 of the stage's input p3, refined p4), set by the stage
-    # that made this pyramid
-    _p3_parts: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the parts of the p3 of a stage's output (see _stage_output)
+    _p3_parts: "_P3Sum" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         maps = self.levels()
-        channels = maps[0].dims[0]
         for name, level in zip(LEVEL_NAMES, maps):
             if len(level.dims) != 3:
                 raise ConfigError(f"{name} must be rank 3, got dims {level.dims}")
+            if 0 in level.dims:
+                raise ConfigError(f"{name} must have no zero extent, got dims {level.dims}")
+        channels = maps[0].dims[0]
+        for name, level in zip(LEVEL_NAMES, maps):
             if level.dims[0] != channels:
                 raise ConfigError(
                     f"pyramid channels differ: {name} has {level.dims[0]}, p3 has {channels}")
@@ -112,27 +123,69 @@ class Pyramid:
                 raise ConfigError(f"{LEVEL_NAMES[i]} must be {LEVEL_NAMES[i - 1]} "
                                   f"halved to ({eh},{ew}), got {maps[i].dims[1:]}")
 
+    def __getattr__(self, name):
+        # called only for a name that is not set: a stage's output has no p3
+        # of its own until one is set, and its parts form theirs when read
+        parts = self.__dict__.get("_p3_parts")
+        if name != "p3" or parts is None:
+            raise AttributeError(name)
+        return parts.p3
+
     def levels(self):
         return (self.p3, self.p4, self.p5, self.p6, self.p7)
 
-    def pooled_p3(self) -> Tensor:
-        """maxpool2x2(p3), the p3->p4 step.
+    def _own_p3_parts(self):
+        """The parts of a stage's output p3, or None for a pyramid built by
+        hand or one whose p3 was set after the stage."""
+        return None if "p3" in vars(self) else self._p3_parts
 
-        For a pyramid a stage made, whose p3 is still the stage's
-        add_upsampled(p3_in, r4), this is add(maxpool2x2(p3_in), r4), equal
-        bit for bit when r4 is finite (see the module docstring), and formed
-        only here, so a last stage builds nothing for it. A pyramid built by
-        hand, or one whose refined p4 is not finite, pools p3.
+    def pooled_p3(self) -> Tensor:
+        """The p3->p4 step.
+
+        For a stage's output, add(pooled, r4): the stage's own p3->p4 step
+        plus its refined p4, formed only here, so a last stage builds
+        nothing for it. This is maxpool2x2 of the p3 that adds each stage's
+        refined p4 upsampled in turn, bit for bit when r4 is finite (see
+        the module docstring); the p3 the decode forms sums the refined p4
+        first, so the two pools agree to roundoff. A pyramid built by hand,
+        one whose p3 was set, or one whose refined p4 is not finite pools
+        its p3.
         """
-        if self._p3_parts is not None:
-            p3, pooled, refined4 = self._p3_parts
-            if p3 is self.p3 and np.isfinite(refined4.data).all():
-                return ops.add(pooled, refined4)
+        parts = self._own_p3_parts()
+        if parts is not None and np.isfinite(parts.refined4.data).all():
+            return ops.add(parts.pooled, parts.refined4)
         return ops.maxpool2x2(self.p3)
 
     @property
     def channels(self) -> int:
-        return self.p3.dims[0]
+        # p4's, which a stage's output holds, so reading it forms no p3
+        return self.p4.dims[0]
+
+
+@dataclass
+class _P3Sum:
+    """A stage's output p3 as add_upsampled(base, total): base is the p3 the
+    stages started from and total their refined p4, summed in stage order
+    on the p4 grid. `pooled` is the stage's p3->p4 step and `refined4` its
+    refined p4, which the next stage's step adds (Pyramid.pooled_p3)."""
+
+    base: Tensor
+    total: Tensor
+    pooled: Tensor
+    refined4: Tensor
+
+    @cached_property
+    def p3(self) -> Tensor:
+        return ops.add_upsampled(self.base, self.total)
+
+
+def _stage_output(parts: _P3Sum, p4, p5, p6, p7) -> Pyramid:
+    """A stage's pyramid, whose p3 is formed from `parts` when first read;
+    its levels have the dims of a checked input's, so nothing is checked."""
+    out = Pyramid.__new__(Pyramid)
+    out.p4, out.p5, out.p6, out.p7 = p4, p5, p6, p7
+    out._p3_parts = parts
+    return out
 
 
 @dataclass
@@ -263,7 +316,7 @@ def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
     `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6); each
     coarser neighbor is upsampled inside ops.upsampled_weighted_sum.
     """
-    _, p4, p5, p6, p7 = pyramid.levels()
+    p4, p5, p6, p7 = pyramid.p4, pyramid.p5, pyramid.p6, pyramid.p7
     d34, d45, d56 = steps
     m4 = ops.upsampled_weighted_sum(r, p5, [p4, d34])
     m5 = ops.upsampled_weighted_sum(s, p6, [p5, d45])
@@ -299,7 +352,7 @@ def fold_branch(branch: ScaleBranch, codewords: Tensor):
 class FpnTrace:
     """A stage's intermediates: `fused` and `refined` are keyed by level;
     `refined` holds the branch outputs 4-6 and their pooling 7, and has no
-    3, since p3 adds refined[4] upsampled inside ops.add_upsampled."""
+    3, since p3 is formed from the input p3 and the summed refined[4]."""
 
     m_code: Tensor
     attention: Tensor
@@ -312,8 +365,10 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
     """One refinement pass; returns the new pyramid plus its intermediates
     (FpnTrace).
 
-    The p3->p4 step is pyramid.pooled_p3(), and the new pyramid carries
-    this stage's pooled p3 and refined p4 for the next stage's.
+    The p3->p4 step is pyramid.pooled_p3(). The new pyramid's p3 is left
+    unformed: the pyramid carries the p3 the stages started from and the
+    refined p4 of every stage since, summed, and forms p3 from them when p3
+    is read (Pyramid).
     """
     cfg = params.config
     if pyramid.channels != cfg.output_channels:
@@ -322,8 +377,9 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
             f"{pyramid.channels} != {cfg.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
-    p3, p4, p5, _, _ = pyramid.levels()
-    steps = (pyramid.pooled_p3(), ops.maxpool2x2(p4), ops.maxpool2x2(p5))
+    parts = pyramid._own_p3_parts()
+    coarse = (pyramid.p4, pyramid.p5, pyramid.p6, pyramid.p7)
+    steps = (pyramid.pooled_p3(), ops.maxpool2x2(coarse[0]), ops.maxpool2x2(coarse[1]))
     m_code = fuse_code_map(pyramid, coeffs.a, steps)
     codewords, _, attention = generate_codewords(m_code, params)
 
@@ -332,10 +388,13 @@ def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
                for level, m, branch in zip(SCALE_LEVELS, fused, params.branches())}
     refined[7] = ops.maxpool2x2(refined[6])
 
-    out = Pyramid(ops.add_upsampled(p3, refined[4]),
-                  *[ops.add(level, refined[idx])
-                    for idx, level in zip(range(4, 8), pyramid.levels()[1:])])
-    out._p3_parts = (out.p3, steps[0], refined[4])
+    if parts is None:
+        base, total = pyramid.p3, refined[4]
+    else:
+        base, total = parts.base, ops.add(parts.total, refined[4])
+    out = _stage_output(_P3Sum(base, total, steps[0], refined[4]),
+                        *[ops.add(level, refined[idx])
+                          for idx, level in zip(range(4, 8), coarse)])
     return out, FpnTrace(m_code=m_code, attention=attention, codewords=codewords,
                          fused=dict(zip(SCALE_LEVELS, fused)), refined=refined)
 
@@ -367,10 +426,11 @@ def fpn_stages(params) -> list:
 def fpn_decode(pyramid: Pyramid, params) -> Pyramid:
     """Apply the decoder k times (see fpn_stages for the form of `params`).
 
-    The result holds the last stage's levels only: not its pooled p3 and
-    refined p4, which only a further stage would read, so a caller that
-    keeps the result keeps no more than the levels (a further stage pools
-    its p3)."""
+    No stage forms a p3; the result's p3 is formed here, once, from the
+    input p3 and the stages' summed refined p4 (see the module docstring).
+    The result holds the last stage's levels only, not the parts a further
+    stage would read, so a caller that keeps it keeps no more than the
+    levels (a further stage pools its p3)."""
     out = pyramid
     for stage_params in fpn_stages(params):
         out = fpn_decode_once(out, stage_params)

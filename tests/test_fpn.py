@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ def test_pyramid_rejects_channel_mismatch():
     maps = [Tensor(rng.standard_normal((4, h, w))) for h, w in dims[:-1]]
     maps.append(Tensor(rng.standard_normal((5,) + dims[-1])))
     with pytest.raises(ConfigError, match="channels"):
+        Pyramid(*maps)
+
+
+@pytest.mark.parametrize("level", [0, 2], ids=["p3", "p5"])
+def test_pyramid_checks_each_levels_rank_first(level):
+    # a rank-0 level has no channel count to compare
+    dims = [(4, h, w) for h, w in chain_dims(16, 16)]
+    maps = [Tensor(np.zeros(d)) for d in dims]
+    maps[level] = Tensor(np.float64(1.0))
+    with pytest.raises(ConfigError, match=f"{fpn_module.LEVEL_NAMES[level]} must be rank 3"):
+        Pyramid(*maps)
+
+
+@pytest.mark.parametrize("dims", [(4, 0, 0), (4, 0, 16), (0, 16, 16)],
+                         ids=["0x0", "0-rows", "0-channels"])
+def test_pyramid_refuses_zero_extent_levels(dims):
+    c, h, w = dims
+    maps = [Tensor(np.zeros((c, lh, lw))) for lh, lw in chain_dims(h, w)]
+    with pytest.raises(ConfigError, match="p3 must have no zero extent"):
         Pyramid(*maps)
 
 
@@ -368,6 +388,25 @@ def test_stage_keeps_one_map_on_the_p3_grid():
     assert counts == {"upsampled_weighted_sum": 4, "add_upsampled": 1, "maxpool2x2": 7}
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_decode_forms_one_map_on_the_p3_grid(shared):
+    """A k=4 decode sums the stages' refined p4 on the p4 grid and adds the
+    sum upsampled to the input p3 once, so its graph has one add_upsampled
+    and, besides the input, one node on the p3 grid: the output p3."""
+    cfg = FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=4, share_params=shared,
+                    output_channels=8)
+    params = init_fpn_stack(cfg, np.random.default_rng(18))
+    pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
+    out = fpn_decode(pyr, params)
+    nodes = graph_nodes(out.levels())
+    on_p3 = [node for node in nodes
+             if len(node.dims) == 3 and node.dims[1:] == pyr.p3.dims[1:]
+             and node is not pyr.p3._node]
+    assert len(on_p3) == 1 and on_p3[0] is out.p3._node
+    assert count_ops(out.levels(), "add_upsampled") == 1
+    assert out.p3._parents[0] is pyr.p3._node
+
+
 def ancestor_ids(t):
     """ids of the nodes t's node reaches, its own included."""
     seen = set()
@@ -429,13 +468,24 @@ def test_k2_equals_manual_composition():
         assert np.array_equal(got.data, want.data)
 
 
-def fresh_pool_decode(pyr, params):
+def fresh_pool_decode(pyr, params, refined4=None):
     """fpn_decode with every stage pooling p3 afresh: each stage's output is
-    rebuilt as a Pyramid by hand, which carries no pooled p3."""
+    rebuilt as a Pyramid by hand, which carries no pooled p3, so each stage
+    also adds its refined p4 upsampled to its own p3. Each stage's refined
+    p4 is appended to the list `refined4` when one is given."""
     out = pyr
     for record in fpn_module.fpn_stages(params):
-        out = Pyramid(*fpn_decode_once(out, record).levels())
+        stage, trace = fpn_decode_once_full(out, record)
+        out = Pyramid(*stage.levels())
+        if refined4 is not None:
+            refined4.append(trace.refined[4])
     return out
+
+
+def summed_p3_bits(p3, refined4):
+    """add_upsampled(p3, the refined p4 summed in stage order), the p3 that
+    fpn_decode forms, as int64 bits."""
+    return ops.add_upsampled(Tensor(p3), reduce(ops.add, refined4)).data.view(np.int64)
 
 
 def level_bits(pyr):
@@ -467,20 +517,24 @@ K4_CASES = {
 @pytest.mark.parametrize("case", list(K4_CASES))
 def test_carried_p3_pool_equals_pooling_afresh(case):
     """A later stage's p3->p4 step is the previous stage's pooled p3 plus its
-    refined p4, and the levels equal a decode whose every stage pools p3
-    bit for bit. The gradients only sum in another order: on tie-free
-    (standard normal) data every input level's agrees to 1e-12 of its max."""
+    refined p4, and p4-p7 equal a decode whose every stage pools p3 bit for
+    bit; p3 is the input p3 plus the stages' refined p4, summed, upsampled.
+    The gradients only sum in another order: on tie-free (standard normal)
+    data every input level's agrees to 1e-12 of its max."""
     widths, h, w, shared = K4_CASES[case]
     cfg = FpnConfig(k_recurrence=4, share_params=shared, **widths)
     params = init_fpn_stack(cfg, np.random.default_rng(41))
     data = [level.data for level in
             rand_pyramid(np.random.default_rng(42), cfg.output_channels, h, w).levels()]
 
+    refined4 = []
     got, got_grads = input_grads(lambda pyr: fpn_decode(pyr, params), data)
-    want, want_grads = input_grads(lambda pyr: fresh_pool_decode(pyr, params), data)
+    want, want_grads = input_grads(lambda pyr: fresh_pool_decode(pyr, params, refined4), data)
     assert count_ops(got.levels(), "maxpool2x2") == 25
     assert count_ops(want.levels(), "maxpool2x2") == 28
-    for a, b in zip(level_bits(got), level_bits(want)):
+    got_bits, want_bits = level_bits(got), level_bits(want)
+    assert np.array_equal(got_bits[0], summed_p3_bits(data[0], refined4))
+    for a, b in zip(got_bits[1:], want_bits[1:]):
         assert np.array_equal(a, b)
     for name, a, b in zip(fpn_module.LEVEL_NAMES, got_grads, want_grads):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
@@ -488,8 +542,9 @@ def test_carried_p3_pool_equals_pooling_afresh(case):
 
 def test_non_finite_refined_p4_pools_p3_afresh():
     """-inf + inf is NaN where pooling keeps inf, so a stage whose refined p4
-    is not finite hands the next stage a pyramid that pools p3 itself; the
-    levels still equal a decode whose every stage pools p3 bit for bit."""
+    is not finite hands the next stage a pyramid that pools p3 itself;
+    p4-p7 still equal a decode whose every stage pools p3 bit for bit, and
+    p3 is the input p3 plus the stages' refined p4, summed, upsampled."""
     params = tiny_params()
     params.config = dataclasses.replace(params.config, k_recurrence=4)
     pyr = rand_pyramid(np.random.default_rng(40), channels=8, h=25, w=38)
@@ -500,8 +555,12 @@ def test_non_finite_refined_p4_pools_p3_afresh():
         refined4 = trace.refined[4].data
         assert np.isinf(refined4).any() and np.isfinite(refined4).any()
         assert out.pooled_p3()._op == "maxpool2x2"
-        got, want = fpn_decode(pyr, params), fresh_pool_decode(pyr, params)
-    for a, b in zip(level_bits(got), level_bits(want)):
+        stages = []
+        got, want = fpn_decode(pyr, params), fresh_pool_decode(pyr, params, stages)
+        want_p3 = summed_p3_bits(pyr.p3.data, stages)
+    got_bits, want_bits = level_bits(got), level_bits(want)
+    assert np.array_equal(got_bits[0], want_p3)
+    for a, b in zip(got_bits[1:], want_bits[1:]):
         assert np.array_equal(a, b)
 
 
@@ -513,9 +572,14 @@ def test_pooled_p3_is_an_add_only_for_a_stage_output_with_its_own_p3():
     carried = out.pooled_p3()
     assert carried._op == "add" and carried._parents[1] is trace.refined[4]._node
     assert np.array_equal(carried.data, ops.maxpool2x2(out.p3).data)
-    # a p3 replaced after the stage pools afresh
+    # a p3 replaced after the stage pools afresh, and the next stage adds
+    # its refined p4 to that p3
     out.p3 = Tensor(out.p3.data.copy())
     assert out.pooled_p3()._op == "maxpool2x2"
+    last, last_trace = fpn_decode_once_full(out, params)
+    assert last.p3._parents[0] is out.p3._node
+    assert np.array_equal(last.p3.data,
+                          ops.add_upsampled(out.p3, last_trace.refined[4]).data)
 
 
 def test_unshared_stack_composes_independent_records():
@@ -604,5 +668,34 @@ def test_gradcheck_every_group_through_tiny_decode():
 
     reports = gradcheck(build, named, max_per_param=6,
                         rng=np.random.default_rng(35))
+    failed = [r.name for r in reports if not r.passed]
+    assert not failed, failed
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_gradcheck_every_group_through_k2_decode(shared):
+    """Finite differences through two stages: the second stage's carried
+    pooled p3 and the sum of both stages' refined p4, which forms p3."""
+    cfg = FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=2, share_params=shared,
+                    output_channels=8)
+    params = init_fpn_stack(cfg, np.random.default_rng(36))
+    # small magnitudes: a stage about squares the pyramid's scale, and the
+    # loss roundoff, which the zero weighting-bias gradient reads, with it
+    pyr = Pyramid(*[Tensor(0.25 * level.data, requires_grad=True)
+                    for level in rand_pyramid(np.random.default_rng(37), channels=8).levels()])
+    named = [(f"stage{i}.{name}", t) for i, record in enumerate([params] if shared else params)
+             for name, t in record.named_parameters()]
+    named += list(zip(fpn_module.LEVEL_NAMES, pyr.levels()))
+    count = sum(level.data.size for level in pyr.levels())
+
+    def build():
+        # a mean, as in the single-stage check above
+        total = None
+        for level in fpn_decode(pyr, params).levels():
+            term = ops.sum_all(level)
+            total = term if total is None else ops.add(total, term)
+        return ops.scalar_scale(total, 1.0 / count)
+
+    reports = gradcheck(build, named, max_per_param=6, rng=np.random.default_rng(38))
     failed = [r.name for r in reports if not r.passed]
     assert not failed, failed

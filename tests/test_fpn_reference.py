@@ -105,17 +105,22 @@ def make_case(config, finest, dtype, seed):
     return pyramid, fpn.init_fpn_stack(config, rng, dtype)
 
 
+def assert_levels_match(got, want, dtype):
+    """Library levels `got` against reference arrays `want`, at FORWARD_TOL."""
+    tol = FORWARD_TOL[dtype]
+    for name, g, w in zip(fpn.LEVEL_NAMES, got, want):
+        assert g.data.dtype == dtype, name
+        err = np.abs(g.data - w).max()
+        assert err <= tol * np.abs(w).max(), (name, err, np.abs(w).max())
+
+
 def assert_matches_reference(pyramid, params):
     """fpn_decode of the library against the reference, at FORWARD_TOL;
     returns the library's output levels."""
     got = fpn.fpn_decode(pyramid, params).levels()
     want = reference_decode([t.data.astype(np.float64) for t in pyramid.levels()],
                             stage_records(params))
-    tol = FORWARD_TOL[pyramid.p3.data.dtype.type]
-    for name, g, w in zip(fpn.LEVEL_NAMES, got, want):
-        assert g.data.dtype == pyramid.p3.data.dtype, name
-        err = np.abs(g.data - w).max()
-        assert err <= tol * np.abs(w).max(), (name, err, np.abs(w).max())
+    assert_levels_match(got, want, pyramid.p3.data.dtype.type)
     return got
 
 
@@ -144,6 +149,20 @@ def test_decode_matches_reference(config, finest, dtype):
     # concatenates, though the reference builds every [assembled; G] stack
     ops_run = {n._op for level in got for n in ComputeGraph.trace(level).nodes}
     assert "concat_channels" not in ops_run
+
+
+@pytest.mark.parametrize("share_params", [True, False], ids=["shared", "unshared"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_k2_decode_matches_the_reference_stage_applied_twice(dtype, share_params):
+    # fpn_decode forms p3 once from the summed refined p4; the reference adds
+    # each stage's refined p4 to p3 in turn
+    config = fpn.FpnConfig(n_codewords=4, codeword_dim=8, k_recurrence=2,
+                           share_params=share_params, output_channels=8)
+    pyramid, params = make_case(config, (25, 38), dtype, seed=43)
+    first, second = stage_records(params)
+    levels = [t.data.astype(np.float64) for t in pyramid.levels()]
+    want = reference_decode_once(reference_decode_once(levels, first), second)
+    assert_levels_match(fpn.fpn_decode(pyramid, params).levels(), want, dtype)
 
 
 @pytest.mark.parametrize("share_params", [True, False], ids=["shared", "unshared"])

@@ -335,9 +335,10 @@ def test_backward_closures_hold_no_tensor(build):
 
 def test_dropped_stage_maps_are_freed_before_the_sweep():
     # stage 1's branch conv output (refined p5, read by no backward) and its
-    # output p3 (read by stage 2 only through add_upsampled and the carried
-    # add) die with the FpnTraces and the stage-1 pyramid, before the sweep,
-    # and the gradients equal those of a decode whose caller held them
+    # output p3 (formed here by reading it; stage 2 reads only the input p3
+    # and refined p4 it was formed from) die with the FpnTraces and the
+    # stage-1 pyramid, before the sweep, and the gradients equal those of a
+    # decode whose caller held them
     def by_stage(held):
         refs, keep = [], []
 

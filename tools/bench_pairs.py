@@ -36,7 +36,7 @@ from ab import src_sha256  # noqa: E402
 SECONDS = 25
 FIRST_SEED = 70
 PAIRS = {"fpn-decode": 10, "seg-train": 3, "seg-infer": 3, "decode-paper": 10}
-AB_WORKLOADS = ("seg-infer", "seg-train")
+AB_WORKLOADS = ("fpn-decode", "decode-paper", "seg-infer", "seg-train")
 # end-to-end metrics (hgdbench/run.py) and whether a higher value is better
 METRICS = {"latency_ms_p50": False, "latency_ms_tail": False, "items_per_s": True,
            "setup_s": False, "peak_rss_mb": False}
