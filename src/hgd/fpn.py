@@ -49,12 +49,16 @@ roundoff, not bit for bit; p4-p7 are those the chain gives.
 A k-stage decode's tape keeps what each stage's backward reads (see
 hgd.ops): the fused levels and folded weights of the branch convs, the
 maps, coarse levels and coefficients of the fusions, the pooling winners
-and the attention softmax. Every other map is freed once the stage, its
-FpnTrace and the pyramid it returned are dropped, the branch conv outputs
-among them. The adds that sum R keep nothing, so besides its input the
-decode's only map on the p3 grid is its output p3, and its backward pair-
-sums that p3's gradient once, for R, whose adds hand the sum to every
-stage's refined p4 as it is.
+and the attention softmax. Stage 1's six poolings that read only the
+input levels (the one-step poolings of p3, p4 and p5, and the three that
+pool those further for the code map) keep nothing when the input needs no
+grad: maxpool2x2 then forms no winners and no closure, so a k=4 decode
+keeps winners for 19 of its 25 poolings. Every other map is freed once the
+stage, its FpnTrace and the pyramid it returned are dropped, the branch
+conv outputs among them. The adds that sum R keep nothing, so besides its
+input the decode's only map on the p3 grid is its output p3, and its
+backward pair-sums that p3's gradient once, for R, whose adds hand the sum
+to every stage's refined p4 as it is.
 """
 
 from dataclasses import dataclass, field

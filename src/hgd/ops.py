@@ -12,11 +12,12 @@ holds conv1x1's input, weight and shift vector (when given), conv3x3's
 column matrix and weight, matmul's and mul's operands,
 upsampled_weighted_sum's coefficients, maps and coarse map (not its
 upsampled copy), softmax_spatial's output, relu's mask, maxpool2x2's
-window winners, cross_entropy_logits' shifted logits, log-sum-exp, mask
-and indices, and bilinear_resize's cached interpolation matrices; add,
-add_upsampled, the shape movers and the reductions keep only dims and
-scalars. An output that no backward reads is freed as soon as its Tensor
-is dropped, even while its node is still on the tape.
+window winners (built only for an input that needs grad),
+cross_entropy_logits' shifted logits, log-sum-exp, mask and indices, and
+bilinear_resize's cached interpolation matrices; add, add_upsampled, the
+shape movers and the reductions keep only dims and scalars. An output that
+no backward reads is freed as soon as its Tensor is dropped, even while its
+node is still on the tape.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
 - no grad array is written in place, and no first adjoint gets a zero
@@ -53,16 +54,25 @@ Conventions fixed here (and relied on by the oracles in the test suite):
 - one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
   element wins, a NaN counting as larger than any number, so ties go to the
   first index, the first NaN wins and a NaN best is final. It is a running
-  scan over a sequence of views, which maxpool2x2 feeds its four window taps
-  and efficientfcn.predict_labels the class slices of its logits;
+  scan over a sequence of views, which efficientfcn.predict_labels feeds the
+  class slices of its logits, and maxpool2x2 its four window taps when some
+  window's maximum is NaN or zero;
 - maxpool2x2 uses stride-2 windows clipped at the edges and is ceil-mode
   only: an h x w map pools to ceil(h/2) x ceil(w/2), the grid every
   pyramid level already has. Each window's winner is its first
   maximal element in row-major window order under that rule, and the
   output is the winner itself, sign of zero included. The gradient goes to
-  the winner only. The tape keeps each window's winner as its 1-byte tap
-  number, and the backward rebuilds the 8-byte flat indices from it and the
-  cached window bases (_pool_base);
+  the winner only. The output is the running np.maximum over the four tap
+  views (_window_max). That is the winner's own bits unless some window's
+  maximum is NaN (np.maximum may keep a later NaN) or zero (it may keep
+  either of +0.0 and -0.0), which each call checks once; then the call
+  takes the winners from _first_argmax and gathers the output through
+  them. An input that needs no grad gets only the maximum: no winners, no
+  index and no closure. One that does gets its winners in the same scan,
+  each window's last tap strictly greater than the running maximum, and
+  the tape keeps each window's winner as its 1-byte tap number; the
+  backward rebuilds the 8-byte flat indices from it and the cached window
+  bases (_pool_base);
 - relu is max(x, 0): -inf and every negative input, -0.0 included, give
   +0.0, NaN stays NaN and +inf stays +inf; its gradient at exactly 0 is 0;
 - softmax_spatial subtracts the per-channel spatial max before exponentiating;
@@ -526,6 +536,29 @@ def _pool_index(k: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
     return idx
 
 
+def _window_max(taps, winners: bool):
+    """The running np.maximum over the tap views and, if winners is set,
+    each element's winner as a 1-byte tap number (else None): the last tap
+    strictly greater than the maximum of the taps before it.
+
+    Where the maximum is neither NaN nor zero, these winners are
+    _first_argmax's and the maximum has the winner's bits, since equal
+    non-zero floats have equal bits. A later tap may be shorter along any
+    axis, as in _first_argmax.
+    """
+    best = taps[0].copy()
+    k = np.zeros(best.shape, np.int8) if winners else None
+    for j, v in enumerate(taps[1:], start=1):
+        block = tuple(map(slice, v.shape))
+        b = best[block]
+        if winners:
+            kj = k[block]
+            # taps come in increasing j, so a win always raises k
+            np.maximum(kj, np.greater(v, b).view(np.int8) * np.int8(j), out=kj)
+        np.maximum(b, v, out=b)
+    return best, k
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 to ceil(h/2) x ceil(w/2); edge windows
     are clipped."""
@@ -536,9 +569,18 @@ def maxpool2x2(x: Tensor) -> Tensor:
     # the four tap views in row-major window order; at an odd edge the second
     # row or column view is one shorter, and the clipped window's missing taps
     # would repeat taps already scanned, which can never be strictly larger
-    k = _first_argmax([x.data[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)])
-    out = x.data.take(_pool_index(k, c, h, w))
+    taps = [x.data[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)]
     xn = x._node
+    out, k = _window_max(taps, xn.requires_grad)
+    # a NaN or zero maximum need not be the winner's bits: np.maximum may
+    # keep a later NaN, or either of +0.0 and -0.0. Then the winners come
+    # from _first_argmax and the output is gathered through them (a NaN
+    # minimum compares false too)
+    if not np.abs(out).min(initial=np.inf) > 0:
+        k = _first_argmax(taps)
+        out = x.data.take(_pool_index(k, c, h, w))
+    if not xn.requires_grad:
+        return _make(out, (xn,), "maxpool2x2", None)
 
     def bwd(g):
         if xn.requires_grad:

@@ -3,7 +3,9 @@
 Each hgdbench workload at seed 0 is set up and verified the way a
 benchmark run does before it times anything, without its timing hooks, so
 a change that breaks a library name or figure the benchmark relies on
-fails here as well as in the benchmark. `hgd demo-seg` must also build
+fails here as well as in the benchmark. Two workloads also run a few
+operations under the benchmark's tracer, as a `--trace 1` run does, and
+their per-layer metrics are read back. `hgd demo-seg` must also build
 the benchmark's seg-train run for the same seed.
 """
 
@@ -18,6 +20,7 @@ import hgd.cli
 from hgd.efficientfcn import TrainResult
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "hgdbench"))
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -30,6 +33,31 @@ def test_benchmark_workload_verifies(name):
     gated = {key: check["ok"] for key, check in checks.items() if "ok" in check}
     assert gated, checks
     assert all(gated.values()), gated
+
+
+@pytest.mark.parametrize("name", ["fpn-decode", "seg-infer"])
+def test_traced_loop_reports_finite_layer_metrics(name):
+    """The path of a measure run with --trace 1: set up, verify, then four
+    operations in the benchmark's Loop, every other one traced, and the
+    per-layer metrics the worker reports from them."""
+    workload = workloads.WORKLOADS[name](0)
+    workload.setup()
+    workload.install_hooks()
+    workload.verify()
+    tracer = workload.tracer()
+    loop = workloads.Loop(max_ops=4, tracer=tracer)
+    loop.start()
+    try:
+        workload.run(loop)
+    finally:
+        tracer.disable()
+    metrics = worker.layer_metrics(tracer, loop, workloads.Tracer())["metrics"]
+    assert loop.failed == 0
+    assert loop.traced == [False, True, False, True]
+    assert all(np.isfinite(value) for value in metrics.values()), metrics
+    if name == "fpn-decode":
+        assert metrics["ops.maxpool2x2.calls"] == 25
+        assert metrics["ops.macs"] == 35_381_248
 
 
 # the preset's seg values as a config file; the train keys left out take

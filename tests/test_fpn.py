@@ -540,6 +540,28 @@ def test_carried_p3_pool_equals_pooling_afresh(case):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
+def test_decode_keeps_winners_only_for_pools_that_need_grad():
+    """At the fpn-decode benchmark's config, on an input pyramid that needs
+    no grad, stage 1's six pools of the input levels record no closure and
+    the other 19 of a k=4 decode's 25 keep only their 1-byte winners."""
+    widths = K4_CASES["bench-28x44"][0]
+    params = init_fpn_stack(FpnConfig(k_recurrence=4, share_params=True, **widths),
+                            np.random.default_rng(41))
+    pyr = rand_pyramid(np.random.default_rng(42), widths["output_channels"], 28, 44)
+    pools = [node for node in graph_nodes(fpn_decode(pyr, params).levels())
+             if node._op == "maxpool2x2"]
+    no_grad = [node for node in pools if node._backward_fn is None]
+    assert len(pools) == 25 and len(no_grad) == 6
+    # each pools an input level or another of the six
+    reads_input = {id(level._node) for level in pyr.levels()} | {id(node) for node in no_grad}
+    assert all(id(node._parents[0]) in reads_input for node in no_grad)
+    for node in pools:
+        if node._backward_fn is not None:
+            saved = [cell.cell_contents for cell in node._backward_fn.__closure__
+                     if isinstance(cell.cell_contents, np.ndarray)]
+            assert [(a.dtype, a.shape) for a in saved] == [(np.dtype(np.int8), node.dims)]
+
+
 def test_non_finite_refined_p4_pools_p3_afresh():
     """-inf + inf is NaN where pooling keeps inf, so a stage whose refined p4
     is not finite hands the next stage a pyramid that pools p3 itself;

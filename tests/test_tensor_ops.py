@@ -362,7 +362,7 @@ def maxpool_window_loop(x, oh, ow):
     window in row-major order: a later element wins only when it is strictly
     larger, or NaN while the best so far is not."""
     c, h, w = x.shape
-    out = np.empty((c, oh, ow))
+    out = np.empty((c, oh, ow), x.dtype)
     winners = {}
     for ch in range(c):
         for i in range(oh):
@@ -382,35 +382,72 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-@settings(max_examples=150, deadline=None)
+# each float dtype's bits as the signed integer of its width
+INT_OF = {np.dtype(np.float32): np.int32, np.dtype(np.float64): np.int64}
+
+
+def own_bits(a):
+    """a's bits in its own width, so that no cast can touch a NaN payload."""
+    return np.ascontiguousarray(a).view(INT_OF[a.dtype])
+
+
+def payload_nans(count, dtype):
+    """count quiet NaNs of dtype with payloads 1 to count, signs alternating."""
+    quiet = {np.dtype(np.float32): 0x7FC00000, np.dtype(np.float64): 0x7FF8000000000000}
+    itype = INT_OF[np.dtype(dtype)]
+    raw = (np.arange(1, count + 1) | quiet[np.dtype(dtype)]).astype(itype)
+    raw[1::2] |= itype(np.iinfo(itype).min)
+    return raw.view(dtype)
+
+
+@settings(max_examples=300, deadline=None)
 @given(c=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
        nan_share=st.sampled_from([0.0, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1),
-       fortran=st.booleans())
-@example(c=1, h=1, w=1, nan_share=0.0, seed=0, fortran=False)
-@example(c=2, h=1, w=6, nan_share=0.2, seed=1, fortran=False)
-@example(c=1, h=5, w=1, nan_share=0.2, seed=2, fortran=True)
-def test_maxpool2x2_matches_window_loop(c, h, w, nan_share, seed, fortran):
+       fortran=st.booleans(), grad=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), nonzero=st.booleans())
+@example(c=1, h=1, w=1, nan_share=0.0, seed=0, fortran=False, grad=True, dtype=np.float64,
+         nonzero=False)
+@example(c=2, h=1, w=6, nan_share=0.2, seed=1, fortran=False, grad=True, dtype=np.float64,
+         nonzero=False)
+@example(c=1, h=5, w=1, nan_share=0.2, seed=2, fortran=True, grad=True, dtype=np.float64,
+         nonzero=False)
+def test_maxpool2x2_matches_window_loop(c, h, w, nan_share, seed, fortran, grad, dtype,
+                                        nonzero):
     """Values (sign of zero included), gradient routing with ties to the
     first element in window order, and NaN: the first NaN wins and takes
     the gradient. Integer-rounded data makes ties common; `fortran` feeds
-    a non-C-contiguous input."""
+    a non-C-contiguous input. Each NaN has its own payload, so the bits show
+    which NaN won. `nonzero` draws from -inf, -2, -1, 1, 2 and inf only, no
+    zero and no NaN, so every window's maximum is its winner's bits; `grad`
+    False pools an input that needs no grad, where no winner is formed."""
     oh, ow = (h + 1) // 2, (w + 1) // 2
     rng = np.random.default_rng(seed)
-    x = rng.integers(-2, 3, size=(c, h, w)).astype(np.float64)
-    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
-    x[rng.random(x.shape) < nan_share] = np.nan
+    if nonzero:
+        x = rng.choice(np.array([-np.inf, -2, -1, 1, 2, np.inf]), size=(c, h, w)).astype(dtype)
+    else:
+        x = rng.integers(-2, 3, size=(c, h, w)).astype(dtype)
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        nan = rng.random(x.shape) < nan_share
+        x[nan] = payload_nans(int(nan.sum()), dtype)
 
     want, winners = maxpool_window_loop(x, oh, ow)
-    xt = t(np.asfortranarray(x) if fortran else x, grad=True)
+    xt = Tensor(np.asfortranarray(x) if fortran else x, requires_grad=grad)
     out = ops.maxpool2x2(xt)
     assert np.array_equal(bits(out.data), bits(want))
+    assert out.data.dtype == x.dtype and out.data.flags.c_contiguous
+    assert np.array_equal(own_bits(out.data), own_bits(want))
+    if not grad:
+        return
 
-    probe = rng.integers(1, 100, size=(c, oh, ow)).astype(np.float64)
-    ops.sum_all(ops.mul(out, t(probe))).backward()
+    probe = rng.integers(1, 100, size=(c, oh, ow)).astype(dtype)
+    # the loss itself may be inf - inf; only its gradient is checked
+    with np.errstate(invalid="ignore"):
+        ops.sum_all(ops.mul(out, Tensor(probe))).backward()
     want_grad = np.zeros_like(x)
     for (ch, i, j), src in winners.items():
         want_grad[src] += probe[ch, i, j]
     assert np.array_equal(bits(xt.grad), bits(want_grad))
+    assert np.array_equal(own_bits(xt.grad), own_bits(want_grad))
 
 
 def nearest_loop(x, oh, ow):
@@ -635,6 +672,19 @@ def test_add_upsampled_and_maxpool_keep_no_full_index_or_map():
     assert [(a.dtype, a.shape) for a in saved] == [(np.dtype(np.int8), pooled.dims)]
     assert _saved_arrays(ops.add_upsampled(x, pooled)) == []
 
+
+
+@pytest.mark.parametrize("fill", ["normal", "zeros", "nan"])
+def test_maxpool_of_an_input_without_grad_keeps_nothing(fill):
+    """Pooling an input that needs no grad records no closure, and its node
+    keeps no array; nor when a channel of zeros or NaNs sends the call to
+    the gathering path."""
+    data = np.random.default_rng(4).standard_normal((3, 7, 10))
+    data[1] = {"normal": data[1], "zeros": -0.0, "nan": np.nan}[fill]
+    pooled = ops.maxpool2x2(t(data))
+    node = pooled._node
+    assert pooled._backward_fn is None and node._parents
+    assert not any(isinstance(getattr(node, slot), np.ndarray) for slot in type(node).__slots__)
 
 def special_values(rng, dims, dtype):
     """Standard normal values of dtype with about one in five replaced by
