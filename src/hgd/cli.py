@@ -43,8 +43,8 @@ from .costmodel import (FPN_CONFIGS, efficientfcn_spec, emit_report, fpn_baselin
 from .decoder import hgd_forward_full
 from .efficientfcn import (backbone_forward, init_seg_params, segment_forward,
                            tiny_backbone_config, train_segmenter)
-from .fpn import (LEVEL_NAMES, Pyramid, fpn_decode_once_full, fpn_stages,
-                  init_fpn_params, init_fpn_stack, pyramid_grids)
+from .fpn import (LEVEL_NAMES, DecodeState, Pyramid, fpn_decode_once, fpn_decode_once_full,
+                  fpn_stages, init_fpn_params, init_fpn_stack, pyramid_grids)
 from .gradcheck import broken_relu_gradient, gradcheck
 from .hgdt import load_tensor, save_checkpoint, save_pgm, write_atomic
 from .synthdata import synth_dataset
@@ -99,9 +99,8 @@ def cmd_gradcheck(args) -> int:
         # mean rather than sum: keeps the loss O(1) so finite differences of
         # identically-zero gradients (softmax shift invariance) stay below
         # tolerance instead of surfacing float roundoff
-        out, _ = fpn_decode_once_full(pyramid, fpn_params)
         total = None
-        for lvl in out.levels():
+        for lvl in fpn_decode_once(pyramid, fpn_params).levels():
             s = ops.sum_all(lvl)
             total = s if total is None else ops.add(total, s)
         return ops.scalar_scale(total, 1.0 / count)
@@ -267,11 +266,16 @@ def cmd_demo_fpn(args) -> int:
     dt = dtype_of(run)
 
     rng = np.random.default_rng(run.seed)
-    current = Pyramid(*[Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt))
-                        for h, w in pyramid_grids((run.input_size,) * 2).values()])
+    levels = [Tensor(rng.standard_normal((cfg.output_channels, h, w)).astype(dt))
+              for h, w in pyramid_grids((run.input_size,) * 2).values()]
+    state = DecodeState.of(Pyramid(*levels))
     params = init_fpn_stack(cfg, np.random.default_rng(run.seed + 1), dt)
     for stage, stage_params in enumerate(fpn_stages(params), 1):
-        current, trace = fpn_decode_once_full(current, stage_params)
+        # fpn_decode's stage loop; the scan names the stage after which a
+        # level went non-finite, so it forms each stage's p3, which no later
+        # stage reads, and the last stage's pyramid, p3 and all, is saved
+        state, trace = fpn_decode_once_full(state, stage_params)
+        current = state.pyramid()
         bad = _first_non_finite(zip(LEVEL_NAMES, current.levels()))
         if bad:
             print(f"error: decode diverged: level {bad} is non-finite after stage "

@@ -29,22 +29,20 @@ inside, so the tape keeps the coarse level and not a 4x copy of it; p7
 feeds two fusions, the code map's and m6. The nearest upsampling and
 ops.maxpool2x2 are an exact up/down pair between levels.
 
-A stage adds its refined p4 upsampled to p3, but no stage reads p3 itself:
-it reads only p3's pooling, its p3->p4 step. The upsampling is constant on
-every 2x2 pooling window, clipped edge windows included, and
-round-to-nearest fl(a + r) is monotone in a, so for a finite r,
-maxpool2x2(p3 + up(r)) equals maxpool2x2(p3) + r bit for bit, NaN, +-inf
-and signed zeros in p3 included (a non-finite r breaks it: -inf + inf is
-NaN where pooling keeps inf). A later stage therefore takes its p3->p4 step
-as the previous stage's pooled p3 plus its refined p4 (Pyramid.pooled_p3),
-and a k-stage decode runs 7 + 6(k - 1) poolings, not 7k. Nor does a stage
-form its output p3: its pyramid carries the decode's input p3 and the
-stages' refined p4 summed in stage order on the p4 grid, R = r4_1 + ... +
-r4_k, and forms p3 = ops.add_upsampled(p3_in, R) when p3 is read, which
-fpn_decode does once, after its last stage. Summing before upsampling
-rounds otherwise than adding each r4 upsampled in turn, so p3 agrees with
-that chain, and with the pooled steps that p4-p7 were computed from, to
-roundoff, not bit for bit; p4-p7 are those the chain gives.
+A decode hands one DecodeState from stage to stage. No stage reads p3,
+only its pooling. The upsampling is constant on every 2x2 pooling window,
+clipped edge windows included, and round-to-nearest fl(a + r) is monotone
+in a, so for a finite r, maxpool2x2(p3 + up(r)) equals maxpool2x2(p3) + r
+bit for bit, NaN, +-inf and signed zeros in p3 included (a non-finite r
+breaks it: -inf + inf is NaN where pooling keeps inf). A later stage
+therefore takes its p3->p4 step as the previous stage's pooled p3 plus its
+refined p4 (DecodeState.step), and a k-stage decode runs 7 + 6(k - 1)
+poolings, not 7k. Nor does a stage form p3: the state carries the input p3
+and the stages' refined p4 summed on the p4 grid, and forms p3 as
+ops.add_upsampled(p3_in, total) when read, which fpn_decode does once.
+Summing before upsampling rounds otherwise than adding each refined p4
+upsampled in turn, as a chain of fpn_decode_once (Pyramid to Pyramid)
+does, so the two p3 agree to roundoff; their p4-p7 are equal bit for bit.
 
 A k-stage decode's tape keeps what each stage's backward reads (see
 hgd.ops): the fused levels and folded weights of the branch convs, the
@@ -54,14 +52,14 @@ input levels (the one-step poolings of p3, p4 and p5, and the three that
 pool those further for the code map) keep nothing when the input needs no
 grad: maxpool2x2 then forms no winners and no closure, so a k=4 decode
 keeps winners for 19 of its 25 poolings. Every other map is freed once the
-stage, its FpnTrace and the pyramid it returned are dropped, the branch
-conv outputs among them. The adds that sum R keep nothing, so besides its
-input the decode's only map on the p3 grid is its output p3, and its
-backward pair-sums that p3's gradient once, for R, whose adds hand the sum
-to every stage's refined p4 as it is.
+stage, its FpnTrace and the state it returned are dropped, the branch
+conv outputs among them. The adds that sum the refined p4 keep nothing, so
+besides its input the decode's only map on the p3 grid is its output p3,
+and its backward pair-sums that p3's gradient once, for the sum, whose
+adds hand it to every stage's refined p4 as it is.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -94,21 +92,13 @@ def pyramid_grids(input_hw):
 
 @dataclass
 class Pyramid:
-    """Five feature maps, finest first, each half the size of the previous.
-
-    A pyramid that fpn_decode_once_full returns holds its p3 as parts
-    (_P3Sum) and forms it on the first read of p3, so a decode whose
-    stages read only pooled_p3 forms it once. Setting p3 replaces the
-    parts' p3, and a later stage then starts from the p3 that was set.
-    """
+    """Five feature maps, finest first, each half the size of the previous."""
 
     p3: Tensor
     p4: Tensor
     p5: Tensor
     p6: Tensor
     p7: Tensor
-    # the parts of the p3 of a stage's output (see _stage_output)
-    _p3_parts: "_P3Sum" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         maps = self.levels()
@@ -127,69 +117,44 @@ class Pyramid:
                 raise ConfigError(f"{LEVEL_NAMES[i]} must be {LEVEL_NAMES[i - 1]} "
                                   f"halved to ({eh},{ew}), got {maps[i].dims[1:]}")
 
-    def __getattr__(self, name):
-        # called only for a name that is not set: a stage's output has no p3
-        # of its own until one is set, and its parts form theirs when read
-        parts = self.__dict__.get("_p3_parts")
-        if name != "p3" or parts is None:
-            raise AttributeError(name)
-        return parts.p3
-
     def levels(self):
         return (self.p3, self.p4, self.p5, self.p6, self.p7)
 
-    def _own_p3_parts(self):
-        """The parts of a stage's output p3, or None for a pyramid built by
-        hand or one whose p3 was set after the stage."""
-        return None if "p3" in vars(self) else self._p3_parts
 
-    def pooled_p3(self) -> Tensor:
-        """The p3->p4 step.
+@dataclass(frozen=True)
+class DecodeState:
+    """What a stage hands the next: the input p3, p4-p7 and, from a stage,
+    the refined p4 of the stages so far summed (total), and the stage's
+    p3->p4 step (pooled) and refined p4 (refined4)."""
 
-        For a stage's output, add(pooled, r4): the stage's own p3->p4 step
-        plus its refined p4, formed only here, so a last stage builds
-        nothing for it. This is maxpool2x2 of the p3 that adds each stage's
-        refined p4 upsampled in turn, bit for bit when r4 is finite (see
-        the module docstring); the p3 the decode forms sums the refined p4
-        first, so the two pools agree to roundoff. A pyramid built by hand,
-        one whose p3 was set, or one whose refined p4 is not finite pools
-        its p3.
-        """
-        parts = self._own_p3_parts()
-        if parts is not None and np.isfinite(parts.refined4.data).all():
-            return ops.add(parts.pooled, parts.refined4)
-        return ops.maxpool2x2(self.p3)
+    p3_in: Tensor
+    p4: Tensor
+    p5: Tensor
+    p6: Tensor
+    p7: Tensor
+    total: Tensor = None
+    pooled: Tensor = None
+    refined4: Tensor = None
 
-    @property
-    def channels(self) -> int:
-        # p4's, which a stage's output holds, so reading it forms no p3
-        return self.p4.dims[0]
-
-
-@dataclass
-class _P3Sum:
-    """A stage's output p3 as add_upsampled(base, total): base is the p3 the
-    stages started from and total their refined p4, summed in stage order
-    on the p4 grid. `pooled` is the stage's p3->p4 step and `refined4` its
-    refined p4, which the next stage's step adds (Pyramid.pooled_p3)."""
-
-    base: Tensor
-    total: Tensor
-    pooled: Tensor
-    refined4: Tensor
+    @classmethod
+    def of(cls, pyramid: Pyramid) -> "DecodeState":
+        return cls(*pyramid.levels())
 
     @cached_property
     def p3(self) -> Tensor:
-        return ops.add_upsampled(self.base, self.total)
+        if self.total is None:
+            return self.p3_in
+        return ops.add_upsampled(self.p3_in, self.total)
 
+    def step(self) -> Tensor:
+        """The p3->p4 step: add(pooled, refined4) when refined4 is finite,
+        the chain's pooled p3 bit for bit, else maxpool2x2(p3)."""
+        if self.pooled is not None and np.isfinite(self.refined4.data).all():
+            return ops.add(self.pooled, self.refined4)
+        return ops.maxpool2x2(self.p3)
 
-def _stage_output(parts: _P3Sum, p4, p5, p6, p7) -> Pyramid:
-    """A stage's pyramid, whose p3 is formed from `parts` when first read;
-    its levels have the dims of a checked input's, so nothing is checked."""
-    out = Pyramid.__new__(Pyramid)
-    out.p4, out.p5, out.p6, out.p7 = p4, p5, p6, p7
-    out._p3_parts = parts
-    return out
+    def pyramid(self) -> Pyramid:
+        return Pyramid(self.p3, self.p4, self.p5, self.p6, self.p7)
 
 
 @dataclass
@@ -300,27 +265,29 @@ def activate_coeffs(raw: FusionCoeffs) -> FusionCoeffs:
     return FusionCoeffs(**{name: ops.relu(getattr(raw, name)) for name in FUSION_LENGTHS})
 
 
-def fuse_code_map(pyramid: Pyramid, a: Tensor, steps) -> Tensor:
+def fuse_code_map(state: DecodeState, a: Tensor, steps) -> Tensor:
     """Weighted sum of all five levels on the second-coarsest grid.
 
     Coefficient order: up(p7), p6, down(p5), down^2(p4), down^3(p3).
     `a` is expected to be non-negative already (see activate_coeffs).
     `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6); p7 is
-    upsampled inside ops.upsampled_weighted_sum.
+    upsampled inside ops.upsampled_weighted_sum. Of `state` (a Pyramid
+    serves too) only p6 and p7 are read.
     """
     d34, d45, d56 = steps
     d4 = ops.maxpool2x2(d45)
     d3 = ops.maxpool2x2(ops.maxpool2x2(d34))
-    return ops.upsampled_weighted_sum(a, pyramid.p7, [pyramid.p6, d56, d4, d3])
+    return ops.upsampled_weighted_sum(a, state.p7, [state.p6, d56, d4, d3])
 
 
-def fuse_scale_maps(pyramid: Pyramid, r: Tensor, s: Tensor, t: Tensor, steps):
+def fuse_scale_maps(state: DecodeState, r: Tensor, s: Tensor, t: Tensor, steps):
     """Per-scale three-level fusions (coarser neighbor up, self, finer down).
 
     `steps` are the one-step downsamplings (p3->p4, p4->p5, p5->p6); each
-    coarser neighbor is upsampled inside ops.upsampled_weighted_sum.
+    coarser neighbor is upsampled inside ops.upsampled_weighted_sum. Of
+    `state` (a Pyramid serves too) only p4-p7 are read.
     """
-    p4, p5, p6, p7 = pyramid.p4, pyramid.p5, pyramid.p6, pyramid.p7
+    p4, p5, p6, p7 = state.p4, state.p5, state.p6, state.p7
     d34, d45, d56 = steps
     m4 = ops.upsampled_weighted_sum(r, p5, [p4, d34])
     m5 = ops.upsampled_weighted_sum(s, p6, [p5, d45])
@@ -365,47 +332,39 @@ class FpnTrace:
     refined: dict
 
 
-def fpn_decode_once_full(pyramid: Pyramid, params: FpnParams):
-    """One refinement pass; returns the new pyramid plus its intermediates
-    (FpnTrace).
-
-    The p3->p4 step is pyramid.pooled_p3(). The new pyramid's p3 is left
-    unformed: the pyramid carries the p3 the stages started from and the
-    refined p4 of every stage since, summed, and forms p3 from them when p3
-    is read (Pyramid).
-    """
+def fpn_decode_once_full(state: DecodeState, params: FpnParams):
+    """One refinement pass: the state the next stage starts from, whose p3
+    is formed only when read, and this stage's intermediates (FpnTrace).
+    The p3->p4 step is state.step()."""
     cfg = params.config
-    if pyramid.channels != cfg.output_channels:
+    channels = state.p4.dims[0]
+    if channels != cfg.output_channels:
         raise ConfigError(
             f"residual add needs pyramid channels == output_channels: "
-            f"{pyramid.channels} != {cfg.output_channels}")
+            f"{channels} != {cfg.output_channels}")
 
     coeffs = activate_coeffs(params.coeffs)
-    parts = pyramid._own_p3_parts()
-    coarse = (pyramid.p4, pyramid.p5, pyramid.p6, pyramid.p7)
-    steps = (pyramid.pooled_p3(), ops.maxpool2x2(coarse[0]), ops.maxpool2x2(coarse[1]))
-    m_code = fuse_code_map(pyramid, coeffs.a, steps)
+    coarse = (state.p4, state.p5, state.p6, state.p7)
+    steps = (state.step(), ops.maxpool2x2(coarse[0]), ops.maxpool2x2(coarse[1]))
+    m_code = fuse_code_map(state, coeffs.a, steps)
     codewords, _, attention = generate_codewords(m_code, params)
 
-    fused = fuse_scale_maps(pyramid, coeffs.r, coeffs.s, coeffs.t, steps)
+    fused = fuse_scale_maps(state, coeffs.r, coeffs.s, coeffs.t, steps)
     refined = {level: ops.conv1x1(m, *fold_branch(branch, codewords))
                for level, m, branch in zip(SCALE_LEVELS, fused, params.branches())}
     refined[7] = ops.maxpool2x2(refined[6])
 
-    if parts is None:
-        base, total = pyramid.p3, refined[4]
-    else:
-        base, total = parts.base, ops.add(parts.total, refined[4])
-    out = _stage_output(_P3Sum(base, total, steps[0], refined[4]),
-                        *[ops.add(level, refined[idx])
-                          for idx, level in zip(range(4, 8), coarse)])
+    total = refined[4] if state.total is None else ops.add(state.total, refined[4])
+    out = DecodeState(state.p3_in,
+                      *[ops.add(level, refined[idx]) for idx, level in zip(range(4, 8), coarse)],
+                      total=total, pooled=steps[0], refined4=refined[4])
     return out, FpnTrace(m_code=m_code, attention=attention, codewords=codewords,
                          fused=dict(zip(SCALE_LEVELS, fused)), refined=refined)
 
 
 def fpn_decode_once(pyramid: Pyramid, params: FpnParams) -> Pyramid:
-    out, _ = fpn_decode_once_full(pyramid, params)
-    return out
+    """One stage from a pyramid to a pyramid; its p3 is formed here."""
+    return fpn_decode_once_full(DecodeState.of(pyramid), params)[0].pyramid()
 
 
 def fpn_stages(params) -> list:
@@ -430,12 +389,10 @@ def fpn_stages(params) -> list:
 def fpn_decode(pyramid: Pyramid, params) -> Pyramid:
     """Apply the decoder k times (see fpn_stages for the form of `params`).
 
-    No stage forms a p3; the result's p3 is formed here, once, from the
-    input p3 and the stages' summed refined p4 (see the module docstring).
-    The result holds the last stage's levels only, not the parts a further
-    stage would read, so a caller that keeps it keeps no more than the
-    levels (a further stage pools its p3)."""
-    out = pyramid
+    Each stage hands the next a DecodeState; the result's p3 is formed
+    once, from the input p3 and the stages' summed refined p4 (see the
+    module docstring). A stage's trace is dropped as soon as it returns."""
+    state = DecodeState.of(pyramid)
     for stage_params in fpn_stages(params):
-        out = fpn_decode_once(out, stage_params)
-    return Pyramid(*out.levels())
+        state = fpn_decode_once_full(state, stage_params)[0]
+    return state.pyramid()

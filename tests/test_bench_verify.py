@@ -51,13 +51,18 @@ def test_traced_loop_reports_finite_layer_metrics(name):
         workload.run(loop)
     finally:
         tracer.disable()
-    metrics = worker.layer_metrics(tracer, loop, workloads.Tracer())["metrics"]
+    reported = worker.layer_metrics(tracer, loop, workloads.Tracer())
+    metrics, spans = reported["metrics"], reported["spans"]
     assert loop.failed == 0
     assert loop.traced == [False, True, False, True]
     assert all(np.isfinite(value) for value in metrics.values()), metrics
     if name == "fpn-decode":
         assert metrics["ops.maxpool2x2.calls"] == 25
         assert metrics["ops.macs"] == 35_381_248
+        # the decode runs each stage through the public stage function, and
+        # forms p3 once
+        assert spans["fpn.fpn_decode_once_full"]["calls_per_op"] == 4
+        assert spans["ops.add_upsampled"]["calls_per_op"] == 1
 
 
 # the preset's seg values as a config file; the train keys left out take

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hgd import fpn
 from hgd.cli import _ARCHS, main
+from hgd.config import dtype_of, load_run_config, tiny_run
 from hgd.hgdt import load_checkpoint, load_tensor, save_checkpoint, save_tensor
-from hgd.tensor import PRECISIONS
+from hgd.tensor import PRECISIONS, Tensor
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -338,6 +340,30 @@ def test_demo_fpn_round_trips_bit_exactly(tmp_path, capsys):
     assert run_cli(capsys, "demo-fpn", "--out", str(b))[0] == 0
     for name in ("p3", "p4", "p5", "p6", "p7"):
         assert (a / f"{name}.hgdt").read_bytes() == (b / f"{name}.hgdt").read_bytes()
+
+
+@pytest.mark.parametrize("config", [None, {"seed": 4, "input_size": 32, "precision": "f32",
+                                             "fpn": {"n": 4, "c": 8, "k": 3,
+                                                     "share_params": False}}],
+                         ids=["preset", "f32-unshared-k3"])
+def test_demo_fpn_levels_equal_fpn_decode(tmp_path, capsys, config):
+    """The levels demo-fpn writes, read back, are fpn_decode's of the same
+    pyramid and parameters bit for bit: the CLI's stage loop and the
+    library's are one computation."""
+    path = config and write_config(tmp_path, config)
+    argv = ["--config", path] if path else []
+    assert run_cli(capsys, "demo-fpn", "--out", str(tmp_path / "fpn"), *argv)[0] == 0
+    run = load_run_config(path) if path else tiny_run()
+    dt = dtype_of(run)
+    rng = np.random.default_rng(run.seed)
+    pyramid = fpn.Pyramid(*[
+        Tensor(rng.standard_normal((run.fpn.output_channels, h, w)).astype(dt))
+        for h, w in fpn.pyramid_grids((run.input_size,) * 2).values()])
+    params = fpn.init_fpn_stack(run.fpn, np.random.default_rng(run.seed + 1), dt)
+    got = load_checkpoint(tmp_path / "fpn")
+    for name, want in zip(fpn.LEVEL_NAMES, fpn.fpn_decode(pyramid, params).levels()):
+        assert got[name].dtype == want.data.dtype, name
+        assert got[name].tobytes() == want.data.tobytes(), name
 
 
 def test_demo_fpn_with_config(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hgd import fpn as fpn_module
 from hgd import ops
 from hgd.decoder import ConfigError
-from hgd.fpn import (FpnConfig, FusionCoeffs, Pyramid, activate_coeffs,
+from hgd.fpn import (DecodeState, FpnConfig, FusionCoeffs, Pyramid, activate_coeffs,
                      fpn_decode, fpn_decode_once, fpn_decode_once_full,
                      fuse_code_map, fuse_scale_maps, init_fpn_params,
                      init_fpn_stack, init_fusion_coeffs, tiny_fpn_config)
@@ -309,7 +309,7 @@ def test_residual_identity_bit_exact_with_zero_projections():
 def test_outer_levels_are_resampled_inner_refinements():
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(16), channels=8)
-    out, trace = fpn_decode_once_full(pyr, params)
+    out, trace = fpn_decode_once_full(DecodeState.of(pyr), params)
     hat4 = trace.refined[4].data
     hat6 = trace.refined[6].data
     want3 = nearest_up_oracle(hat4, *pyr.p3.dims[1:])
@@ -335,14 +335,14 @@ def down(x):
     return ops.maxpool2x2(x)
 
 
-def unshared_code_map(pyramid, a, steps):
-    p3, p4, p5, p6, p7 = pyramid.levels()
+def unshared_code_map(state, a, steps):
+    p3, p4, p5, p6, p7 = state.p3, state.p4, state.p5, state.p6, state.p7
     return ops.upsampled_weighted_sum(a, p7, [p6, down(p5), down(down(p4)),
                                               down(down(down(p3)))])
 
 
-def unshared_scale_maps(pyramid, r, s, t, steps):
-    p3, p4, p5, p6, p7 = pyramid.levels()
+def unshared_scale_maps(state, r, s, t, steps):
+    p3, p4, p5, p6, p7 = state.p3, state.p4, state.p5, state.p6, state.p7
     return (ops.upsampled_weighted_sum(r, p5, [p4, down(p3)]),
             ops.upsampled_weighted_sum(s, p6, [p5, down(p4)]),
             ops.upsampled_weighted_sum(t, p7, [p6, down(p5)]))
@@ -351,22 +351,22 @@ def unshared_scale_maps(pyramid, r, s, t, steps):
 def test_stage_pools_each_one_step_downsampling_once(monkeypatch):
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(19), channels=8, h=25, w=38)
-    out, trace = fpn_decode_once_full(pyr, params)
+    out, trace = fpn_decode_once_full(DecodeState.of(pyr), params)
     # p3->p4, p4->p5, p5->p6 once each, two more steps for p3 and one for
     # p4 on the code-map grid, and refined p6 -> p7; a later stage takes
-    # p3->p4 from the previous stage's pooled p3 (Pyramid.pooled_p3)
-    assert count_ops(out.levels(), "maxpool2x2") == 7
+    # p3->p4 from the previous stage's pooled p3 (DecodeState.step)
+    assert count_ops(out.pyramid().levels(), "maxpool2x2") == 7
     params.config = dataclasses.replace(params.config, k_recurrence=4)
     assert count_ops(fpn_decode(pyr, params).levels(), "maxpool2x2") == 25
 
     monkeypatch.setattr(fpn_module, "fuse_code_map", unshared_code_map)
     monkeypatch.setattr(fpn_module, "fuse_scale_maps", unshared_scale_maps)
-    ref_out, ref_trace = fpn_decode_once_full(pyr, params)
-    assert count_ops(ref_out.levels(), "maxpool2x2") == 10
+    ref_out, ref_trace = fpn_decode_once_full(DecodeState.of(pyr), params)
+    assert count_ops(ref_out.pyramid().levels(), "maxpool2x2") == 10
     assert np.array_equal(trace.m_code.data, ref_trace.m_code.data)
     for level in (4, 5, 6):
         assert np.array_equal(trace.fused[level].data, ref_trace.fused[level].data)
-    for got, want in zip(out.levels(), ref_out.levels()):
+    for got, want in zip(out.pyramid().levels(), ref_out.pyramid().levels()):
         assert np.array_equal(got.data, want.data)
 
 
@@ -423,7 +423,7 @@ def ancestor_ids(t):
 def test_one_codeword_set_feeds_all_three_scales():
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(17), channels=8)
-    _, trace = fpn_decode_once_full(pyr, params)
+    _, trace = fpn_decode_once_full(DecodeState.of(pyr), params)
     cw = id(trace.codewords._node)
     for level in (4, 5, 6):
         assert cw in ancestor_ids(trace.refined[level])
@@ -458,27 +458,42 @@ def test_k1_equals_single_pass():
         assert np.array_equal(got.data, want.data)
 
 
+def chain_states(pyr, records):
+    """fpn_decode spelled out: fpn_decode_once_full over states."""
+    state = DecodeState.of(pyr)
+    for record in records:
+        state, _ = fpn_decode_once_full(state, record)
+    return state.pyramid()
+
+
 def test_k2_equals_manual_composition():
+    """fpn_decode is its stages chained over states, bit for bit; a chain of
+    fpn_decode_once pools each stage's p3 afresh and adds each refined p4
+    upsampled in turn, so its p4-p7 are equal and its p3 agrees to roundoff."""
     params = tiny_params()
     assert params.config.k_recurrence == 2
     pyr = rand_pyramid(np.random.default_rng(25), channels=8)
     out = fpn_decode(pyr, params)
-    manual = fpn_decode_once(fpn_decode_once(pyr, params), params)
+    manual = chain_states(pyr, [params, params])
     for got, want in zip(out.levels(), manual.levels()):
+        assert np.array_equal(got.data, want.data)
+    once = fpn_decode_once(fpn_decode_once(pyr, params), params)
+    assert np.max(np.abs(once.p3.data - out.p3.data)) <= 1e-15 * np.max(np.abs(out.p3.data))
+    for got, want in zip(out.levels()[1:], once.levels()[1:]):
         assert np.array_equal(got.data, want.data)
 
 
 def fresh_pool_decode(pyr, params, refined4=None):
-    """fpn_decode with every stage pooling p3 afresh: each stage's output is
-    rebuilt as a Pyramid by hand, which carries no pooled p3, so each stage
-    also adds its refined p4 upsampled to its own p3. Each stage's refined
-    p4 is appended to the list `refined4` when one is given."""
+    """fpn_decode with every stage pooling p3 afresh: fpn_decode_once
+    chained, so each stage also adds its refined p4 upsampled to its own p3.
+    Each stage's refined p4 is appended to the list `refined4` when one is
+    given."""
     out = pyr
     for record in fpn_module.fpn_stages(params):
-        stage, trace = fpn_decode_once_full(out, record)
-        out = Pyramid(*stage.levels())
+        stage, _ = fpn_decode_once_full(DecodeState.of(out), record)
+        out = stage.pyramid()
         if refined4 is not None:
-            refined4.append(trace.refined[4])
+            refined4.append(stage.refined4)
     return out
 
 
@@ -573,10 +588,10 @@ def test_non_finite_refined_p4_pools_p3_afresh():
     # large enough that part of refined p4 overflows to +-inf in stage 1
     pyr.p4.data[0] *= 1e155
     with np.errstate(all="ignore"):
-        out, trace = fpn_decode_once_full(pyr, params)
+        out, trace = fpn_decode_once_full(DecodeState.of(pyr), params)
         refined4 = trace.refined[4].data
         assert np.isinf(refined4).any() and np.isfinite(refined4).any()
-        assert out.pooled_p3()._op == "maxpool2x2"
+        assert out.step()._op == "maxpool2x2"
         stages = []
         got, want = fpn_decode(pyr, params), fresh_pool_decode(pyr, params, stages)
         want_p3 = summed_p3_bits(pyr.p3.data, stages)
@@ -586,22 +601,22 @@ def test_non_finite_refined_p4_pools_p3_afresh():
         assert np.array_equal(a, b)
 
 
-def test_pooled_p3_is_an_add_only_for_a_stage_output_with_its_own_p3():
+def test_step_is_an_add_only_after_a_stage():
+    """A decode's first state pools its p3; a stage's state adds its refined
+    p4 to its pooled step, and its p3 is the input p3 plus the stages'
+    summed refined p4, upsampled."""
     params = tiny_params()
     pyr = rand_pyramid(np.random.default_rng(43), channels=8, h=25, w=38)
-    assert pyr.pooled_p3()._op == "maxpool2x2"
-    out, trace = fpn_decode_once_full(pyr, params)
-    carried = out.pooled_p3()
+    start = DecodeState.of(pyr)
+    assert start.step()._op == "maxpool2x2" and start.p3 is pyr.p3
+    out, trace = fpn_decode_once_full(start, params)
+    carried = out.step()
     assert carried._op == "add" and carried._parents[1] is trace.refined[4]._node
     assert np.array_equal(carried.data, ops.maxpool2x2(out.p3).data)
-    # a p3 replaced after the stage pools afresh, and the next stage adds
-    # its refined p4 to that p3
-    out.p3 = Tensor(out.p3.data.copy())
-    assert out.pooled_p3()._op == "maxpool2x2"
     last, last_trace = fpn_decode_once_full(out, params)
-    assert last.p3._parents[0] is out.p3._node
-    assert np.array_equal(last.p3.data,
-                          ops.add_upsampled(out.p3, last_trace.refined[4]).data)
+    assert last.p3._parents[0] is pyr.p3._node
+    assert np.array_equal(last.p3.data.view(np.int64), summed_p3_bits(
+        pyr.p3.data, [trace.refined[4], last_trace.refined[4]]))
 
 
 def test_unshared_stack_composes_independent_records():
@@ -611,9 +626,7 @@ def test_unshared_stack_composes_independent_records():
     assert len(stack) == 3
     pyr = rand_pyramid(np.random.default_rng(28), channels=8)
     out = fpn_decode(pyr, stack)
-    manual = pyr
-    for record in stack:
-        manual = fpn_decode_once(manual, record)
+    manual = chain_states(pyr, stack)
     for got, want in zip(out.levels(), manual.levels()):
         assert np.array_equal(got.data, want.data)
 

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from hgd import Tensor, ops
 from hgd.efficientfcn import (init_seg_params, segment_forward, tiny_backbone_config,
                               tiny_hgd_config)
-from hgd.fpn import (Pyramid, fpn_decode, fpn_decode_once_full, init_fpn_params, level_grids,
-                     tiny_fpn_config)
+from hgd.fpn import (DecodeState, Pyramid, fpn_decode, fpn_decode_once_full, init_fpn_params,
+                     level_grids, tiny_fpn_config)
 from hgd.synthdata import synth_dataset
 from hgd.tensor import ComputeGraph, Node
 
@@ -337,18 +337,18 @@ def test_dropped_stage_maps_are_freed_before_the_sweep():
     # stage 1's branch conv output (refined p5, read by no backward) and its
     # output p3 (formed here by reading it; stage 2 reads only the input p3
     # and refined p4 it was formed from) die with the FpnTraces and the
-    # stage-1 pyramid, before the sweep, and the gradients equal those of a
+    # stage-1 state, before the sweep, and the gradients equal those of a
     # decode whose caller held them
     def by_stage(held):
         refs, keep = [], []
 
         def decode(pyr, params):
-            out, trace = fpn_decode_once_full(pyr, params)
+            out, trace = fpn_decode_once_full(DecodeState.of(pyr), params)
             refs.extend([weakref.ref(trace.refined[5].data), weakref.ref(out.p3.data)])
             last, last_trace = fpn_decode_once_full(out, params)
             if held:
                 keep.extend([out, trace, last_trace])
-            return last
+            return last.pyramid()
 
         loss, params = _fpn_loss(decode)
         assert [ref() is None for ref in refs] == [not held] * 2
