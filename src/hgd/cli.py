@@ -27,6 +27,7 @@ upsampled to the rendering resolution, one file per codeword.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -109,12 +110,13 @@ def cmd_gradcheck(args) -> int:
               ("pyramid-tiny", fpn_loss, list(fpn_params.named_parameters()))]
 
     reports = []
-    for i, (section, loss_fn, params) in enumerate(suites):
-        section_reports = gradcheck(loss_fn, params, tol=1e-5, max_per_param=6,
-                                    rng=np.random.default_rng(run.seed + 100 + i))
-        for line in _report_lines(section, section_reports):
-            print(line)
-        reports.extend(section_reports)
+    with broken_relu_gradient() if args.break_backward else contextlib.nullcontext():
+        for i, (section, loss_fn, params) in enumerate(suites):
+            section_reports = gradcheck(loss_fn, params, tol=1e-5, max_per_param=6,
+                                        rng=np.random.default_rng(run.seed + 100 + i))
+            for line in _report_lines(section, section_reports):
+                print(line)
+            reports.extend(section_reports)
 
     failed = [r for r in reports if not r.passed]
     if failed:
@@ -124,13 +126,6 @@ def cmd_gradcheck(args) -> int:
         return 1
     print(f"all {len(reports)} parameter groups passed at tol 1e-5")
     return 0
-
-
-def _cmd_gradcheck_entry(args) -> int:
-    if args.break_backward:
-        with broken_relu_gradient():
-            return cmd_gradcheck(args)
-    return cmd_gradcheck(args)
 
 
 # --------------------------------------------------------------------- cost
@@ -325,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--break-backward", action="store_true",
                    help="deliberately corrupt one backward rule to exercise "
                         "the failure path")
-    p.set_defaults(func=_cmd_gradcheck_entry)
+    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("cost", help="analytic MAC/parameter table as CSV")
     p.add_argument("arch", choices=_ARCHS)

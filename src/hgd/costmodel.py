@@ -332,7 +332,10 @@ def _folded_stage_rows(stage, grids, config: FpnConfig):
     W_pa C b_as and M W_g, and the one ch x ch conv they fold the branch
     into. A product named by a branch weight's fpn_layout path is the one
     that reads that weight, and counts its parameters (bias included).
-    Shared parameters count once, at stage 0."""
+    Shared parameters count once, at stage 0. One row differs from hgd.fpn:
+    _merge_rows lists a stageN.p3_upsample per stage, while the live decode
+    upsamples the stages' summed refined p4 onto p3 once, after the last
+    stage; resize rows count no MACs, so the totals still agree."""
     p, tied = f"stage{stage}", config.share_params and stage > 0
     ch, n, c = config.output_channels, config.n_codewords, config.codeword_dim
     layout = fpn_layout(config)

@@ -10,18 +10,19 @@ small set of holistic codewords:
    per-channel spatial softmax turns every codeword into a convex
    combination of bases vectors (so each codeword coordinate stays inside
    the per-coordinate range of B);
-3. the head (assemble_codewords) predicts, at the fine grid, one linear
-   coefficient per codeword from the guidance map G, optionally after
-   adding the global average bases vector to G (the "transfer" path). The
-   assembly conv takes that vector as its shift (ops.conv1x1), so
-   W (G + mean B) + b is computed as W G + (W mean B + b) and the map
+3. the head predicts, at the fine grid, one linear coefficient per
+   codeword from the guidance map G (the guidance conv of m8), optionally
+   after adding the global average bases vector to G (the "transfer"
+   path). The assembly conv takes that vector as its shift (ops.conv1x1),
+   so W (G + mean B) + b is computed as W G + (W mean B + b) and the map
    G + mean B is never built;
 4. the head's output stacks the reconstructed map on G.
 
-Steps 3-4 are one function. (The pyramid branches do not call it: each
-folds the head's algebra, less the transfer path, with its projection
-into one affine map, hgd.fpn.fold_branch.) Both stacks at the fine grid,
-m8 and the head's output, are built in place: the producers of the parts
+hgd_forward_full runs steps 1-4, the head written out in it. (The pyramid
+branches share generate_codewords but not the head: each folds its
+algebra, less the transfer path, with its projection into one affine map,
+hgd.fpn.fold_branch.) Both stacks at the fine grid, m8 and the head's
+output, are built in place: the producers of the parts
 (the 1x1 convs, the bilinear resizes and the assembly matmul) write into
 consecutive channel slices of one buffer, and the concatenation returns
 that buffer without a copy, so the parts' data are views of it. A stack
@@ -226,29 +227,6 @@ def generate_codewords(m32: Tensor, params):
     return codewords_from(bases, weights), bases, weights
 
 
-def assemble_codewords(m: Tensor, codewords: Tensor, guidance: ConvParams,
-                       assembly: ConvParams, bases: Tensor = None):
-    """The head at m's grid: (stack [assembled; G], assembled, G, mean, coeffs).
-
-    G is the `guidance` conv of m. With `bases` (the transfer path), mean
-    is the global average bases vector and the `assembly` conv reads
-    G + mean at every pixel, through its shift; without, mean is None and
-    the conv reads G. It predicts each pixel's codeword coefficients.
-
-    The shift's W mean is per-channel work like the bias, so the conv's
-    MACs are those of W G, and the cost model's decoder.transfer_add row
-    stays at zero MACs."""
-    operands = (m, codewords, guidance.weight, assembly.weight)
-    buf, (upper, lower) = _concat_slots(
-        (codewords.dims[0], guidance.weight.dims[0]), m.data.shape[1:],
-        operands if bases is None else (*operands, bases))
-    g = _conv(m, guidance, out=lower)
-    mean = None if bases is None else ops.global_avg_spatial(bases)
-    coeffs = _conv(g, assembly, shift=mean)
-    assembled = assemble_from(coeffs, codewords, out=upper)
-    return ops.concat_channels([assembled, g], out=buf), assembled, g, mean, coeffs
-
-
 @dataclass
 class HgdTrace:
     """All intermediates of one decoder forward pass."""
@@ -274,13 +252,25 @@ class HgdTrace:
 
 
 def hgd_forward_full(e8, e16, e32, params: HgdParams) -> HgdTrace:
+    """One decoder forward, the module docstring's steps 1-4, and all its
+    intermediates. The transfer shift's W mean is per-channel work like the
+    bias, so the assembly conv's MACs are those of W G, and the cost
+    model's decoder.transfer_add row stays at zero MACs."""
     m8, m32 = fuse_multiscale(e8, e16, e32, params)
     codewords, bases, weights = generate_codewords(m32, params)
-    fused, assembled, guidance, bases_mean, coeffs = assemble_codewords(
-        m8, codewords, params.guidance, params.assembly,
-        bases if params.config.transfer_enabled else None)
-    return HgdTrace(fused=fused, assembled=assembled, guidance=guidance,
-                    bases_mean=bases_mean, coeffs=coeffs, codewords=codewords,
+    guidance, assembly = params.guidance, params.assembly
+    transfer = params.config.transfer_enabled
+    operands = (m8, codewords, guidance.weight, assembly.weight)
+    buf, (upper, lower) = _concat_slots(
+        (codewords.dims[0], guidance.weight.dims[0]), m8.data.shape[1:],
+        (*operands, bases) if transfer else operands)
+    g = _conv(m8, guidance, out=lower)
+    mean = ops.global_avg_spatial(bases) if transfer else None
+    coeffs = _conv(g, assembly, shift=mean)
+    assembled = assemble_from(coeffs, codewords, out=upper)
+    fused = ops.concat_channels([assembled, g], out=buf)
+    return HgdTrace(fused=fused, assembled=assembled, guidance=g,
+                    bases_mean=mean, coeffs=coeffs, codewords=codewords,
                     bases=bases, weights=weights, m8=m8, m32=m32)
 
 

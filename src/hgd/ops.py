@@ -3,7 +3,8 @@
 Feature maps are (channels, height, width). Every op validates shapes,
 computes the forward value with numpy, and gives its output a new node
 (_make) whose backward closure accumulates adjoints into any parent with
-requires_grad set.
+requires_grad set. _make records the closure only when some parent needs
+grad, so only a multi-parent op's closure checks its parents.
 
 The closure contract: a backward closure captures its parents' nodes and
 the arrays its backward reads, and nothing else. No closure holds a
@@ -217,8 +218,7 @@ def scalar_scale(x: Tensor, s: float) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, s * g)
+        _acc(xn, s * g)
 
     return _make(s * x.data, (xn,), "scalar_scale", bwd)
 
@@ -227,8 +227,7 @@ def sum_all(x: Tensor) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, np.broadcast_to(g, xn.dims))
+        _acc(xn, np.broadcast_to(g, xn.dims))
 
     return _make(np.asarray(x.data.sum(), dtype=x.dtype), (xn,), "sum_all", bwd)
 
@@ -238,8 +237,7 @@ def relu(x: Tensor) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, g * mask)
+        _acc(xn, g * mask)
 
     return _make(np.maximum(x.data, 0.0), (xn,), "relu", bwd)
 
@@ -424,8 +422,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int, *, out=None) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, rh.T @ g @ rw)
+        _acc(xn, rh.T @ g @ rw)
 
     return _make(out, (xn,), "bilinear_resize", bwd)
 
@@ -579,24 +576,21 @@ def maxpool2x2(x: Tensor) -> Tensor:
     if not np.abs(out).min(initial=np.inf) > 0:
         k = _first_argmax(taps)
         out = x.data.take(_pool_index(k, c, h, w))
-    if not xn.requires_grad:
-        return _make(out, (xn,), "maxpool2x2", None)
 
     def bwd(g):
-        if xn.requires_grad:
-            # windows are disjoint and a clipped window's duplicate row or
-            # column never wins, so the indices are unique and the scatter
-            # needs no np.add.at; the tape keeps the 1-byte winners k and
-            # rebuilds their 8-byte flat indices here
-            idx = _pool_index(k, c, h, w)
-            if xn.grad is None:
-                gx = np.zeros(xn.dims, xn.dtype)
-                gx.reshape(-1)[idx] = g
-            else:
-                # a C-contiguous copy, so reshape(-1) is a view
-                gx = np.array(xn.grad, order="C")
-                gx.reshape(-1)[idx] += g
-            xn.grad = gx
+        # windows are disjoint and a clipped window's duplicate row or
+        # column never wins, so the indices are unique and the scatter
+        # needs no np.add.at; the tape keeps the 1-byte winners k and
+        # rebuilds their 8-byte flat indices here
+        idx = _pool_index(k, c, h, w)
+        if xn.grad is None:
+            gx = np.zeros(xn.dims, xn.dtype)
+            gx.reshape(-1)[idx] = g
+        else:
+            # a C-contiguous copy, so reshape(-1) is a view
+            gx = np.array(xn.grad, order="C")
+            gx.reshape(-1)[idx] += g
+        xn.grad = gx
 
     return _make(out, (xn,), "maxpool2x2", bwd)
 
@@ -660,14 +654,13 @@ def columns(x: Tensor, start: int, stop: int) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            if xn.grad is None:
-                gx = np.zeros(xn.dims, xn.dtype)
-                gx[:, start:stop] = g
-            else:
-                gx = np.array(xn.grad, order="C")
-                gx[:, start:stop] += g
-            xn.grad = gx
+        if xn.grad is None:
+            gx = np.zeros(xn.dims, xn.dtype)
+            gx[:, start:stop] = g
+        else:
+            gx = np.array(xn.grad, order="C")
+            gx[:, start:stop] += g
+        xn.grad = gx
 
     return _make(x.data[:, start:stop], (xn,), "columns", bwd)
 
@@ -677,8 +670,7 @@ def reshape(x: Tensor, dims) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, g.reshape(xn.dims))
+        _acc(xn, g.reshape(xn.dims))
 
     return _make(x.data.reshape(dims), (xn,), "reshape", bwd)
 
@@ -688,8 +680,7 @@ def transpose(x: Tensor) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, g.T)
+        _acc(xn, g.T)
 
     return _make(x.data.T, (xn,), "transpose", bwd)
 
@@ -780,8 +771,7 @@ def global_avg_spatial(x: Tensor) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.requires_grad:
-            _acc(xn, np.broadcast_to(g[:, None, None], xn.dims) / (h * w))
+        _acc(xn, np.broadcast_to(g[:, None, None], xn.dims) / (h * w))
 
     return _make(x.data.mean(axis=(1, 2)), (xn,), "global_avg_spatial", bwd)
 
@@ -795,9 +785,8 @@ def softmax_spatial(logits: Tensor) -> Tensor:
     ln = logits._node
 
     def bwd(g):
-        if ln.requires_grad:
-            inner = (g * out).sum(axis=(1, 2), keepdims=True)
-            _acc(ln, out * (g - inner))
+        inner = (g * out).sum(axis=(1, 2), keepdims=True)
+        _acc(ln, out * (g - inner))
 
     return _make(out, (ln,), "softmax_spatial", bwd)
 
@@ -835,13 +824,12 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     ln = logits._node
 
     def bwd(g):
-        if ln.requires_grad:
-            p = np.exp(shifted - lse[None])
-            scale = (valid.astype(ln.dtype) * g) / n_valid
-            gl = p * scale[None]
-            # one true-class index per pixel, so the flat indices are unique
-            # and a plain fancy-index subtract needs no np.subtract.at
-            gl.reshape(-1)[flat] -= scale.ravel()
-            _acc(ln, gl)
+        p = np.exp(shifted - lse[None])
+        scale = (valid.astype(ln.dtype) * g) / n_valid
+        gl = p * scale[None]
+        # one true-class index per pixel, so the flat indices are unique
+        # and a plain fancy-index subtract needs no np.subtract.at
+        gl.reshape(-1)[flat] -= scale.ravel()
+        _acc(ln, gl)
 
     return _make(np.asarray(loss, dtype=logits.dtype), (ln,), "cross_entropy", bwd)

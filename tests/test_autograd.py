@@ -270,6 +270,37 @@ def test_maxpool_tie_goes_to_first_row_major():
     assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
 
+# the ops of one parent, each with its input's dims; their closures hand the
+# parent its adjoint without checking requires_grad, so they rely on _make
+# recording no closure when the parent needs no grad
+SINGLE_PARENT_OPS = {
+    "sum_all": ((3, 4, 5), ops.sum_all),
+    "scalar_scale": ((3, 4, 5), lambda x: ops.scalar_scale(x, 0.5)),
+    "relu": ((3, 4, 5), ops.relu),
+    "bilinear_resize": ((3, 4, 5), lambda x: ops.bilinear_resize(x, 7, 9)),
+    "maxpool2x2": ((3, 5, 6), ops.maxpool2x2),
+    "columns": ((4, 6), lambda x: ops.columns(x, 1, 4)),
+    "reshape": ((3, 4, 5), lambda x: ops.reshape(x, (3, 20))),
+    "transpose": ((4, 6), ops.transpose),
+    "global_avg_spatial": ((3, 4, 5), ops.global_avg_spatial),
+    "softmax_spatial": ((3, 4, 5), ops.softmax_spatial),
+    "cross_entropy_logits": ((3, 4, 5), lambda x: ops.cross_entropy_logits(
+        x, np.arange(20).reshape(4, 5) % 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PARENT_OPS))
+def test_single_parent_op_records_its_closure_only_when_its_input_needs_grad(name):
+    dims, op = SINGLE_PARENT_OPS[name]
+    data = np.random.default_rng(3).normal(size=dims)
+    out = op(t(data, grad=False))
+    assert not out.requires_grad
+    assert out._backward_fn is None
+    x = t(data)
+    ops.sum_all(op(x)).backward()
+    assert x.grad is not None and x.grad.shape == dims
+
+
 @pytest.mark.parametrize("sign", ["signed", "positive"])
 def test_upsampled_weighted_sum_f32_coefficient_grads_keep_f32_accuracy(sign):
     # each coefficient's grad of upsampled_weighted_sum is one f32 dot

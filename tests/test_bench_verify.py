@@ -63,6 +63,13 @@ def test_traced_loop_reports_finite_layer_metrics(name):
         # forms p3 once
         assert spans["fpn.fpn_decode_once_full"]["calls_per_op"] == 4
         assert spans["ops.add_upsampled"]["calls_per_op"] == 1
+    else:
+        # the decoder forward runs once through each function whose span the
+        # benchmark reports or keys rows on
+        for span in ("decoder.fuse_multiscale", "decoder.generate_codewords",
+                     "decoder.codewords_from", "decoder.assemble_from",
+                     "decoder.hgd_forward_full"):
+            assert spans[span]["calls_per_op"] == 1, span
 
 
 # the preset's seg values as a config file; the train keys left out take

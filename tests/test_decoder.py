@@ -9,8 +9,8 @@ import pytest
 
 from hgd import ops
 from hgd.tensor import Tensor, ConfigError
-from hgd.decoder import (HgdConfig, HgdTrace, codewords_from, assemble_from,
-                         fuse_multiscale, generate_codewords, assemble_codewords,
+from hgd.decoder import (HgdConfig, codewords_from, assemble_from,
+                         fuse_multiscale, generate_codewords,
                          hgd_forward, hgd_forward_full, init_hgd_params)
 from hgd.fpn import init_fpn_params, tiny_fpn_config
 from hgd.gradcheck import gradcheck
@@ -214,46 +214,32 @@ def test_fuse_multiscale_rejects_bad_scale_ratio():
 
 # --------------------------------------------------------------- guidance
 
-def _guidance(m8, codewords, params, bases=None):
-    """The head's G and G_fused; the head never builds G_fused, so it is
-    read as HgdTrace.guidance_fused reads it, from G and the mean vector."""
-    _, _, g, mean, _ = assemble_codewords(m8, codewords, params.guidance, params.assembly,
-                                          bases)
-    trace = HgdTrace(**{**dict.fromkeys(HgdTrace.__dataclass_fields__),
-                        "guidance": g, "bases_mean": mean})
-    return g, trace.guidance_fused
-
-
 def test_guidance_without_transfer_is_same_object():
     rng = np.random.default_rng(11)
-    cfg = toy_config(transfer_enabled=False)
-    params = init_hgd_params((6, 7, 9), cfg, rng)
-    m8 = t(rng.normal(size=(12, 8, 8)))
-    codewords = t(rng.normal(size=(10, 3)))
-    g, g_fused = _guidance(m8, codewords, params)
-    assert g_fused is g
+    params = init_hgd_params((6, 7, 9), toy_config(transfer_enabled=False), rng)
+    trace = hgd_forward_full(*toy_inputs(rng), params)
+    assert trace.bases_mean is None
+    assert trace.guidance_fused is trace.guidance
 
 
 def test_guidance_transfer_adds_constant_bases_mean():
+    # a zero bases weight and bias v make every bases vector v exactly
     rng = np.random.default_rng(12)
-    cfg = toy_config(transfer_enabled=True)
-    params = init_hgd_params((6, 7, 9), cfg, rng)
-    m8 = t(rng.normal(size=(12, 8, 8)))
+    params = init_hgd_params((6, 7, 9), toy_config(transfer_enabled=True), rng)
     v = rng.normal(size=(10,))
-    bases = t(np.broadcast_to(v[:, None, None], (10, 4, 4)).copy())
-    codewords = t(rng.normal(size=(10, 3)))
-    g, g_fused = _guidance(m8, codewords, params, bases)
-    assert np.array_equal(g_fused.data, g.data + v[:, None, None])
+    params.bases.weight.data[...] = 0.0
+    params.bases.bias.data[...] = v
+    trace = hgd_forward_full(*toy_inputs(rng, h8=16, w8=16), params)
+    assert np.array_equal(trace.bases.data, np.broadcast_to(v[:, None, None], (10, 4, 4)))
+    assert np.array_equal(trace.guidance_fused.data, trace.guidance.data + v[:, None, None])
 
 
 def test_guidance_transfer_matches_loop_oracle():
     rng = np.random.default_rng(13)
-    cfg = toy_config(transfer_enabled=True)
-    params = init_hgd_params((6, 7, 9), cfg, rng)
-    m8 = t(rng.normal(size=(12, 6, 6)))
-    bases = t(rng.normal(size=(10, 3, 3)))
-    codewords = t(rng.normal(size=(10, 3)))
-    g, g_fused = _guidance(m8, codewords, params, bases)
+    params = init_hgd_params((6, 7, 9), toy_config(transfer_enabled=True), rng)
+    trace = hgd_forward_full(*toy_inputs(rng, h8=12, w8=12), params)
+    g, g_fused, bases = trace.guidance, trace.guidance_fused, trace.bases
+    assert bases.dims == (10, 3, 3)
     for c in range(10):
         mean = 0.0
         for p in range(3):
