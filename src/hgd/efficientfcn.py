@@ -212,42 +212,29 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
     When target_pixacc is set, the whole training set is scored every
     eval_every steps and the loop stops as soon as the target is reached.
     """
-    named = list(params.named_parameters())
-    tensors = [t for _, t in named]
+    tensors = [t for _, t in params.named_parameters()]
     velocities = None
     history = []
 
     for it in range(cfg.max_iter):
         lr = poly_lr(it, cfg)
         picks = rng.choice(len(samples), size=min(cfg.batch, len(samples)), replace=False)
+        # each sample's sweep sums its gradient onto these grads, in pick order
         for t in tensors:
             t.zero_grad()
         loss_sum = 0.0
         correct = 0
         valid = 0
-        # the step's gradient sums: each sample's grads move in after its
-        # sweep, the first copied and the later ones added in place, so no
-        # grad array is written and no sample's sum needs a new buffer
-        sums = [None] * len(tensors)
         for j in picks:
             sample = samples[j]
             logits = segment_forward(sample.image, params)
             loss = ops.cross_entropy_logits(logits, sample.label)
             ops.scalar_scale(loss, 1.0 / len(picks)).backward()
-            for i, t in enumerate(tensors):
-                if t.grad is not None:
-                    if sums[i] is None:
-                        sums[i] = t.grad.copy()
-                    else:
-                        np.add(sums[i], t.grad, out=sums[i])
-                    t.grad = None
             loss_sum += float(loss.data)
             pred = predict_labels(logits)
             mask = sample.label != IGNORE_ID
             correct += int((pred[mask] == sample.label[mask]).sum())
             valid += int(mask.sum())
-        for t, total in zip(tensors, sums):
-            t.grad = total
         grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
         velocities = sgd_step(tensors, grads, lr, cfg, velocities)
         history.append({"iter": it, "lr": lr, "loss": loss_sum / len(picks),

@@ -76,8 +76,7 @@ def gradcheck(build_fn, params, step: float = 1e-6, tol: float = 1e-5,
 
     _checked_loss(build_fn).backward()
 
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros(p.dims)
-                for _, p in params]
+    analytic = [p.grad if p.grad is not None else np.zeros(p.dims) for _, p in params]
 
     reports = []
     for (name, p), a_full in zip(params, analytic):

@@ -5,9 +5,11 @@ A Tensor is a numpy float buffer (float32 or float64), in channel-major
 Operations in hgd.ops give each output a new node that records the
 parents' nodes, the op's name and a backward closure; ComputeGraph
 linearizes those nodes so one reverse sweep visits each exactly once,
-summing adjoints into nodes that feed several consumers. Grads land on
-requires_grad leaves: an intermediate's grad lives from its first adjoint
-until its closure has run, and the sweep then drops it.
+summing adjoints into nodes that feed several consumers. An
+intermediate's grad lives from its first adjoint until its closure has
+run, and the sweep then drops it. A requires_grad leaf keeps its grad
+across sweeps, each later sweep's adjoint summed after it, which
+train_segmenter relies on to sum a step's gradient.
 
 The tape holds nodes and what the closures keep, and no Tensor. A
 closure captures its parents' nodes (to test requires_grad and to hand
@@ -175,8 +177,10 @@ def backward(graph: ComputeGraph, loss: Tensor):
     Adjoints from multiple consumers accumulate by summation, into a new
     buffer each time. An intermediate's grad lives from its first adjoint
     until its closure has run and is then dropped, so a sweep ends with
-    grads on leaves only, and a second sweep over the same graph adds the
-    same gradient again. The loss must be a scalar (shape ()).
+    grads on leaves only. A leaf keeps its grad across sweeps, and a later
+    sweep sums its adjoint after it, so a second sweep over the same graph
+    adds the same gradient again; train_segmenter's per-sample sweeps sum
+    a step's gradient so. The loss must be a scalar (shape ()).
     """
     if loss.dims != ():
         raise ValueError(f"backward needs a scalar loss, got dims {loss.dims}")

@@ -35,13 +35,16 @@ def test_benchmark_workload_verifies(name):
     assert all(gated.values()), gated
 
 
-@pytest.mark.parametrize("name", ["fpn-decode", "seg-infer"])
-def test_traced_loop_reports_finite_layer_metrics(name):
+@pytest.mark.parametrize("name", ["fpn-decode", "seg-infer", "seg-train"])
+def test_traced_loop_reports_finite_layer_metrics(name, monkeypatch):
     """The path of a measure run with --trace 1: set up, verify, then four
     operations in the benchmark's Loop, every other one traced, and the
     per-layer metrics the worker reports from them."""
     workload = workloads.WORKLOADS[name](0)
     workload.setup()
+    # seg-train's hooks replace these library names; restore them afterwards
+    for hooked in ("poly_lr", "sgd_step", "evaluate"):
+        monkeypatch.setattr(workloads.ef, hooked, getattr(workloads.ef, hooked))
     workload.install_hooks()
     workload.verify()
     tracer = workload.tracer()
@@ -63,6 +66,9 @@ def test_traced_loop_reports_finite_layer_metrics(name):
         # forms p3 once
         assert spans["fpn.fpn_decode_once_full"]["calls_per_op"] == 4
         assert spans["ops.add_upsampled"]["calls_per_op"] == 1
+    elif name == "seg-train":
+        # one SGD step of batch 16 runs 16 segmentation forwards
+        assert metrics["ops.macs"] == 16 * workloads.SEG_FORWARD_MACS == 11_362_304
     else:
         # the decoder forward runs once through each function whose span the
         # benchmark reports or keys rows on

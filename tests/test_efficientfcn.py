@@ -10,6 +10,7 @@ from hgd.tensor import Tensor, ConfigError
 from hgd.decoder import HgdConfig
 from hgd.gradcheck import gradcheck
 from hgd import hgdt
+from hgd import efficientfcn as ef
 from hgd.metrics import metrics
 from hgd.synthdata import synth_dataset
 from hgd.efficientfcn import (ToyBackboneConfig, TrainConfig, init_backbone_params,
@@ -322,6 +323,38 @@ def test_short_training_reduces_loss(tmp_path):
     text = log.read_text().splitlines()
     assert text[0] == "iter,lr,loss,pixAcc"
     assert len(text) == 1 + len(result.history)
+
+
+def test_train_step_gradient_is_per_sample_grads_summed_in_pick_order(monkeypatch):
+    """A step's gradient is its samples' gradients added in the order the
+    batch was drawn, the first taken as it is: the bytes of explicit
+    per-sample sweeps summed that way."""
+    samples = synth_dataset(seed=13, count=8, size=64, num_classes=5)
+    cfg = TrainConfig(max_iter=1, batch=4)
+    seen = []
+
+    def capture(params, grads, lr, cfg, velocities=None):
+        seen.extend(grads)
+        return velocities
+
+    monkeypatch.setattr(ef, "sgd_step", capture)
+    train_segmenter(samples, tiny_seg_params(np.random.default_rng(13)), cfg,
+                    num_classes=5, rng=np.random.default_rng(0))
+
+    params = tiny_seg_params(np.random.default_rng(13))
+    picks = np.random.default_rng(0).choice(len(samples), size=cfg.batch, replace=False)
+    want = [None] * len(seen)
+    for j in picks:
+        for _, t in params.named_parameters():
+            t.zero_grad()
+        loss = ops.cross_entropy_logits(segment_forward(samples[j].image, params),
+                                        samples[j].label)
+        ops.scalar_scale(loss, 1.0 / len(picks)).backward()
+        for i, (_, t) in enumerate(params.named_parameters()):
+            want[i] = t.grad if want[i] is None else np.add(want[i], t.grad)
+    assert len(seen) == 26
+    for (name, _), got, ref in zip(params.named_parameters(), seen, want):
+        assert np.array_equal(got, ref), name
 
 
 def test_evaluate_matches_metrics_over_concatenation():
