@@ -122,7 +122,7 @@ def predict_labels(logits: Tensor) -> np.ndarray:
     # np.argmax(axis=0)'s rule (ties go to the lowest class id, the first NaN
     # wins) as a scan over the class slices; np.argmax itself is slow along
     # a short leading axis
-    return ops._first_argmax(logits.data).astype(np.int64)
+    return ops._running_max(logits.data, "argmax")[1].astype(np.int64)
 
 
 def tiny_backbone_config() -> ToyBackboneConfig:

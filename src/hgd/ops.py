@@ -21,13 +21,14 @@ no backward reads is freed as soon as its Tensor is dropped, even while its
 node is still on the tape.
 
 Conventions fixed here (and relied on by the oracles in the test suite):
-- no grad array is written in place, and no first adjoint gets a zero
-  buffer. Closures hand adjoints to _acc, which adopts a parent's first
-  adjoint as its grad, whether fresh or passed through unchanged (add's,
-  reshape's, a concat_channels slice), and sums a later one into a new
-  buffer. maxpool2x2 and columns scatter into a new buffer, zeros when
-  their input has no grad yet and a copy of its grad once it has one, so
-  several column slices of one matrix accumulate into one grad;
+- no grad array is written in place, and only _acc sets an input's grad.
+  It adopts a parent's first adjoint as its grad, whether fresh or passed
+  through unchanged (add's, reshape's, a concat_channels slice), and sums a
+  later one into a new buffer. Given a key, as maxpool2x2's winners and
+  columns' slice, it scatters into a new buffer instead: the first adjoint
+  written into zeros, bits and sign of zero kept, a later one added into a
+  C-contiguous copy of the grad, so several column slices of one matrix
+  accumulate into one grad;
 - bilinear_resize uses the half-pixel convention src = (dst+0.5)*in/out - 0.5
   with edge clamping, realized as dense row/column interpolation matrices so
   the backward pass is the exact transpose;
@@ -52,28 +53,29 @@ Conventions fixed here (and relied on by the oracles in the test suite):
   each upsampled or given term in turn bit for bit. coarse gets
   coeffs[0] times the pair sums of g and coeffs[0] gets their dot product
   with coarse, which equals <g, up(coarse)> up to roundoff;
-- one argmax rule, np.argmax's, lives in _first_argmax: the first maximal
-  element wins, a NaN counting as larger than any number, so ties go to the
-  first index, the first NaN wins and a NaN best is final. It is a running
-  scan over a sequence of views, which efficientfcn.predict_labels feeds the
-  class slices of its logits, and maxpool2x2 its four window taps when some
-  window's maximum is NaN or zero;
+- the running maximum over a sequence of views lives in _running_max,
+  which also gives each element's winning view under the rule its caller
+  picks. np.argmax's rule: the first maximal element wins, a NaN counting
+  as larger than any number, so ties go to the first index, the first NaN
+  wins and a NaN best is final; efficientfcn.predict_labels takes it over
+  the class slices of its logits. Strict-greater: each element's last view
+  strictly greater than the maximum of the views before it, which agrees
+  with argmax's wherever the maximum is neither NaN nor zero;
 - maxpool2x2 uses stride-2 windows clipped at the edges and is ceil-mode
   only: an h x w map pools to ceil(h/2) x ceil(w/2), the grid every
   pyramid level already has. Each window's winner is its first
-  maximal element in row-major window order under that rule, and the
-  output is the winner itself, sign of zero included. The gradient goes to
-  the winner only. The output is the running np.maximum over the four tap
-  views (_window_max). That is the winner's own bits unless some window's
+  maximal element in row-major window order under np.argmax's rule, and
+  the output is the winner itself, sign of zero included. The gradient
+  goes to the winner only. The output is the running np.maximum over the
+  four tap views. That is the winner's own bits unless some window's
   maximum is NaN (np.maximum may keep a later NaN) or zero (it may keep
   either of +0.0 and -0.0), which each call checks once; then the call
-  takes the winners from _first_argmax and gathers the output through
-  them. An input that needs no grad gets only the maximum: no winners, no
-  index and no closure. One that does gets its winners in the same scan,
-  each window's last tap strictly greater than the running maximum, and
-  the tape keeps each window's winner as its 1-byte tap number; the
-  backward rebuilds the 8-byte flat indices from it and the cached window
-  bases (_pool_base);
+  rescans the taps under np.argmax's rule and gathers the output through
+  the winners. An input that needs no grad gets only the maximum: no
+  winners, no index and no closure. One that does gets its strict-greater
+  winners in the same scan, and the tape keeps each window's winner as its
+  1-byte tap number; the backward rebuilds the 8-byte flat indices from it
+  and the cached window bases (_pool_base);
 - relu is max(x, 0): -inf and every negative input, -0.0 included, give
   +0.0, NaN stays NaN and +inf stays +inf; its gradient at exactly 0 is 0;
 - softmax_spatial subtracts the per-channel spatial max before exponentiating;
@@ -148,18 +150,30 @@ def _make(data, parents, op, backward_fn):
     return out
 
 
-def _acc(n: Node, value):
-    """Sum the adjoint value into n.grad.
+def _acc(n: Node, value, key=None):
+    """Sum the adjoint value into n.grad, or with key into n.grad[key]; a
+    grad is never written in place.
 
-    The first value becomes n.grad as it is, whether the closure computed
-    it for n alone or passes on its incoming adjoint; a later one is summed
-    into a new buffer, since a grad is never written in place.
+    Unkeyed, the first value becomes n.grad as it is, whether the closure
+    computed it for n alone or passes on its incoming adjoint, and a later
+    one is summed into a new buffer. Keyed, the value is written into
+    zeros, so a first -0.0 keeps its sign, or added into a C-contiguous
+    copy of n.grad; an index array key addresses the copy's flat view. A
+    key names no element twice.
     """
-    if n.grad is None:
+    first = n.grad is None
+    if key is None:
         # a 0-d product is a numpy scalar, and a grad keeps its node's dtype
-        n.grad = np.asarray(value, dtype=n.dtype)
+        n.grad = (np.asarray(value, dtype=n.dtype) if first
+                  else np.add(n.grad, value, out=np.empty(n.dims, n.dtype)))
+        return
+    grad = np.zeros(n.dims, n.dtype) if first else np.array(n.grad, order="C")
+    target = grad.reshape(-1) if isinstance(key, np.ndarray) else grad
+    if first:
+        target[key] = value
     else:
-        n.grad = np.add(n.grad, value, out=np.empty(n.dims, n.dtype))
+        target[key] += value
+    n.grad = grad
 
 
 def _check_out(out: np.ndarray, dims: tuple, dtype, op: str):
@@ -488,29 +502,32 @@ def add_upsampled(base: Tensor, coarse: Tensor) -> Tensor:
     return _make(out, (bn, cn), "add_upsampled", bwd)
 
 
-def _first_argmax(views) -> np.ndarray:
-    """Index of the first maximal view at each element, a NaN counting as
-    larger than any number: np.argmax's rule, as a running scan.
+def _running_max(views, winners=None):
+    """The running np.maximum over a sequence of views and, if winners
+    names a rule, each element's winning view index under it (else None).
 
-    Ties go to the first index, the first NaN wins and a NaN best is final.
-    views[0] fixes the result's shape; a later view may be shorter along any
-    axis and then competes over its leading block only. The index type is
-    the smallest signed integer that holds len(views) - 1.
+    "argmax" is np.argmax's rule: ties go to the first index, a NaN counts
+    as larger than any number, the first NaN wins and a NaN best is final.
+    "greater" takes the last view strictly greater than all before it. Where
+    the maximum is neither NaN nor zero the rules agree, and it has the
+    winner's bits. A later view may be shorter than views[0] along any
+    axis and competes over its leading block only. The index type is the
+    smallest signed integer that holds len(views) - 1.
     """
     best = views[0].copy()
-    k = np.zeros(best.shape, dtype=np.min_scalar_type(-len(views)))
+    k = None if winners is None else np.zeros(best.shape, np.min_scalar_type(-len(views)))
     for j, v in enumerate(views[1:], start=1):
         block = tuple(map(slice, v.shape))
         b = best[block]
-        # larger, or NaN over non-NaN; a NaN best is final
-        take = ~(v <= b) & (b == b)
-        kj = k[block]
-        # views come in increasing j, so a win always raises k
-        np.maximum(kj, take.view(np.int8) * k.dtype.type(j), out=kj)
-        # np.maximum propagates NaN; only comparisons read best, so which
-        # zero or NaN payload it keeps does not matter
+        if k is not None:
+            take = ~(v <= b) & (b == b) if winners == "argmax" else np.greater(v, b)
+            kj = k[block]
+            # views come in increasing j, so a win always raises k
+            np.maximum(kj, take.view(np.int8) * k.dtype.type(j), out=kj)
+        # np.maximum propagates NaN but may keep either zero or NaN payload;
+        # the comparisons cannot tell which (maxpool2x2 checks its output)
         np.maximum(b, v, out=b)
-    return k
+    return best, k
 
 
 @functools.cache
@@ -533,29 +550,6 @@ def _pool_index(k: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
     return idx
 
 
-def _window_max(taps, winners: bool):
-    """The running np.maximum over the tap views and, if winners is set,
-    each element's winner as a 1-byte tap number (else None): the last tap
-    strictly greater than the maximum of the taps before it.
-
-    Where the maximum is neither NaN nor zero, these winners are
-    _first_argmax's and the maximum has the winner's bits, since equal
-    non-zero floats have equal bits. A later tap may be shorter along any
-    axis, as in _first_argmax.
-    """
-    best = taps[0].copy()
-    k = np.zeros(best.shape, np.int8) if winners else None
-    for j, v in enumerate(taps[1:], start=1):
-        block = tuple(map(slice, v.shape))
-        b = best[block]
-        if winners:
-            kj = k[block]
-            # taps come in increasing j, so a win always raises k
-            np.maximum(kj, np.greater(v, b).view(np.int8) * np.int8(j), out=kj)
-        np.maximum(b, v, out=b)
-    return best, k
-
-
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 to ceil(h/2) x ceil(w/2); edge windows
     are clipped."""
@@ -568,13 +562,13 @@ def maxpool2x2(x: Tensor) -> Tensor:
     # would repeat taps already scanned, which can never be strictly larger
     taps = [x.data[:, r:2 * out_h:2, q:2 * out_w:2] for r in (0, 1) for q in (0, 1)]
     xn = x._node
-    out, k = _window_max(taps, xn.requires_grad)
+    out, k = _running_max(taps, "greater" if xn.requires_grad else None)
     # a NaN or zero maximum need not be the winner's bits: np.maximum may
     # keep a later NaN, or either of +0.0 and -0.0. Then the winners come
-    # from _first_argmax and the output is gathered through them (a NaN
+    # from np.argmax's rule and the output is gathered through them (a NaN
     # minimum compares false too)
     if not np.abs(out).min(initial=np.inf) > 0:
-        k = _first_argmax(taps)
+        k = _running_max(taps, "argmax")[1]
         out = x.data.take(_pool_index(k, c, h, w))
 
     def bwd(g):
@@ -582,15 +576,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
         # column never wins, so the indices are unique and the scatter
         # needs no np.add.at; the tape keeps the 1-byte winners k and
         # rebuilds their 8-byte flat indices here
-        idx = _pool_index(k, c, h, w)
-        if xn.grad is None:
-            gx = np.zeros(xn.dims, xn.dtype)
-            gx.reshape(-1)[idx] = g
-        else:
-            # a C-contiguous copy, so reshape(-1) is a view
-            gx = np.array(xn.grad, order="C")
-            gx.reshape(-1)[idx] += g
-        xn.grad = gx
+        _acc(xn, g, _pool_index(k, c, h, w))
 
     return _make(out, (xn,), "maxpool2x2", bwd)
 
@@ -654,13 +640,7 @@ def columns(x: Tensor, start: int, stop: int) -> Tensor:
     xn = x._node
 
     def bwd(g):
-        if xn.grad is None:
-            gx = np.zeros(xn.dims, xn.dtype)
-            gx[:, start:stop] = g
-        else:
-            gx = np.array(xn.grad, order="C")
-            gx[:, start:stop] += g
-        xn.grad = gx
+        _acc(xn, g, (slice(None), slice(start, stop)))
 
     return _make(x.data[:, start:stop], (xn,), "columns", bwd)
 

@@ -24,7 +24,9 @@ alias: a concatenation whose parts were written into one buffer (ops' out=)
 is that buffer, and each part's data is a view of it. Gradients are values:
 once an array is some node's grad, nothing writes into it. So an adjoint
 that passes through an op unchanged is not copied, and several nodes'
-grads may be one buffer.
+grads may be one buffer. Only hgd.ops._acc writes an adjoint into a grad;
+the sweep seeds the loss's grad and drops each intermediate's, and
+zero_grad drops a leaf's.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class Tensor:
     """N-dimensional float array and its node on the tape.
 
     grad, requires_grad and an op output's record (_parents, _op,
-    _backward_fn) are read from the node, and grad and _backward_fn are
-    set on it: the sweep calls whatever closure the node holds then, so a
+    _backward_fn) are read from the node. Only _backward_fn is set through
+    the tensor: the sweep calls whatever closure the node holds then, so a
     profiler can wrap it. The tensor adds only the data.
     """
 
@@ -106,10 +108,6 @@ class Tensor:
     @property
     def grad(self):
         return self._node.grad
-
-    @grad.setter
-    def grad(self, value):
-        self._node.grad = value
 
     @property
     def requires_grad(self) -> bool:

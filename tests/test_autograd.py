@@ -301,6 +301,20 @@ def test_single_parent_op_records_its_closure_only_when_its_input_needs_grad(nam
     assert x.grad is not None and x.grad.shape == dims
 
 
+@pytest.mark.parametrize("name", sorted(SINGLE_PARENT_OPS))
+def test_single_parent_op_hands_its_adjoint_to_acc(name, monkeypatch):
+    # _acc is the one writer of an input's grad, scatters included: with it
+    # replaced by a recorder, a closure leaves its input without a grad
+    dims, op = SINGLE_PARENT_OPS[name]
+    x = t(np.random.default_rng(3).normal(size=dims))
+    out = op(x)
+    calls = []
+    monkeypatch.setattr(ops, "_acc", lambda n, *args: calls.append(n))
+    out._backward_fn(np.ones(out.dims))
+    assert calls == [x._node]
+    assert x.grad is None
+
+
 @pytest.mark.parametrize("sign", ["signed", "positive"])
 def test_upsampled_weighted_sum_f32_coefficient_grads_keep_f32_accuracy(sign):
     # each coefficient's grad of upsampled_weighted_sum is one f32 dot

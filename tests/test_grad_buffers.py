@@ -31,11 +31,15 @@ from hgd.tensor import ComputeGraph, Node
 C, H, W = 2, 3, 4   # H odd, so maxpool2x2 clips its last window row
 
 
-def _zero_fill_acc(n, value):
-    """The reference: every first adjoint lands in a fresh zero buffer."""
+def _zero_fill_acc(n, value, key=None):
+    """The reference: every first adjoint lands in a fresh zero buffer, and a
+    keyed one is added at its key, an index array into the flat view."""
     if n.grad is None:
         n.grad = np.zeros(n.dims, n.dtype)
-    n.grad += value
+    if key is None:
+        n.grad += value
+    else:
+        (n.grad.reshape(-1) if isinstance(key, np.ndarray) else n.grad)[key] += value
 
 
 def _pool(x, p):
@@ -140,8 +144,8 @@ def _check_writes(mp, nodes):
     """Make mp record every array that becomes a grad of nodes, with a
     copy of it as it was then, and return a check that fails if any of them
     has been written since. A grad _acc sets is recorded at once, and every
-    grad of nodes after each backward closure, which covers the ones
-    maxpool2x2, columns and the sweep itself assign directly."""
+    grad of nodes after each backward closure, which covers the ones the
+    sweep itself assigns."""
     real_acc = ops._acc
     seen = {}   # id -> (array, copy); holding the array keeps its id unique
 
@@ -149,8 +153,8 @@ def _check_writes(mp, nodes):
         if grad is not None and id(grad) not in seen:
             seen[id(grad)] = (grad, grad.copy())
 
-    def acc(n, value):
-        real_acc(n, value)
+    def acc(n, value, key=None):
+        real_acc(n, value, key)
         record(n.grad)
 
     def checked(closure):
@@ -257,6 +261,25 @@ def test_column_slices_accumulate_into_one_grad(whole_first, sweeps):
         assert g is None or np.array_equal(g, r), i
     if sweeps == 1:
         assert np.allclose(w.grad, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("op, dims", [
+    (ops.maxpool2x2, (2, 3, 5)),
+    (lambda x: ops.columns(x, 1, 3), (3, 4)),
+], ids=["maxpool2x2", "columns"])
+def test_first_scatter_adjoint_keeps_its_bits(op, dims):
+    # a scattered first adjoint is written into zeros, not added to them
+    # (+0.0 + -0.0 is +0.0): an incoming -0.0 stays -0.0 where it lands, and
+    # every other element of the grad is +0.0
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal(dims)
+    reached = Tensor(data, requires_grad=True)
+    ops.sum_all(op(reached)).backward()
+    x = Tensor(data, requires_grad=True)
+    out = op(x)
+    ops.sum_all(ops.mul(out, Tensor(np.full(out.dims, -0.0)))).backward()
+    assert np.all(x.grad == 0)
+    assert np.array_equal(np.signbit(x.grad), reached.grad != 0)
 
 
 def test_second_sweep_does_not_write_through_a_lent_grad():
