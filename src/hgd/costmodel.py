@@ -300,10 +300,14 @@ def _code_rows(p, conv, config: FpnConfig, code, tied):
 
 
 def _merge_rows(p, grids):
-    """A stage's residual merge: refined p4 up to p3, refined p6 pooled to p7."""
-    return [LayerSpec(f"{p}.p3_upsample", "resize", out_h=grids[3][0], out_w=grids[3][1]),
-            LayerSpec(f"{p}.p7_pool", "pool", out_h=grids[7][0], out_w=grids[7][1]),
+    """A stage's residual merge: refined p6 pooled to p7, and the add."""
+    return [LayerSpec(f"{p}.p7_pool", "pool", out_h=grids[7][0], out_w=grids[7][1]),
             LayerSpec(f"{p}.residual_add", "elementwise")]
+
+
+def _p3_upsample(name, grids):
+    """Refined p4 upsampled onto the p3 grid."""
+    return LayerSpec(name, "resize", out_h=grids[3][0], out_w=grids[3][1])
 
 
 def _decoder_stage_rows(stage, grids, config: FpnConfig):
@@ -323,7 +327,7 @@ def _decoder_stage_rows(stage, grids, config: FpnConfig):
                  LayerSpec(f"{p}.{q}.assembly_matmul", "matmul", c_in=c, c_out=n,
                            out_h=g[0], out_w=g[1]),
                  conv(f"{q}.project", g)]
-    return rows + _merge_rows(p, grids)
+    return rows + [_p3_upsample(f"{p}.p3_upsample", grids), *_merge_rows(p, grids)]
 
 
 def _folded_stage_rows(stage, grids, config: FpnConfig):
@@ -332,10 +336,9 @@ def _folded_stage_rows(stage, grids, config: FpnConfig):
     W_pa C b_as and M W_g, and the one ch x ch conv they fold the branch
     into. A product named by a branch weight's fpn_layout path is the one
     that reads that weight, and counts its parameters (bias included).
-    Shared parameters count once, at stage 0. One row differs from hgd.fpn:
-    _merge_rows lists a stageN.p3_upsample per stage, while the live decode
-    upsamples the stages' summed refined p4 onto p3 once, after the last
-    stage; resize rows count no MACs, so the totals still agree."""
+    Shared parameters count once, at stage 0. The stage has no p3 upsample:
+    the live decode upsamples the stages' summed refined p4 onto p3 once,
+    after the last stage, which fpn_spec lists as the row p3_upsample."""
     p, tied = f"stage{stage}", config.share_params and stage > 0
     ch, n, c = config.output_channels, config.n_codewords, config.codeword_dim
     layout = fpn_layout(config)
@@ -373,9 +376,10 @@ def fpn_spec(variant, config: FpnConfig = None, input_hw=None) -> ArchSpec:
     for hgd-fpn and the preset tiny_run()'s for hgd-fpn-toy, and the levels
     are its fpn.pyramid_grids. hgd-fpn: the paper's decoder stages
     (_decoder_stage_rows) on top of the baseline detector. hgd-fpn-toy: the
-    stages alone, as the live pyramid decoder (hgd.fpn) runs them
-    (_folded_stage_rows), so its totals are the traced MACs and the
-    parameter records of that decoder at the same config and grids.
+    stages alone and then the one p3 upsample, as the live pyramid decoder
+    (hgd.fpn) runs them (_folded_stage_rows), so its totals are the traced
+    MACs and the parameter records of that decoder at the same config and
+    grids.
     """
     if variant not in FPN_CONFIGS:
         raise ConfigError(f"unknown fpn variant {variant!r}")
@@ -387,6 +391,8 @@ def fpn_spec(variant, config: FpnConfig = None, input_hw=None) -> ArchSpec:
     stage_rows = _decoder_stage_rows if paper else _folded_stage_rows
     for stage in range(config.k_recurrence):
         rows += stage_rows(stage, grids, config)
+    if not paper:
+        rows.append(_p3_upsample("p3_upsample", grids))
     return ArchSpec(name=f"{variant}-k{config.k_recurrence}", layers=tuple(rows))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import ops
 from .decoder import HgdConfig, HgdParams, hgd_forward, init_hgd_params
 from .hgdt import write_atomic
-from .metrics import IGNORE_ID, metrics
+from .metrics import IGNORE_ID, NO_CLASS, metrics
 from .params import ConvParams, conv1x1_params, conv3x3_params
 from .tensor import ConfigError, Tensor
 
@@ -125,6 +125,15 @@ def predict_labels(logits: Tensor) -> np.ndarray:
     return ops._running_max(logits.data, "argmax")[1].astype(np.int64)
 
 
+def _scored_labels(logits: Tensor) -> np.ndarray:
+    """predict_labels, but NO_CLASS at each pixel with a non-finite logit:
+    the labels evaluate and a training step's pixAcc score, so that such a
+    pixel counts as misclassified rather than as its argmax class."""
+    pred = predict_labels(logits)
+    pred[~np.isfinite(logits.data).all(axis=0)] = NO_CLASS
+    return pred
+
+
 def tiny_backbone_config() -> ToyBackboneConfig:
     return ToyBackboneConfig()
 
@@ -192,7 +201,7 @@ def evaluate(samples, params: SegParams, num_classes: int):
     preds = []
     gts = []
     for s in samples:
-        preds.append(predict_labels(segment_forward(s.image, params)).ravel())
+        preds.append(_scored_labels(segment_forward(s.image, params)).ravel())
         gts.append(s.label.ravel())
     return metrics(np.concatenate(preds), np.concatenate(gts), num_classes)
 
@@ -231,7 +240,7 @@ def train_segmenter(samples, params: SegParams, cfg: TrainConfig, num_classes: i
             loss = ops.cross_entropy_logits(logits, sample.label)
             ops.scalar_scale(loss, 1.0 / len(picks)).backward()
             loss_sum += float(loss.data)
-            pred = predict_labels(logits)
+            pred = _scored_labels(logits)
             mask = sample.label != IGNORE_ID
             correct += int((pred[mask] == sample.label[mask]).sum())
             valid += int(mask.sum())

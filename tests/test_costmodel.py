@@ -323,6 +323,19 @@ def test_toy_spec_macs_equal_the_traced_live_decode(monkeypatch, config, input_h
     assert set(convs) <= rows
 
 
+def test_toy_spec_upsamples_p3_once_after_the_last_stage():
+    # the live decode sums the stages' refined p4 and upsamples it once;
+    # the paper's decoder upsamples in every stage
+    grid = pyramid_grids((64, 64))[3]
+    toy = fpn_spec("hgd-fpn-toy", tiny_fpn_config()).layers
+    resizes = [layer for layer in toy if layer.name.endswith("p3_upsample")]
+    assert [layer.name for layer in resizes] == ["p3_upsample"]
+    assert toy[-1] is resizes[0] and (resizes[0].out_h, resizes[0].out_w) == grid
+    paper = fpn_spec("hgd-fpn", FpnConfig(k_recurrence=3)).layers
+    assert [layer.name for layer in paper if layer.name.endswith("p3_upsample")] == [
+        f"stage{s}.p3_upsample" for s in range(3)]
+
+
 def test_toy_unshared_params_match_executable_stack():
     cfg = dataclasses.replace(tiny_fpn_config(), k_recurrence=3, share_params=False)
     spec = fpn_spec("hgd-fpn-toy", cfg)

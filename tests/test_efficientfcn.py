@@ -1,5 +1,7 @@
 """Segmentation stack: backbone taps, training schedule, metrics, synthetic data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +13,13 @@ from hgd.decoder import HgdConfig
 from hgd.gradcheck import gradcheck
 from hgd import hgdt
 from hgd import efficientfcn as ef
-from hgd.metrics import metrics
+from hgd.metrics import NO_CLASS, metrics
 from hgd.synthdata import synth_dataset
 from hgd.efficientfcn import (ToyBackboneConfig, TrainConfig, init_backbone_params,
                               backbone_forward, init_seg_params, segment_forward,
                               predict_labels, poly_lr, sgd_step, evaluate,
-                              train_segmenter, tiny_backbone_config, tiny_hgd_config)
+                              train_segmenter, tiny_backbone_config, tiny_hgd_config,
+                              tiny_train_config)
 
 
 # ---------------------------------------------------------------- schedule
@@ -145,6 +148,19 @@ def test_metrics_matches_confusion_loop_oracle():
     assert abs(miou - miou_o) <= 1e-15
 
 
+def test_metrics_scores_no_class_as_misclassified():
+    gt = np.array([[0, 0, 1, 1, 255]])
+    pred = np.array([[0, NO_CLASS, NO_CLASS, 1, NO_CLASS]])
+    acc, miou = metrics(pred, gt, 3)
+    assert acc == 0.5
+    # class 0: tp=1, union 2; class 1: tp=1, union 2; class 2 absent
+    assert miou == 0.5
+    acc, miou = metrics(np.full((1, 4), NO_CLASS), gt[:, :4], 3)
+    assert acc == 0.0 and miou == 0.0
+    with pytest.raises(ValueError):
+        metrics(np.full((1, 4), NO_CLASS - 1), gt[:, :4], 3)
+
+
 def test_metrics_skips_absent_classes():
     gt = np.array([[1, 1]])
     pred = np.array([[1, 1]])
@@ -265,6 +281,22 @@ def test_zero_classifier_gives_majority_class_accuracy():
     assert np.all(pred == 0)
     acc, _ = metrics(pred, sample.label, 5)
     assert acc == np.mean(sample.label == 0)
+
+
+def test_nan_logits_score_zero():
+    # one step at base_lr 1e308 leaves every logit NaN on the preset's data,
+    # init and batch order; argmax would call each pixel class 0 and score
+    # pixAcc 0.566, mIoU 0.113. Evaluation and a further step's pixAcc
+    # count each such pixel as misclassified
+    samples = synth_dataset(seed=2024, count=32, size=64, num_classes=5)
+    params = tiny_seg_params(np.random.default_rng(17))
+    cfg = dataclasses.replace(tiny_train_config(), base_lr=1e308, max_iter=1)
+    with np.errstate(all="ignore"):
+        result = train_segmenter(samples, params, cfg, 5, np.random.default_rng(3))
+        assert np.isnan(segment_forward(samples[0].image, params).data).all()
+        assert (result.final_pixacc, result.final_miou) == (0.0, 0.0)
+        again = train_segmenter(samples, params, cfg, 5, np.random.default_rng(3))
+    assert again.history[0]["pixAcc"] == 0.0
 
 
 def test_segment_forward_gradcheck_every_group():

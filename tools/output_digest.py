@@ -7,10 +7,12 @@ HgdTrace intermediates named in TRACE_FIELDS at seeds 0-2, the fpn-decode
 output levels at seeds 0-4 and, on a line of their own, its parameter
 gradients (so a change that only reorders the gradients' sums shows its
 levels unchanged), the seg-infer labels of all 32 images (seed 0), every
-seg-train parameter and gradient after 40 SGD steps at seed 0, and the same
-after one whole 100-step budget at seed 2, where the preset diverges; that
-line also prints the budget's failed-step count, the steps that seg-train
-counts as failures for a non-finite parameter or gradient. The lines
+seg-train parameter and gradient after 40 SGD steps at seed 0, where all
+of them stay finite, and the same at seed 2, where the preset diverges,
+after the last step of one whole 100-step budget at which all of them are
+finite; that line also prints that step's number and the budget's
+failed-step count, the steps that seg-train counts as failures for a
+non-finite parameter or gradient. The lines
 `demo-seg` and `demo-fpn`, last of the workload lines (workload_lines),
 hash the directory that the preset's `hgd demo-seg` and `hgd demo-fpn`
 write: every file's relative path, size and bytes. The two checkouts also
@@ -76,13 +78,29 @@ def decode_paper_trace(w):
 
 
 def seg_train_state(seed, steps):
-    """Every parameter and gradient after `steps` SGD steps, and the failed
-    steps; the step hooks are removed again afterwards."""
+    """(step, state, failed) of a run of `steps` SGD steps: the last step
+    after which every parameter and gradient was finite (0 for none), a
+    copy of all of them then (none for step 0), and the failed steps; the
+    step hooks are removed again afterwards."""
     w = ready(wl.SegTrain, seed)
     loop = wl.Loop(max_ops=steps)
+    step, finite_step, finite_state = 0, 0, []
+
     with hooks_installed(wl.ef, w), np.errstate(all="ignore"):
+        step_end = wl.ef.sgd_step
+
+        def snapshot(*args, **kwargs):
+            nonlocal step, finite_step, finite_state
+            velocities = step_end(*args, **kwargs)
+            step += 1
+            arrays = [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)]
+            if all(np.isfinite(a).all() for a in arrays):
+                finite_step, finite_state = step, [a.copy() for a in arrays]
+            return velocities
+
+        wl.ef.sgd_step = snapshot
         w.run(loop)
-    return [a for _, t in w.params.named_parameters() for a in (t.data, t.grad)], loop.failed
+    return finite_step, finite_state, loop.failed
 
 
 def cli_stdout(*argv) -> str:
@@ -129,9 +147,9 @@ def workload_lines():
     yield "fpn-decode grads " + sha(a for out in fpn_arrays for a in out[n_levels:])
     infer = ready(wl.SegInfer, 0)
     yield "seg-infer " + sha(infer.op(i) for i in range(len(infer.samples)))
-    yield "seg-train " + sha(seg_train_state(0, 40)[0])
-    state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
-    yield f"seg-train seed 2 {sha(state)} failed {failed}"
+    yield "seg-train " + sha(seg_train_state(0, 40)[1])
+    step, state, failed = seg_train_state(2, wl.SegTrain.BUDGET)
+    yield f"seg-train seed 2 {sha(state)} finite to step {step} failed {failed}"
     for command in ("demo-seg", "demo-fpn"):
         yield f"{command} {demo_sha(command)}"
 
